@@ -78,7 +78,6 @@ def _train_once(processor, program, setup, workers, executor="auto"):
     """One training phase with a fresh activity cache; (seconds, stats)."""
     pipeline = EstimationPipeline(
         processor,
-        backends={"dta": "windowpool" if workers > 1 else "kernels"},
         n_data_samples=32,
         window_workers=workers,
         executor=executor,
@@ -118,7 +117,9 @@ def _per_task_durations(processor, program, setup):
     durations = []
     for index in range(len(tasks)):
         t0 = time.perf_counter()
-        _characterize_task((characterizer, tasks), index)
+        _characterize_task(
+            (characterizer, [characterizer.clock_period], tasks), index
+        )
         durations.append(time.perf_counter() - t0)
     return durations
 
@@ -179,31 +180,28 @@ def test_window_pool_benchmark(tmp_path):
     sims_cached = _mc_sims()
 
     # -- period-sweep reuse: warm second operating point ----------------- #
-    # A serial engine so the second job sees the first job's persisted
-    # windows artifact within one batch.
+    # One engine run per point, so the second run sees the first run's
+    # persisted windows artifact (one run would share a single grid pass
+    # between the points; that variant is benchmarks/test_sweep_grid.py).
     engine = EstimationEngine(
         SMALL, max_workers=1, cache_dir=tmp_path, n_data_samples=32,
         window_workers=POOL_WORKERS,
     )
-    # grid=False: this section measures the *per-point* windows-reuse
-    # path; the batched grid variant has its own benchmark
-    # (benchmarks/test_sweep_grid.py).
-    summary = engine.run(
-        [
-            EstimationRequest(
-                workload=WORKLOAD, speculation=spec,
-                train_instructions=TRAIN_INSTRUCTIONS,
-                max_instructions=60_000, seed=0,
-            )
-            for spec in (1.15, 1.25)
-        ],
-        grid=False,
-    )
-    assert not summary.failed, summary.failed[0].error
-    sweep_rows = [
-        r.report.to_json()["timing"]["kernels_training"]
-        for r in summary.results
-    ]
+    sweep_rows = []
+    for spec in (1.15, 1.25):
+        summary = engine.run(
+            [
+                EstimationRequest(
+                    workload=WORKLOAD, speculation=spec,
+                    train_instructions=TRAIN_INSTRUCTIONS,
+                    max_instructions=60_000, seed=0,
+                )
+            ]
+        )
+        assert not summary.failed, summary.failed[0].error
+        sweep_rows.append(
+            summary.results[0].report.to_json()["timing"]["kernels_training"]
+        )
 
     doc = {
         "schema": "repro.bench-window-pool/2",

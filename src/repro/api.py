@@ -456,11 +456,9 @@ class JobResult:
     ) -> "JobResult":
         """Build from one or more per-point ``PipelineResult`` objects.
 
-        The shared constructor behind :meth:`from_pipeline` (one result)
-        and :meth:`from_grid` (a grid outcome's result list) — and the
-        one the batching scheduler uses to fan a coalesced grid pass
-        back out into per-job results (each job receiving its own slice
-        of the batch's points).
+        A job's results are its slice of a grid pass's
+        (``GridResult.results``): all of them for a job run on its own,
+        or its own points of a coalesced batch.
         """
         results = list(results)
         first = results[0]
@@ -482,16 +480,6 @@ class JobResult:
             batched=batched,
             batch=batch,
         )
-
-    @classmethod
-    def from_pipeline(cls, job_id: str, result) -> "JobResult":
-        """Build from an :class:`EstimationPipeline.execute` result."""
-        return cls.from_results(job_id, [result])
-
-    @classmethod
-    def from_grid(cls, job_id: str, outcome) -> "JobResult":
-        """Build from an ``EstimationPipeline.execute_grid`` outcome."""
-        return cls.from_results(job_id, outcome.results)
 
     def to_json(self) -> dict:
         doc = {

@@ -45,8 +45,8 @@ class ErrorRateEstimator:
         processor: Hardware configuration under analysis.
         n_data_samples: Data-variation sample count used to represent the
             probability random variables.
-        window_workers: *Deprecated* — select the ``dta.windowpool``
-            backend on an :class:`~repro.pipeline.pipeline.EstimationPipeline`
+        window_workers: *Deprecated* — pass ``window_workers`` to an
+            :class:`~repro.pipeline.pipeline.EstimationPipeline`
             instead.  Fork-pool width for the intra-job window-analysis
             fan-out; ``1`` runs serially, and parallel results are
             byte-identical to serial.
@@ -66,8 +66,7 @@ class ErrorRateEstimator:
         if window_workers is not None:
             warnings.warn(
                 "ErrorRateEstimator(window_workers=...) is deprecated; "
-                "use EstimationPipeline(..., backends={'dta': 'windowpool'}, "
-                "window_workers=...) instead",
+                "use EstimationPipeline(..., window_workers=...) instead",
                 DeprecationWarning,
                 stacklevel=2,
             )
@@ -89,7 +88,6 @@ class ErrorRateEstimator:
 
         self._pipeline = EstimationPipeline(
             processor,
-            backends={"dta": "windowpool" if workers > 1 else "kernels"},
             store=None,
             n_data_samples=n_data_samples,
             window_workers=workers,

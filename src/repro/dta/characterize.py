@@ -258,55 +258,6 @@ class ControlCharacterizer:
         self.simulator = LevelizedSimulator(pipeline.netlist)
         self.encoder = StimulusEncoder(pipeline)
 
-    def _window_dts(
-        self, window: InstructionWindow, slot_indices: list[int]
-    ) -> list[Gaussian | None]:
-        schedule = self.scheduler.schedule(window)
-        source_values = self.encoder.encode_schedule(schedule)
-        activity = self.activity_cache.activity(
-            source_values, self.simulator.activity
-        )
-        return self.analyzer.window_dts(
-            activity,
-            self.scheduler.entries(window, slot_indices),
-            self.clock_period,
-        )
-
-    def characterize_edge_values(
-        self,
-        bid: int,
-        pred: int,
-        tail: list[StepRecord],
-        block_records: list[StepRecord],
-    ) -> list[tuple[ControlKey, Gaussian | None, Gaussian | None]]:
-        """The (key, normal, corrected) rows for one (block, edge) pair.
-
-        The pure-computation half of :meth:`characterize_edge` — no model
-        mutation, so it can run inside a pool worker and be merged in
-        deterministic key order by the parent.
-        """
-        tail_slots: list[StepRecord | None] = list(tail)
-        n = len(block_records)
-        # Normal flow: predecessor tail + block.
-        normal_window = InstructionWindow(tail_slots + list(block_records))
-        normal_entries = [len(tail_slots) + k for k in range(n)]
-        dts_c = self._window_dts(normal_window, normal_entries)
-        # Corrected flow: the scheme's emulation applied before every
-        # instruction (the paper inserts a nop before each one).
-        corrected = InstructionWindow(list(tail_slots))
-        positions = []
-        for rec in block_records:
-            emulated = self.scheme.emulate(
-                InstructionWindow(corrected.slots + [rec]),
-                len(corrected.slots),
-            )
-            corrected = emulated
-            positions.append(len(corrected.slots) - 1)
-        dts_e = self._window_dts(corrected, positions)
-        return [
-            ((bid, pred, k), dts_c[k], dts_e[k]) for k in range(n)
-        ]
-
     def _window_dts_grid(
         self,
         window: InstructionWindow,
@@ -338,12 +289,15 @@ class ControlCharacterizer:
         block_records: list[StepRecord],
         clock_periods: list[float],
     ) -> list[list[tuple[ControlKey, Gaussian | None, Gaussian | None]]]:
-        """:meth:`characterize_edge_values` over a vector of periods.
+        """The (key, normal, corrected) rows for one (block, edge) pair.
 
-        Returns one row list per period, each bitwise identical to the
-        scalar call on a characterizer built at that period.  Window
-        construction (including the correction-scheme emulation) is
-        period-independent and happens once.
+        Returns one row list per clock period.  No model mutation, so it
+        can run inside a pool worker and be merged in deterministic key
+        order by the parent.  Window construction (including the
+        correction-scheme emulation) is period-independent and happens
+        once; the normal window is the predecessor tail + block, the
+        corrected one applies the scheme's emulation before every
+        instruction (the paper inserts a nop before each one).
         """
         tail_slots: list[StepRecord | None] = list(tail)
         n = len(block_records)
@@ -370,20 +324,6 @@ class ControlCharacterizer:
             for p in range(len(clock_periods))
         ]
 
-    def characterize_edge(
-        self,
-        bid: int,
-        pred: int,
-        tail: list[StepRecord],
-        block_records: list[StepRecord],
-        model: ControlTimingModel,
-    ) -> None:
-        """Characterize one (block, incoming edge) pair into ``model``."""
-        for key, normal, corrected in self.characterize_edge_values(
-            bid, pred, tail, block_records
-        ):
-            model.record(key, normal, corrected)
-
     def characterize_many(
         self,
         tasks: list[tuple[int, int, list, list]],
@@ -392,31 +332,16 @@ class ControlCharacterizer:
         """Characterize ``(bid, pred, tail, block_records)`` tasks.
 
         Tasks are expected in sorted (bid, pred) order; results are
-        recorded into ``model`` in exactly that order whether the tasks
-        run serially or through the fork pool, so the model's contents —
-        including the insertion-order-sensitive fallback-edge lists —
-        are byte-identical either way.  Worker-side activity traces are
-        adopted into the parent cache so downstream consumers (missing-
-        edge characterization, breakdowns, persistence) still hit.
+        recorded into ``model`` in exactly that order (see
+        :func:`_characterize_tasks`).
         """
-        pool = WindowAnalysisPool(self.window_workers, executor=self.executor)
-        results = pool.map(_characterize_task, (self, tasks), len(tasks))
-        for rows, entries in results:
-            self.activity_cache.adopt_shared(entries)
-            for key, normal, corrected in rows:
-                model.record(key, normal, corrected)
+        _characterize_tasks([self], tasks, [model])
 
     def characterize(
         self, samples: dict[tuple[int, int], tuple[list, list]]
     ) -> ControlTimingModel:
         """Characterize every captured (block, edge) sample."""
-        model = ControlTimingModel()
-        tasks = [
-            (bid, pred, tail, block_records)
-            for (bid, pred), (tail, block_records) in sorted(samples.items())
-        ]
-        self.characterize_many(tasks, model)
-        return model
+        return characterize_grid([self], samples)[0]
 
 
 def characterize_grid(
@@ -431,30 +356,49 @@ def characterize_grid(
     the analyzer's path registry and one activity cache.  Each window is
     scheduled, encoded, and simulated once; the DTS evaluation fans out
     along the period axis.  Returns one :class:`ControlTimingModel` per
-    characterizer, each byte-identical to ``characterizers[p]
-    .characterize(samples)`` run on its own.
+    characterizer; a single characterizer is the one-period case
+    (:meth:`ControlCharacterizer.characterize`).
+    """
+    models = [ControlTimingModel() for _ in characterizers]
+    tasks = [
+        (bid, pred, tail, block_records)
+        for (bid, pred), (tail, block_records) in sorted(samples.items())
+    ]
+    _characterize_tasks(characterizers, tasks, models)
+    return models
+
+
+def _characterize_tasks(characterizers, tasks, models) -> None:
+    """The characterization loop: every (block, edge) task, every period.
+
+    Tasks fan out through :class:`WindowAnalysisPool` with the first
+    characterizer's worker budget and executor; results are recorded
+    into ``models`` (one per characterizer) in task order whether the
+    tasks run serially or in a fork pool, so the models' contents —
+    including the insertion-order-sensitive fallback-edge lists — are
+    byte-identical either way.  Worker-side activity traces are adopted
+    into the parent cache so downstream consumers (missing-edge
+    characterization, breakdowns, persistence) still hit.
     """
     if not characterizers:
-        return []
+        return
     base = characterizers[0]
-    clock_periods = [c.clock_period for c in characterizers]
-    models = [ControlTimingModel() for _ in characterizers]
-    for (bid, pred), (tail, block_records) in sorted(samples.items()):
-        rows_per_period = base.characterize_edge_values_grid(
-            bid, pred, tail, block_records, clock_periods
-        )
+    periods = [c.clock_period for c in characterizers]
+    pool = WindowAnalysisPool(base.window_workers, executor=base.executor)
+    results = pool.map(_characterize_task, (base, periods, tasks), len(tasks))
+    for rows_per_period, entries in results:
+        base.activity_cache.adopt_shared(entries)
         for model, rows in zip(models, rows_per_period):
             for key, normal, corrected in rows:
                 model.record(key, normal, corrected)
-    return models
 
 
 def _characterize_task(context, index: int):
     """Pool task: one (block, edge) pair; returns rows + new activity."""
-    characterizer, tasks = context
+    characterizer, periods, tasks = context
     bid, pred, tail, block_records = tasks[index]
     before = characterizer.activity_cache.snapshot_keys()
-    rows = characterizer.characterize_edge_values(
-        bid, pred, tail, block_records
+    rows = characterizer.characterize_edge_values_grid(
+        bid, pred, tail, block_records, periods
     )
     return rows, characterizer.activity_cache.export_shared_since(before)

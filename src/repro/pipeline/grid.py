@@ -1,4 +1,4 @@
-"""Vectorized operating-point grid: batch-evaluate a period sweep.
+"""The estimation flow: every estimate is one operating-point grid pass.
 
 A frequency sweep asks the same question — "what is this program's
 error-rate distribution?" — at many operating points of one processor
@@ -6,7 +6,7 @@ configuration.  Run point-by-point, almost everything is recomputed N
 times even though only the clock period changed: the training and
 evaluation functional simulations, window scheduling/encoding/logic
 simulation, and the activation bookkeeping of Algorithm 1 are all
-period-independent.  The grid evaluator runs each of those once and
+period-independent.  :func:`execute_grid` runs each of those once and
 fans out only the genuinely period-dependent tail:
 
 * one training functional run + one window characterization sweep
@@ -20,11 +20,14 @@ fans out only the genuinely period-dependent tail:
   model (whose seed folds in the operating point), and the statistical
   estimate.
 
-Every per-point control artifact is persisted under the *same* store
-key the scalar flow would use, so a later single-point job hits the
-grid's cache — and a grid run over warm points is served from the
-store without retraining.  The resulting reports are byte-identical
-(``to_json(include_timing=False)``) to the per-point loop.
+A single request is the one-point grid: ``EstimationPipeline.execute``
+and ``EstimationPipeline.run`` both delegate here, so the store-aware
+orchestration (netlist, datapath, windows, control) exists once.  Every
+per-point control artifact is persisted under a key that depends only
+on its own operating point, so grid and single-point runs serve each
+other from the store.  :func:`grid_key` is the one rule for which
+requests may share a pass; the batch engine and the service's
+micro-batcher group with it too.
 """
 
 from __future__ import annotations
@@ -35,15 +38,29 @@ from dataclasses import dataclass, field
 from repro.kernels import kernel_stats
 from repro.pipeline.ir import ControlInputIR, DatapathInputIR, TrainingSpec
 from repro.pipeline.registry import REGISTRY, use_backends
-from repro.pipeline.stages import AnalyticEstimateBackend
 from repro.pipeline.store import stable_digest
 
 __all__ = [
     "GridRequest",
     "GridResult",
-    "GridEstimateBackend",
     "execute_grid",
+    "grid_key",
 ]
+
+
+def grid_key(request) -> tuple:
+    """The one rule for which requests may share a grid pass.
+
+    Requests share a pass iff their keys are equal: the request identity
+    minus the operating point, plus the explicit sampling ``seed``, plus
+    the workload object's identity when the workload is not a name (a
+    bring-your-own program only groups with itself — same name does not
+    mean same program).
+    """
+    key = GridRequest.base_identity(request) + (("seed", request.seed),)
+    if not isinstance(request.workload, str):
+        key += (("workload_object", id(request.workload)),)
+    return key
 
 
 @dataclass(frozen=True)
@@ -54,8 +71,8 @@ class GridRequest:
     :class:`~repro.core.request.EstimationRequest` jobs into the shared
     ``base`` (everything the points have in common: workload, dataset
     pair, budgets, reservoir) and the ``speculations`` axis.  Requests
-    differing in anything but the operating point are *not* a grid —
-    :meth:`build` rejects them so callers fall back to the scalar flow.
+    whose :func:`grid_key` differs are *not* a grid — :meth:`build`
+    rejects them.
     """
 
     SCHEMA = "repro.grid-request/1"
@@ -74,16 +91,22 @@ class GridRequest:
     def build(cls, requests) -> "GridRequest":
         if not requests:
             raise ValueError("a grid needs at least one request")
-        base = cls.base_identity(requests[0])
+        families = {r.core_family for r in requests}
+        if len(families) > 1:
+            raise ValueError(
+                "grid requests must share one core family; got "
+                f"{', '.join(sorted(families))}"
+            )
+        key = grid_key(requests[0])
         for request in requests[1:]:
-            if cls.base_identity(request) != base:
+            if grid_key(request) != key:
                 raise ValueError(
                     "grid requests must be identical up to speculation; "
                     f"{request.describe()!r} diverges from "
                     f"{requests[0].describe()!r}"
                 )
         return cls(
-            base=base,
+            base=cls.base_identity(requests[0]),
             speculations=tuple(r.speculation for r in requests),
         )
 
@@ -105,9 +128,7 @@ class GridResult:
 
     ``results`` holds one
     :class:`~repro.pipeline.pipeline.PipelineResult` per request, in
-    request order — each indistinguishable (report-wise) from a scalar
-    :meth:`~repro.pipeline.pipeline.EstimationPipeline.execute` call.
-    The telemetry counts what the batching avoided.
+    request order.  The telemetry counts what the batching avoided.
     """
 
     SCHEMA = "repro.grid-result/1"
@@ -141,39 +162,33 @@ class GridResult:
         }
 
 
-@REGISTRY.register(
-    "estimate",
-    "grid",
-    description="Analytic estimate + batched operating-point grid evaluation",
-    cache_id="analytic",
-)
-class GridEstimateBackend(AnalyticEstimateBackend):
-    """The analytic estimate extended with the grid evaluator.
-
-    Per-point mathematics are inherited unchanged (hence the shared
-    ``analytic`` cache identity); the backend only adds the batched
-    entry point used by
-    :meth:`~repro.pipeline.pipeline.EstimationPipeline.execute_grid`.
-    """
-
-    def execute_grid(self, pipeline, requests) -> GridResult:
-        return execute_grid(pipeline, requests)
 
 
-def execute_grid(pipeline, requests) -> GridResult:
-    """Run a homogeneous request batch through the batched grid flow.
+def execute_grid(
+    pipeline, requests, *, use_store: bool = True, artifacts=None
+) -> GridResult:
+    """Run requests sharing one :func:`grid_key` as one grid pass.
 
     Args:
         pipeline: The base
-            :class:`~repro.pipeline.pipeline.EstimationPipeline`; every
-            point runs on a derived sibling sharing its store, activity
+            :class:`~repro.pipeline.pipeline.EstimationPipeline`; the
+            requests run on its sibling for their core family, and every
+            point on a derived sibling sharing its store, activity
             cache, and analyzer.
         requests: :class:`~repro.core.request.EstimationRequest` jobs
-            identical up to ``speculation``.
+            with one :func:`grid_key` (a single request is the one-point
+            grid).
+        use_store: Fetch from and write to the pipeline's
+            :class:`~repro.pipeline.store.ArtifactStore` (when it has
+            one); ``False`` is the store-less flow.
+        artifacts: Pre-trained
+            :class:`~repro.pipeline.ir.TrainingArtifacts` for a
+            one-request grid; training is skipped and the ``dta`` stage
+            reports ``provided``.
 
     Returns:
-        A :class:`GridResult` whose per-point reports are
-        byte-identical to scalar ``pipeline.execute`` calls.
+        A :class:`GridResult` with one
+        :class:`~repro.pipeline.pipeline.PipelineResult` per request.
     """
     from repro.pipeline.pipeline import (
         EstimationPipeline,
@@ -181,33 +196,37 @@ def execute_grid(pipeline, requests) -> GridResult:
         StageEvent,
     )
 
+    requests = list(requests)
     grid_request = GridRequest.build(requests)
-    if pipeline.plan.get("dta") == "reference":
-        # The reference path exists to stay unvectorized; run it scalar.
-        results = [pipeline.execute(r) for r in requests]
-        return GridResult(request=grid_request, results=results)
-
+    if artifacts is not None and len(requests) != 1:
+        raise ValueError("pre-trained artifacts need a one-request grid")
+    pipeline = pipeline.pipeline_for_family(requests[0].core_family)
+    plan = pipeline.plan
     stats = kernel_stats()
     kernels_before = stats.snapshot()
-    workload = requests[0].resolve_workload()
+    first = requests[0]
+    workload = first.resolve_workload()
     program, train_setup, train_budget = workload.run_spec(
-        requests[0].train_scale, seed=requests[0].train_seed
+        first.train_scale, seed=first.train_seed
     )
-    train_instructions = requests[0].train_instructions or train_budget
+    train_instructions = first.train_instructions or train_budget
     spec = TrainingSpec(
-        scale=requests[0].train_scale,
-        seed=requests[0].train_seed,
+        scale=first.train_scale,
+        seed=first.train_seed,
         instructions=train_instructions,
     )
-    use_store = pipeline.store is not None and pipeline.config is not None
-    dta_info = REGISTRY.get("dta", pipeline.plan["dta"])
-
+    store = (
+        pipeline.store
+        if use_store and pipeline.config is not None
+        else None
+    )
+    dta_info = REGISTRY.get("dta", plan["dta"])
+    n = len(requests)
     pipes = [pipeline.pipeline_for(r.speculation) for r in requests]
     events: list[list[StageEvent]] = [[] for _ in requests]
 
     # --- netlist + datapath (per point; the store key is period- ------ #
     # independent, so every point past the first is a hit) ------------- #
-    datapath_hits = []
     for i, pipe in enumerate(pipes):
         t0 = time.perf_counter()
         provided = pipe._processor is not None
@@ -215,28 +234,27 @@ def execute_grid(pipeline, requests) -> GridResult:
         events[i].append(
             StageEvent(
                 "netlist",
-                pipeline.plan["netlist"],
+                plan["netlist"],
                 "provided" if provided else "computed",
                 time.perf_counter() - t0,
             )
         )
         t0 = time.perf_counter()
-        if use_store:
-            datapath_key = pipeline.store.compose_key(
+        if store is not None:
+            datapath_key = store.compose_key(
                 "datapath",
-                REGISTRY.get("datapath", pipeline.plan["datapath"]).cache_id,
+                REGISTRY.get("datapath", plan["datapath"]).cache_id,
                 DatapathInputIR.build(pipeline.config).content_hash,
             )
             hit = pipe._datapath.ensure(
-                processor, key=datapath_key, store=pipeline.store
+                processor, key=datapath_key, store=store
             )
         else:
             hit = pipe._datapath.ensure(processor)
-        datapath_hits.append(hit)
         events[i].append(
             StageEvent(
                 "datapath",
-                pipeline.plan["datapath"],
+                plan["datapath"],
                 "hit" if hit else "computed",
                 time.perf_counter() - t0,
             )
@@ -245,51 +263,47 @@ def execute_grid(pipeline, requests) -> GridResult:
     # --- windows (period-independent: fetch + preload once) ----------- #
     windows_preloaded = None
     windows_key = None
-    if use_store:
+    if store is not None:
         t0 = time.perf_counter()
         base_ir = ControlInputIR.build(
             program, pipeline.config, spec,
             clock_period=pipes[0].processor.clock_period,
         )
-        windows_key = pipeline.store.compose_key(
+        windows_key = store.compose_key(
             "dta",
             dta_info.cache_id,
             base_ir.period_independent().content_hash,
         )
-        windows_doc = pipeline.store.get_entry("windows", windows_key)
+        windows_doc = store.get_entry("windows", windows_key)
         if windows_doc is not None:
             windows_preloaded = pipes[0].preload_windows(windows_doc)
             seconds = time.perf_counter() - t0
             for ev in events:
-                ev.append(
-                    StageEvent(
-                        "windows", pipeline.plan["dta"], "hit", seconds
-                    )
-                )
+                ev.append(StageEvent("windows", plan["dta"], "hit", seconds))
 
-    # --- control artifacts: store-served points + one batched train --- #
-    artifacts: list = [None] * len(requests)
-    cache_hits = [False] * len(requests)
-    control_keys: list = [None] * len(requests)
-    train_seconds = [0.0] * len(requests)
-    with use_backends(**pipeline.plan):
-        if use_store:
-            for i, (request, pipe) in enumerate(zip(requests, pipes)):
+    # --- control artifacts: provided / store-served points + one ------ #
+    # batched train over the rest ------------------------------------- #
+    trained: list = [artifacts] + [None] * (n - 1)
+    status = ["provided" if artifacts is not None else "computed"] * n
+    control_keys: list = [None] * n
+    train_seconds = [0.0] * n
+    with use_backends(**plan):
+        if store is not None and artifacts is None:
+            for i, pipe in enumerate(pipes):
                 t0 = time.perf_counter()
                 control_ir = ControlInputIR.build(
                     program, pipeline.config, spec,
                     clock_period=pipe.processor.clock_period,
                 )
-                control_keys[i] = pipeline.store.compose_key(
+                control_keys[i] = store.compose_key(
                     "dta", dta_info.cache_id, control_ir.content_hash
                 )
-                doc = pipeline.store.get_entry("control", control_keys[i])
+                doc = store.get_entry("control", control_keys[i])
                 if doc is not None:
-                    artifacts[i] = pipe.artifacts_from_doc(program, doc)
-                    cache_hits[i] = True
+                    trained[i] = pipe.artifacts_from_doc(program, doc)
+                    status[i] = "hit"
                     stats.grid_reuse_hits += 1
                 train_seconds[i] = time.perf_counter() - t0
-        cold = [i for i in range(len(requests)) if artifacts[i] is None]
         # Identical operating points are identical computations: train
         # one representative per distinct point and share its artifact
         # with the duplicates (repeated sweep points, or several
@@ -297,9 +311,11 @@ def execute_grid(pipeline, requests) -> GridResult:
         leader_of: dict = {}
         train_idx: list[int] = []
         duplicates: list[tuple[int, int]] = []
-        for i in cold:
-            point = (
-                control_keys[i] if use_store else requests[i].speculation
+        for i in range(n):
+            if trained[i] is not None:
+                continue
+            point = control_keys[i] if store is not None else (
+                requests[i].speculation
             )
             if point in leader_of:
                 duplicates.append((i, leader_of[point]))
@@ -308,7 +324,7 @@ def execute_grid(pipeline, requests) -> GridResult:
                 train_idx.append(i)
         if train_idx:
             t0 = time.perf_counter()
-            trained = pipeline._dta.train_grid(
+            batch = pipeline._dta.train_grid(
                 [pipes[i].processor for i in train_idx],
                 program,
                 pipeline.activity_cache,
@@ -316,37 +332,32 @@ def execute_grid(pipeline, requests) -> GridResult:
                 max_instructions=train_instructions,
             )
             batch_seconds = time.perf_counter() - t0
-            for i, artifact in zip(train_idx, trained):
-                artifacts[i] = artifact
+            for i, artifact in zip(train_idx, batch):
+                trained[i] = artifact
                 train_seconds[i] += batch_seconds
-                if use_store:
-                    pipeline.store.put_entry(
+                if store is not None:
+                    store.put_entry(
                         "control", control_keys[i], artifact.to_doc()
                     )
             for i, leader in duplicates:
-                artifacts[i] = artifacts[leader]
+                trained[i] = trained[leader]
                 train_seconds[i] += batch_seconds
                 stats.grid_reuse_hits += 1
-    for i in range(len(requests)):
+    for i in range(n):
         events[i].append(
-            StageEvent(
-                "dta",
-                pipeline.plan["dta"],
-                "hit" if cache_hits[i] else "computed",
-                train_seconds[i],
-            )
+            StageEvent("dta", plan["dta"], status[i], train_seconds[i])
         )
 
     # --- one shared evaluation run ------------------------------------ #
     _, eval_setup, eval_budget = workload.run_spec(
-        requests[0].eval_scale, seed=requests[0].eval_seed
+        first.eval_scale, seed=first.eval_seed
     )
     profile, samples = EstimationPipeline.collect_evaluation(
         program,
-        artifacts[0].cfg,
+        trained[0].cfg,
         setup=eval_setup,
-        max_instructions=requests[0].max_instructions or eval_budget,
-        reservoir_size=requests[0].reservoir_size,
+        max_instructions=first.max_instructions or eval_budget,
+        reservoir_size=first.reservoir_size,
     )
 
     # --- per-point period-dependent tail ------------------------------ #
@@ -355,18 +366,20 @@ def execute_grid(pipeline, requests) -> GridResult:
         seed = request.resolved_seed()
         t1 = time.perf_counter()
         report = pipe.estimate_collected(
-            program, artifacts[i], profile, samples, seed=seed
+            program, trained[i], profile, samples, seed=seed
         )
         stats.grid_points += 1
         estimate_seconds = time.perf_counter() - t1
         events[i].append(
-            StageEvent("estimate", "grid", "computed", estimate_seconds)
+            StageEvent(
+                "estimate", plan["estimate"], "computed", estimate_seconds
+            )
         )
         results.append(
             PipelineResult(
                 report=report,
                 events=events[i],
-                cache_hit=cache_hits[i],
+                cache_hit=status[i] == "hit",
                 windows_preloaded=windows_preloaded,
                 seed=seed,
                 train_seconds=train_seconds[i],
@@ -374,21 +387,17 @@ def execute_grid(pipeline, requests) -> GridResult:
                 processor=pipe.processor,
             )
         )
-    if use_store and pipeline.activity_cache.dirty:
-        pipeline.store.put_entry(
-            "windows", windows_key, pipeline.window_doc()
-        )
-        for i in range(len(requests)):
-            results[i].events.append(
-                StageEvent("windows", pipeline.plan["dta"], "computed")
-            )
+    if store is not None and pipeline.activity_cache.dirty:
+        store.put_entry("windows", windows_key, pipes[0].window_doc())
+        for ev in events:
+            ev.append(StageEvent("windows", plan["dta"], "computed"))
 
-    n_cold = len([i for i in range(len(requests)) if not cache_hits[i]])
+    hits = sum(r.cache_hit for r in results)
     return GridResult(
         request=grid_request,
         results=results,
-        train_sims_skipped=max(0, n_cold - 1),
-        eval_sims_skipped=len(requests) - 1,
-        control_cache_hits=sum(cache_hits),
+        train_sims_skipped=max(0, n - hits - 1),
+        eval_sims_skipped=n - 1,
+        control_cache_hits=hits,
         kernel_delta=stats.delta(kernels_before).to_json(),
     )

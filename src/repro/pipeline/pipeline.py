@@ -20,8 +20,9 @@ the on-disk layout of the legacy ``ArtifactCache``):
 
 Store keys additionally fold in the stage name and the selected
 backend's ``cache_id``, so a reference run can never serve a kernels
-run (or vice versa) — while the ``kernels`` and ``windowpool`` backends,
-byte-identical by construction, share entries.
+run (or vice versa).  Every request runs through one flow, the grid
+evaluator (:func:`repro.pipeline.grid.execute_grid`): :meth:`execute`
+is its one-point case and :meth:`run` its store-less form.
 """
 
 from __future__ import annotations
@@ -35,19 +36,13 @@ from repro.cpu.interpreter import FunctionalSimulator
 from repro.cpu.state import MachineState
 from repro.dta.windowpool import ActivityCache
 from repro.kernels import kernel_stats
-from repro.pipeline.ir import (
-    ControlInputIR,
-    DatapathInputIR,
-    ProcessorConfig,
-    TrainingArtifacts,
-    TrainingSpec,
-)
+from repro.pipeline.ir import ProcessorConfig, TrainingArtifacts
 from repro.pipeline.registry import REGISTRY, use_backends
 from repro.pipeline.store import ArtifactStore
 
-# Importing the stage modules is what populates REGISTRY.
+# Importing the stage module is what populates REGISTRY.
 from repro.pipeline import stages as _stages  # noqa: F401
-from repro.pipeline import grid as _grid  # noqa: F401
+from repro.pipeline.grid import execute_grid
 
 __all__ = ["EstimationPipeline", "PipelineResult", "StageEvent"]
 
@@ -74,7 +69,7 @@ class StageEvent:
 
 @dataclass(slots=True)
 class PipelineResult:
-    """Outcome of one :meth:`EstimationPipeline.execute` call."""
+    """Outcome of one request (one point of a grid pass)."""
 
     report: object
     events: list[StageEvent] = field(default_factory=list)
@@ -113,7 +108,7 @@ class EstimationPipeline:
         n_data_samples: Data-variation sample count used to represent
             the probability random variables.
         window_workers: Fork-pool width for the intra-job window
-            fan-out; only honored by the ``dta.windowpool`` backend.
+            fan-out (the ``dta.reference`` backend always runs serial).
         executor: Window-analysis executor name (``"auto"``,
             ``"local-serial"``, ``"local-fork"``; see
             :mod:`repro.dta.executor`).  Serial-pinned ``dta`` backends
@@ -331,27 +326,6 @@ class EstimationPipeline:
         seed: int = 0,
     ):
         """Estimate the program's error-rate distribution on a dataset."""
-        with use_backends(**self.plan):
-            with self._dta.activation():
-                return self._estimate_body(
-                    program,
-                    artifacts,
-                    setup=setup,
-                    max_instructions=max_instructions,
-                    reservoir_size=reservoir_size,
-                    seed=seed,
-                )
-
-    def _estimate_body(
-        self,
-        program,
-        artifacts: TrainingArtifacts,
-        *,
-        setup,
-        max_instructions: int,
-        reservoir_size: int,
-        seed: int,
-    ):
         start = time.perf_counter()
         kernels_before = kernel_stats().snapshot()
         profile, samples = self.collect_evaluation(
@@ -361,10 +335,12 @@ class EstimationPipeline:
             max_instructions=max_instructions,
             reservoir_size=reservoir_size,
         )
-        return self._finish_estimate(
-            program, artifacts, profile, samples,
-            seed=seed, start=start, kernels_before=kernels_before,
-        )
+        with use_backends(**self.plan):
+            with self._dta.activation():
+                return self._finish_estimate(
+                    program, artifacts, profile, samples,
+                    seed=seed, start=start, kernels_before=kernels_before,
+                )
 
     @staticmethod
     def collect_evaluation(
@@ -475,218 +451,35 @@ class EstimationPipeline:
     def run(self, request, artifacts: TrainingArtifacts | None = None):
         """Execute one :class:`~repro.core.request.EstimationRequest`.
 
-        Resolves the workload, trains on the request's training dataset
-        (unless pre-trained ``artifacts`` are supplied), and estimates
-        on the evaluation dataset; a request carrying a different
-        ``speculation`` runs on the derived operating point.  Returns
-        the :class:`~repro.core.results.ErrorRateReport` — use
-        :meth:`execute` for the store-aware flow with stage telemetry.
+        The store-less form of :meth:`execute`: trains on the request's
+        training dataset (unless pre-trained ``artifacts`` are supplied)
+        and estimates on the evaluation dataset, returning only the
+        :class:`~repro.core.results.ErrorRateReport`.
         """
-        family_pipe = self.pipeline_for_family(request.core_family)
-        if family_pipe is not self:
-            return family_pipe.run(request, artifacts)
-        workload = request.resolve_workload()
-        pipe = self.pipeline_for(request.speculation)
-        program, train_setup, train_budget = workload.run_spec(
-            request.train_scale, seed=request.train_seed
-        )
-        if artifacts is None:
-            artifacts = pipe.train(
-                program,
-                setup=train_setup,
-                max_instructions=(
-                    request.train_instructions or train_budget
-                ),
-            )
-        _, eval_setup, eval_budget = workload.run_spec(
-            request.eval_scale, seed=request.eval_seed
-        )
-        return pipe.estimate(
-            program,
-            artifacts,
-            setup=eval_setup,
-            max_instructions=request.max_instructions or eval_budget,
-            reservoir_size=request.reservoir_size,
-            seed=request.resolved_seed(),
-        )
+        return execute_grid(
+            self, [request], use_store=False, artifacts=artifacts
+        ).results[0].report
 
     def execute(self, request) -> PipelineResult:
-        """Run one request through the store-aware staged flow.
+        """Run one request through the store-aware flow (a one-point grid).
 
-        The store-consulting superset of :meth:`run`: every persistable
-        stage output (datapath model, control model, window artifacts)
-        is fetched from / written to the :class:`ArtifactStore`, and the
-        result carries one :class:`StageEvent` per stage saying whether
-        its output was a store ``hit`` or freshly ``computed``.
+        Every persistable stage output (datapath model, control model,
+        window artifacts) is fetched from / written to the
+        :class:`ArtifactStore`, and the result carries one
+        :class:`StageEvent` per stage saying whether its output was a
+        store ``hit`` or freshly ``computed``.
         """
-        family_pipe = self.pipeline_for_family(request.core_family)
-        if family_pipe is not self:
-            return family_pipe.execute(request)
-        events: list[StageEvent] = []
-        pipe = self.pipeline_for(request.speculation)
-        workload = request.resolve_workload()
-        program, train_setup, train_budget = workload.run_spec(
-            request.train_scale, seed=request.train_seed
-        )
-        train_instructions = request.train_instructions or train_budget
-
-        # --- netlist ---------------------------------------------------- #
-        t0 = time.perf_counter()
-        provided = pipe._processor is not None
-        processor = pipe.processor
-        events.append(
-            StageEvent(
-                "netlist",
-                self.plan["netlist"],
-                "provided" if provided else "computed",
-                time.perf_counter() - t0,
-            )
-        )
-
-        use_store = self.store is not None and self.config is not None
-        dta_info = REGISTRY.get("dta", self.plan["dta"])
-        spec = TrainingSpec(
-            scale=request.train_scale,
-            seed=request.train_seed,
-            instructions=train_instructions,
-        )
-
-        # --- datapath ---------------------------------------------------- #
-        t0 = time.perf_counter()
-        if use_store:
-            datapath_key = self.store.compose_key(
-                "datapath",
-                REGISTRY.get("datapath", self.plan["datapath"]).cache_id,
-                DatapathInputIR.build(self.config).content_hash,
-            )
-            hit = pipe._datapath.ensure(
-                processor, key=datapath_key, store=self.store
-            )
-        else:
-            hit = pipe._datapath.ensure(processor)
-        events.append(
-            StageEvent(
-                "datapath",
-                self.plan["datapath"],
-                "hit" if hit else "computed",
-                time.perf_counter() - t0,
-            )
-        )
-
-        # --- dta: control + window artifacts ----------------------------- #
-        cache_hit = False
-        windows_preloaded = None
-        artifacts = None
-        control_key = windows_key = None
-        t0 = time.perf_counter()
-        if use_store:
-            control_ir = ControlInputIR.build(
-                program, self.config, spec,
-                clock_period=processor.clock_period,
-            )
-            control_key = self.store.compose_key(
-                "dta", dta_info.cache_id, control_ir.content_hash
-            )
-            doc = self.store.get_entry("control", control_key)
-            if doc is not None:
-                artifacts = pipe.artifacts_from_doc(program, doc)
-                cache_hit = True
-            # Period-independent window artifacts: preload even on a
-            # control hit (on-demand characterization during estimation
-            # still benefits), and fill the characterization at a *new*
-            # clock period entirely from cached activity traces.
-            windows_key = self.store.compose_key(
-                "dta",
-                dta_info.cache_id,
-                control_ir.period_independent().content_hash,
-            )
-            windows_doc = self.store.get_entry("windows", windows_key)
-            if windows_doc is not None:
-                windows_preloaded = pipe.preload_windows(windows_doc)
-                events.append(
-                    StageEvent(
-                        "windows", self.plan["dta"], "hit",
-                        time.perf_counter() - t0,
-                    )
-                )
-        if artifacts is None:
-            artifacts = pipe.train(
-                program,
-                setup=train_setup,
-                max_instructions=train_instructions,
-            )
-            if use_store:
-                self.store.put_entry(
-                    "control", control_key, artifacts.to_doc()
-                )
-        train_seconds = time.perf_counter() - t0
-        events.append(
-            StageEvent(
-                "dta",
-                self.plan["dta"],
-                "hit" if cache_hit else "computed",
-                train_seconds,
-            )
-        )
-
-        # --- errormodel + estimate ---------------------------------------- #
-        _, eval_setup, eval_budget = workload.run_spec(
-            request.eval_scale, seed=request.eval_seed
-        )
-        seed = request.resolved_seed()
-        t1 = time.perf_counter()
-        report = pipe.estimate(
-            program,
-            artifacts,
-            setup=eval_setup,
-            max_instructions=request.max_instructions or eval_budget,
-            reservoir_size=request.reservoir_size,
-            seed=seed,
-        )
-        estimate_seconds = time.perf_counter() - t1
-        events.append(
-            StageEvent(
-                "estimate", self.plan["estimate"], "computed",
-                estimate_seconds,
-            )
-        )
-        if use_store and pipe.activity_cache.dirty:
-            self.store.put_entry("windows", windows_key, pipe.window_doc())
-            events.append(StageEvent("windows", self.plan["dta"], "computed"))
-        return PipelineResult(
-            report=report,
-            events=events,
-            cache_hit=cache_hit,
-            windows_preloaded=windows_preloaded,
-            seed=seed,
-            train_seconds=train_seconds,
-            estimate_seconds=estimate_seconds,
-            processor=processor,
-        )
+        return self.execute_grid([request]).results[0]
 
     def execute_grid(self, requests) -> "object":
-        """Run a homogeneous request batch through the batched grid flow.
+        """Run requests sharing one grid key through one grid pass.
 
-        ``requests`` must be identical up to ``speculation`` (one
-        workload/dataset/budget identity, many operating points); the
-        grid evaluator (:mod:`repro.pipeline.grid`) shares every
-        period-independent computation across them and returns a
-        :class:`~repro.pipeline.grid.GridResult` whose per-point
-        reports are byte-identical to scalar :meth:`execute` calls.
+        ``requests`` must be identical up to ``speculation`` (see
+        :func:`~repro.pipeline.grid.grid_key`); the grid evaluator shares
+        every period-independent computation across them and returns a
+        :class:`~repro.pipeline.grid.GridResult` with one
+        :class:`PipelineResult` per request.
         """
-        from repro.pipeline.grid import execute_grid
-
-        requests = list(requests)
-        if requests:
-            families = {r.core_family for r in requests}
-            if len(families) > 1:
-                raise ValueError(
-                    "grid requests must share one core family; got "
-                    f"{', '.join(sorted(families))}"
-                )
-            family_pipe = self.pipeline_for_family(requests[0].core_family)
-            if family_pipe is not self:
-                return execute_grid(family_pipe, requests)
         return execute_grid(self, requests)
 
     # ------------------------------------------------------------------ #

@@ -3,25 +3,25 @@
 Each stage of the estimation flow has one or more backends registered
 into :data:`repro.pipeline.registry.REGISTRY`:
 
-====================  ==========================================  ===========================
-stage                 backends                                    contract
-====================  ==========================================  ===========================
-``netlist``           ``generator``                               ProcessorConfig -> ProcessorModel
-``datapath``          ``trainer``                                 processor -> DatapathTimingModel (period-independent)
-``dta``               ``kernels`` / ``windowpool`` / ``reference``  training samples -> ControlTimingModel + window artifacts
-``statmin``           ``clark`` / ``montecarlo``                  slack Gaussians + covariance -> min Gaussian
-``errormodel``        ``joint``                                   operand samples -> per-block conditional probabilities
-``estimate``          ``analytic``                                marginals + profile -> lambda / mixture / bounds
-``validate``          ``montecarlo``                              processor + program -> per-chip measured rates
-====================  ==========================================  ===========================
+====================  ===========================  ===========================
+stage                 backends                     contract
+====================  ===========================  ===========================
+``netlist``           ``generator``                ProcessorConfig -> ProcessorModel
+``datapath``          ``trainer``                  processor -> DatapathTimingModel (period-independent)
+``dta``               ``kernels`` / ``reference``  training samples -> ControlTimingModel + window artifacts
+``statmin``           ``clark`` / ``montecarlo``   slack Gaussians + covariance -> min Gaussian
+``errormodel``        ``joint``                    operand samples -> per-block conditional probabilities
+``estimate``          ``analytic``                 marginals + profile -> lambda / mixture / bounds
+``validate``          ``montecarlo``               processor + program -> per-chip measured rates
+====================  ===========================  ===========================
 
-``dta.kernels`` and ``dta.windowpool`` are the same mathematics (the
-pool is byte-identical to serial by construction), so they share a
-``cache_id`` and a warm artifact store serves either; ``dta.reference``
-runs the unvectorized ground-truth path and gets its own cache
-identity.  ``statmin`` backends are consulted *inside* Algorithm 1's
-``combine`` via :func:`~repro.pipeline.registry.active_backend` — the
-registry stays out of that hot loop.
+``dta.kernels`` fans its windows out across ``window_workers`` through
+the named executor (a fork pool is byte-identical to serial by
+construction); ``dta.reference`` runs the unvectorized ground-truth
+path serially and gets its own cache identity.  ``statmin`` backends
+are consulted *inside* Algorithm 1's ``combine`` via
+:func:`~repro.pipeline.registry.active_backend` — the registry stays
+out of that hot loop.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "GeneratorNetlistBackend",
     "DatapathTrainerBackend",
     "KernelsDTABackend",
-    "WindowPoolDTABackend",
     "ReferenceDTABackend",
     "ClarkStatMinBackend",
     "MonteCarloStatMinBackend",
@@ -200,8 +199,7 @@ class _DTABackendBase:
 
         Returns ``(cfg, samples, instructions)`` — the program's CFG,
         the captured (block, edge) execution windows, and the simulated
-        instruction count.  Shared verbatim by :meth:`train` and the
-        multi-operating-point :meth:`train_grid`.
+        instruction count.
         """
         from repro.cfg.cfg import build_cfg
         from repro.cpu.interpreter import FunctionalSimulator
@@ -229,31 +227,9 @@ class _DTABackendBase:
         max_instructions: int = 2_000_000,
     ) -> TrainingArtifacts:
         """Characterize the program's control network on a training run."""
-        from repro.kernels import kernel_stats
-
-        start = time.perf_counter()
-        kernels_before = kernel_stats().snapshot()
-        cfg, samples, instructions = self.collect_training_samples(
-            program, setup, max_instructions
-        )
-        with self.activation():
-            characterizer = self.build_characterizer(
-                processor, program, activity_cache
-            )
-            control_model = characterizer.characterize(samples)
-            # The datapath model is shared across programs; its (cached)
-            # construction is charged to the first training phase using it.
-            _ = processor.datapath_model
-        elapsed = time.perf_counter() - start
-        return TrainingArtifacts(
-            cfg=cfg,
-            control_model=control_model,
-            characterizer=characterizer,
-            training_seconds=elapsed,
-            training_instructions=instructions,
-            clock_period=processor.clock_period,
-            kernel_stats=kernel_stats().delta(kernels_before).to_json(),
-        )
+        return self.train_grid(
+            [processor], program, activity_cache, setup, max_instructions
+        )[0]
 
     def train_grid(
         self,
@@ -272,7 +248,7 @@ class _DTABackendBase:
         logic-simulated once; only the DTS evaluation fans out over the
         period axis (:func:`~repro.dta.characterize.characterize_grid`).
         Returns per-point :class:`TrainingArtifacts` whose control
-        models are byte-identical to per-point :meth:`train` calls.
+        models are byte-identical to one-point calls (:meth:`train`).
         """
         from repro.dta.characterize import characterize_grid
         from repro.kernels import kernel_stats
@@ -399,27 +375,15 @@ class _DTABackendBase:
 @REGISTRY.register(
     "dta",
     "kernels",
-    description="Vectorized DTS kernels, serial window analysis",
+    description="Vectorized DTS kernels; window fan-out per "
+    "window_workers/executor",
     default=True,
     cache_id="kernels",
 )
 class KernelsDTABackend(_DTABackendBase):
-    def __init__(
-        self, window_workers: int = 1, executor: str = "auto"
-    ) -> None:
-        super().__init__(window_workers=1, executor="local-serial")
-
-
-@REGISTRY.register(
-    "dta",
-    "windowpool",
-    description="Vectorized DTS kernels + fork-pool window fan-out "
-    "(byte-identical to 'kernels')",
-    cache_id="kernels",
-)
-class WindowPoolDTABackend(_DTABackendBase):
-    """Same mathematics as ``kernels``; fans per-(block, edge) windows
-    across a fork pool, so it shares the kernels cache identity."""
+    """The vectorized kernels.  Windows fan out across
+    ``window_workers`` through the named executor, byte-identical to a
+    serial run by construction."""
 
 
 @REGISTRY.register(

@@ -21,7 +21,8 @@ Design points:
 * **Graceful degradation** — a job that raises is captured as a failed
   :class:`JobResult` with its traceback instead of killing the batch;
   the pool falls back to in-process execution when ``max_workers <= 1``,
-  when there is a single job, or when the platform cannot fork.
+  when there is a single request group, or when the platform cannot
+  fork.
 * **Telemetry** — each result records train/estimate wall time, the
   simulated instruction count, cache hit/miss, per-stage events, and the
   worker PID; :class:`RunSummary` aggregates them.
@@ -79,7 +80,7 @@ class JobResult:
     kernel_stats: dict | None = None
     #: Per-stage pipeline events (``StageEvent.to_json`` documents).
     stages: list[dict] | None = None
-    #: Whether this job ran through the batched operating-point grid.
+    #: Whether this job shared its grid pass with other requests.
     grid: bool = False
     #: Grid reuse: this point's training / evaluation functional
     #: simulation was shared with another point instead of re-run.
@@ -136,8 +137,7 @@ class RunSummary:
     #: ``None`` when caching is disabled; otherwise whether the shared
     #: datapath model came from the cache.
     datapath_cache_hit: bool | None = None
-    #: Homogeneous request groups evaluated through the batched
-    #: operating-point grid this run.
+    #: Groups of two or more requests that shared one grid pass.
     grid_batches: int = 0
 
     def __len__(self) -> int:
@@ -223,9 +223,6 @@ def _job_pipeline(config: ProcessorConfig, payload: dict):
     cache_dir = payload.get("cache_dir")
     return EstimationPipeline(
         config,
-        backends={
-            "dta": "windowpool" if window_workers > 1 else "kernels"
-        },
         store=ArtifactStore(cache_dir) if cache_dir else None,
         n_data_samples=payload["n_data_samples"],
         window_workers=window_workers,
@@ -261,24 +258,46 @@ def _doc_from_result(result) -> dict:
     return out
 
 
-def _execute_payload(payload: dict) -> dict:
-    """Run one job; never raises — failures become error documents.
+def _execute_group(payload: dict) -> list[dict]:
+    """Run one request group as one grid pass; one document per request.
 
-    Executed either in a pool worker or in-process; the return value is
-    a plain picklable dict (reports travel as their JSON documents).
+    Never raises: a failed pass over several requests is retried one
+    request at a time, so one bad request cannot fail its neighbours,
+    and a failed single request becomes an error document.  Executed
+    either in a pool worker or in-process; the return value is plain
+    picklable data (reports travel as their JSON documents).
     """
-    request: EstimationRequest = payload["request"]
-    config: ProcessorConfig = payload["config"]
+    requests: list[EstimationRequest] = payload["requests"]
     try:
-        pipeline = _job_pipeline(config, payload)
-        return _doc_from_result(pipeline.execute(request))
+        outcome = _job_pipeline(payload["config"], payload).execute_grid(
+            requests
+        )
     except Exception:
-        return {
-            "worker": os.getpid(),
-            "status": "error",
-            "cache_hit": False,
-            "error": traceback.format_exc(),
-        }
+        if len(requests) > 1:
+            return [
+                doc
+                for request in requests
+                for doc in _execute_group({**payload, "requests": [request]})
+            ]
+        return [
+            {
+                "worker": os.getpid(),
+                "status": "error",
+                "cache_hit": False,
+                "error": traceback.format_exc(),
+            }
+        ]
+    docs = [_doc_from_result(result) for result in outcome.results]
+    if len(docs) > 1:
+        first_cold = next(
+            (k for k, r in enumerate(outcome.results) if not r.cache_hit),
+            None,
+        )
+        for k, (doc, result) in enumerate(zip(docs, outcome.results)):
+            doc["grid"] = True
+            doc["eval_sim_skipped"] = k > 0
+            doc["train_sim_skipped"] = result.cache_hit or k != first_cold
+    return docs
 
 
 # --------------------------------------------------------------------- #
@@ -368,146 +387,63 @@ class EstimationEngine:
         )
         return trainer.ensure(base, key=key, store=store)
 
-    def _plan_grid(self, requests) -> tuple[list[list[int]], list[int]]:
-        """Split a batch into grid-eligible groups and leftover indices.
-
-        A group is grid-eligible when it holds at least two requests
-        identical up to ``speculation`` — the shape whose period-
-        independent work the batched evaluator can share.  Repeated
-        identical points qualify too: the grid dedupes them and trains
-        one representative, so N copies of one job cost one training
-        pass and one evaluation simulation.  Everything else (mixed
-        workloads, singletons) stays on the scalar path.
-        """
-        from repro.pipeline.grid import GridRequest
-
-        groups: dict[tuple, list[int]] = {}
-        for i, request in enumerate(requests):
-            key = GridRequest.base_identity(request)
-            if not isinstance(request.workload, str):
-                # Bring-your-own workload objects only group with
-                # themselves — same name does not mean same program.
-                key = key + (("workload_object", id(request.workload)),)
-            groups.setdefault(key, []).append(i)
-        grid_groups: list[list[int]] = []
-        remaining: list[int] = []
-        for indices in groups.values():
-            if len(indices) >= 2:
-                grid_groups.append(indices)
-            else:
-                remaining.extend(indices)
-        grid_groups.sort(key=lambda indices: indices[0])
-        return grid_groups, remaining
-
-    def _grid_pipeline(self):
-        """The in-parent pipeline grid batches run on (built per run)."""
-        from repro.pipeline.pipeline import EstimationPipeline
-
-        return EstimationPipeline(
-            self.config,
-            backends={
-                "dta": (
-                    "windowpool" if self.window_workers > 1 else "kernels"
-                ),
-                "estimate": "grid",
-            },
-            store=(
-                ArtifactStore(self.cache_dir) if self.cache_dir else None
-            ),
-            n_data_samples=self.n_data_samples,
-            window_workers=self.window_workers,
-            executor=self.executor,
-        )
-
-    def run(self, requests, *, grid: bool = True) -> RunSummary:
+    def run(self, requests) -> RunSummary:
         """Execute all requests; results come back in request order.
 
-        With ``grid=True`` (the default) the engine detects request
-        groups that differ only in operating point and evaluates each
-        through the batched grid path
-        (:meth:`~repro.pipeline.pipeline.EstimationPipeline.execute_grid`)
-        in the parent process — byte-identical reports, one shared
-        training/evaluation simulation per group.  Heterogeneous
-        requests (and any group whose grid pass fails) fall back
-        transparently to the scalar per-job path.
+        Requests are grouped by :func:`~repro.pipeline.grid.grid_key`
+        and every group — singletons included — runs as one grid pass
+        (:meth:`~repro.pipeline.pipeline.EstimationPipeline.execute_grid`):
+        a group of requests that differ only in operating point shares
+        one training and one evaluation simulation.  With
+        ``max_workers > 1`` the groups fan out across a fork pool.
         """
+        from repro.pipeline.grid import grid_key
+
         requests = list(requests)
         start = time.perf_counter()
         datapath_hit = self._prepare()
-        raw: list[dict | None] = [None] * len(requests)
-        grid_batches = 0
-        if grid:
-            grid_groups, remaining = self._plan_grid(requests)
-        else:
-            grid_groups, remaining = [], list(range(len(requests)))
-        if grid_groups:
-            pipeline = self._grid_pipeline()
-            for indices in grid_groups:
-                group = [requests[i] for i in indices]
-                try:
-                    outcome = pipeline.execute_grid(group)
-                except Exception:
-                    # Scalar path owns failure capture (per-request
-                    # error documents instead of a lost batch).
-                    remaining.extend(indices)
-                    continue
-                grid_batches += 1
-                first_cold = next(
-                    (
-                        k
-                        for k, r in enumerate(outcome.results)
-                        if not r.cache_hit
-                    ),
-                    None,
-                )
-                for k, (i, result) in enumerate(
-                    zip(indices, outcome.results)
-                ):
-                    doc = _doc_from_result(result)
-                    doc["grid"] = True
-                    doc["eval_sim_skipped"] = k > 0
-                    doc["train_sim_skipped"] = (
-                        result.cache_hit or k != first_cold
-                    )
-                    raw[i] = doc
-        remaining.sort()
+        by_key: dict[tuple, list[int]] = {}
+        for i, request in enumerate(requests):
+            by_key.setdefault(grid_key(request), []).append(i)
+        groups = list(by_key.values())
         parallel = (
             self.max_workers > 1
-            and len(remaining) > 1
+            and len(groups) > 1
             and self.fork_available()
         )
         payloads = [
             {
-                "request": requests[i],
+                "requests": [requests[i] for i in indices],
                 "config": self.config,
                 "cache_dir": self.cache_dir,
                 "n_data_samples": self.n_data_samples,
                 # Shared worker budget: intra-job pools stay serial when
-                # the engine already fans jobs out across processes.
+                # the engine already fans groups out across processes.
                 "window_workers": 1 if parallel else self.window_workers,
                 "executor": (
                     "local-serial" if parallel else self.executor
                 ),
             }
-            for i in remaining
+            for indices in groups
         ]
         if parallel:
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(
-                max_workers=min(self.max_workers, len(remaining)),
+                max_workers=min(self.max_workers, len(groups)),
                 mp_context=context,
             ) as pool:
-                scalar_raw = list(pool.map(_execute_payload, payloads))
+                group_docs = list(pool.map(_execute_group, payloads))
         else:
-            scalar_raw = [_execute_payload(p) for p in payloads]
-        for i, doc in zip(remaining, scalar_raw):
-            raw[i] = doc
-        results = [
-            self._result_from(request, doc)
-            for request, doc in zip(requests, raw)
-        ]
+            group_docs = [_execute_group(p) for p in payloads]
+        raw: list = [None] * len(requests)
+        for indices, docs in zip(groups, group_docs):
+            for i, doc in zip(indices, docs):
+                raw[i] = doc
         return RunSummary(
-            results=results,
+            results=[
+                self._result_from(request, doc)
+                for request, doc in zip(requests, raw)
+            ],
             wall_seconds=time.perf_counter() - start,
             max_workers=self.max_workers,
             parallel=parallel,
@@ -515,7 +451,9 @@ class EstimationEngine:
             window_workers=self.window_workers,
             executor=self.executor,
             datapath_cache_hit=datapath_hit,
-            grid_batches=grid_batches,
+            grid_batches=sum(
+                1 for docs in group_docs if docs[0].get("grid")
+            ),
         )
 
     @staticmethod

@@ -8,20 +8,20 @@ single-point jobs concurrently — and executed one-by-one each pays its
 own evaluation simulation (and, cold, its own training run).  This
 module is the serving-side half of the grid evaluator:
 
-* :func:`batch_key` defines *compatibility* at the wire level — two
-  normalized request documents coalesce iff they are identical up to
-  the operating point (``speculation`` / ``speculations``), the exact
-  identity :class:`~repro.pipeline.grid.GridRequest` requires;
+* :func:`batch_key` reads a request document's
+  :func:`~repro.pipeline.grid.grid_key` — the one rule for which
+  requests may share a grid pass, the same one the batch engine groups
+  by;
 * :func:`form_batches` groups a claimed job set into :class:`Batch`
   objects (bounded by ``max_points``), leaving incompatible jobs as
-  singleton batches that run the existing scalar path unchanged;
+  singleton batches;
 * :func:`execute_batch_jobs` runs one batch — a coalesced batch becomes
   one :meth:`~repro.pipeline.pipeline.EstimationPipeline.execute_grid`
   pass over the union of the batch's *distinct* points, fanned back out
   into one per-job result document (jobs asking for the same point
   share the same per-point result) — and never raises: per-job failures
   become per-job error documents, and a failed grid pass falls back to
-  per-job scalar execution;
+  one pass per job;
 * :class:`SchedulerStats` counts what the batching layer did (batches
   formed, jobs coalesced, window waits, fallback singles, crash
   requeues) for ``/v1/metrics``.
@@ -33,12 +33,12 @@ so the in-thread and multi-process paths cannot drift apart.
 
 from __future__ import annotations
 
-import json
 import threading
 import traceback
 from dataclasses import dataclass, field
 
 from repro import api
+from repro.pipeline.grid import grid_key
 
 __all__ = [
     "Batch",
@@ -48,26 +48,20 @@ __all__ = [
     "execute_batch_jobs",
 ]
 
-#: Fields excluded from the compatibility identity: the operating-point
-#: axis the grid evaluator batches along.
-_POINT_FIELDS = ("speculation", "speculations")
-
-
-def batch_key(request_doc: dict) -> str:
-    """The document's grid-compatibility identity.
+def batch_key(request_doc: dict) -> tuple:
+    """The document's :func:`~repro.pipeline.grid.grid_key`.
 
     Two normalized ``estimation-request`` documents may coalesce into
     one grid pass iff their keys are equal: everything but the operating
-    point — workload, dataset scales and seeds, budgets, reservoir, and
-    the explicit sampling ``seed`` — must match exactly.
+    point (``speculation`` / ``speculations``) must match, the explicit
+    sampling ``seed`` included.  A document that no longer parses (say,
+    its core family is not registered after a restart) coalesces with
+    nothing; :func:`execute_batch_jobs` then fails that job alone.
     """
-    return json.dumps(
-        {
-            k: v for k, v in request_doc.items()
-            if k not in _POINT_FIELDS
-        },
-        sort_keys=True,
-    )
+    try:
+        return grid_key(api.requests_from_json(request_doc)[0])
+    except api.ApiError:
+        return ("unparsed", id(request_doc))
 
 
 def _point_count(request_doc: dict) -> int:
@@ -91,7 +85,7 @@ class Batch:
     """
 
     jobs: list
-    key: str
+    key: tuple
     points: int = 0
     wait_ms: float = 0.0
 
@@ -116,11 +110,10 @@ def form_batches(claimed, max_points: int) -> list[Batch]:
 
     Returns:
         Batches in first-job claim order.  Jobs that share a key
-        coalesce; everything else ends up in singleton batches that the
-        executor runs through the unchanged scalar path.
+        coalesce; everything else ends up in singleton batches.
     """
     batches: list[Batch] = []
-    open_by_key: dict[str, Batch] = {}
+    open_by_key: dict[tuple, Batch] = {}
     for job_id, doc, _submitted in claimed:
         key = batch_key(doc)
         points = _point_count(doc)
@@ -202,13 +195,11 @@ def _failed(job_id: str) -> dict:
 
 
 def _run_single(pipeline, job_id: str, requests) -> dict:
-    """The pre-batching execution path, verbatim, for one job."""
+    """One job (one or more points) as its own grid pass."""
     try:
-        if len(requests) == 1:
-            result = pipeline.execute(requests[0])
-            return _ok(job_id, api.JobResult.from_pipeline(job_id, result))
         outcome = pipeline.execute_grid(requests)
-        return _ok(job_id, api.JobResult.from_grid(job_id, outcome))
+        payload = api.JobResult.from_results(job_id, outcome.results)
+        return _ok(job_id, payload)
     except Exception:
         return _failed(job_id)
 
@@ -222,8 +213,7 @@ def execute_batch_jobs(
         pipeline: A warm :class:`EstimationPipeline` (thread-local on
             the in-thread path, process-owned on the worker-pool path).
         jobs: ``(job_id, request_doc)`` pairs sharing one
-            :func:`batch_key` (singleton lists are fine and run the
-            unchanged scalar path).
+            :func:`batch_key` (singleton lists are fine).
         batch_info: Telemetry stamped onto every coalesced job's
             result document (``batched: true`` + the ``batch`` section).
         stats: Optional :class:`SchedulerStats` for fallback counting.
@@ -244,8 +234,10 @@ def execute_batch_jobs(
         outcomes[job_id] = _run_single(pipeline, job_id, requests)
     elif parsed:
         # One grid pass over the union of distinct points; jobs asking
-        # for the same operating point share the same per-point result
-        # (identical requests are identical computations).
+        # for the same operating point share the same per-point result.
+        # Keying on speculation alone is sound because the jobs share
+        # one grid_key, which includes the explicit seed: equal points
+        # are identical requests, hence identical computations.
         flat: list = []
         index: dict = {}
         for _job_id, requests in parsed:
@@ -256,7 +248,7 @@ def execute_batch_jobs(
         try:
             outcome = pipeline.execute_grid(flat)
         except Exception:
-            # The scalar path owns failure capture: per-job error
+            # One pass per job owns failure capture: per-job error
             # documents (or per-job success) instead of a lost batch.
             if stats is not None:
                 stats.record_grid_fallback()

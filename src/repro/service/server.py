@@ -212,15 +212,9 @@ class EstimationService:
         if pipe is None:
             from repro.pipeline.pipeline import EstimationPipeline
 
-            backends = self.backends
-            if backends is None and self.window_workers > 1:
-                # Same selection the engine makes: a requested window
-                # fan-out needs the (byte-identical) windowpool backend;
-                # whether it actually forks is the executor's call.
-                backends = {"dta": "windowpool"}
             pipe = EstimationPipeline(
                 self.config,
-                backends=backends,
+                backends=self.backends,
                 store=self.store,
                 n_data_samples=self.n_data_samples,
                 window_workers=self.window_workers,

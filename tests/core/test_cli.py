@@ -78,7 +78,6 @@ class TestPipelineInspect:
         # Defaults are marked selected; alternates are listed unmarked.
         assert "*kernels" in text
         assert "*clark" in text
-        assert "windowpool" in text
         assert "reference" in text
         assert "montecarlo" in text
         assert "store: (none" in text

@@ -78,9 +78,9 @@ class TestGridParity:
         "kwargs",
         [
             dict(backends={"dta": "kernels"}),
-            dict(backends={"dta": "windowpool"}, window_workers=2),
+            dict(backends={"dta": "kernels"}, window_workers=2),
             dict(
-                backends={"dta": "windowpool"},
+                backends={"dta": "kernels"},
                 window_workers=2,
                 executor="local-serial",
             ),

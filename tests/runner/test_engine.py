@@ -7,6 +7,7 @@ import pytest
 from repro.core import EstimationRequest
 from repro.netlist import PipelineConfig
 from repro.runner import ArtifactCache, EstimationEngine, ProcessorConfig
+from repro.runner.engine import RunSummary
 
 SMALL = ProcessorConfig(
     pipeline=PipelineConfig(
@@ -27,6 +28,18 @@ def _requests(*names, **overrides):
     )
     kwargs.update(overrides)
     return [EstimationRequest(workload=name, **kwargs) for name in names]
+
+
+def _per_request(requests):
+    """One engine run per request, merged: the solo-report oracle."""
+    runs = [_engine().run([request]) for request in requests]
+    return RunSummary(
+        results=[result for run in runs for result in run.results],
+        wall_seconds=sum(run.wall_seconds for run in runs),
+        max_workers=1,
+        parallel=False,
+        grid_batches=sum(run.grid_batches for run in runs),
+    )
 
 
 def _rows(summary):
@@ -139,7 +152,7 @@ class TestGridRouting:
     def test_grid_matches_per_point_engine(self):
         requests = self._sweep()
         grid = _engine().run(requests)
-        plain = _engine().run(requests, grid=False)
+        plain = _per_request(requests)
         assert grid.grid_batches == 1
         assert plain.grid_batches == 0
         assert not any(r.grid for r in plain.results)
@@ -175,7 +188,7 @@ class TestGridRouting:
         assert [r.eval_sim_skipped for r in summary.results] == [
             False, True,
         ]
-        scalar = _engine().run(self._sweep((1.10,)), grid=False)
+        scalar = _per_request(self._sweep((1.10,)))
         assert _rows(summary) == _rows(scalar) * 2
 
     def test_singleton_is_not_a_grid(self):
@@ -215,6 +228,24 @@ class TestParallelMatchesSerial:
         assert not serial.parallel
         assert parallel.parallel
         assert parallel.failed == []
+        assert _rows(parallel) == _rows(serial)
+
+    def test_sweep_and_singleton_groups_byte_identical(self):
+        """Forked fan-out maps request groups: a multi-point sweep group
+        and a singleton group must match the serial run row for row."""
+        requests = [
+            EstimationRequest(
+                workload="bitcount", speculation=s,
+                train_instructions=4_000, max_instructions=6_000, seed=0,
+            )
+            for s in (1.05, 1.20)
+        ] + _requests("stringsearch")
+        serial = _engine(max_workers=1).run(requests)
+        parallel = _engine(max_workers=2).run(requests)
+        assert not serial.parallel
+        assert parallel.parallel
+        assert parallel.failed == []
+        assert serial.grid_batches == parallel.grid_batches == 1
         assert _rows(parallel) == _rows(serial)
 
     def test_single_job_falls_back_in_process(self):

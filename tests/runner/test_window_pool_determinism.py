@@ -84,31 +84,33 @@ def test_window_workers_validated():
 def test_warm_sweep_second_period_runs_zero_logic_sims(tmp_path):
     """Acceptance: period-sweep reuse — zero sims at the second period.
 
-    Pins ``grid=False``: this contract is about the *per-point* path
-    reusing the persisted windows artifact (the grid path batches the
-    two points into one training pass and is covered by
-    ``tests/runner/test_engine.py::TestGridRouting``)."""
+    One engine run per point: this contract is about a later run
+    reusing the persisted windows artifact (one run would share a single
+    grid pass between the two points, which
+    ``tests/runner/test_engine.py::TestGridRouting`` covers)."""
     engine = _engine(
         max_workers=1, window_workers=2, cache_dir=tmp_path
     )
-    summary = engine.run(
-        _requests("bitcount", speculation=1.15)
-        + _requests("bitcount", speculation=1.25),
-        grid=False,
-    )
-    assert not summary.failed
-    first = summary.results[0].report.to_json()["timing"][
+    results = [
+        result
+        for spec in (1.15, 1.25)
+        for result in engine.run(
+            _requests("bitcount", speculation=spec)
+        ).results
+    ]
+    assert all(r.ok for r in results)
+    first = results[0].report.to_json()["timing"][
         "kernels_training"
     ]
-    second = summary.results[1].report.to_json()["timing"][
+    second = results[1].report.to_json()["timing"][
         "kernels_training"
     ]
     assert first["sim_calls"] > 0 and first["windows_reused"] == 0
     assert second["sim_calls"] == 0
     assert second["windows_reused"] > 0
     # The second period's numbers come out of real work, not a skip:
-    assert summary.results[0].report.error_rate_mean != pytest.approx(
-        summary.results[1].report.error_rate_mean
+    assert results[0].report.error_rate_mean != pytest.approx(
+        results[1].report.error_rate_mean
     )
 
 

@@ -143,16 +143,16 @@ def pipeline():
 
 
 class _GridBomb:
-    """Pipeline proxy whose grid path always fails (fallback test)."""
+    """Pipeline proxy whose multi-point grid passes always fail, while
+    one-point passes (each job's fallback) succeed (fallback test)."""
 
     def __init__(self, pipeline) -> None:
         self._pipeline = pipeline
 
-    def execute(self, request):
-        return self._pipeline.execute(request)
-
     def execute_grid(self, requests):
-        raise RuntimeError("grid pass exploded")
+        if len(requests) > 1:
+            raise RuntimeError("grid pass exploded")
+        return self._pipeline.execute_grid(requests)
 
 
 @pytest.mark.slow
