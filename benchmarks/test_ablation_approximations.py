@@ -18,10 +18,10 @@ from scipy import stats as sstats
 from conftest import print_table
 from repro._util import as_rng
 from repro.cfg import MarginalSolver
-from repro.core import ErrorRateEstimator
 from repro.core.collect import SimulationCollector
 from repro.core.errormodel import InstructionErrorModel
 from repro.cpu import FunctionalSimulator, MachineState
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.sta import Gaussian
 from repro.stats import (
     IndicatorChainSimulator,
@@ -73,7 +73,7 @@ def test_mixture_vs_dependent_chain(benchmark, processor):
 
     def run():
         workload = load_workload("bitcount")
-        estimator = ErrorRateEstimator(processor)
+        estimator = EstimationPipeline(processor)
         artifacts = estimator.train(
             workload.program,
             setup=workload.setup(workload.dataset("small")),
@@ -98,7 +98,7 @@ def test_mixture_vs_dependent_chain(benchmark, processor):
             listener=listener,
         )
         profile = collector.profile()
-        estimator._characterize_missing(artifacts, collector.samples())
+        estimator._dta.characterize_missing(artifacts, collector.samples())
         error_model = InstructionErrorModel(
             processor, workload.program, artifacts.cfg,
             artifacts.control_model,

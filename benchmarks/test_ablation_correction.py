@@ -14,16 +14,16 @@ import pytest
 from conftest import print_table
 from repro.cfg import MarginalSolver
 from repro.cfg.marginal import BlockProbabilities
-from repro.core import ErrorRateEstimator
 from repro.core.collect import SimulationCollector
 from repro.core.errormodel import InstructionErrorModel
 from repro.cpu import FunctionalSimulator, MachineState
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.stats import chen_stein_bound
 from repro.workloads import load_workload
 
 
 def _conditionals(processor, workload):
-    estimator = ErrorRateEstimator(processor)
+    estimator = EstimationPipeline(processor)
     artifacts = estimator.train(
         workload.program,
         setup=workload.setup(workload.dataset("small")),
@@ -37,7 +37,7 @@ def _conditionals(processor, workload):
         max_instructions=250_000,
         listener=collector.listener,
     )
-    estimator._characterize_missing(artifacts, collector.samples())
+    estimator._dta.characterize_missing(artifacts, collector.samples())
     error_model = InstructionErrorModel(
         processor, workload.program, artifacts.cfg, artifacts.control_model
     )

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import print_table
-from repro.core import ErrorRateEstimator, ProcessorModel
+from repro.core import ProcessorModel
 from repro.dta.datapath import DatapathTimingModel
 from repro.dta.trainer import DatapathTrainer
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.workloads import load_workload
 
 
@@ -47,7 +48,7 @@ def test_tree_vs_linear(benchmark, processor):
             proc.__dict__["ssta"] = processor.ssta
             proc.__dict__["control_analyzer"] = processor.control_analyzer
             proc.__dict__["data_analyzer"] = processor.data_analyzer
-            estimator = ErrorRateEstimator(proc)
+            estimator = EstimationPipeline(proc)
             artifacts = estimator.train(
                 workload.program,
                 setup=workload.setup(workload.dataset("small")),

@@ -48,13 +48,13 @@ MAX_INSTRUCTIONS = 6_000
 
 def _single_job(**kernel_overrides):
     """One full characterize+estimate job on a fresh processor."""
-    from repro.core.framework import ErrorRateEstimator
+    from repro.pipeline.pipeline import EstimationPipeline
 
     with configure_kernels(**kernel_overrides):
         before = kernel_stats().snapshot()
         t0 = time.perf_counter()
         processor = SMALL.build()
-        estimator = ErrorRateEstimator(processor, n_data_samples=32)
+        estimator = EstimationPipeline(processor, n_data_samples=32)
         workload = load_workload("bitcount")
         program, train_setup, _ = workload.run_spec("small", seed=0)
         artifacts = estimator.train(

@@ -16,13 +16,13 @@ import time
 import pytest
 
 from conftest import print_table
-from repro.core import ErrorRateEstimator
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.workloads import load_workload
 
 
 def test_training_phase_runtime(benchmark, processor):
     workload = load_workload("stringsearch")  # block-rich, small dynamic
-    estimator = ErrorRateEstimator(processor)
+    estimator = EstimationPipeline(processor)
     _ = processor.datapath_model  # exclude the shared one-time fit
 
     def train():
@@ -50,7 +50,7 @@ def test_training_phase_runtime(benchmark, processor):
 
 def test_simulation_phase_throughput(benchmark, processor):
     workload = load_workload("pgp.encode")
-    estimator = ErrorRateEstimator(processor)
+    estimator = EstimationPipeline(processor)
     artifacts = estimator.train(
         workload.program,
         setup=workload.setup(workload.dataset("small")),

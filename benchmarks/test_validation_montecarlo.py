@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from conftest import print_table
-from repro.core import ErrorRateEstimator, MonteCarloValidator
+from repro.core import MonteCarloValidator
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.workloads import load_workload
 
 BENCHMARKS = ("gsm.decode", "dijkstra")
@@ -29,7 +30,7 @@ BENCHMARKS = ("gsm.decode", "dijkstra")
 def test_framework_vs_chip_sampling(benchmark, processor):
     def run():
         rows = {}
-        estimator = ErrorRateEstimator(processor)
+        estimator = EstimationPipeline(processor)
         for name in BENCHMARKS:
             workload = load_workload(name)
             setup = workload.setup(workload.dataset("small"))

@@ -13,9 +13,10 @@ Run:  python examples/correction_schemes.py
 
 import numpy as np
 
-from repro.core import ErrorRateEstimator, EstimationRequest, ProcessorModel
+from repro.core import EstimationRequest, ProcessorModel
 from repro.cpu import PipelineFlush, ReplayHalfFrequency
 from repro.netlist import TimingLibrary, generate_pipeline
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.workloads import load_workload
 
 
@@ -40,7 +41,7 @@ def main() -> None:
     for scheme in schemes:
         for speculation in (1.10, 1.15, 1.20):
             proc = base.derive(scheme=scheme, speculation=speculation)
-            estimator = ErrorRateEstimator(proc)
+            estimator = EstimationPipeline(proc)
             report = estimator.run(
                 EstimationRequest(
                     workload=workload,

@@ -12,8 +12,9 @@ Run:  python examples/custom_program.py
 import numpy as np
 
 from repro.cfg import build_cfg
-from repro.core import ErrorRateEstimator, ProcessorModel
+from repro.core import ProcessorModel
 from repro.cpu import MachineState, assemble
+from repro.pipeline.pipeline import EstimationPipeline
 
 # A dot-product kernel with a scaling pass: multiply-accumulate inner
 # loop (deep datapath activity) plus a branchy normalization loop.
@@ -59,7 +60,7 @@ def main() -> None:
     print(f"\nCFG: {cfg.summary()}")
 
     processor = ProcessorModel()
-    estimator = ErrorRateEstimator(processor)
+    estimator = EstimationPipeline(processor)
     artifacts = estimator.train(program, setup=setup)
     report = estimator.estimate(program, artifacts, setup=setup)
     print(f"\n{report}")

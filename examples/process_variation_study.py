@@ -12,8 +12,9 @@ Run:  python examples/process_variation_study.py
 
 import numpy as np
 
-from repro.core import ErrorRateEstimator, ProcessorModel
+from repro.core import ProcessorModel
 from repro.netlist import TimingLibrary, generate_pipeline
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.variation import VariationConfig
 from repro.workloads import load_workload
 
@@ -51,7 +52,7 @@ def main() -> None:
         proc = ProcessorModel(
             pipeline=pipeline, library=library, variation_config=config
         )
-        estimator = ErrorRateEstimator(proc)
+        estimator = EstimationPipeline(proc)
         artifacts = estimator.train(
             workload.program,
             setup=workload.setup(workload.dataset("small")),

@@ -5,7 +5,7 @@ analogue: 6-stage in-order pipeline, SSTA-guardbanded baseline frequency,
 1.15x speculative working point, replay-at-half-frequency correction) and
 runs the full train+estimate flow through the unified request API: one
 :class:`EstimationRequest` names the workload, dataset pair, and budgets,
-and ``ErrorRateEstimator.run`` executes both phases.
+and ``EstimationPipeline.run`` executes both phases.
 
 Run:  python examples/quickstart.py [benchmark]
 """
@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from repro import ErrorRateEstimator, EstimationRequest, default_processor
+from repro import EstimationPipeline, EstimationRequest, default_processor
 from repro.workloads import list_workloads
 
 
@@ -37,7 +37,7 @@ def main() -> None:
         f"({op['penalty_cycles']:.0f} cycles/error)"
     )
 
-    estimator = ErrorRateEstimator(processor)
+    estimator = EstimationPipeline(processor)
 
     print(f"\ntraining and simulating {name} (small -> large dataset)...")
     report = estimator.run(EstimationRequest(workload=name, seed=0))

@@ -14,9 +14,10 @@ Run:  python examples/validate_approximations.py
 import numpy as np
 
 from repro.cfg import MarginalSolver, build_cfg
-from repro.core import ErrorRateEstimator, ProcessorModel
+from repro.core import ProcessorModel
 from repro.core.collect import SimulationCollector
 from repro.cpu import FunctionalSimulator, MachineState
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.sta import Gaussian
 from repro.stats import (
     IndicatorChainSimulator,
@@ -31,7 +32,7 @@ def main() -> None:
     workload = load_workload("stringsearch")
     program = workload.program
     processor = ProcessorModel()
-    estimator = ErrorRateEstimator(processor)
+    estimator = EstimationPipeline(processor)
     artifacts = estimator.train(
         program, setup=workload.setup(workload.dataset("small"))
     )
@@ -47,7 +48,7 @@ def main() -> None:
         listener=collector.listener,
     )
     profile = collector.profile()
-    estimator._characterize_missing(artifacts, collector.samples())
+    estimator._dta.characterize_missing(artifacts, collector.samples())
 
     from repro.core.errormodel import InstructionErrorModel
 

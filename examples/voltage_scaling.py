@@ -14,8 +14,9 @@ import sys
 
 import numpy as np
 
-from repro.core import ErrorRateEstimator, EstimationRequest, ProcessorModel
+from repro.core import EstimationRequest, ProcessorModel
 from repro.perf import VoltageScalingModel
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.workloads import list_workloads
 
 
@@ -50,7 +51,7 @@ def main() -> None:
         # engines (SSTA, analyzers, datapath model) carry over.
         voltage = volts.undervolt_for_speculation(speculation)
         proc = base.derive(speculation=speculation)
-        estimator = ErrorRateEstimator(proc)
+        estimator = EstimationPipeline(proc)
         report = estimator.run(
             EstimationRequest(
                 workload=name, max_instructions=250_000, seed=0

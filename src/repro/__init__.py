@@ -10,16 +10,16 @@ Stein / Chen-Stein approximation bounds.
 
 Quickstart::
 
-    from repro import ErrorRateEstimator, default_processor
+    from repro import EstimationPipeline, default_processor
     from repro.workloads import load_workload
 
     proc = default_processor()
     workload = load_workload("bitcount")
-    estimator = ErrorRateEstimator(proc)
-    artifacts = estimator.train(
+    pipeline = EstimationPipeline(proc)
+    artifacts = pipeline.train(
         workload.program, setup=workload.setup(workload.dataset("small"))
     )
-    report = estimator.estimate(
+    report = pipeline.estimate(
         workload.program, artifacts,
         setup=workload.setup(workload.dataset("large")),
     )
@@ -42,7 +42,6 @@ __version__ = "1.0.0"
 from repro import api
 from repro.api import ApiError, JobResult, JobStatus
 from repro.core.processor import ProcessorModel, default_processor
-from repro.core.framework import ErrorRateEstimator, TrainingArtifacts
 from repro.core.request import EstimationRequest
 from repro.core.results import ErrorRateReport
 from repro.core.montecarlo import MonteCarloValidator
@@ -53,6 +52,7 @@ from repro.kernels import (
     kernel_config,
     kernel_stats,
 )
+from repro.pipeline.ir import TrainingArtifacts
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.pipeline.registry import REGISTRY, use_backends
 from repro.pipeline.store import ArtifactStore
@@ -65,7 +65,6 @@ __all__ = [
     "JobStatus",
     "ProcessorModel",
     "default_processor",
-    "ErrorRateEstimator",
     "EstimationPipeline",
     "EstimationRequest",
     "TrainingArtifacts",

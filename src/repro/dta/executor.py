@@ -33,6 +33,10 @@ Thread safety: the fork hand-off global is written only under
 each other's ``(func, context)``; the serial path does not touch the
 global at all.  New executors (multi-host, queue-backed) plug in with
 :func:`register_executor` instead of a rewrite.
+
+The module also owns the one worker->parent shared-memory hand-off
+(:func:`share_bytes` / :func:`adopt_bytes`), used by the fork pool's
+activity-trace deltas and the service's spawned job processes alike.
 """
 
 from __future__ import annotations
@@ -63,6 +67,11 @@ __all__ = [
     "fork_safe",
     "observed_task_ms",
     "last_execution_plan",
+    "execute_plan",
+    "in_pool_worker",
+    "share_bytes",
+    "adopt_bytes",
+    "SHM_MIN_BYTES",
     "pool_cost_model",
     "calibrate_pool_costs",
     "measure_pool_costs",
@@ -96,6 +105,11 @@ TARGET_CHUNK_MS = 25.0
 #: only make sense when they are persistent (the service worker pool
 #: amortizes this over the process lifetime, not per map).
 SPAWN_STARTUP_MS = 1500.0
+#: Worker->parent payloads smaller than this stay on the result pipe;
+#: pickling a few KiB is cheaper than standing a shared-memory segment
+#: up.  Above it, the bytes cross through one
+#: ``multiprocessing.shared_memory`` block instead.
+SHM_MIN_BYTES = 1 << 16
 
 
 def effective_cpus() -> int:
@@ -386,17 +400,20 @@ _WORKER_STATE: tuple | None = None
 
 
 def in_pool_worker() -> bool:
-    """True inside a forked pool worker (the hand-off state is set).
+    """True while a forked pool worker runs one of its map's tasks.
 
-    Used by :meth:`ActivityCache.export_shared_since` to decide whether
-    a shared-memory hand-off to the parent is worth anything.
+    Only then does a task's result cross a process boundary: a task of
+    a nested serial map inside that worker returns in-process.  Used by
+    :meth:`ActivityCache.export_shared_since` to decide whether a
+    shared-memory hand-off to the parent is worth anything.
     """
-    return _WORKER_STATE is not None
+    return getattr(_TLS, "forked_task", False)
 
 
 def _run_chunk(indices: tuple[int, ...]):
     """Worker-side chunk runner: results + kernel-stats delta + task ms."""
     func, context = _WORKER_STATE
+    _TLS.forked_task = True
     before = kernel_stats().snapshot()
     results = []
     task_ms = []
@@ -407,22 +424,29 @@ def _run_chunk(indices: tuple[int, ...]):
     return results, kernel_stats().delta(before).to_json(), task_ms
 
 
-def _execute_serial(plan: ExecutionPlan, func, context) -> list:
+def _execute_serial(plan: ExecutionPlan, func, context, count_tasks) -> list:
     """Run the plan in-process.  Touches no shared module state."""
     stats = kernel_stats()
     stats.pool_maps_serial += 1
     if plan.requested != "local-serial" and plan.reason:
         stats.pool_maps_degraded += 1
+    forked_task, _TLS.forked_task = in_pool_worker(), False
     results = []
-    for index in range(plan.n_tasks):
-        start = time.perf_counter()
-        results.append(func(context, index))
-        stats.pool_tasks += 1
-        stats.pool_task_ms += int(1000 * (time.perf_counter() - start))
+    try:
+        for index in range(plan.n_tasks):
+            start = time.perf_counter()
+            results.append(func(context, index))
+            if count_tasks:
+                stats.pool_tasks += 1
+                stats.pool_task_ms += int(
+                    1000 * (time.perf_counter() - start)
+                )
+    finally:
+        _TLS.forked_task = forked_task
     return results
 
 
-def _execute_fork(plan: ExecutionPlan, func, context) -> list:
+def _execute_fork(plan: ExecutionPlan, func, context, count_tasks) -> list:
     """Run the plan on a fork pool, chunked, results in task order."""
     global _WORKER_STATE
     chunks = [
@@ -433,7 +457,7 @@ def _execute_fork(plan: ExecutionPlan, func, context) -> list:
         # The workers inherit the hand-off state at fork; the tracker
         # must already be running in the parent so worker-created
         # shared-memory segments outlive the workers (the parent adopts
-        # and unlinks them after the pool is gone).
+        # and unlinks them after the pool is gone, see adopt_bytes).
         try:
             from multiprocessing import resource_tracker
 
@@ -456,22 +480,77 @@ def _execute_fork(plan: ExecutionPlan, func, context) -> list:
     results = []
     for chunk_results, delta, task_ms in raw:
         stats.merge(delta)
-        stats.pool_tasks += len(chunk_results)
-        stats.pool_task_ms += sum(task_ms)
+        if count_tasks:
+            stats.pool_tasks += len(chunk_results)
+            stats.pool_task_ms += sum(task_ms)
         results.extend(chunk_results)
     return results
 
 
-def execute_plan(plan: ExecutionPlan, func, context) -> list:
+# ---------------------------------------------------------------------- #
+# Shared-memory hand-off (worker -> parent bytes)
+# ---------------------------------------------------------------------- #
+
+
+def share_bytes(data: bytes, min_bytes: float = SHM_MIN_BYTES) -> dict:
+    """The hand-off payload carrying ``data`` to another process.
+
+    Below ``min_bytes`` (and on any shared-memory failure) the bytes
+    travel inline in the payload; above it they are copied once into a
+    ``multiprocessing.shared_memory`` block and only its name crosses
+    the pipe.  The receiver must call :func:`adopt_bytes` exactly once,
+    which unlinks the block.
+    """
+    if data and len(data) >= min_bytes:
+        try:
+            from multiprocessing import shared_memory
+
+            block = shared_memory.SharedMemory(create=True, size=len(data))
+        except Exception:
+            block = None
+        if block is not None:
+            block.buf[: len(data)] = data
+            block.close()
+            return {"kind": "shm", "name": block.name, "bytes": len(data)}
+    return {"kind": "inline", "data": data}
+
+
+def adopt_bytes(payload: dict) -> bytes:
+    """Exact inverse of :func:`share_bytes`.
+
+    A shared-memory payload is consumed: its block is unlinked and its
+    size is counted in the ``pool_shm_bytes`` kernel counter.
+    """
+    if payload["kind"] == "inline":
+        return payload["data"]
+    from multiprocessing import shared_memory
+
+    nbytes = int(payload["bytes"])
+    block = shared_memory.SharedMemory(name=payload["name"])
+    try:
+        data = bytes(block.buf[:nbytes])
+    finally:
+        block.close()
+        block.unlink()
+    kernel_stats().pool_shm_bytes += nbytes
+    return data
+
+
+def execute_plan(
+    plan: ExecutionPlan, func, context, *, count_tasks: bool = True
+) -> list:
     """Evaluate ``func(context, i)`` for ``i in range(n_tasks)`` per plan.
 
     Results come back in task order on either path, which is the
     contract callers rely on for byte-identical parallel output.
+    ``count_tasks=False`` keeps the tasks out of ``pool_tasks`` /
+    ``pool_task_ms``, the per-task cost the ``auto`` executor plans
+    window maps with — for maps whose tasks are whole jobs.
     """
     _TLS.plan = plan
     if plan.parallel:
-        return _execute_fork(plan, func, context)
-    return _execute_serial(plan, func, context)
+        return _execute_fork(plan, func, context, count_tasks)
+    return _execute_serial(plan, func, context, count_tasks)
 
 
 # ---------------------------------------------------------------------- #
@@ -624,8 +703,7 @@ def register_executor(
     """Register an executor under its ``name`` (multi-host / pool hook).
 
     ``replace=True`` makes the registration idempotent for modules that
-    register at import time (e.g. the service worker pool's
-    ``service-pool`` executor).
+    register at import time.
     """
     if not executor.name:
         raise ValueError("executor must carry a non-empty name")

@@ -42,25 +42,22 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import math
 
 import numpy as np
 
 from repro.dta.executor import (
+    SHM_MIN_BYTES,
     ExecutionPlan,
-    fork_available as _fork_available,
+    adopt_bytes,
     get_executor,
     in_pool_worker,
+    share_bytes,
 )
 from repro.kernels import kernel_config, kernel_stats
 from repro.logicsim.activity import ActivityTrace
 
-__all__ = ["ActivityCache", "WindowAnalysisPool", "SHM_MIN_BYTES"]
-
-#: Worker->parent payloads smaller than this stay on the result pipe;
-#: pickling a few KiB is cheaper than standing a shared-memory segment
-#: up.  Above it, the packed traces cross through one
-#: ``multiprocessing.shared_memory`` block instead.
-SHM_MIN_BYTES = 1 << 16
+__all__ = ["ActivityCache", "WindowAnalysisPool"]
 
 
 def _encode_bits(array: np.ndarray) -> dict:
@@ -72,12 +69,17 @@ def _encode_bits(array: np.ndarray) -> dict:
     }
 
 
+def _unpack_bits(raw, shape) -> np.ndarray:
+    """The boolean array of ``shape`` packed into ``raw`` by ``packbits``."""
+    count = int(np.prod(shape)) if shape else 0
+    bits = np.frombuffer(raw, dtype=np.uint8)
+    return np.unpackbits(bits, count=count).astype(bool).reshape(shape)
+
+
 def _decode_bits(doc: dict) -> np.ndarray:
     """Exact inverse of :func:`_encode_bits`."""
     shape = tuple(int(d) for d in doc["shape"])
-    count = int(np.prod(shape)) if shape else 0
-    raw = np.frombuffer(base64.b64decode(doc["bits"]), dtype=np.uint8)
-    return np.unpackbits(raw, count=count).astype(bool).reshape(shape)
+    return _unpack_bits(base64.b64decode(doc["bits"]), shape)
 
 
 class ActivityCache:
@@ -152,128 +154,53 @@ class ActivityCache:
         """The digests currently cached (cheap; for worker deltas)."""
         return set(self._entries)
 
-    def export_since(self, keys: set[str]) -> dict[str, ActivityTrace]:
-        """Entries added after a :meth:`snapshot_keys` snapshot."""
-        return {
-            digest: trace
-            for digest, trace in self._entries.items()
-            if digest not in keys
-        }
-
-    def adopt(self, entries: dict[str, ActivityTrace]) -> None:
-        """Merge worker-computed entries into this (parent) cache."""
-        for digest, trace in entries.items():
-            if digest not in self._entries:
-                self._entries[digest] = trace
-                self._dirty = True
-
-    def export_packed_since(self, keys: set[str]) -> dict[str, tuple]:
-        """Like :meth:`export_since`, but bit-packed for the pool hop.
-
-        A trace crosses the worker→parent process boundary pickled; raw
-        boolean arrays are 8x larger than their information content, and
-        at fleet scale that pickle traffic dominates the pool's wall
-        time.  Entries here are ``(shape, activated bytes, values
-        bytes)`` packed with :func:`numpy.packbits`.
-        """
-        return {
-            digest: (
-                trace.activated.shape,
-                np.packbits(trace.activated, axis=None).tobytes(),
-                np.packbits(trace.values, axis=None).tobytes(),
-            )
-            for digest, trace in self._entries.items()
-            if digest not in keys
-        }
-
-    def adopt_packed(self, entries: dict[str, tuple]) -> None:
-        """Exact inverse of :meth:`export_packed_since` (only-missing)."""
-
-        def unpack(shape, raw):
-            count = int(np.prod(shape)) if shape else 0
-            bits = np.frombuffer(raw, dtype=np.uint8)
-            return np.unpackbits(bits, count=count).astype(bool).reshape(
-                shape
-            )
-
-        for digest, (shape, activated, values) in entries.items():
-            if digest not in self._entries:
-                self._entries[digest] = ActivityTrace(
-                    activated=unpack(shape, activated),
-                    values=unpack(shape, values),
-                )
-                self._dirty = True
-
     def export_shared_since(
-        self, keys: set[str], min_bytes: int | None = None
+        self, keys: set[str], min_bytes: int = SHM_MIN_BYTES
     ) -> dict:
-        """Worker->parent hand-off payload, via shared memory when large.
+        """Worker->parent payload of the entries added since ``keys``.
 
-        Small deltas travel inline (the pipe pickling is cheaper than a
-        segment); large ones are written once into a
-        ``multiprocessing.shared_memory`` block and only the block name
-        plus an index of offsets crosses the pipe.  The parent adopts
-        with :meth:`adopt_shared`, which unlinks the block.  Only worth
-        anything inside a fork-pool worker; elsewhere (and on any
-        shared-memory failure) the payload stays inline.
+        A trace crosses the worker->parent process boundary pickled; raw
+        boolean arrays are 8x larger than their information content, so
+        both arrays of every new entry are bit-packed with
+        :func:`numpy.packbits` into one byte string, handed off by
+        :func:`~repro.dta.executor.share_bytes` (inline when small,
+        through one shared-memory block when large).  Only a fork-pool
+        worker has a parent to hand a block to; elsewhere the payload
+        stays inline.  The parent adopts with :meth:`adopt_shared`.
         """
-        entries = self.export_packed_since(keys)
-        if min_bytes is None:
-            min_bytes = SHM_MIN_BYTES
-        total = sum(
-            len(activated) + len(values)
-            for _shape, activated, values in entries.values()
-        )
-        if total < min_bytes or total == 0 or not in_pool_worker():
-            return {"kind": "inline", "entries": entries}
-        try:
-            from multiprocessing import shared_memory
-
-            block = shared_memory.SharedMemory(create=True, size=total)
-        except Exception:
-            return {"kind": "inline", "entries": entries}
         index: dict[str, tuple] = {}
-        offset = 0
-        for digest, (shape, activated, values) in entries.items():
-            block.buf[offset : offset + len(activated)] = activated
-            block.buf[
-                offset + len(activated) : offset + len(activated) + len(values)
-            ] = values
+        chunks: list[bytes] = []
+        for digest, trace in self._entries.items():
+            if digest in keys:
+                continue
+            activated = np.packbits(trace.activated, axis=None).tobytes()
+            values = np.packbits(trace.values, axis=None).tobytes()
             index[digest] = (
-                tuple(shape), offset, len(activated), len(values)
+                trace.activated.shape, len(activated), len(values)
             )
-            offset += len(activated) + len(values)
-        block.close()
-        return {"kind": "shm", "name": block.name, "index": index,
-                "bytes": total}
+            chunks += (activated, values)
+        if not in_pool_worker():
+            min_bytes = math.inf
+        return {"index": index, **share_bytes(b"".join(chunks), min_bytes)}
 
     def adopt_shared(self, payload: dict) -> None:
         """Exact inverse of :meth:`export_shared_since` (only-missing).
 
-        Shared-memory payloads are consumed: the segment is unlinked
-        after its entries are adopted, whether or not any were new.
+        Shared-memory payloads are consumed: the block is unlinked after
+        its entries are adopted, whether or not any were new.
         """
-        if payload["kind"] == "inline":
-            self.adopt_packed(payload["entries"])
-            return
-        from multiprocessing import shared_memory
-
-        block = shared_memory.SharedMemory(name=payload["name"])
-        try:
-            entries = {
-                digest: (
-                    shape,
-                    bytes(block.buf[a_off : a_off + a_len]),
-                    bytes(block.buf[a_off + a_len : a_off + a_len + v_len]),
+        data = memoryview(adopt_bytes(payload))
+        offset = 0
+        for digest, (shape, a_len, v_len) in payload["index"].items():
+            activated = data[offset : offset + a_len]
+            values = data[offset + a_len : offset + a_len + v_len]
+            offset += a_len + v_len
+            if digest not in self._entries:
+                self._entries[digest] = ActivityTrace(
+                    activated=_unpack_bits(activated, shape),
+                    values=_unpack_bits(values, shape),
                 )
-                for digest, (shape, a_off, a_len, v_len)
-                in payload["index"].items()
-            }
-            self.adopt_packed(entries)
-        finally:
-            block.close()
-            block.unlink()
-        kernel_stats().pool_shm_bytes += int(payload["bytes"])
+                self._dirty = True
 
     # ------------------------------------------------------------------ #
     # Persistence (period-sweep reuse)
@@ -357,16 +284,9 @@ class WindowAnalysisPool:
         self.executor_name = executor
         self._executor = get_executor(executor)
 
-    @staticmethod
-    def fork_available() -> bool:
-        return _fork_available()
-
     def plan(self, n_tasks: int) -> "ExecutionPlan":
         """The :class:`ExecutionPlan` a map of ``n_tasks`` would run."""
         return self._executor.plan(n_tasks, self.workers)
-
-    def should_parallelize(self, n_tasks: int) -> bool:
-        return self.plan(n_tasks).parallel
 
     def map(self, func, context, n_tasks: int) -> list:
         return self._executor.map(func, context, n_tasks, self.workers)

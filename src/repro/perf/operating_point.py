@@ -82,12 +82,12 @@ class OperatingPointOptimizer:
         max_instructions: int = 300_000,
     ) -> OperatingPoint:
         """Run the framework at one speculation ratio."""
-        from repro.core.framework import ErrorRateEstimator
+        from repro.pipeline.pipeline import EstimationPipeline
 
         proc = self._processor(speculation)
-        estimator = ErrorRateEstimator(proc)
-        artifacts = estimator.train(program, setup=train_setup)
-        report = estimator.estimate(
+        pipeline = EstimationPipeline(proc)
+        artifacts = pipeline.train(program, setup=train_setup)
+        report = pipeline.estimate(
             program, artifacts, setup=eval_setup,
             max_instructions=max_instructions,
         )

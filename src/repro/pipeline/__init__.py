@@ -36,9 +36,6 @@ _IR_EXPORTS = {
     "DatapathArtifactIR",
     "TrainingArtifacts",
     "program_fingerprint",
-    "control_cache_key",
-    "window_cache_key",
-    "datapath_cache_key",
 }
 _PIPELINE_EXPORTS = {"EstimationPipeline", "PipelineResult", "StageEvent"}
 

@@ -18,8 +18,8 @@ The module also owns :class:`ProcessorConfig` (moved from
 recipe is the netlist stage's input IR, not an engine detail.
 
 Nothing here imports ``repro.core`` or ``repro.runner`` at module level
-— the IR sits below both, so stage implementations, the runner, and the
-legacy framework can all depend on it without cycles.
+— the IR sits below both, so stage implementations and the runner can
+depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ __all__ = [
     "DatapathArtifactIR",
     "TrainingArtifacts",
     "program_fingerprint",
-    "control_cache_key",
-    "window_cache_key",
-    "datapath_cache_key",
 ]
 
 #: Correction schemes constructible by name (for picklable configs).
@@ -323,77 +320,6 @@ class DatapathInputIR:
 
 
 # --------------------------------------------------------------------- #
-# Legacy key functions (re-exported by repro.runner.cache)
-# --------------------------------------------------------------------- #
-
-
-def control_cache_key(
-    program,
-    *,
-    pipeline_config,
-    variation_config,
-    scheme_name: str,
-    clock_period: float,
-    paths_per_endpoint: int,
-    train_scale: str,
-    train_seed: int | None,
-    train_instructions: int,
-) -> str:
-    """Cache key for a characterized control timing model."""
-    return ControlInputIR(
-        program=ProgramIR.from_program(program),
-        pipeline=_config_doc(pipeline_config),
-        variation=_config_doc(variation_config),
-        scheme=scheme_name,
-        paths_per_endpoint=paths_per_endpoint,
-        spec=TrainingSpec(train_scale, train_seed, train_instructions),
-        clock_period=float(clock_period),
-    ).content_hash
-
-
-def window_cache_key(
-    program,
-    *,
-    pipeline_config,
-    variation_config,
-    scheme_name: str,
-    paths_per_endpoint: int,
-    train_scale: str,
-    train_seed: int | None,
-    train_instructions: int,
-) -> str:
-    """Cache key for period-independent window artifacts.
-
-    Everything in the control key *except* the clock period: activity
-    traces and path moments do not depend on it, so one entry serves
-    every operating point of a frequency sweep.
-    """
-    return ControlInputIR(
-        program=ProgramIR.from_program(program),
-        pipeline=_config_doc(pipeline_config),
-        variation=_config_doc(variation_config),
-        scheme=scheme_name,
-        paths_per_endpoint=paths_per_endpoint,
-        spec=TrainingSpec(train_scale, train_seed, train_instructions),
-        clock_period=None,
-    ).content_hash
-
-
-def datapath_cache_key(
-    *,
-    pipeline_config,
-    variation_config,
-    paths_per_endpoint: int,
-) -> str:
-    """Cache key for the (period-independent) datapath timing model."""
-    return DatapathInputIR(
-        pipeline=_config_doc(pipeline_config),
-        variation=_config_doc(variation_config),
-        paths_per_endpoint=paths_per_endpoint,
-    ).content_hash
-
-
-# --------------------------------------------------------------------- #
 # Output artifact IRs
 # --------------------------------------------------------------------- #
 
@@ -495,8 +421,7 @@ class TrainingArtifacts:
     def save(self, path) -> None:
         """Persist the trained control model (JSON).
 
-        Reload with ``ErrorRateEstimator.load_artifacts`` or
-        ``EstimationPipeline.load_artifacts``.
+        Reload with ``EstimationPipeline.load_artifacts``.
         """
         with open(path, "w") as handle:
             json.dump(self.to_doc(), handle)

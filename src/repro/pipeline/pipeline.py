@@ -8,8 +8,7 @@ every stage boundary crossing a typed IR document
 (:mod:`repro.pipeline.ir`) and every persistable artifact living in one
 content-addressed :class:`~repro.pipeline.store.ArtifactStore`.
 
-Three persisted artifact streams feed the store (their namespaces keep
-the on-disk layout of the legacy ``ArtifactCache``):
+Three persisted artifact streams feed the store, one namespace each:
 
 * ``control`` — the characterized control timing model, keyed on the
   full :class:`~repro.pipeline.ir.ControlInputIR` (period-dependent);

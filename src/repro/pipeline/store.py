@@ -1,7 +1,7 @@
 """One content-addressed artifact store for every pipeline stage.
 
 Before this module existed the repository had three caching mechanisms,
-each with its own keying and persistence: the runner's ``ArtifactCache``
+each with its own keying and persistence: the runner's artifact cache
 (control / datapath / windows JSON documents on disk), the
 ``ActivityCache``'s ``to_doc``/``preload`` round-trip, and the stage
 analyzer's path-moment ``registry_doc``.  The :class:`ArtifactStore`
@@ -128,7 +128,7 @@ class ArtifactStore:
         return self.put_entry(stage, self.compose_key(stage, backend, input_hash), doc)
 
     # ------------------------------------------------------------------ #
-    # Raw entry API (shared with the legacy ArtifactCache surface)
+    # Raw entry API (explicit keys: namespaces such as calibration)
     # ------------------------------------------------------------------ #
 
     def path_for(self, namespace: str, key: str) -> Path:

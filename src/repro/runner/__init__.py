@@ -5,9 +5,10 @@ surface: express each (workload × operating point) job as an
 :class:`~repro.core.request.EstimationRequest`, hand the batch to an
 :class:`EstimationEngine`, and get a :class:`RunSummary` of per-job
 reports plus telemetry back.  Trained artifacts (control timing models,
-the shared datapath model) round-trip through a content-addressed
-:class:`ArtifactCache`, so repeated runs — sweeps over operating points,
-warm re-runs of the full suite — skip their training phases entirely.
+the shared datapath model) round-trip through the content-addressed
+:class:`~repro.pipeline.store.ArtifactStore`, so repeated runs — sweeps
+over operating points, warm re-runs of the full suite — skip their
+training phases entirely.
 
 Quickstart::
 
@@ -23,14 +24,8 @@ Quickstart::
 """
 
 from repro.core.request import EstimationRequest
-from repro.runner.cache import (
-    ArtifactCache,
-    control_cache_key,
-    datapath_cache_key,
-    program_fingerprint,
-    stable_digest,
-    window_cache_key,
-)
+from repro.pipeline.ir import program_fingerprint
+from repro.pipeline.store import stable_digest
 from repro.runner.engine import (
     EstimationEngine,
     JobResult,
@@ -39,15 +34,11 @@ from repro.runner.engine import (
 )
 
 __all__ = [
-    "ArtifactCache",
     "EstimationEngine",
     "EstimationRequest",
     "JobResult",
     "ProcessorConfig",
     "RunSummary",
-    "control_cache_key",
-    "datapath_cache_key",
     "program_fingerprint",
     "stable_digest",
-    "window_cache_key",
 ]

@@ -2,7 +2,8 @@
 
 An :class:`EstimationEngine` executes a batch of
 :class:`~repro.core.request.EstimationRequest` jobs — (workload ×
-operating point) pairs — on a ``concurrent.futures`` process pool.
+operating point) pairs — fanned out through the ``local-fork``
+executor of :mod:`repro.dta.executor`.
 Per-job work runs through the staged
 :class:`~repro.pipeline.pipeline.EstimationPipeline` backed by the
 content-addressed :class:`~repro.pipeline.store.ArtifactStore`; the
@@ -20,9 +21,10 @@ Design points:
   is byte-identical to a serial one.
 * **Graceful degradation** — a job that raises is captured as a failed
   :class:`JobResult` with its traceback instead of killing the batch;
-  the pool falls back to in-process execution when ``max_workers <= 1``,
-  when there is a single request group, or when the platform cannot
-  fork.
+  the fan-out resolves to an :class:`~repro.dta.executor.ExecutionPlan`
+  that runs in-process when ``max_workers <= 1``, when there is a
+  single request group, or when forking is unavailable or unsafe (the
+  plan records why).
 * **Telemetry** — each result records train/estimate wall time, the
   simulated instruction count, cache hit/miss, per-stage events, and the
   worker PID; :class:`RunSummary` aggregates them.
@@ -30,16 +32,15 @@ Design points:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.processor import ProcessorModel
 from repro.core.request import EstimationRequest
 from repro.core.results import ErrorRateReport
+from repro.dta.executor import ExecutionPlan, execute_plan, get_executor
 from repro.kernels import KernelStats
 from repro.pipeline.ir import (
     CORRECTION_SCHEMES,
@@ -126,7 +127,8 @@ class RunSummary:
     results: list[JobResult]
     wall_seconds: float
     max_workers: int
-    parallel: bool
+    #: How the request groups fanned out (and why not, if they did not).
+    plan: ExecutionPlan
     cache_dir: str | None = None
     #: Intra-job window-analysis pool width the engine was configured
     #: with (pinned to 1 inside jobs when the engine itself ran parallel).
@@ -142,6 +144,10 @@ class RunSummary:
 
     def __len__(self) -> int:
         return len(self.results)
+
+    @property
+    def parallel(self) -> bool:
+        return self.plan.parallel
 
     @property
     def succeeded(self) -> list[JobResult]:
@@ -187,6 +193,7 @@ class RunSummary:
             "wall_seconds": round(self.wall_seconds, 3),
             "max_workers": self.max_workers,
             "parallel": self.parallel,
+            "plan": self.plan.to_json(),
             "window_workers": self.window_workers,
             "executor": self.executor,
             "cache_dir": self.cache_dir,
@@ -337,8 +344,6 @@ class EstimationEngine:
         window_workers: int = 1,
         executor: str = "auto",
     ) -> None:
-        from repro.dta.executor import get_executor
-
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if window_workers < 1:
@@ -357,10 +362,6 @@ class EstimationEngine:
     def base_processor(self) -> ProcessorModel:
         """The built (and registry-shared) base processor."""
         return _base_processor(self.config)
-
-    @staticmethod
-    def fork_available() -> bool:
-        return "fork" in multiprocessing.get_all_start_methods()
 
     def _prepare(self) -> bool | None:
         """Warm parent-side shared state before any fork.
@@ -395,7 +396,8 @@ class EstimationEngine:
         (:meth:`~repro.pipeline.pipeline.EstimationPipeline.execute_grid`):
         a group of requests that differ only in operating point shares
         one training and one evaluation simulation.  With
-        ``max_workers > 1`` the groups fan out across a fork pool.
+        ``max_workers > 1`` the groups fan out across a fork pool
+        (the ``local-fork`` executor's plan).
         """
         from repro.pipeline.grid import grid_key
 
@@ -406,11 +408,7 @@ class EstimationEngine:
         for i, request in enumerate(requests):
             by_key.setdefault(grid_key(request), []).append(i)
         groups = list(by_key.values())
-        parallel = (
-            self.max_workers > 1
-            and len(groups) > 1
-            and self.fork_available()
-        )
+        plan = get_executor("local-fork").plan(len(groups), self.max_workers)
         payloads = [
             {
                 "requests": [requests[i] for i in indices],
@@ -419,22 +417,21 @@ class EstimationEngine:
                 "n_data_samples": self.n_data_samples,
                 # Shared worker budget: intra-job pools stay serial when
                 # the engine already fans groups out across processes.
-                "window_workers": 1 if parallel else self.window_workers,
+                "window_workers": (
+                    1 if plan.parallel else self.window_workers
+                ),
                 "executor": (
-                    "local-serial" if parallel else self.executor
+                    "local-serial" if plan.parallel else self.executor
                 ),
             }
             for indices in groups
         ]
-        if parallel:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=min(self.max_workers, len(groups)),
-                mp_context=context,
-            ) as pool:
-                group_docs = list(pool.map(_execute_group, payloads))
-        else:
-            group_docs = [_execute_group(p) for p in payloads]
+        group_docs = execute_plan(
+            plan,
+            lambda context, i: _execute_group(context[i]),
+            payloads,
+            count_tasks=False,
+        )
         raw: list = [None] * len(requests)
         for indices, docs in zip(groups, group_docs):
             for i, doc in zip(indices, docs):
@@ -446,7 +443,7 @@ class EstimationEngine:
             ],
             wall_seconds=time.perf_counter() - start,
             max_workers=self.max_workers,
-            parallel=parallel,
+            plan=plan,
             cache_dir=self.cache_dir,
             window_workers=self.window_workers,
             executor=self.executor,

@@ -25,9 +25,9 @@ from repro.service.scheduler import (
 from repro.service.server import EstimationService
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.workerpool import (
-    ServicePoolExecutor,
     WorkerCrashed,
     WorkerPool,
+    plan_worker_pool,
 )
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "SchedulerStats",
     "batch_key",
     "form_batches",
-    "ServicePoolExecutor",
     "WorkerCrashed",
     "WorkerPool",
+    "plan_worker_pool",
 ]

@@ -16,8 +16,9 @@
   dispatches batches concurrently — incompatible jobs fall through as
   singleton batches on the unchanged scalar path;
 * job execution, either on worker threads (each owning one
-  :class:`~repro.pipeline.pipeline.EstimationPipeline`) or — when a
-  resolved ``service-pool`` plan says the host can pay for it — on a
+  :class:`~repro.pipeline.pipeline.EstimationPipeline`) or — when
+  :func:`~repro.service.workerpool.plan_worker_pool` says the host can
+  pay for it — on a
   :class:`~repro.service.workerpool.WorkerPool` of persistent spawned
   processes.  Either way every pipeline shares one on-disk
   :class:`~repro.pipeline.store.ArtifactStore` — the warm store is the
@@ -118,9 +119,9 @@ class EstimationService:
         max_batch: Cap on jobs claimed per scheduler pass and on
             operating points per coalesced batch.
         worker_processes: Requested persistent spawned job processes.
-            ``0`` keeps execution in-thread; ``N > 0`` asks the
-            registered ``service-pool`` executor, whose cost model
-            degrades the request (with a recorded reason, see
+            ``0`` keeps execution in-thread; ``N > 0`` asks
+            :func:`~repro.service.workerpool.plan_worker_pool`, whose
+            cost model degrades the request (with a recorded reason, see
             ``pool_plan`` in ``/v1/metrics``) on hosts where spawned
             processes cannot pay — e.g. a single usable CPU.
         pool_force: Trust ``worker_processes`` without cost-model
@@ -519,14 +520,17 @@ class EstimationService:
         """Stand up the worker-process pool if its plan says it pays."""
         if self.worker_processes < 1:
             return
-        from repro.dta.executor import get_executor
-        from repro.service.workerpool import WorkerPool
+        from repro.service.workerpool import (
+            POOL_NAME,
+            WorkerPool,
+            plan_worker_pool,
+        )
 
-        plan = get_executor("service-pool").plan(
+        plan = plan_worker_pool(
             self.max_batch, self.worker_processes, force=self.pool_force
         )
         self.pool_plan = plan
-        if plan.executor != "service-pool":
+        if plan.executor != POOL_NAME:
             return  # degraded: in-thread execution, reason recorded
         self.pool = WorkerPool(
             plan.workers,
@@ -609,6 +613,7 @@ class ServiceThread:
         self.service = service
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
+        self._stop_requested: asyncio.Event | None = None
 
     def start(self, timeout: float = 10.0) -> None:
         started = threading.Event()
@@ -619,9 +624,13 @@ class ServiceThread:
             asyncio.set_event_loop(loop)
 
             async def _main() -> None:
+                self._stop_requested = asyncio.Event()
                 await self.service.start()
                 started.set()
-                await self.service._server.wait_closed()
+                await self._stop_requested.wait()
+                # Run stop() to completion here: cancelling it with the
+                # loop's leftover tasks would skip closing the pool.
+                await self.service.stop()
 
             try:
                 loop.run_until_complete(_main())
@@ -643,15 +652,12 @@ class ServiceThread:
             raise RuntimeError("service failed to start in time")
 
     def stop(self, timeout: float = 10.0) -> None:
-        if self._loop is None:
+        if self._thread is None:
             return
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.stop(), self._loop
-        )
         try:
-            future.result(timeout=timeout)
-        except Exception:
-            pass
+            self._loop.call_soon_threadsafe(self._stop_requested.set)
+        except RuntimeError:
+            pass  # the loop already finished
         self._thread.join(timeout=timeout)
 
     def __enter__(self) -> "ServiceThread":

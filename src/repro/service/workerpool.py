@@ -16,17 +16,16 @@ execution onto a :class:`WorkerPool` of long-lived *spawned* processes:
   orders of magnitude above a fork — which is why the processes are
   persistent: the pool pays the spawn once and amortizes it over the
   service lifetime, not per batch;
-* whether a pool pays at all is an executor decision, not a hard-coded
-  policy: :class:`ServicePoolExecutor` registers under the name
-  ``service-pool`` in :mod:`repro.dta.executor`'s registry and resolves
-  an :class:`~repro.dta.executor.ExecutionPlan` through the same
-  cost-model vocabulary (spawn availability, CPU budget, degrade
+* whether a pool pays at all is decided by :func:`plan_worker_pool`,
+  which resolves an :class:`~repro.dta.executor.ExecutionPlan` in the
+  same cost-model vocabulary (spawn availability, CPU budget, degrade
   reasons) the window executors use — on a 1-CPU host the plan degrades
-  and the service keeps executing in-thread;
+  and the service keeps executing in-thread.  The plan is not a window
+  executor: the pool runs *jobs*, so it is not in the executor registry;
 * results travel back over the worker pipe, except large payloads,
-  which go through ``multiprocessing.shared_memory`` (same
-  :data:`~repro.dta.windowpool.SHM_MIN_BYTES` threshold and the same
-  ``pool_shm_bytes`` accounting as the window pool's trace hand-off);
+  which go through ``multiprocessing.shared_memory`` — the same
+  :func:`~repro.dta.executor.share_bytes` hand-off (threshold and
+  ``pool_shm_bytes`` accounting) as the window pool's trace deltas;
 * each worker ships its :class:`~repro.kernels.KernelStats` delta with
   every batch and the parent merges it, so process-wide counters stay
   truthful across the process boundary.
@@ -48,16 +47,17 @@ import time
 
 from repro.dta.executor import (
     ExecutionPlan,
-    WindowExecutor,
     _serial_plan,
+    adopt_bytes,
     effective_cpus,
-    execute_plan,
-    register_executor,
+    share_bytes,
 )
-from repro.dta.windowpool import SHM_MIN_BYTES
 from repro.kernels import kernel_stats
 
-__all__ = ["WorkerCrashed", "WorkerPool", "ServicePoolExecutor"]
+__all__ = ["WorkerCrashed", "WorkerPool", "plan_worker_pool"]
+
+#: The plan name of the spawned job pool.
+POOL_NAME = "service-pool"
 
 #: Environment hook for crash tests: when set to a filesystem path that
 #: does not exist yet, the *first* worker batch creates the file and
@@ -82,81 +82,47 @@ class WorkerCrashed(RuntimeError):
 
 
 # --------------------------------------------------------------------- #
-# The executor (registry hook: cost-models whether a pool pays)
+# The plan (cost-models whether a pool pays)
 # --------------------------------------------------------------------- #
 
 
-class ServicePoolExecutor(WindowExecutor):
-    """Plans multi-process job execution for the estimation service.
+def plan_worker_pool(
+    n_tasks: int, workers: int, *, force: bool = False
+) -> ExecutionPlan:
+    """Should the service stand up ``workers`` spawned job processes?
 
-    ``plan(n_tasks, workers)`` answers "should the service stand up
-    ``workers`` spawned job processes for batches of up to ``n_tasks``
-    jobs?" in the shared :class:`ExecutionPlan` vocabulary: the plan
-    comes back with ``executor == "service-pool"`` and a resolved
-    worker count when the pool is predicted to pay, or degraded to
-    ``local-serial`` with the reason (no spawn support, single usable
-    CPU) when it is not.  ``force=True`` trusts an explicit worker
-    count — the crash/determinism tests use it to exercise the real
-    spawn path on any host — gated only by spawn availability.
-
-    Window-analysis ``map`` calls routed here never fan out: the pool
-    executes *jobs*, not window chunks, so :meth:`map` runs in-process
-    (the degrade is recorded like any other).
+    Answers for batches of up to ``n_tasks`` jobs in the shared
+    :class:`ExecutionPlan` vocabulary: the plan comes back with
+    ``executor == "service-pool"`` and a resolved worker count when the
+    pool is predicted to pay, or degraded to ``local-serial`` with the
+    reason (no spawn support, single usable CPU) when it is not.
+    ``force=True`` trusts an explicit worker count — the crash and
+    determinism tests use it to exercise the real spawn path on any
+    host — gated only by spawn availability.
     """
-
-    name = "service-pool"
-
-    def plan(
-        self,
-        n_tasks: int,
-        workers: int,
-        task_ms: float | None = None,
-        *,
-        force: bool = False,
-    ) -> ExecutionPlan:
-        if workers < 1 or n_tasks < 1:
-            # Not a degrade: the request was never pool-capable.
-            return _serial_plan(self.name, n_tasks)
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            return _serial_plan(
-                self.name, n_tasks, "platform has no spawn start method"
-            )
-        if force:
-            return ExecutionPlan(
-                requested=self.name,
-                executor=self.name,
-                workers=workers,
-                chunk_size=1,
-                n_tasks=n_tasks,
-            )
+    if workers < 1 or n_tasks < 1:
+        # Not a degrade: the request was never pool-capable.
+        return _serial_plan(POOL_NAME, n_tasks)
+    if "spawn" not in multiprocessing.get_all_start_methods():
+        return _serial_plan(
+            POOL_NAME, n_tasks, "platform has no spawn start method"
+        )
+    if not force:
         cpus = effective_cpus()
         if cpus < 2:
             return _serial_plan(
-                self.name, n_tasks,
+                POOL_NAME, n_tasks,
                 f"only {cpus} usable CPU: spawned job processes would"
                 f" contend with the service instead of parallelizing it",
             )
         workers = min(workers, cpus)
-        return ExecutionPlan(
-            requested=self.name,
-            executor=self.name,
-            workers=workers,
-            chunk_size=1,
-            n_tasks=n_tasks,
-        )
-
-    def map(self, func, context, n_tasks: int, workers: int) -> list:
-        return execute_plan(
-            _serial_plan(
-                self.name, n_tasks,
-                "service-pool executes jobs, not window maps",
-            ),
-            func,
-            context,
-        )
-
-
-register_executor(ServicePoolExecutor(), replace=True)
+    return ExecutionPlan(
+        requested=POOL_NAME,
+        executor=POOL_NAME,
+        workers=workers,
+        chunk_size=1,
+        n_tasks=n_tasks,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -175,23 +141,7 @@ def _crash_once_hook() -> None:
 
 def _ship(conn, outcomes: list[dict], stats_delta: dict) -> None:
     """Send a batch result inline, or via shared memory when large."""
-    blob = json.dumps(outcomes).encode()
-    if len(blob) >= SHM_MIN_BYTES:
-        try:
-            from multiprocessing import shared_memory
-
-            block = shared_memory.SharedMemory(
-                create=True, size=len(blob)
-            )
-        except Exception:
-            block = None
-        if block is not None:
-            block.buf[: len(blob)] = blob
-            name, nbytes = block.name, len(blob)
-            block.close()
-            conn.send(("shm", name, nbytes, stats_delta))
-            return
-    conn.send(("inline", outcomes, stats_delta))
+    conn.send((share_bytes(json.dumps(outcomes).encode()), stats_delta))
 
 
 def _worker_main(conn, init: dict) -> None:
@@ -263,7 +213,7 @@ class WorkerPool:
     """A fixed-size pool of persistent spawned job processes.
 
     Args:
-        processes: Pool width (from a resolved ``service-pool`` plan).
+        processes: Pool width (from a resolved :func:`plan_worker_pool`).
         store_path: The shared on-disk store directory; every worker
             opens its own handle (the store is concurrent-writer safe).
         config: :class:`~repro.pipeline.ir.ProcessorConfig` for every
@@ -400,20 +350,8 @@ class WorkerPool:
     @staticmethod
     def _adopt(reply) -> list[dict]:
         """Unpack a worker reply; merge its kernel-stats delta."""
-        kind = reply[0]
-        if kind == "inline":
-            _kind, outcomes, delta = reply
-        else:
-            from multiprocessing import shared_memory
-
-            _kind, name, nbytes, delta = reply
-            block = shared_memory.SharedMemory(name=name)
-            try:
-                outcomes = json.loads(bytes(block.buf[:nbytes]))
-            finally:
-                block.close()
-                block.unlink()
-            kernel_stats().pool_shm_bytes += int(nbytes)
+        payload, delta = reply
+        outcomes = json.loads(adopt_bytes(payload))
         kernel_stats().merge(delta)
         return outcomes
 

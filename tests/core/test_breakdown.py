@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import ErrorRateEstimator, ProcessorModel
+from repro.core import ProcessorModel
 from repro.cpu import assemble
 from repro.netlist import PipelineConfig, generate_pipeline
+from repro.pipeline.pipeline import EstimationPipeline
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def setup():
     """,
         name="breakdown-toy",
     )
-    estimator = ErrorRateEstimator(proc, n_data_samples=48)
+    estimator = EstimationPipeline(proc, n_data_samples=48)
     artifacts = estimator.train(program)
     rows = estimator.instruction_breakdown(program, artifacts)
     return program, estimator, artifacts, rows

@@ -116,8 +116,9 @@ class TestReservoir:
 
     def test_estimate_survives_mid_block_truncation(self, loop_program):
         """End-to-end: a budget that cuts inside a block still estimates."""
-        from repro.core import ErrorRateEstimator, ProcessorModel
+        from repro.core import ProcessorModel
         from repro.netlist import PipelineConfig, generate_pipeline
+        from repro.pipeline.pipeline import EstimationPipeline
 
         pipeline = generate_pipeline(
             PipelineConfig(
@@ -125,7 +126,7 @@ class TestReservoir:
                 cloud_gates=60, seed=7,
             )
         )
-        estimator = ErrorRateEstimator(
+        estimator = EstimationPipeline(
             ProcessorModel(pipeline=pipeline), n_data_samples=16
         )
         artifacts = estimator.train(loop_program)

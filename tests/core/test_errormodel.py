@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cfg import build_cfg
-from repro.core import ErrorRateEstimator, ProcessorModel
+from repro.core import ProcessorModel
 from repro.core.collect import BlockExecutionSample, SimulationCollector
 from repro.core.errormodel import InstructionErrorModel, _SAFE_SLACK
 from repro.cpu import FunctionalSimulator, MachineState, assemble
 from repro.dta.characterize import ControlTimingModel
 from repro.netlist import PipelineConfig, generate_pipeline
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.sta import Gaussian
 
 
@@ -39,9 +40,9 @@ def env():
     FunctionalSimulator(program).run(
         MachineState(), listener=collector.listener
     )
-    estimator = ErrorRateEstimator(proc)
+    estimator = EstimationPipeline(proc)
     artifacts = estimator.train(program)
-    estimator._characterize_missing(artifacts, collector.samples())
+    estimator._dta.characterize_missing(artifacts, collector.samples())
     model = InstructionErrorModel(
         proc, program, cfg, artifacts.control_model
     )

@@ -1,18 +1,17 @@
-"""End-to-end tests of the ErrorRateEstimator framework.
+"""End-to-end tests of the estimation framework (EstimationPipeline).
 
 Uses a reduced pipeline and a small program so the full train->estimate
 flow runs in seconds, then checks the statistical invariants the paper's
 construction guarantees.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.core import ErrorRateEstimator, ProcessorModel
+from repro.core import ProcessorModel
 from repro.cpu import assemble
 from repro.netlist import PipelineConfig, generate_pipeline
+from repro.pipeline.pipeline import EstimationPipeline
 
 SRC = """
     li r1, 60
@@ -43,7 +42,7 @@ def estimator():
         )
     )
     proc = ProcessorModel(pipeline=pipeline)
-    return ErrorRateEstimator(proc, n_data_samples=64)
+    return EstimationPipeline(proc, n_data_samples=64)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +126,7 @@ class TestCorrectionEffect:
         FunctionalSimulator(program).run(
             MachineState(), listener=collector.listener
         )
-        estimator._characterize_missing(artifacts, collector.samples())
+        estimator._dta.characterize_missing(artifacts, collector.samples())
         em = InstructionErrorModel(
             estimator.processor, program, artifacts.cfg,
             artifacts.control_model,
@@ -181,45 +180,12 @@ class TestOnDemandCharacterization:
         assert model.get(bid, unseen, 0) == model.get(bid, preds[0], 0)
 
 
-class TestDeprecationShim:
-    """ErrorRateEstimator is a thin shim over EstimationPipeline."""
-
-    def test_plain_constructor_is_silent(self, estimator):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ErrorRateEstimator(estimator.processor, n_data_samples=8)
-
-    def test_window_workers_kwarg_warns(self, estimator):
-        with pytest.warns(DeprecationWarning, match="window_workers"):
-            shim = ErrorRateEstimator(
-                estimator.processor, n_data_samples=8, window_workers=2
-            )
-        assert shim.window_workers == 2
-
-    def test_activity_cache_kwarg_warns(self, estimator):
-        from repro.dta.windowpool import ActivityCache
-
-        cache = ActivityCache()
-        with pytest.warns(DeprecationWarning, match="activity_cache"):
-            shim = ErrorRateEstimator(
-                estimator.processor, n_data_samples=8, activity_cache=cache
-            )
-        assert shim.activity_cache is cache
-
-    def test_shim_delegates_to_staged_pipeline(self, estimator):
-        from repro.pipeline.pipeline import EstimationPipeline
-
-        assert isinstance(estimator._pipeline, EstimationPipeline)
-        assert estimator.processor is estimator._pipeline.processor
-        assert estimator.n_data_samples == 64
-        assert estimator._pipeline.store is None
-
-    def test_shim_keeps_validations(self, estimator):
+class TestValidation:
+    def test_pipeline_keeps_validations(self, estimator):
         with pytest.raises(ValueError):
-            ErrorRateEstimator(estimator.processor, n_data_samples=1)
-        with pytest.raises(ValueError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ErrorRateEstimator(estimator.processor, window_workers=0)
+            EstimationPipeline(estimator.processor, n_data_samples=1)
+        with pytest.raises(ValueError):
+            EstimationPipeline(estimator.processor, window_workers=0)
 
 
 class TestFrequencySensitivity:
@@ -233,7 +199,7 @@ class TestFrequencySensitivity:
         base = ProcessorModel(pipeline=pipeline, speculation=1.10)
         rates = []
         for proc in (base, base.derive(speculation=1.25)):
-            est = ErrorRateEstimator(proc, n_data_samples=48)
+            est = EstimationPipeline(proc, n_data_samples=48)
             artifacts = est.train(program)
             rates.append(
                 est.estimate(program, artifacts).error_rate_mean

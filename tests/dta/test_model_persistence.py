@@ -108,9 +108,10 @@ class TestControlModelPersistence:
 class TestEndToEndPersistence:
     def test_trained_models_roundtrip_through_estimate(self):
         """A persisted-and-reloaded model pair reproduces the estimate."""
-        from repro.core import ErrorRateEstimator, ProcessorModel
+        from repro.core import ProcessorModel
         from repro.cpu import assemble
         from repro.netlist import PipelineConfig, generate_pipeline
+        from repro.pipeline.pipeline import EstimationPipeline
 
         pipeline = generate_pipeline(
             PipelineConfig(
@@ -124,7 +125,7 @@ class TestEndToEndPersistence:
             "bne loop\nhalt",
             name="persist-toy",
         )
-        estimator = ErrorRateEstimator(proc, n_data_samples=32)
+        estimator = EstimationPipeline(proc, n_data_samples=32)
         artifacts = estimator.train(program)
         baseline = estimator.estimate(program, artifacts)
 
@@ -145,9 +146,10 @@ class TestEndToEndPersistence:
 
     def test_artifacts_save_load(self, tmp_path):
         """TrainingArtifacts round-trip through disk."""
-        from repro.core import ErrorRateEstimator, ProcessorModel
+        from repro.core import ProcessorModel
         from repro.cpu import assemble
         from repro.netlist import PipelineConfig, generate_pipeline
+        from repro.pipeline.pipeline import EstimationPipeline
 
         pipeline = generate_pipeline(
             PipelineConfig(
@@ -161,7 +163,7 @@ class TestEndToEndPersistence:
             "bne loop\nhalt",
             name="artifacts-toy",
         )
-        estimator = ErrorRateEstimator(proc, n_data_samples=24)
+        estimator = EstimationPipeline(proc, n_data_samples=24)
         artifacts = estimator.train(program)
         path = tmp_path / "artifacts.json"
         artifacts.save(path)
@@ -177,9 +179,10 @@ class TestArtifactPeriodGuard:
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
-        from repro.core import ErrorRateEstimator, ProcessorModel
+        from repro.core import ProcessorModel
         from repro.cpu import assemble
         from repro.netlist import PipelineConfig, generate_pipeline
+        from repro.pipeline.pipeline import EstimationPipeline
 
         pipeline = generate_pipeline(
             PipelineConfig(
@@ -193,7 +196,7 @@ class TestArtifactPeriodGuard:
             "bne loop\nhalt",
             name="period-toy",
         )
-        estimator = ErrorRateEstimator(proc, n_data_samples=16)
+        estimator = EstimationPipeline(proc, n_data_samples=16)
         artifacts = estimator.train(program)
         path = tmp_path_factory.mktemp("artifacts") / "trained.json"
         artifacts.save(path)
@@ -207,24 +210,24 @@ class TestArtifactPeriodGuard:
         assert doc["clock_period"] == pytest.approx(proc.clock_period)
 
     def test_same_period_loads(self, trained):
-        from repro.core import ErrorRateEstimator
+        from repro.pipeline.pipeline import EstimationPipeline
 
         proc, program, path = trained
-        reloaded = ErrorRateEstimator(proc).load_artifacts(program, path)
+        reloaded = EstimationPipeline(proc).load_artifacts(program, path)
         assert len(reloaded.control_model) > 0
 
     def test_other_period_refused(self, trained):
-        from repro.core import ErrorRateEstimator
+        from repro.pipeline.pipeline import EstimationPipeline
 
         proc, program, path = trained
         faster = proc.derive(speculation=1.25)
         with pytest.raises(ValueError, match="clock period"):
-            ErrorRateEstimator(faster).load_artifacts(program, path)
+            EstimationPipeline(faster).load_artifacts(program, path)
 
     def test_legacy_doc_without_period_refused(self, trained):
         import json
 
-        from repro.core import ErrorRateEstimator
+        from repro.pipeline.pipeline import EstimationPipeline
 
         proc, program, path = trained
         doc = json.loads(path.read_text())
@@ -232,4 +235,4 @@ class TestArtifactPeriodGuard:
         legacy = path.with_name("legacy.json")
         legacy.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="clock period"):
-            ErrorRateEstimator(proc).load_artifacts(program, legacy)
+            EstimationPipeline(proc).load_artifacts(program, legacy)

@@ -144,10 +144,10 @@ class TestActivityCache:
         cache.activity(_stimulus(1), lambda _v: _trace(1))
         snapshot = cache.snapshot_keys()
         cache.activity(_stimulus(2), lambda _v: _trace(2))
-        delta = cache.export_since(snapshot)
-        assert set(delta) == {ActivityCache.digest(_stimulus(2))}
+        delta = cache.export_shared_since(snapshot)
+        assert set(delta["index"]) == {ActivityCache.digest(_stimulus(2))}
         parent = ActivityCache()
-        parent.adopt(delta)
+        parent.adopt_shared(delta)
         assert len(parent) == 1 and parent.dirty
 
 
@@ -158,8 +158,8 @@ def _square_task(context, index):
 
 class TestExecutorRegistry:
     def test_builtin_executors_registered(self):
-        # Plugins (e.g. the service's job pool) may append; the three
-        # built-ins always lead the registry in registration order.
+        # Plugins may append; the three built-ins always lead the
+        # registry in registration order.
         assert available_executors()[:3] == [
             "local-serial", "local-fork", "auto"
         ]
@@ -310,21 +310,19 @@ class TestWindowAnalysisPool:
             WindowAnalysisPool(0)
 
     def test_should_parallelize(self):
-        assert not WindowAnalysisPool(1).should_parallelize(10)
-        assert not WindowAnalysisPool(4).should_parallelize(1)
+        assert not WindowAnalysisPool(1).plan(10).parallel
+        assert not WindowAnalysisPool(4).plan(1).parallel
         if fork_available():
             assert WindowAnalysisPool(
                 4, executor="local-fork"
-            ).should_parallelize(8)
+            ).plan(8).parallel
 
     def test_serial_map_preserves_order(self):
         pool = WindowAnalysisPool(1)
         out = pool.map(_square_task, {"base": 3}, 5)
         assert out == [(3 + i) ** 2 for i in range(5)]
 
-    @pytest.mark.skipif(
-        not WindowAnalysisPool.fork_available(), reason="needs fork"
-    )
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_parallel_map_matches_serial(self):
         serial = WindowAnalysisPool(1).map(_square_task, {"base": 3}, 7)
         parallel = WindowAnalysisPool(3, executor="local-fork").map(
@@ -340,9 +338,7 @@ class TestWindowAnalysisPool:
         assert delta.pool_maps_serial == 1
         assert delta.pool_maps_degraded == 0
 
-    @pytest.mark.skipif(
-        not WindowAnalysisPool.fork_available(), reason="needs fork"
-    )
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_parallel_merges_worker_kernel_stats(self):
         def _cache_task(context, index):
             cache = ActivityCache()

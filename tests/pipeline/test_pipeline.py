@@ -1,17 +1,15 @@
 """End-to-end tests of the staged :class:`EstimationPipeline`.
 
-Covers the refactor's acceptance criteria: the legacy
-``ErrorRateEstimator`` shim and the explicit pipeline produce
-byte-identical reports (for both the ``dta.kernels`` and
-``dta.reference`` backends), and a warm second run against a shared
-store reports a hit for every period-independent stage.
+Covers the refactor's acceptance criteria: the ``dta.kernels`` and
+``dta.reference`` backends produce byte-identical reports, and a warm
+second run against a shared store reports a hit for every
+period-independent stage.
 """
 
 import json
 
 import pytest
 
-from repro import ErrorRateEstimator
 from repro.core import EstimationRequest
 from repro.netlist import PipelineConfig
 from repro.pipeline.ir import ProcessorConfig
@@ -51,22 +49,11 @@ def kernels_row(processor):
 
 
 class TestShimMatchesPipeline:
-    def test_legacy_estimator_is_byte_identical(self, processor, kernels_row):
-        estimator = ErrorRateEstimator(processor, n_data_samples=32)
-        assert _row(estimator.run(_request())) == kernels_row
-
     def test_reference_backend_is_byte_identical(self, processor, kernels_row):
         pipeline = EstimationPipeline(
             processor, backends={"dta": "reference"}, n_data_samples=32
         )
         assert _row(pipeline.run(_request())) == kernels_row
-
-    def test_shim_plain_constructor_does_not_warn(self, processor):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ErrorRateEstimator(processor, n_data_samples=32)
 
 
 class TestStoreAwareExecution:

@@ -1,18 +1,22 @@
-"""Tests for the content-addressed artifact cache and its keys."""
+"""Stability and input coverage of the artifact-store keys.
 
-import json
+Store entries are addressed by input-IR content hashes
+(:class:`ControlInputIR` / :class:`DatapathInputIR`) and by the
+program fingerprint; the store itself is covered by
+``tests/pipeline/test_store.py``.
+"""
 
 import pytest
 
 from repro.cpu import assemble
 from repro.netlist import PipelineConfig
-from repro.runner import (
-    ArtifactCache,
-    control_cache_key,
-    datapath_cache_key,
-    program_fingerprint,
-    stable_digest,
+from repro.pipeline.ir import (
+    ControlInputIR,
+    DatapathInputIR,
+    ProcessorConfig,
+    TrainingSpec,
 )
+from repro.runner import program_fingerprint, stable_digest
 from repro.variation import VariationConfig
 
 SRC = "li r1, 5\nloop: subcc r1, r1, 1\nbne loop\nhalt"
@@ -35,7 +39,23 @@ def _control_key(program, **overrides):
         train_instructions=400_000,
     )
     kwargs.update(overrides)
-    return control_cache_key(program, **kwargs)
+    config = ProcessorConfig(
+        pipeline=kwargs["pipeline_config"],
+        variation=kwargs["variation_config"],
+        scheme=kwargs["scheme_name"],
+        paths_per_endpoint=kwargs["paths_per_endpoint"],
+    )
+    spec = TrainingSpec(
+        kwargs["train_scale"], kwargs["train_seed"],
+        kwargs["train_instructions"],
+    )
+    return ControlInputIR.build(
+        program, config, spec, float(kwargs["clock_period"])
+    ).content_hash
+
+
+def _datapath_key(**config):
+    return DatapathInputIR.build(ProcessorConfig(**config)).content_hash
 
 
 class TestKeys:
@@ -72,20 +92,11 @@ class TestKeys:
         assert a != b
 
     def test_datapath_key_is_period_independent(self):
-        key = datapath_cache_key(
-            pipeline_config=PipelineConfig(),
-            variation_config=VariationConfig(),
-            paths_per_endpoint=12,
-        )
-        assert key == datapath_cache_key(
-            pipeline_config=PipelineConfig(),
-            variation_config=VariationConfig(),
-            paths_per_endpoint=12,
-        )
-        assert key != datapath_cache_key(
-            pipeline_config=PipelineConfig(seed=99),
-            variation_config=VariationConfig(),
-            paths_per_endpoint=12,
+        key = _datapath_key(paths_per_endpoint=12)
+        assert key == _datapath_key(paths_per_endpoint=12)
+        assert key == _datapath_key(paths_per_endpoint=12, speculation=1.3)
+        assert key != _datapath_key(
+            pipeline=PipelineConfig(seed=99), paths_per_endpoint=12
         )
 
     def test_program_fingerprint_covers_code(self, program):
@@ -98,52 +109,3 @@ class TestKeys:
         assert program_fingerprint(patched) != program_fingerprint(
             program
         )
-
-
-class TestArtifactCache:
-    def test_roundtrip(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = "ab" + "0" * 62
-        assert cache.get("control", key) is None
-        assert ("control", key) not in cache
-        path = cache.put("control", key, {"x": [1, 2, 3]})
-        assert path.exists()
-        assert cache.get("control", key) == {"x": [1, 2, 3]}
-        assert ("control", key) in cache
-
-    def test_layout_shards_by_prefix(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = "cd" + "1" * 62
-        path = cache.put("datapath", key, {})
-        assert path == tmp_path / "datapath" / "cd" / f"{key}.json"
-        assert cache.entries() == [path]
-
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = "ef" + "2" * 62
-        path = cache.put("control", key, {"ok": True})
-        path.write_text("{not json")
-        assert cache.get("control", key) is None
-        # A corrupt (truncated / garbage) entry is evicted on read, so
-        # the recompute-and-put path finds a clean slot.
-        assert not path.exists()
-        cache.put("control", key, {"ok": True})
-        assert cache.get("control", key) == {"ok": True}
-
-    def test_truncated_entry_is_evicted(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = "ab" + "4" * 62
-        path = cache.put("windows", key, {"windows": {"a": [1, 2, 3]}})
-        full = path.read_text()
-        path.write_text(full[: len(full) // 2])  # torn write
-        assert cache.get("windows", key) is None
-        assert not path.exists()
-        assert cache.entries() == []
-
-    def test_double_put_is_idempotent(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = "01" + "3" * 62
-        cache.put("control", key, {"v": 1})
-        cache.put("control", key, {"v": 1})
-        assert len(cache.entries()) == 1
-        assert json.loads(cache.entries()[0].read_text()) == {"v": 1}

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.core import EstimationRequest
+from repro.dta.executor import fork_available, get_executor
 from repro.netlist import PipelineConfig
-from repro.runner import ArtifactCache, EstimationEngine, ProcessorConfig
+from repro.pipeline.store import ArtifactStore
+from repro.runner import EstimationEngine, ProcessorConfig
 from repro.runner.engine import RunSummary
 
 SMALL = ProcessorConfig(
@@ -37,7 +39,7 @@ def _per_request(requests):
         results=[result for run in runs for result in run.results],
         wall_seconds=sum(run.wall_seconds for run in runs),
         max_workers=1,
-        parallel=False,
+        plan=get_executor("local-serial").plan(len(runs), 1),
         grid_batches=sum(run.grid_batches for run in runs),
     )
 
@@ -112,8 +114,8 @@ class TestArtifactCaching:
 
     def test_cache_entries_on_disk(self, tmp_path):
         _engine(cache_dir=tmp_path).run(_requests("bitcount"))
-        cache = ArtifactCache(tmp_path)
-        kinds = {p.parent.parent.name for p in cache.entries()}
+        store = ArtifactStore(tmp_path)
+        kinds = {p.parent.parent.name for p in store.entries()}
         assert kinds == {"control", "datapath", "windows"}
 
     def test_budget_change_is_a_cache_miss(self, tmp_path):
@@ -217,9 +219,7 @@ class TestGridRouting:
         assert _rows(warm) == _rows(cold)[:1]
 
 
-@pytest.mark.skipif(
-    not EstimationEngine.fork_available(), reason="needs fork"
-)
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
 class TestParallelMatchesSerial:
     def test_rows_byte_identical(self):
         requests = _requests("bitcount", "stringsearch")
@@ -247,6 +247,15 @@ class TestParallelMatchesSerial:
         assert parallel.failed == []
         assert serial.grid_batches == parallel.grid_batches == 1
         assert _rows(parallel) == _rows(serial)
+
+    def test_summary_records_the_fan_out_plan(self):
+        requests = _requests("bitcount", "stringsearch")
+        serial = _engine(max_workers=1).run(requests)
+        parallel = _engine(max_workers=2).run(requests)
+        assert serial.plan.executor == "local-serial"
+        assert parallel.plan.executor == "local-fork"
+        assert parallel.plan.workers == 2
+        assert parallel.to_json()["plan"] == parallel.plan.to_json()
 
     def test_single_job_falls_back_in_process(self):
         summary = _engine(max_workers=4).run(_requests("bitcount"))

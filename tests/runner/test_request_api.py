@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import ErrorRateEstimator, EstimationRequest, ProcessorModel
+from repro.core import EstimationRequest, ProcessorModel
 from repro.cpu import assemble
 from repro.netlist import PipelineConfig, generate_pipeline
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.workloads import load_workload
 
 
@@ -84,7 +85,7 @@ class TestEstimatorRun:
                 cloud_gates=60, seed=7,
             )
         )
-        return ErrorRateEstimator(
+        return EstimationPipeline(
             ProcessorModel(pipeline=pipeline), n_data_samples=32
         )
 

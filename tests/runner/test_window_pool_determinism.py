@@ -128,6 +128,6 @@ def test_windows_artifact_persisted_and_preloaded(tmp_path):
 
 
 def engine_cache_entries(root):
-    from repro.runner import ArtifactCache
+    from repro.pipeline.store import ArtifactStore
 
-    return ArtifactCache(root).entries()
+    return ArtifactStore(root).entries()

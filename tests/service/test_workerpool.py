@@ -7,16 +7,18 @@ import multiprocessing
 import pytest
 
 from repro import api
-from repro.dta.executor import get_executor, last_execution_plan
+from repro.dta.executor import available_executors
 from repro.kernels import kernel_stats
 from repro.netlist import PipelineConfig
 from repro.pipeline.ir import ProcessorConfig
+from repro.pipeline.pipeline import EstimationPipeline
+from repro.service import EstimationService
 from repro.service.workerpool import (
     CRASH_ONCE_ENV,
-    ServicePoolExecutor,
     WorkerCrashed,
     WorkerPool,
     _ship,
+    plan_worker_pool,
 )
 
 SMALL = ProcessorConfig(
@@ -36,15 +38,18 @@ def _doc(**overrides):
     return api.request_to_json(api.build_request(**fields))
 
 
-class TestServicePoolExecutor:
-    def test_registered_in_the_executor_registry(self):
-        assert isinstance(get_executor("service-pool"), ServicePoolExecutor)
+class TestWorkerPoolPlan:
+    def test_the_pool_is_not_a_window_executor(self):
+        """Importing the service leaves the window-executor set alone."""
+        assert available_executors() == ["local-serial", "local-fork", "auto"]
+        with pytest.raises(KeyError, match="service-pool"):
+            EstimationPipeline(SMALL, executor="service-pool")
 
     def test_plan_resolves_on_a_multi_cpu_host(self, monkeypatch):
         monkeypatch.setattr(
             "repro.service.workerpool.effective_cpus", lambda: 8
         )
-        plan = ServicePoolExecutor().plan(16, 4)
+        plan = plan_worker_pool(16, 4)
         assert plan.executor == "service-pool"
         assert plan.workers == 4
         assert plan.reason == ""
@@ -53,13 +58,13 @@ class TestServicePoolExecutor:
         monkeypatch.setattr(
             "repro.service.workerpool.effective_cpus", lambda: 2
         )
-        assert ServicePoolExecutor().plan(16, 8).workers == 2
+        assert plan_worker_pool(16, 8).workers == 2
 
     def test_plan_degrades_on_a_single_cpu(self, monkeypatch):
         monkeypatch.setattr(
             "repro.service.workerpool.effective_cpus", lambda: 1
         )
-        plan = ServicePoolExecutor().plan(16, 4)
+        plan = plan_worker_pool(16, 4)
         assert plan.executor == "local-serial"
         assert "1 usable CPU" in plan.reason
 
@@ -67,24 +72,14 @@ class TestServicePoolExecutor:
         monkeypatch.setattr(
             "repro.service.workerpool.effective_cpus", lambda: 1
         )
-        plan = ServicePoolExecutor().plan(16, 3, force=True)
+        plan = plan_worker_pool(16, 3, force=True)
         assert plan.executor == "service-pool"
         assert plan.workers == 3
 
     def test_zero_workers_is_not_pool_capable(self):
-        plan = ServicePoolExecutor().plan(16, 0)
+        plan = plan_worker_pool(16, 0)
         assert plan.executor == "local-serial"
         assert plan.reason == ""
-
-    def test_window_maps_never_reach_the_job_pool(self):
-        executor = ServicePoolExecutor()
-        results = executor.map(
-            lambda _ctx, i: i * i, None, n_tasks=4, workers=8
-        )
-        assert results == [0, 1, 4, 9]
-        plan = last_execution_plan()
-        assert plan.executor == "local-serial"
-        assert "not window maps" in plan.reason
 
 
 class TestShmHandOff:
@@ -99,7 +94,7 @@ class TestShmHandOff:
 
     def test_small_payloads_travel_inline(self):
         reply = self._roundtrip([{"job": "a", "ok": True, "result": {}}])
-        assert reply[0] == "inline"
+        assert reply[0]["kind"] == "inline"
         assert WorkerPool._adopt(reply) == [
             {"job": "a", "ok": True, "result": {}}
         ]
@@ -108,10 +103,10 @@ class TestShmHandOff:
         outcomes = [{"job": "a", "ok": True, "blob": "x" * (1 << 17)}]
         before = kernel_stats().pool_shm_bytes
         reply = self._roundtrip(outcomes)
-        assert reply[0] == "shm"
-        assert reply[2] == len(json.dumps(outcomes).encode())
+        assert reply[0]["kind"] == "shm"
+        assert reply[0]["bytes"] == len(json.dumps(outcomes).encode())
         assert WorkerPool._adopt(reply) == outcomes
-        assert kernel_stats().pool_shm_bytes - before == reply[2]
+        assert kernel_stats().pool_shm_bytes - before == reply[0]["bytes"]
         # The segment was consumed: adopting again must fail.
         with pytest.raises(FileNotFoundError):
             WorkerPool._adopt(reply)
@@ -170,3 +165,19 @@ class TestWorkerPoolLifecycle:
             assert worker["alive"]
         finally:
             pool.close()
+
+    def test_service_stop_closes_the_pool(self, tmp_path):
+        """Stopping a threaded service stops every spawned worker."""
+        service = EstimationService(
+            tmp_path / "service", config=SMALL, port=0,
+            worker_processes=1, pool_force=True, n_data_samples=32,
+        )
+        handle = service.start_in_thread()
+        pool = service.pool
+        assert pool is not None
+        handle.stop()
+        assert pool._closed
+        assert all(
+            worker.process.exitcode is not None
+            for worker in pool._workers
+        )
