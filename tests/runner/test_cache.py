@@ -2,14 +2,18 @@
 
 Store entries are addressed by input-IR content hashes
 (:class:`ControlInputIR` / :class:`DatapathInputIR`) and by the
-program fingerprint; the store itself is covered by
+program fingerprint.  ``TestArtifactCache`` pins the on-disk entry
+contract the runner relies on; the rest of the store is covered by
 ``tests/pipeline/test_store.py``.
 """
+
+import json
 
 import pytest
 
 from repro.cpu import assemble
 from repro.netlist import PipelineConfig
+from repro.pipeline import ArtifactStore
 from repro.pipeline.ir import (
     ControlInputIR,
     DatapathInputIR,
@@ -109,3 +113,54 @@ class TestKeys:
         assert program_fingerprint(patched) != program_fingerprint(
             program
         )
+
+
+class TestArtifactCache:
+    """The runner's on-disk artifact cache is a disk-backed ArtifactStore."""
+
+    def test_roundtrip(self, tmp_path):
+        cache = ArtifactStore(tmp_path)
+        key = "ab" + "0" * 62
+        assert cache.get_entry("control", key) is None
+        assert ("control", key) not in cache
+        path = cache.put_entry("control", key, {"x": [1, 2, 3]})
+        assert path.exists()
+        assert cache.get_entry("control", key) == {"x": [1, 2, 3]}
+        assert ("control", key) in cache
+
+    def test_layout_shards_by_prefix(self, tmp_path):
+        cache = ArtifactStore(tmp_path)
+        key = "cd" + "1" * 62
+        path = cache.put_entry("datapath", key, {})
+        assert path == tmp_path / "datapath" / "cd" / f"{key}.json"
+        assert cache.entries() == [path]
+
+    def test_corrupt_entry_reads_as_miss(self, tmp_path):
+        cache = ArtifactStore(tmp_path)
+        key = "ef" + "2" * 62
+        path = cache.put_entry("control", key, {"ok": True})
+        path.write_text("{not json")
+        assert cache.get_entry("control", key) is None
+        # A corrupt (truncated / garbage) entry is evicted on read, so
+        # the recompute-and-put path finds a clean slot.
+        assert not path.exists()
+        cache.put_entry("control", key, {"ok": True})
+        assert cache.get_entry("control", key) == {"ok": True}
+
+    def test_truncated_entry_is_evicted(self, tmp_path):
+        cache = ArtifactStore(tmp_path)
+        key = "ab" + "4" * 62
+        path = cache.put_entry("windows", key, {"windows": {"a": [1, 2, 3]}})
+        full = path.read_text()
+        path.write_text(full[: len(full) // 2])  # torn write
+        assert cache.get_entry("windows", key) is None
+        assert not path.exists()
+        assert cache.entries() == []
+
+    def test_double_put_is_idempotent(self, tmp_path):
+        cache = ArtifactStore(tmp_path)
+        key = "01" + "3" * 62
+        cache.put_entry("control", key, {"v": 1})
+        cache.put_entry("control", key, {"v": 1})
+        assert len(cache.entries()) == 1
+        assert json.loads(cache.entries()[0].read_text()) == {"v": 1}
