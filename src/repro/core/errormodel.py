@@ -14,7 +14,7 @@ error-correction emulation (flushed previous state).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import ndtr
 
 from repro._util import as_rng
 from repro.cfg.marginal import BlockProbabilities
@@ -56,7 +56,7 @@ class InstructionErrorModel:
         sd = np.sqrt(var)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(sd > 0, -mean / np.where(sd > 0, sd, 1.0), 0.0)
-        p = sstats.norm.cdf(z)
+        p = ndtr(z)  # scipy.stats.norm.cdf(z), without the import
         p = np.where(sd > 0, p, (mean < 0).astype(float))
         return np.clip(p, 0.0, 1.0)
 

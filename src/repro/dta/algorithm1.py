@@ -270,34 +270,36 @@ class StageDTSAnalyzer:
         """Pairwise slack covariance matrix for registered path ids.
 
         Within-endpoint cells were precomputed by the blocked kernel;
-        cross-endpoint cells are computed on first use (in a canonical
-        ``(low id, high id)`` orientation, so the value never depends on
-        the AP set that triggered it) and cached for the analyzer's
-        lifetime.
+        cross-endpoint cells are computed on first use and cached for the
+        analyzer's lifetime.  All of an AP set's missing cells are filled
+        in one :meth:`~repro.variation.process.ProcessVariationModel.path_cov_pairs`
+        call, each in canonical ``(low id, high id)`` orientation, so a
+        cached value is bitwise the reference ``path_cov`` and never
+        depends on the AP set that first requested it.
         """
         n = len(pids)
         stats = kernel_stats()
+        cache = self._cov_cache
+        keys = [
+            (a, b) if a < b else (b, a)
+            for i, a in enumerate(pids)
+            for b in pids[i + 1 :]
+        ]
+        missing = list(dict.fromkeys(k for k in keys if k not in cache))
+        if missing:
+            reg = self._registered
+            values = self.variation.path_cov_pairs(
+                [(reg[a].gates, reg[b].gates) for a, b in missing]
+            )
+            cache.update(zip(missing, values))
+        stats.cov_cells_computed += len(missing)
+        stats.cov_cache_hits += len(keys) - len(missing)
         cov = np.zeros((n, n))
-        for i in range(n):
-            cov[i, i] = self._path_var[pids[i]]
-            for j in range(i + 1, n):
-                a, b = pids[i], pids[j]
-                key = (a, b) if a < b else (b, a)
-                value = self._cov_cache.get(key)
-                if value is None:
-                    # Exact per-pair computation, in canonical (low id,
-                    # high id) orientation: the cached value is bitwise
-                    # identical to the reference path's and independent
-                    # of which AP set first requested it.
-                    value = self.variation.path_cov(
-                        self._registered[key[0]].gates,
-                        self._registered[key[1]].gates,
-                    )
-                    self._cov_cache[key] = value
-                    stats.cov_cells_computed += 1
-                else:
-                    stats.cov_cache_hits += 1
-                cov[i, j] = cov[j, i] = value
+        rows, cols = np.triu_indices(n, 1)
+        upper = [cache[k] for k in keys]
+        cov[rows, cols] = upper
+        cov[cols, rows] = upper
+        cov[np.arange(n), np.arange(n)] = [self._path_var[p] for p in pids]
         return cov
 
     # ------------------------------------------------------------------ #

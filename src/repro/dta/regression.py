@@ -51,6 +51,8 @@ class RegressionTree:
         self.min_leaf = min_leaf
         self.min_gain = min_gain
         self._nodes: list[_Node] = []
+        # Node fields as arrays for :meth:`predict`, built on first use.
+        self._flat: tuple[np.ndarray, ...] | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -62,32 +64,52 @@ class RegressionTree:
         if len(y) == 0:
             raise ValueError("cannot fit an empty dataset")
         self._nodes = []
+        self._flat = None
         self._build(x, y, depth=0)
         return self
 
     def _best_split(self, x, y):
-        n, d = x.shape
+        """Lowest-SSE ``(feature, threshold, sse)`` split, or
+        ``(None, None, ...)`` when none beats ``min_gain``.
+
+        Every candidate split of every feature is scored at once from
+        the features' sorted cumulative sums.  The result is the one a
+        feature-by-feature, threshold-by-threshold scan with a strict
+        ``<`` update keeps: the first candidate reaching the minimum.
+        """
+        n, _ = x.shape
         base = float(((y - y.mean()) ** 2).sum())
-        best = (None, None, base - self.min_gain)
-        for f in range(d):
-            order = np.argsort(x[:, f], kind="stable")
-            xs, ys = x[order, f], y[order]
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys**2)
-            total_sum, total_sq = csum[-1], csq[-1]
-            for i in range(self.min_leaf, n - self.min_leaf + 1):
-                if xs[i - 1] == xs[min(i, n - 1)]:
-                    continue  # cannot split between equal values
-                left_sum, left_sq = csum[i - 1], csq[i - 1]
-                right_sum = total_sum - left_sum
-                right_sq = total_sq - left_sq
-                sse = (left_sq - left_sum**2 / i) + (
-                    right_sq - right_sum**2 / (n - i)
-                )
-                if sse < best[2]:
-                    threshold = 0.5 * (xs[i - 1] + xs[i])
-                    best = (f, threshold, sse)
-        return best
+        bound = base - self.min_gain
+        order = np.argsort(x, axis=0, kind="stable")
+        xs = np.take_along_axis(x, order, axis=0)
+        ys = y[order]
+        csum = np.cumsum(ys, axis=0)
+        csq = np.cumsum(ys**2, axis=0)
+        # Candidate ``cut`` puts the first ``cut`` sorted rows on the left.
+        cut = np.arange(self.min_leaf, n - self.min_leaf + 1)
+        if cut.size == 0:
+            return None, None, bound
+        left_sum, left_sq = csum[cut - 1], csq[cut - 1]
+        right_sum = csum[-1] - left_sum
+        right_sq = csq[-1] - left_sq
+        n_left = cut[:, None]
+        # float_power, not ``**``: squaring a numpy scalar goes through
+        # libm pow, which numpy's array ``**`` rewrites to x*x.
+        sse = (left_sq - np.float_power(left_sum, 2.0) / n_left) + (
+            right_sq - np.float_power(right_sum, 2.0) / (n - n_left)
+        )
+        # Cannot split between equal values; NaN never wins a ``<``.
+        splittable = xs[cut - 1] != xs[np.minimum(cut, n - 1)]
+        sse = np.where(splittable & ~np.isnan(sse), sse, np.inf)
+        # Feature-major order, so argmin's first hit is the scan's.
+        flat = sse.T.ravel()
+        best = int(np.argmin(flat))
+        if not flat[best] < bound:
+            return None, None, bound
+        feature, row = divmod(best, len(cut))
+        i = int(cut[row])
+        threshold = 0.5 * (xs[i - 1, feature] + xs[i, feature])
+        return feature, threshold, flat[best]
 
     def _build(self, x, y, depth) -> int:
         index = len(self._nodes)
@@ -113,16 +135,21 @@ class RegressionTree:
         if not self._nodes:
             raise RuntimeError("tree is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty(len(x))
-        for i, row in enumerate(x):
-            node = self._nodes[0]
-            while not node.is_leaf:
-                node = self._nodes[
-                    node.left if row[node.feature] <= node.threshold
-                    else node.right
-                ]
-            out[i] = node.value
-        return out
+        if self._flat is None:
+            self._flat = tuple(
+                np.array([getattr(node, name) for node in self._nodes])
+                for name in ("feature", "threshold", "left", "right", "value")
+            )
+        feature, threshold, left, right, value = self._flat
+        # Walk every row down the tree one level per step.
+        at = np.zeros(len(x), dtype=int)
+        rows = np.flatnonzero(feature[at] >= 0)
+        while rows.size:
+            node = at[rows]
+            go_left = x[rows, feature[node]] <= threshold[node]
+            at[rows] = np.where(go_left, left[node], right[node])
+            rows = rows[feature[at[rows]] >= 0]
+        return value[at]
 
     @property
     def n_nodes(self) -> int:

@@ -118,16 +118,19 @@ class DatapathTrainer:
         rec_target = sim.step(state)
         return program, target_ins, rec_prev, rec_target
 
-    def measure(self, program, rec_prev, rec_target):
-        """Gate-level arrival measurement of the target instruction."""
+    def stimulus(self, program, rec_prev, rec_target):
+        """Encoded source rows of one training window, plus the cycles
+        the target instruction enters each stage (for :meth:`measure`)."""
         scheduler = self.scheduler_factory(program, self.pipeline)
         window = InstructionWindow([rec_prev, rec_target])
-        schedule = scheduler.schedule(window)
-        activity = self.simulator.activity(
-            self.encoder.encode_schedule(schedule)
-        )
+        rows = self.encoder.encode_schedule(scheduler.schedule(window))
+        return rows, scheduler.entries(window, [1])
+
+    def measure(self, activity, entries):
+        """Gate-level arrival measurement of the target instruction from
+        its window's switching activity."""
         dts = self.analyzer.window_dts(
-            activity, scheduler.entries(window, [1]), _T_REF, include_safe=True
+            activity, entries, _T_REF, include_safe=True
         )[0]
         if dts is None:
             return 0.0, 0.5  # no data endpoint toggled (nop-like)
@@ -139,25 +142,35 @@ class DatapathTrainer:
     def train(
         self, samples_per_class: int = 48, seed=2019
     ) -> tuple[DatapathTimingModel, list[DatapathSample]]:
-        """Generate training data and fit the datapath timing model."""
+        """Generate training data and fit the datapath timing model.
+
+        Every window is drawn first (measuring consumes no randomness,
+        so the stream is the per-window loop's), then all windows are
+        logic-simulated in one batch, each from the flushed fabric.
+        """
         rng = as_rng(seed)
-        samples: list[DatapathSample] = []
+        windows = []
         for klass in _CLASS_OPS:
             for _ in range(samples_per_class):
                 program, target_ins, rec_prev, rec_target = self.sample_window(
                     klass, rng
                 )
-                arrival, sd = self.measure(program, rec_prev, rec_target)
-                samples.append(
-                    DatapathSample(
-                        op_class=klass,
-                        features=extract_features(
-                            target_ins, rec_target, rec_prev
-                        ),
-                        arrival=arrival,
-                        arrival_sd=sd,
-                    )
+                rows, entries = self.stimulus(program, rec_prev, rec_target)
+                windows.append((klass, target_ins, rec_prev, rec_target, rows, entries))
+        activities = self.simulator.activities([w[4] for w in windows])
+        samples: list[DatapathSample] = []
+        for (klass, target_ins, rec_prev, rec_target, _, entries), activity in zip(
+            windows, activities
+        ):
+            arrival, sd = self.measure(activity, entries)
+            samples.append(
+                DatapathSample(
+                    op_class=klass,
+                    features=extract_features(target_ins, rec_target, rec_prev),
+                    arrival=arrival,
+                    arrival_sd=sd,
                 )
+            )
         model = DatapathTimingModel()
         model.fit(samples)
         return model, samples

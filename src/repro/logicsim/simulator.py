@@ -189,6 +189,26 @@ class LevelizedSimulator:
                 f"previous_state must have shape ({len(self.netlist)},), got "
                 f"{previous_state.shape}"
             )
-        shifted = np.vstack([previous_state[None, :], values[:-1]])
-        activated = values != shifted
-        return ActivityTrace(activated=activated, values=values)
+        return _trace(values, previous_state)
+
+    def activities(self, blocks) -> list[ActivityTrace]:
+        """:meth:`activity` of many independent windows, each from the
+        flushed fabric, settled in one :meth:`evaluate` call.
+
+        Gates settle row by row, so every window's trace equals its own
+        :meth:`activity` call; batching only removes the per-call
+        overhead that dominates few-cycle windows.
+        """
+        values = self.evaluate(np.concatenate(blocks))
+        flushed = self.flushed_state()
+        bounds = np.cumsum([0] + [len(b) for b in blocks])
+        return [
+            _trace(values[start:stop], flushed)
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        ]
+
+
+def _trace(values: np.ndarray, previous_state: np.ndarray) -> ActivityTrace:
+    """Activation trace of settled ``values`` after ``previous_state``."""
+    shifted = np.vstack([previous_state[None, :], values[:-1]])
+    return ActivityTrace(activated=values != shifted, values=values)

@@ -10,7 +10,6 @@ path slacks; minima are computed as ``-max(-X, -Y)``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 from scipy.special import ndtr
 
 from repro.kernels import kernel_config
@@ -27,8 +26,8 @@ __all__ = [
 _EPS = 1e-12
 
 #: Normalizing constant of the standard normal pdf, matching the one
-#: scipy computes internally so the fast scalar path below is bitwise
-#: identical to ``stats.norm.pdf``.
+#: scipy computes internally so the pdfs below are bitwise identical to
+#: ``stats.norm.pdf``.
 _NORM_PDF_C = np.sqrt(2 * np.pi)
 
 
@@ -61,6 +60,10 @@ def clark_max_coefficients(
         phi = float(np.exp(-alpha * alpha / 2.0) / _NORM_PDF_C)
         cphi = float(ndtr(alpha))
     else:
+        # The reference kernel: scipy's distribution machinery, imported
+        # here so that only this branch pays for ``scipy.stats``.
+        from scipy import stats
+
         phi = float(stats.norm.pdf(alpha))
         cphi = float(stats.norm.cdf(alpha))
     mean = x.mean * cphi + y.mean * (1.0 - cphi) + theta * phi
@@ -155,8 +158,12 @@ def clark_min_arrays(m1, v1, m2, v2, cov):
     safe_theta = np.where(theta < _EPS, 1.0, theta)
     # max(-X, -Y): alpha = (m2 - m1) / theta.
     alpha = (m2 - m1) / safe_theta
-    phi = stats.norm.pdf(alpha)
-    cphi = stats.norm.cdf(alpha)
+    # scipy.stats.norm.pdf/cdf's own formulas, without importing
+    # scipy.stats (over a second of every estimate's start-up).  Square
+    # by multiplying, as scipy's array ``x**2`` does: ``**`` on the numpy
+    # scalar that all-scalar inputs produce would call libm pow.
+    phi = np.exp(-alpha * alpha / 2.0) / _NORM_PDF_C
+    cphi = ndtr(alpha)
     neg_mean = -m1 * cphi - m2 * (1.0 - cphi) + theta * phi
     second = (
         (v1 + m1**2) * cphi

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 __all__ = ["Gaussian"]
 
@@ -36,7 +36,9 @@ class Gaussian:
         """P(X <= x)."""
         if self.var == 0.0:
             return 1.0 if x >= self.mean else 0.0
-        return float(stats.norm.cdf(x, loc=self.mean, scale=self.std))
+        # What ``scipy.stats.norm.cdf(x, loc, scale)`` evaluates, without
+        # importing ``scipy.stats`` (1.4 s) for it.
+        return float(ndtr((x - self.mean) / self.std))
 
     def sf(self, x: float) -> float:
         """P(X > x)."""
@@ -48,7 +50,8 @@ class Gaussian:
             raise ValueError(f"quantile must be in (0, 1), got {q}")
         if self.var == 0.0:
             return self.mean
-        return float(stats.norm.ppf(q, loc=self.mean, scale=self.std))
+        # ``scipy.stats.norm.ppf(q, loc, scale)``'s own formula.
+        return float(ndtri(q) * self.std + self.mean)
 
     def pr_negative(self) -> float:
         """P(X < 0) — the probability a slack Gaussian signals a timing error."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 __all__ = ["SteinNormalBound", "stein_normal_bound"]
 
@@ -101,12 +102,11 @@ def stein_normal_bound(
     if variance <= 0:
         return SteinNormalBound(mean, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     sigma = np.sqrt(variance)
-    # Empirical Kolmogorov distance of the lambda samples vs the fit.
-    from scipy import stats as _sstats
-
+    # Empirical Kolmogorov distance of the lambda samples vs the fit
+    # (``scipy.stats.norm.cdf(xs, loc=mean, scale=sigma)``'s formula).
     xs = np.sort(lam_samples)
     n = len(xs)
-    cdf = _sstats.norm.cdf(xs, loc=mean, scale=sigma)
+    cdf = ndtr((xs - mean) / sigma)
     steps = np.arange(1, n + 1) / n
     d_emp = float(
         max(np.abs(steps - cdf).max(), np.abs(steps - 1.0 / n - cdf).max())

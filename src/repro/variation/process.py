@@ -24,6 +24,9 @@ from repro.variation.spatial import SpatialCorrelationModel
 
 __all__ = ["VariationConfig", "ProcessVariationModel"]
 
+#: Cells per block of :meth:`ProcessVariationModel.path_cov_pairs`.
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True, slots=True)
 class VariationConfig:
@@ -181,6 +184,40 @@ class ProcessVariationModel:
             cfg.random_fraction
         )
         return float(cov.sum())
+
+    def path_cov_pairs(self, pairs) -> list[float]:
+        """``[self.path_cov(a, b) for a, b in pairs]``, bit for bit.
+
+        Pairs are grouped by ``(len(a), len(b))`` and each group is
+        evaluated as ``(k, len(a), len(b))`` blocks with the element-wise
+        operation sequence of :meth:`path_cov`.  Every pair's block is
+        then summed on its own with ``.sum()``, which is the reduction
+        :meth:`path_cov` does on an array of the same shape and layout (a
+        reduction over a reshaped axis need not add in the same order).
+        """
+        out = [0.0] * len(pairs)
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, (a, b) in enumerate(pairs):
+            groups.setdefault((len(a), len(b)), []).append(i)
+        cfg = self.config
+        cells = self.spatial.cell_index
+        for (len_a, len_b), members in groups.items():
+            # Bound each block to ~512 KB per temporary.
+            step = max(1, _BLOCK_CELLS // (len_a * len_b))
+            for start in range(0, len(members), step):
+                chunk = members[start : start + step]
+                a = np.array([pairs[i][0] for i in chunk], dtype=int)
+                b = np.array([pairs[i][1] for i in chunk], dtype=int)
+                a3, b3 = a[:, :, None], b[:, None, :]
+                rho = cfg.global_fraction + cfg.spatial_fraction * (
+                    self.spatial.cell_correlation[cells[a3], cells[b3]]
+                )
+                outer = self.sigma[a3] * self.sigma[b3]
+                cov = outer * rho
+                cov = cov + np.equal(a3, b3) * outer * cfg.random_fraction
+                for row, i in enumerate(chunk):
+                    out[i] = float(cov[row].sum())
+        return out
 
     def path_cov_matrix(self, gate_seqs) -> np.ndarray:
         """Pairwise covariance matrix of many summed path delays.

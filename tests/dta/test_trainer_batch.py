@@ -1,0 +1,111 @@
+"""Batched datapath training equals the per-window loop it replaced.
+
+``DatapathTrainer.train`` draws every training window first, settles
+all of them in one ``LevelizedSimulator.evaluate`` call, and then runs
+``measure`` once per window on that window's slice of the activity.
+The reference below draws, simulates and measures one window at a time
+(the loop ``train`` used to be); both must give the same samples bit
+for bit and the same fitted model, for each core family.
+"""
+
+import numpy as np
+import pytest
+
+from repro._util import as_rng
+from repro.cpu.pipeline import InstructionWindow
+from repro.dta.datapath import (
+    DatapathSample,
+    DatapathTimingModel,
+    extract_features,
+)
+from repro.dta.trainer import _CLASS_OPS, _T_REF, DatapathTrainer
+from repro.kernels import kernel_stats
+from repro.netlist import PipelineConfig
+from repro.pipeline.ir import ProcessorConfig
+
+SMALL = PipelineConfig(
+    data_width=8, mult_width=4, shift_bits=3, ctrl_regs=10,
+    cloud_gates=60, seed=7,
+)
+PER_CLASS = 12
+SEED = 3
+
+
+def _trainer(family):
+    proc = ProcessorConfig(pipeline=SMALL, core_family=family).build()
+    return DatapathTrainer(
+        proc.pipeline,
+        proc.data_analyzer,
+        proc.library.setup_time,
+        scheduler_factory=proc.core_family.make_scheduler,
+    )
+
+
+def _reference_train(trainer, samples_per_class, seed):
+    """Draw, simulate and measure one window at a time."""
+    rng = as_rng(seed)
+    samples = []
+    for klass in _CLASS_OPS:
+        for _ in range(samples_per_class):
+            program, target_ins, rec_prev, rec_target = (
+                trainer.sample_window(klass, rng)
+            )
+            scheduler = trainer.scheduler_factory(program, trainer.pipeline)
+            window = InstructionWindow([rec_prev, rec_target])
+            activity = trainer.simulator.activity(
+                trainer.encoder.encode_schedule(scheduler.schedule(window))
+            )
+            dts = trainer.analyzer.window_dts(
+                activity, scheduler.entries(window, [1]), _T_REF,
+                include_safe=True,
+            )[0]
+            if dts is None:
+                arrival, sd = 0.0, 0.5
+            else:
+                arrival = float(_T_REF - trainer.setup_time - dts.mean)
+                sd = float(max(dts.std, 0.5))
+            samples.append(
+                DatapathSample(
+                    op_class=klass,
+                    features=extract_features(target_ins, rec_target, rec_prev),
+                    arrival=arrival,
+                    arrival_sd=sd,
+                )
+            )
+    model = DatapathTimingModel()
+    model.fit(samples)
+    return model, samples
+
+
+@pytest.mark.parametrize("family", ["inorder6", "ooo-tomasulo"])
+def test_batched_training_equals_per_window_loop(family):
+    want_model, want = _reference_train(_trainer(family), PER_CLASS, SEED)
+    trainer = _trainer(family)
+    calls = []
+    measure = trainer.measure
+    trainer.measure = lambda *args: calls.append(1) or measure(*args)
+    before = kernel_stats().snapshot()
+    got_model, got = trainer.train(samples_per_class=PER_CLASS, seed=SEED)
+    sims = kernel_stats().delta(before).sim_calls
+    assert len(calls) == len(got) == PER_CLASS * len(_CLASS_OPS)
+    # One batched evaluate, plus the flushed state on first use.
+    assert sims <= 2
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.op_class == w.op_class
+        assert np.array_equal(g.features, w.features)
+        assert g.arrival == w.arrival and g.arrival_sd == w.arrival_sd
+    assert got_model.to_json() == want_model.to_json()
+    assert any(s.arrival > 0.0 for s in got)
+
+
+def test_activities_equal_per_window_activity():
+    trainer = _trainer("inorder6")
+    rng = np.random.default_rng(0)
+    n = trainer.simulator.n_sources
+    blocks = [rng.random((int(c), n)) < 0.5 for c in (1, 5, 3, 5, 2)]
+    batched = trainer.simulator.activities(blocks)
+    for block, trace in zip(blocks, batched):
+        single = trainer.simulator.activity(block)
+        assert np.array_equal(trace.activated, single.activated)
+        assert np.array_equal(trace.values, single.values)
