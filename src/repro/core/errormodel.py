@@ -19,7 +19,7 @@ from scipy.special import ndtr
 from repro._util import as_rng
 from repro.cfg.marginal import BlockProbabilities
 from repro.core.collect import BlockExecutionSample
-from repro.dta.datapath import FEATURE_NAMES, extract_features
+from repro.dta.datapath import feature_matrix, record_arrays
 from repro.sta.clark import clark_min_arrays
 
 __all__ = ["InstructionErrorModel"]
@@ -103,18 +103,20 @@ class InstructionErrorModel:
         pc = np.empty((n_i, n_samples))
         pe = np.empty((n_i, n_samples))
         g_frac = self.processor.variation.config.global_fraction
+        flushed = np.zeros(n_samples, dtype=np.int64)
         for k in range(n_i):
             ins = self.program[block.start + k]
             klass = ins.op_class
-            n_features = len(FEATURE_NAMES)
-            feats_c = np.empty((n_samples, n_features))
-            feats_e = np.empty((n_samples, n_features))
-            for s, sample in enumerate(chosen):
-                rec = sample.records[k]
-                prev = sample.records[k - 1] if k > 0 else sample.entry_prev
-                feats_c[s] = extract_features(ins, rec, prev)
-                # Correction emulation: previous pipeline state flushed.
-                feats_e[s] = extract_features(ins, rec, None)
+            a, b, r = record_arrays([sample.records[k] for sample in chosen])
+            pa, pb, pr = record_arrays(
+                [
+                    sample.records[k - 1] if k > 0 else sample.entry_prev
+                    for sample in chosen
+                ]
+            )
+            feats_c = feature_matrix(ins, a, b, r, pa, pb, pr)
+            # Correction emulation: previous pipeline state flushed.
+            feats_e = feature_matrix(ins, a, b, r, flushed, flushed, flushed)
             dp_mean_c, dp_sd_c = self.datapath.predict_arrival(klass, feats_c)
             dp_mean_e, dp_sd_e = self.datapath.predict_arrival(klass, feats_e)
             slack_base = self.clock_period - self.setup_time

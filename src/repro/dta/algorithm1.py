@@ -167,6 +167,57 @@ class _StagePlan:
             order_flat[off : off + len(order)] = off + order
         return ranks, order_flat
 
+    def first_activated(self, activated: np.ndarray, mode: str) -> list:
+        """Per criticality ordering of ``mode``: ``(found, candidates)``,
+        both ``(n_cycles, n_endpoints)``: whether an endpoint has an
+        activated path in a cycle, and the global id of its first one."""
+        # One gather + segment-reduce gives every path's full-activation
+        # flag for every cycle: (n_cycles, total_paths).  Summing in
+        # int16 keeps add.reduceat from widening the gathered block to
+        # int64 first.
+        counts = np.add.reduceat(
+            activated[:, self.gather], self.path_segments, axis=1,
+            dtype=np.int16,
+        )
+        act = counts == self.path_lengths[None, :]
+        names = (
+            ("order_nominal",)
+            if mode == "deterministic"
+            else ("order_worst", "order_best")
+        )
+        # The first activated path of an endpoint is its activated path
+        # of minimum rank: a segmented minimum over the global path axis.
+        first = []
+        for name in names:
+            ranks, order_flat = self.orders[name]
+            masked = np.where(act, ranks[None, :], self.n_paths)
+            min_rank = np.minimum.reduceat(masked, self.ep_offsets, axis=1)
+            idx = self.ep_offsets[None, :] + np.minimum(
+                min_rank, self.ep_sizes[None, :] - 1
+            )
+            first.append((min_rank < self.ep_sizes[None, :], order_flat[idx]))
+        return first
+
+    def assemble(self, first: list, mask: np.ndarray, trace: list) -> None:
+        """Extend each cycle's list in ``trace`` by the picks of the
+        endpoints in ``mask``, sorted and unique."""
+        sentinel = self.n_paths
+        chosen = np.concatenate(
+            [
+                np.where(found & mask[None, :], candidates, sentinel).T
+                for found, candidates in first
+            ],
+            axis=0,
+        )
+        # Global path ids are (endpoint, within-endpoint) ordered, and
+        # distinct endpoints never share a path, so one global sort +
+        # dedup reproduces the per-endpoint sorted-unique extension.
+        chosen.sort(axis=0)
+        keep = chosen < sentinel
+        keep[1:] &= chosen[1:] != chosen[:-1]
+        for t in np.flatnonzero(keep.any(axis=0)):
+            trace[t].extend(self.paths_flat[g] for g in chosen[keep[:, t], t])
+
 
 class StageDTSAnalyzer:
     """Algorithm 1 over a netlist with optional process variation.
@@ -402,67 +453,9 @@ class StageDTSAnalyzer:
         in deterministic mode; worst-case and best-case percentile orders
         in statistical mode) the first activated path is selected.
         """
-        check_in("mode", mode, _MODES)
-        if not kernel_config().batched_ap_select:
-            return self._ap_trace_reference(
-                stage, activity, clock_period, mode, include_safe
-            )
-        n_cycles = activity.n_cycles
-        result: list[list[Path]] = [[] for _ in range(n_cycles)]
-        plan = self._stage_plans.get(stage)
-        if plan is None:
-            plan = _StagePlan(self._stage_endpoints[stage])
-            self._stage_plans[stage] = plan
-        if plan.n_paths == 0:
-            return result
-        threshold = clock_period - self.library.setup_time
-        risky = (
-            np.ones(len(plan.eps), dtype=bool)
-            if include_safe
-            else plan.risk_metrics > threshold
-        )
-        if not risky.any():
-            return result
-        # One gather + segment-reduce gives every path's full-activation
-        # flag for every cycle: (n_cycles, total_paths).
-        counts = np.add.reduceat(
-            activity.activated[:, plan.gather].astype(np.int16),
-            plan.path_segments,
-            axis=1,
-        )
-        act = counts == plan.path_lengths[None, :]
-        order_names = (
-            ("order_nominal",)
-            if mode == "deterministic"
-            else ("order_worst", "order_best")
-        )
-        # For each ordering, the first activated path of each endpoint is
-        # the activated path of minimum criticality rank: a segmented
-        # minimum over the global path axis.
-        sentinel = plan.n_paths
-        picks = []
-        for name in order_names:
-            ranks, order_flat = plan.orders[name]
-            masked = np.where(act, ranks[None, :], sentinel)
-            min_rank = np.minimum.reduceat(masked, plan.ep_offsets, axis=1)
-            found = (min_rank < plan.ep_sizes[None, :]) & risky[None, :]
-            idx = plan.ep_offsets[None, :] + np.minimum(
-                min_rank, plan.ep_sizes[None, :] - 1
-            )
-            picks.append(np.where(found, order_flat[idx], sentinel).T)
-        # Per cycle: sorted-unique union of the picks.  Global path ids
-        # are (endpoint, within-endpoint) ordered, and distinct endpoints
-        # never share a path, so one global sort + dedup reproduces the
-        # per-endpoint sorted-unique extension exactly.
-        chosen = np.concatenate(picks, axis=0)
-        chosen.sort(axis=0)
-        keep = chosen < sentinel
-        keep[1:] &= chosen[1:] != chosen[:-1]
-        for t in np.flatnonzero(keep.any(axis=0)):
-            result[t].extend(
-                plan.paths_flat[g] for g in chosen[keep[:, t], t]
-            )
-        return result
+        return self._ap_traces(
+            stage, activity, [clock_period], mode, include_safe
+        )[0]
 
     def ap_trace_grid(
         self,
@@ -483,10 +476,19 @@ class StageDTSAnalyzer:
         risky mask share the same trace object (callers only read the
         traces), which downstream grid consumers use to group periods.
         """
+        return self._ap_traces(
+            stage, activity, clock_periods, mode, include_safe
+        )
+
+    def _ap_traces(self, stage, activity, clock_periods, mode, include_safe):
+        """Body of :meth:`ap_trace` and :meth:`ap_trace_grid` (each public
+        call is one AP selection, so neither calls the other)."""
         check_in("mode", mode, _MODES)
         if not kernel_config().batched_ap_select:
             return [
-                self.ap_trace(stage, activity, cp, mode, include_safe)
+                self._ap_trace_reference(
+                    stage, activity, cp, mode, include_safe
+                )
                 for cp in clock_periods
             ]
         n_cycles = activity.n_cycles
@@ -494,77 +496,26 @@ class StageDTSAnalyzer:
         if plan is None:
             plan = _StagePlan(self._stage_endpoints[stage])
             self._stage_plans[stage] = plan
-        if plan.n_paths == 0:
-            return [
-                [[] for _ in range(n_cycles)] for _ in clock_periods
-            ]
         setup = self.library.setup_time
-        masks = []
+        # Computed lazily, on the first period with any risky endpoint.
+        first = None
+        shared: dict[bytes, list[list[Path]]] = {}
+        traces: list[list[list[Path]]] = []
         for cp in clock_periods:
-            masks.append(
+            mask = (
                 np.ones(len(plan.eps), dtype=bool)
                 if include_safe
                 else plan.risk_metrics > (cp - setup)
             )
-        order_names = (
-            ("order_nominal",)
-            if mode == "deterministic"
-            else ("order_worst", "order_best")
-        )
-        sentinel = plan.n_paths
-        # Period-independent shared work (identical to ap_trace's body),
-        # computed lazily on the first period with any risky endpoint:
-        # activation flags, and per ordering the endpoint-segmented rank
-        # minima plus the flat pick candidates they select.
-        per_order = None
-        shared: dict[bytes, list[list[Path]]] = {}
-        traces: list[list[list[Path]]] = []
-        empty_trace = None
-        for mask in masks:
             key = mask.tobytes()
             trace = shared.get(key)
-            if trace is not None:
-                traces.append(trace)
-                continue
-            if not mask.any():
-                if empty_trace is None:
-                    empty_trace = [[] for _ in range(n_cycles)]
-                shared[key] = empty_trace
-                traces.append(empty_trace)
-                continue
-            if per_order is None:
-                counts = np.add.reduceat(
-                    activity.activated[:, plan.gather].astype(np.int16),
-                    plan.path_segments,
-                    axis=1,
-                )
-                act = counts == plan.path_lengths[None, :]
-                per_order = []
-                for name in order_names:
-                    ranks, order_flat = plan.orders[name]
-                    masked = np.where(act, ranks[None, :], sentinel)
-                    min_rank = np.minimum.reduceat(
-                        masked, plan.ep_offsets, axis=1
-                    )
-                    found0 = min_rank < plan.ep_sizes[None, :]
-                    idx = plan.ep_offsets[None, :] + np.minimum(
-                        min_rank, plan.ep_sizes[None, :] - 1
-                    )
-                    per_order.append((found0, order_flat[idx]))
-            trace = [[] for _ in range(n_cycles)]
-            picks = [
-                np.where(found0 & mask[None, :], candidates, sentinel).T
-                for found0, candidates in per_order
-            ]
-            chosen = np.concatenate(picks, axis=0)
-            chosen.sort(axis=0)
-            keep = chosen < sentinel
-            keep[1:] &= chosen[1:] != chosen[:-1]
-            for t in np.flatnonzero(keep.any(axis=0)):
-                trace[t].extend(
-                    plan.paths_flat[g] for g in chosen[keep[:, t], t]
-                )
-            shared[key] = trace
+            if trace is None:
+                trace = [[] for _ in range(n_cycles)]
+                if mask.any():
+                    if first is None:
+                        first = plan.first_activated(activity.activated, mode)
+                    plan.assemble(first, mask, trace)
+                shared[key] = trace
             traces.append(trace)
         return traces
 

@@ -23,6 +23,8 @@ from repro.sta.gaussian import Gaussian
 
 __all__ = [
     "extract_features",
+    "feature_matrix",
+    "record_arrays",
     "DatapathSample",
     "DatapathTimingModel",
     "carry_chain_length",
@@ -51,42 +53,91 @@ FEATURE_NAMES = (
 )
 
 
+#: Popcount and bit length of every word value, and the feature columns
+#: each table fills: popcounts of (toggle_a, toggle_b, pop_a, pop_b,
+#: toggle_r, pop_r) and bit lengths of (msb_a, msb_b, msb_r, the four
+#: flip_msb columns).
+_WORDS = np.arange(1 << WORD_BITS, dtype=np.uint16)
+_POPCOUNT = sum((_WORDS >> i) & 1 for i in range(WORD_BITS)).astype(np.uint8)
+_BIT_LENGTH = np.frexp(_WORDS)[1].astype(np.uint8)
+_POP_COLUMNS = [4, 5, 7, 8, 9, 11]
+_BIT_LENGTH_COLUMNS = [2, 3, 10, 12, 13, 14, 15]
+del _WORDS
+
+_SHIFTS = np.arange(WORD_BITS)
+
+
+def _carry_chains(a: np.ndarray, b: np.ndarray, cin) -> np.ndarray:
+    """:func:`carry_chain_length` of word arrays ``a + b + cin``."""
+    carry_in = ((a + b + cin) ^ a ^ b) & WORD_MASK
+    extends = (((a ^ b) & carry_in)[:, None] >> _SHIFTS) & 1
+    generate = ((a & b)[:, None] >> _SHIFTS) & 1
+    # A bit that propagates an incoming carry extends the chain ending
+    # below it; any other bit ends the chain there, and starts a new
+    # one of length 1 if it generates a carry.  So the chain through bit
+    # i is i - (j - generate[j]), j the last bit <= i that does not
+    # extend, or i + 1 when every bit up to i extends.  j - generate[j]
+    # never decreases with j, so a running maximum finds it.
+    start = np.where(extends == 1, -1, _SHIFTS - generate)
+    return (_SHIFTS - np.maximum.accumulate(start, axis=1)).max(axis=1)
+
+
 def carry_chain_length(a: int, b: int, cin: int = 0) -> int:
     """Length of the longest carry-propagation chain of ``a + b + cin``.
 
     The dominant value dependence of ripple-carry delay: the number of bit
     positions the longest carry ripple traverses.
     """
-    a &= WORD_MASK
-    b &= WORD_MASK
-    carry = cin & 1
-    longest = 0
-    current = 0
-    for i in range(WORD_BITS):
-        abit = (a >> i) & 1
-        bbit = (b >> i) & 1
-        generate = abit & bbit
-        propagate = abit ^ bbit
-        if carry and propagate:
-            current += 1
-        elif generate:
-            current = 1
-        else:
-            current = 0
-        longest = max(longest, current)
-        carry = generate | (propagate & carry)
-    return longest
+    return int(
+        _carry_chains(np.array([a & WORD_MASK]), np.array([b & WORD_MASK]), cin & 1)[0]
+    )
 
 
-def _popcount(x: int) -> int:
-    return bin(x & WORD_MASK).count("1")
-
-
-def carry_bits(a: int, b: int, cin: int = 0) -> int:
-    """Bit vector of carries *into* each position of ``a + b + cin``."""
-    total = (a & WORD_MASK) + (b & WORD_MASK) + (cin & 1)
+def _carry_bits(a, b, cin: int = 0):
+    """Bit vectors of carries *into* each position of ``a + b + cin``."""
     # carry into bit i equals sum_bit xor a xor b at bit i.
-    return (total ^ a ^ b ^ (cin & 1)) & WORD_MASK
+    return ((a + b + cin) ^ a ^ b ^ cin) & WORD_MASK
+
+
+def feature_matrix(ins, a, b, r, pa, pb, pr) -> np.ndarray:
+    """Feature rows of many dynamic instructions.
+
+    Row ``i`` is :func:`extract_features` of instruction ``ins`` (one
+    :class:`Instruction` for every row, or a sequence of one per row)
+    with operands ``a[i]``, ``b[i]`` and result ``r[i]``, after a
+    previous instruction with operands ``pa[i]``, ``pb[i]`` and result
+    ``pr[i]`` (zeros for a flushed pipeline).  Returns a float64
+    ``(n, len(FEATURE_NAMES))`` array.
+    """
+    a, b, r, pa, pb, pr = (
+        np.asarray(v, dtype=np.int64) & WORD_MASK for v in (a, b, r, pa, pb, pr)
+    )
+    instrs = [ins] if isinstance(ins, Instruction) else ins
+    klass = [i.op_class for i in instrs]
+    sub = np.array([i.op == Opcode.SUB for i in instrs])
+    mem = np.array([k in (OpClass.LOAD, OpClass.STORE) for k in klass])
+    shift = np.array([k == OpClass.SHIFT for k in klass])
+    chain = mem | np.array([k == OpClass.ADDER for k in klass])
+    imm = np.array([i.imm for i in instrs], dtype=np.int64) & WORD_MASK
+    # The adder sees b inverted with a carry-in for SUB and the offset
+    # for memory ops.  Other ops have no carry-chain feature, but the EX
+    # adder still computes (no operand isolation): its carry activity
+    # follows the raw operand change.
+    cin = sub.astype(np.int64)
+    b_eff = np.where(sub, ~b & WORD_MASK, np.where(mem, imm, b))
+    pb_eff = np.where(sub, ~pb & WORD_MASK, np.where(mem, imm, pb))
+    carry = np.where(chain, _carry_chains(a, b_eff, cin), 0) if chain.any() else 0
+    flips = _carry_bits(a, b_eff, cin) ^ _carry_bits(pa, pb_eff, cin)
+    ta, tb, tr = a ^ pa, b ^ pb, r ^ pr
+    out = np.empty((len(a), len(FEATURE_NAMES)))
+    out[:, 0] = 1.0
+    out[:, 1] = carry
+    out[:, 6] = np.where(shift, b & (WORD_BITS - 1), 0)
+    out[:, _POP_COLUMNS] = _POPCOUNT[np.stack([ta, tb, a, b, tr, r], axis=1)]
+    out[:, _BIT_LENGTH_COLUMNS] = _BIT_LENGTH[
+        np.stack([a, b, r, ta, tb, tr, flips], axis=1)
+    ]
+    return out
 
 
 def extract_features(
@@ -98,49 +149,23 @@ def extract_features(
 
     Only architecturally visible values are used: the operands, the
     previous dynamic instruction's operands (register toggles drive which
-    datapath gates switch), and the instruction fields.
+    datapath gates switch), and the instruction fields.  This is the
+    one-row case of :func:`feature_matrix`.
     """
-    a = record.a & WORD_MASK
-    b = record.b & WORD_MASK
-    r = record.result & WORD_MASK
-    pa = (prev.a & WORD_MASK) if prev is not None else 0
-    pb = (prev.b & WORD_MASK) if prev is not None else 0
-    pr = (prev.result & WORD_MASK) if prev is not None else 0
-    klass = ins.op_class
-    if klass == OpClass.ADDER:
-        b_eff = (~b) & WORD_MASK if ins.op == Opcode.SUB else b
-        pb_eff = (~pb) & WORD_MASK if ins.op == Opcode.SUB else pb
-        cin = int(ins.op == Opcode.SUB)
-        carry = carry_chain_length(a, b_eff, cin)
-        flips = carry_bits(a, b_eff, cin) ^ carry_bits(pa, pb_eff, cin)
-    elif klass in (OpClass.LOAD, OpClass.STORE):
-        imm = ins.imm & WORD_MASK
-        carry = carry_chain_length(a, imm)
-        flips = carry_bits(a, imm) ^ carry_bits(pa, imm)
-    else:
-        carry = 0
-        # The EX adder computes regardless of the opcode (no operand
-        # isolation): its carry activity follows the raw operand change.
-        flips = carry_bits(a, b) ^ carry_bits(pa, pb)
-    return np.array(
-        [
-            1.0,
-            float(carry),
-            float(a.bit_length()),
-            float(b.bit_length()),
-            float(_popcount(a ^ pa)),
-            float(_popcount(b ^ pb)),
-            float(b & (WORD_BITS - 1)) if klass == OpClass.SHIFT else 0.0,
-            float(_popcount(a)),
-            float(_popcount(b)),
-            float(_popcount(r ^ pr)),
-            float(r.bit_length()),
-            float(_popcount(r)),
-            float((a ^ pa).bit_length()),
-            float((b ^ pb).bit_length()),
-            float((r ^ pr).bit_length()),
-            float(flips.bit_length()),
-        ]
+    return feature_matrix(
+        ins, *record_arrays([record]), *record_arrays([prev])
+    )[0]
+
+
+def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, b, result)`` int64 arrays of step records, with zeros for a
+    ``None`` record (a flushed pipeline)."""
+    return tuple(
+        np.array(
+            [getattr(rec, f) if rec is not None else 0 for rec in records],
+            dtype=np.int64,
+        )
+        for f in ("a", "b", "result")
     )
 
 

@@ -18,7 +18,13 @@ from repro.cpu.pipeline import InstructionWindow, PipelineScheduler
 from repro.cpu.program import Program
 from repro.cpu.state import MachineState
 from repro.dta.algorithm2 import InstructionDTSAnalyzer
-from repro.dta.datapath import DatapathSample, DatapathTimingModel, extract_features
+from repro.dta.datapath import (
+    DatapathSample,
+    DatapathTimingModel,
+    feature_matrix,
+    record_arrays,
+)
+from repro.logicsim.activity import ActivityTrace
 from repro.logicsim.simulator import LevelizedSimulator
 from repro.logicsim.stimulus import StimulusEncoder
 
@@ -35,9 +41,46 @@ _CLASS_OPS: dict[OpClass, list[Opcode]] = {
     OpClass.OTHER: [Opcode.LI, Opcode.NOP],
 }
 
+#: Stacked ``(cycle, gate)`` activation cells per AP selection in
+#: training: windows are selected a chunk at a time (one ``ap_trace`` per
+#: stage and chunk), which bounds the gathered temporaries.
+_APSEL_CELLS = 1 << 18
+
 #: Reference clock period used only to convert slacks back to arrivals; any
 #: value larger than every path delay works (arrival = T - setup - slack).
 _T_REF = 20000.0
+
+
+def _sample_operands(rng, n: int) -> list[int]:
+    """``n`` operand values with a realistic magnitude mix.
+
+    Uniform 16-bit values almost always have long carry chains; real
+    programs mix small counters, masks, and wide values, so each value
+    draws its bit width uniformly first: ``w = integers(1, 17)``, then
+    ``integers(1 << w)``.  ``Generator.integers`` serves every bounded
+    draw with a range of at most 2**32 from the bit generator's stream
+    of 32-bit words, and for a power-of-two range Lemire's method takes
+    the top bits of one word and never rejects.  So each of those scalar
+    draws is one word, and one ``2n``-word draw gives the same values and
+    leaves the generator in the same state.
+    """
+    words = rng.integers(0, 1 << 32, size=2 * n, dtype=np.uint32)
+    widths = (words[0::2] >> 28) + 1
+    return ((words[1::2] >> (32 - widths)) & WORD_MASK).tolist()
+
+
+def _chunks(activities):
+    """Consecutive runs of windows with at most :data:`_APSEL_CELLS`
+    activation cells (or a single larger window)."""
+    chunk, cells = [], 0
+    for activity in activities:
+        if chunk and cells + activity.activated.size > _APSEL_CELLS:
+            yield chunk
+            chunk, cells = [], 0
+        chunk.append(activity)
+        cells += activity.activated.size
+    if chunk:
+        yield chunk
 
 
 class DatapathTrainer:
@@ -86,17 +129,6 @@ class DatapathTrainer:
         # Bias shift amounts into range for shift ops via rs2 value later.
         return Instruction(op, rd=4, rs1=5, rs2=6, set_cc=bool(rng.integers(2)))
 
-    @staticmethod
-    def _sample_operand(rng) -> int:
-        """Operand values with a realistic magnitude mix.
-
-        Uniform 16-bit values almost always have long carry chains; real
-        programs mix small counters, masks, and wide values, so sample
-        bit-widths uniformly first.
-        """
-        width = int(rng.integers(1, 17))
-        return int(rng.integers(1 << width)) & WORD_MASK
-
     def sample_window(self, klass: OpClass, rng):
         """One training window: random predecessor + target instruction."""
         prev_klass = list(_CLASS_OPS)[int(rng.integers(len(_CLASS_OPS)))]
@@ -110,10 +142,10 @@ class DatapathTrainer:
         )
         sim = FunctionalSimulator(program)
         state = MachineState()
-        for reg in (2, 3, 5, 6):
-            state.regs[reg] = self._sample_operand(rng)
-        for addr in range(0, 128):
-            state.write_mem(addr, self._sample_operand(rng))
+        values = _sample_operands(rng, 4 + 128)
+        for reg, value in zip((2, 3, 5, 6), values):
+            state.regs[reg] = value
+        state.memory[:128] = values[4:]
         rec_prev = sim.step(state)
         rec_target = sim.step(state)
         return program, target_ins, rec_prev, rec_target
@@ -126,16 +158,43 @@ class DatapathTrainer:
         rows = self.encoder.encode_schedule(scheduler.schedule(window))
         return rows, scheduler.entries(window, [1])
 
-    def measure(self, activity, entries):
+    def measure(self, activity, entries, ap_traces=None):
         """Gate-level arrival measurement of the target instruction from
-        its window's switching activity."""
+        its window's switching activity (and, optionally, the window's
+        per-stage AP traces from :meth:`ap_traces`)."""
         dts = self.analyzer.window_dts(
-            activity, entries, _T_REF, include_safe=True
+            activity, entries, _T_REF, include_safe=True, ap_traces=ap_traces
         )[0]
         if dts is None:
             return 0.0, 0.5  # no data endpoint toggled (nop-like)
         arrival = _T_REF - self.setup_time - dts.mean
         return float(arrival), float(max(dts.std, 0.5))
+
+    def ap_traces(self, activities):
+        """Per window, the per-stage AP traces :meth:`measure` selects.
+
+        Consecutive windows are stacked into chunks of at most
+        :data:`_APSEL_CELLS` activation cells, each chunk's AP sets are
+        selected in one ``ap_trace`` call per stage, and every window's
+        cycles are sliced back out.  AP selection is per cycle, so this
+        equals one selection per window.  Yields the windows' traces in
+        order, holding one chunk's at a time.
+        """
+        stage_analyzer = self.analyzer.stage_analyzer
+        for chunk in _chunks(activities):
+            stacked = ActivityTrace(
+                np.concatenate([a.activated for a in chunk]),
+                np.concatenate([a.values for a in chunk]),
+            )
+            traces = [
+                stage_analyzer.ap_trace(s, stacked, _T_REF, include_safe=True)
+                for s in range(self.analyzer.num_stages)
+            ]
+            start = 0
+            for activity in chunk:
+                stop = start + activity.n_cycles
+                yield [trace[start:stop] for trace in traces]
+                start = stop
 
     # ------------------------------------------------------------------ #
 
@@ -146,7 +205,8 @@ class DatapathTrainer:
 
         Every window is drawn first (measuring consumes no randomness,
         so the stream is the per-window loop's), then all windows are
-        logic-simulated in one batch, each from the flushed fabric.
+        logic-simulated in one batch, each from the flushed fabric, and
+        their AP sets are selected a chunk of windows at a time.
         """
         rng = as_rng(seed)
         windows = []
@@ -158,15 +218,20 @@ class DatapathTrainer:
                 rows, entries = self.stimulus(program, rec_prev, rec_target)
                 windows.append((klass, target_ins, rec_prev, rec_target, rows, entries))
         activities = self.simulator.activities([w[4] for w in windows])
+        features = feature_matrix(
+            [w[1] for w in windows],
+            *record_arrays([w[3] for w in windows]),
+            *record_arrays([w[2] for w in windows]),
+        )
         samples: list[DatapathSample] = []
-        for (klass, target_ins, rec_prev, rec_target, _, entries), activity in zip(
-            windows, activities
+        for (klass, *_, entries), activity, traces, row in zip(
+            windows, activities, self.ap_traces(activities), features
         ):
-            arrival, sd = self.measure(activity, entries)
+            arrival, sd = self.measure(activity, entries, traces)
             samples.append(
                 DatapathSample(
                     op_class=klass,
-                    features=extract_features(target_ins, rec_target, rec_prev),
+                    features=row,
                     arrival=arrival,
                     arrival_sd=sd,
                 )
