@@ -1,16 +1,16 @@
 """Experiment ``kernels`` — speedups of the vectorized DTS kernel layer.
 
-Measures the kernel switches of :mod:`repro.kernels` against the retained
-reference implementations (``KernelConfig.reference()`` — the pre-kernel
-per-gate / per-pair / per-call code paths) and writes the numbers to
-``BENCH_kernels.json`` at the repository root so regressions are measured,
-not asserted:
+Measures the vectorized kernels against the frozen scalar references of
+``tests/_reference.py`` (the pre-kernel per-gate / per-pair / per-call
+code paths) and writes the numbers to ``BENCH_kernels.json`` at the
+repository root so regressions are measured, not asserted:
 
 * end-to-end: one characterize+estimate job on the reduced pipeline,
-  kernels on vs. reference, including processor construction;
+  kernels vs. :func:`~tests._reference.reference_kernels`, including
+  processor construction;
 * micro: batched logic simulation vs. the per-gate loop, memoized
-  ``combine`` vs. direct reduction, blocked ``path_cov_matrix`` vs. the
-  pairwise ``path_cov`` loop.
+  ``combine`` vs. a reduction with the memo cleared before every call,
+  blocked ``path_cov_matrix`` vs. the pairwise ``path_cov`` loop.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_kernels.py -q``.
 """
@@ -20,16 +20,18 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
 from conftest import print_table
-from repro import configure_kernels, kernel_stats
+from repro import kernel_stats
 from repro.dta.algorithm1 import StageDTSAnalyzer
 from repro.logicsim.simulator import LevelizedSimulator
 from repro.netlist import PipelineConfig, TimingLibrary, generate_pipeline
 from repro.runner import ProcessorConfig
 from repro.workloads import load_workload
+from tests import _reference
 
 #: Single canonical output location — CI uploads the repo-root file.
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -46,15 +48,22 @@ TRAIN_INSTRUCTIONS = 4_000
 MAX_INSTRUCTIONS = 6_000
 
 
-def _single_job(**kernel_overrides):
-    """One full characterize+estimate job on a fresh processor."""
+def _single_job(reference: bool = False):
+    """One full characterize+estimate job on a fresh processor.
+
+    ``reference=True`` runs it on the frozen scalar references, which
+    only patch this process: the window analysis stays serial.
+    """
     from repro.pipeline.pipeline import EstimationPipeline
 
-    with configure_kernels(**kernel_overrides):
+    with _reference.reference_kernels() if reference else nullcontext():
         before = kernel_stats().snapshot()
         t0 = time.perf_counter()
         processor = SMALL.build()
-        estimator = EstimationPipeline(processor, n_data_samples=32)
+        estimator = EstimationPipeline(
+            processor, n_data_samples=32,
+            window_workers=1, executor="local-serial",
+        )
         workload = load_workload("bitcount")
         program, train_setup, _ = workload.run_spec("small", seed=0)
         artifacts = estimator.train(
@@ -76,10 +85,9 @@ def _single_job(**kernel_overrides):
 def _bench_logic_sim(pipe, rng):
     sim = LevelizedSimulator(pipe.netlist)
     sources = rng.random((512, sim.n_sources)) < 0.5
-    with configure_kernels(level_grouped_sim=False):
-        t0 = time.perf_counter()
-        reference = sim.evaluate(sources)
-        per_gate_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    reference = _reference.evaluate(sim, sources)
+    per_gate_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     batched = sim.evaluate(sources)
     batched_s = time.perf_counter() - t0
@@ -102,11 +110,12 @@ def _bench_combine(pipe):
     paths = list(ep.paths)
     period = max(p.delay for p in paths) * 1.02
     repeats = 200
-    with configure_kernels(combine_memo=False):
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            direct = analyzer.combine(paths, period)
-        direct_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for _ in range(repeats):
+        analyzer._combine_memo.clear()
+        direct = analyzer.combine(paths, period)
+    direct_s = time.perf_counter() - t0
+    analyzer._combine_memo.clear()
     t0 = time.perf_counter()
     for _ in range(repeats):
         memoized = analyzer.combine(paths, period)

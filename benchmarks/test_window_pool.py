@@ -17,7 +17,8 @@ Measures the three pieces the layer adds and writes the numbers to
   still recorded as ``measured_ratio``).
 * **Activity cache**: logic simulations deduplicated by content
   addressing across the Monte Carlo validator's execution windows
-  (cache on vs. off) — training windows are all distinct by
+  (the cache vs. the frozen uncached ``ActivityCache.activity`` of
+  ``tests/_reference.py``) — training windows are all distinct by
   construction, but executed windows repeat their stimuli.
 * **Period-sweep reuse**: a warm second operating point of a frequency
   sweep must re-characterize with *zero* logic simulations, asserted on
@@ -32,15 +33,18 @@ import json
 import os
 import pathlib
 import time
+from unittest import mock
 
 from conftest import print_table
 from repro.core import EstimationRequest
 from repro.dta.executor import effective_cpus, last_execution_plan
-from repro.kernels import configure_kernels, kernel_stats
+from repro.dta.windowpool import ActivityCache
+from repro.kernels import kernel_stats
 from repro.netlist import PipelineConfig
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.runner import EstimationEngine, ProcessorConfig
 from repro.workloads import load_workload
+from tests import _reference
 
 #: Single canonical output location — CI uploads the repo-root file.
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -166,17 +170,17 @@ def test_window_pool_benchmark(tmp_path):
     # -- activity cache: sims deduplicated across MC windows ------------- #
     from repro.core.montecarlo import MonteCarloValidator
 
-    def _mc_sims(**overrides):
-        with configure_kernels(**overrides):
-            before = kernel_stats().snapshot()
-            MonteCarloValidator(
-                processor, n_chips=4, windows_per_block=6
-            ).estimate(
-                program, setup=setup, max_instructions=20_000, seed=0
-            )
-            return kernel_stats().delta(before).sim_calls
+    def _mc_sims():
+        before = kernel_stats().snapshot()
+        MonteCarloValidator(
+            processor, n_chips=4, windows_per_block=6
+        ).estimate(
+            program, setup=setup, max_instructions=20_000, seed=0
+        )
+        return kernel_stats().delta(before).sim_calls
 
-    sims_uncached = _mc_sims(activity_cache=False)
+    with mock.patch.object(ActivityCache, "activity", _reference.activity):
+        sims_uncached = _mc_sims()
     sims_cached = _mc_sims()
 
     # -- period-sweep reuse: warm second operating point ----------------- #

@@ -45,13 +45,7 @@ from repro.core.processor import ProcessorModel, default_processor
 from repro.core.request import EstimationRequest
 from repro.core.results import ErrorRateReport
 from repro.core.montecarlo import MonteCarloValidator
-from repro.kernels import (
-    KernelConfig,
-    KernelStats,
-    configure_kernels,
-    kernel_config,
-    kernel_stats,
-)
+from repro.kernels import KernelStats, kernel_stats
 from repro.pipeline.ir import TrainingArtifacts
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.pipeline.registry import REGISTRY, use_backends
@@ -73,9 +67,6 @@ __all__ = [
     "ArtifactStore",
     "REGISTRY",
     "use_backends",
-    "KernelConfig",
     "KernelStats",
-    "configure_kernels",
-    "kernel_config",
     "kernel_stats",
 ]

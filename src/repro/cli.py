@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     python -m repro table2 [--workers 4] [--max-instructions N] [--json]
     python -m repro sweep bitcount --points 1.0,1.1,1.15,1.2
     python -m repro batch bitcount dijkstra --workers 2 --cache-dir .cache
-    python -m repro pipeline inspect [--backend dta=reference] [--cache-dir D]
+    python -m repro pipeline inspect [--backend statmin=montecarlo] [--cache-dir D]
     python -m repro montecarlo bitcount --chips 16 --window-workers 4
     python -m repro serve --port 8731 --state-dir .repro-service
     python -m repro submit bitcount --speculation 1.15 --json
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", action="append", default=[], metavar="STAGE=NAME",
         help=(
             "select a backend for a stage (repeatable), e.g. "
-            "--backend dta=reference --backend statmin=montecarlo"
+            "--backend statmin=montecarlo"
         ),
     )
     ins.add_argument(
@@ -583,14 +583,14 @@ def _cmd_pipeline(args, out) -> int:
         }
         out.write(json.dumps(doc, indent=2) + "\n")
         return 0
-    out.write(f"{'stage':12s} {'backend':14s} {'cache id':12s} description\n")
+    out.write(f"{'stage':12s} {'backend':14s} description\n")
     for entry in REGISTRY.describe():
         stage = entry["stage"]
         for backend in entry["backends"]:
             selected = "*" if plan[stage] == backend["name"] else " "
             out.write(
                 f"{stage:12s} {selected}{backend['name']:13s} "
-                f"{backend['cache_id']:12s} {backend['description']}\n"
+                f"{backend['description']}\n"
             )
     out.write("core families:\n")
     for name in families:

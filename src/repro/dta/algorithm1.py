@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import check_in, check_positive
-from repro.kernels import kernel_config, kernel_stats
+from repro.kernels import kernel_stats
 from repro.logicsim.activity import ActivityTrace
 from repro.netlist.gates import EndpointKind, GateType
 from repro.netlist.library import TimingLibrary
@@ -484,13 +484,6 @@ class StageDTSAnalyzer:
         """Body of :meth:`ap_trace` and :meth:`ap_trace_grid` (each public
         call is one AP selection, so neither calls the other)."""
         check_in("mode", mode, _MODES)
-        if not kernel_config().batched_ap_select:
-            return [
-                self._ap_trace_reference(
-                    stage, activity, cp, mode, include_safe
-                )
-                for cp in clock_periods
-            ]
         n_cycles = activity.n_cycles
         plan = self._stage_plans.get(stage)
         if plan is None:
@@ -519,41 +512,6 @@ class StageDTSAnalyzer:
             traces.append(trace)
         return traces
 
-    def _ap_trace_reference(
-        self,
-        stage: int,
-        activity: ActivityTrace,
-        clock_period: float,
-        mode: str,
-        include_safe: bool,
-    ) -> list[list[Path]]:
-        """Reference AP selection: per-endpoint loop, per-cycle set union."""
-        n_cycles = activity.n_cycles
-        result: list[list[Path]] = [[] for _ in range(n_cycles)]
-        threshold = clock_period - self.library.setup_time
-        for ep in self._stage_endpoints[stage]:
-            if not include_safe and ep.risk_metric <= threshold:
-                continue
-            if not ep.paths:
-                continue
-            # (n_paths, n_cycles) activation matrix for this endpoint.
-            act = ep.activation_matrix(activity.activated).T
-            orders = (
-                (ep.order_nominal,)
-                if mode == "deterministic"
-                else (ep.order_worst, ep.order_best)
-            )
-            chosen = np.full((len(orders), n_cycles), -1, dtype=int)
-            for oi, order in enumerate(orders):
-                ordered = act[order]
-                any_active = ordered.any(axis=0)
-                first = ordered.argmax(axis=0)
-                chosen[oi, any_active] = np.asarray(order)[first[any_active]]
-            for t in range(n_cycles):
-                picked = {int(i) for i in chosen[:, t] if i >= 0}
-                result[t].extend(ep.paths[i] for i in sorted(picked))
-        return result
-
     # ------------------------------------------------------------------ #
     # Line 22: statistical minimum over the AP slacks.
     # ------------------------------------------------------------------ #
@@ -568,8 +526,7 @@ class StageDTSAnalyzer:
         on (mode, clock period, AP path-id tuple): the same AP set recurs
         across cycles and across (block, edge) characterizations, so with
         the memo each distinct set pays for its Clark reduction exactly
-        once.  The pre-kernel recompute-everything path is kept behind the
-        ``precomputed_cov`` switch of :mod:`repro.kernels`.
+        once.
         """
         check_in("mode", mode, _MODES)
         if not paths:
@@ -578,21 +535,17 @@ class StageDTSAnalyzer:
         if mode == "deterministic":
             worst = max(p.delay for p in paths)
             return Gaussian(clock_period - worst - setup, 0.0)
-        config = kernel_config()
         stats = kernel_stats()
         stats.combine_calls += 1
-        if not config.precomputed_cov:
-            return self._combine_reference(paths, clock_period, setup)
         pids = tuple(self._register_path(p) for p in paths)
         # The statmin pipeline backend is part of the memo identity: a
         # Clark result must never serve a Monte Carlo run (or vice versa).
         method = active_backend("statmin", "clark")
         memo_key = (mode, clock_period, pids, method)
-        if config.combine_memo:
-            hit = self._combine_memo.get(memo_key)
-            if hit is not None:
-                stats.combine_memo_hits += 1
-                return hit
+        hit = self._combine_memo.get(memo_key)
+        if hit is not None:
+            stats.combine_memo_hits += 1
+            return hit
         slacks = [
             Gaussian(clock_period - self._path_mean[pid] - setup,
                      self._path_var[pid])
@@ -603,8 +556,7 @@ class StageDTSAnalyzer:
         else:
             stats.clark_reductions += len(slacks) - 1
             result = statistical_min(slacks, self._cov_for(pids), method=method)
-        if config.combine_memo:
-            self._combine_memo[memo_key] = result
+        self._combine_memo[memo_key] = result
         return result
 
     def combine_grid(
@@ -634,30 +586,20 @@ class StageDTSAnalyzer:
             return [
                 Gaussian(cp - worst - setup, 0.0) for cp in clock_periods
             ]
-        config = kernel_config()
         stats = kernel_stats()
-        if not config.precomputed_cov:
-            # Reference kernels have no registry to batch over; the
-            # scalar path is the ground truth.
-            return [
-                self.combine(paths, cp, mode) for cp in clock_periods
-            ]
         stats.combine_calls += n_periods
         pids = tuple(self._register_path(p) for p in paths)
         method = active_backend("statmin", "clark")
         results: list[Gaussian | None] = [None] * n_periods
         missing: list[int] = []
-        if config.combine_memo:
-            for i, cp in enumerate(clock_periods):
-                hit = self._combine_memo.get((mode, cp, pids, method))
-                if hit is not None:
-                    stats.combine_memo_hits += 1
-                    stats.grid_reuse_hits += 1
-                    results[i] = hit
-                else:
-                    missing.append(i)
-        else:
-            missing = list(range(n_periods))
+        for i, cp in enumerate(clock_periods):
+            hit = self._combine_memo.get((mode, cp, pids, method))
+            if hit is not None:
+                stats.combine_memo_hits += 1
+                stats.grid_reuse_hits += 1
+                results[i] = hit
+            else:
+                missing.append(i)
         if not missing:
             return results
         path_means = np.array([self._path_mean[pid] for pid in pids])
@@ -679,32 +621,8 @@ class StageDTSAnalyzer:
         for row, i in enumerate(missing):
             result = Gaussian(float(out_mean[row]), float(out_var[row]))
             results[i] = result
-            if config.combine_memo:
-                self._combine_memo[
-                    (mode, clock_periods[i], pids, method)
-                ] = result
+            self._combine_memo[(mode, clock_periods[i], pids, method)] = result
         return results
-
-    def _combine_reference(
-        self, paths: list[Path], clock_period: float, setup: float
-    ) -> Gaussian:
-        """Reference statistical reduction: recompute every moment per call."""
-        slacks = []
-        for p in paths:
-            mean, var = self.variation.path_delay_moments(p.gates)
-            slacks.append(Gaussian(clock_period - mean - setup, var))
-        if len(slacks) == 1:
-            return slacks[0]
-        n = len(paths)
-        kernel_stats().clark_reductions += n - 1
-        cov = np.zeros((n, n))
-        for i in range(n):
-            cov[i, i] = slacks[i].var
-            for j in range(i + 1, n):
-                cov[i, j] = cov[j, i] = self.variation.path_cov(
-                    paths[i].gates, paths[j].gates
-                )
-        return statistical_min(slacks, cov)
 
     def dts_trace(
         self,

@@ -32,10 +32,6 @@ structural optimizations out of the call sites:
   worker-side activity-trace deltas cross back through one
   ``multiprocessing.shared_memory`` block instead of per-entry pipe
   pickling.
-
-Both honor the process-wide kernel switches: ``activity_cache=False``
-(or ``reference=True``) in :func:`~repro.kernels.configure_kernels`
-restores the simulate-every-window behaviour.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from repro.dta.executor import (
     in_pool_worker,
     share_bytes,
 )
-from repro.kernels import kernel_config, kernel_stats
+from repro.kernels import kernel_stats
 from repro.logicsim.activity import ActivityTrace
 
 __all__ = ["ActivityCache", "WindowAnalysisPool"]
@@ -116,11 +112,8 @@ class ActivityCache:
 
         ``compute`` is the fallback simulator call (typically
         ``LevelizedSimulator.activity``); it runs on a miss and its
-        result is stored.  With the ``activity_cache`` kernel switch off
-        the cache is bypassed entirely.
+        result is stored.
         """
-        if not kernel_config().activity_cache:
-            return compute(source_values)
         stats = kernel_stats()
         key = self.digest(source_values)
         trace = self._entries.get(key)

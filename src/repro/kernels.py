@@ -1,137 +1,28 @@
-"""Vectorized DTS kernel layer: runtime configuration and counters.
+"""Vectorized DTS kernel layer: counters.
 
 The hot loops of a characterization run — gate-by-gate logic simulation,
 per-AP recomputation of path moments, and pairwise covariance assembly
 for every Clark reduction — are replaced by batched numpy kernels (see
 ``LevelizedSimulator``, ``StageDTSAnalyzer``, and
-``ProcessVariationModel.path_cov_matrix``).  This module holds the two
-cross-cutting pieces:
+``ProcessVariationModel.path_cov_matrix``).  Each kernel has exactly one
+implementation; the straight-line scalar code it replaced is kept, frozen,
+in the test suite (``tests/_reference.py``) as the oracle the parity
+tests and the ``benchmarks/test_kernels.py`` microbenchmark compare
+against.
 
-* :class:`KernelConfig` — process-wide switches that select between the
-  vectorized kernels and the straight-line reference implementations.
-  The reference paths are kept both as ground truth for property tests
-  and as the baseline the ``benchmarks/test_kernels.py`` microbenchmark
-  measures speedups against.
-* :class:`KernelStats` — cheap counters (simulated cycle-gates, Clark
-  reductions performed vs. memo hits, covariance cells computed)
-  threaded through :class:`~repro.runner.engine.RunSummary` and the
-  report ``timing`` section so the speedup is measured, not asserted.
-
-Both are per-process globals: pool workers each carry their own copy, and
-the engine merges worker-side snapshots into the run summary.
+This module holds :class:`KernelStats` — cheap counters (simulated
+cycle-gates, Clark reductions performed vs. memo hits, covariance cells
+computed) threaded through :class:`~repro.runner.engine.RunSummary` and
+the report ``timing`` section so the speedup is measured, not asserted.
+The counters are a per-process global: pool workers each carry their own
+copy, and the engine merges worker-side snapshots into the run summary.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-__all__ = [
-    "KernelConfig",
-    "KernelStats",
-    "kernel_config",
-    "configure_kernels",
-    "kernel_stats",
-]
-
-
-@dataclass(frozen=True, slots=True)
-class KernelConfig:
-    """Process-wide kernel-layer switches.
-
-    Attributes:
-        level_grouped_sim: Evaluate the combinational fabric with one
-            vectorized op per (level, gate-type) group instead of a
-            per-gate Python loop.
-        combine_memo: Memoize :meth:`StageDTSAnalyzer.combine` results on
-            (mode, clock period, AP path-id tuple) so repeated AP sets
-            across cycles and (block, edge) characterizations reduce
-            exactly once.
-        precomputed_cov: Serve path moments and pairwise path covariances
-            from the analyzer's precomputed registry/cache instead of
-            recomputing them per combine call.
-        batched_ap_select: Select activated paths for a whole stage with
-            one gather + segmented rank-minimum over all endpoints per
-            :meth:`StageDTSAnalyzer.ap_trace` call, instead of a Python
-            loop over endpoints and cycles.
-        scalar_norm: Evaluate the scalar standard-normal pdf/cdf inside
-            each Clark reduction step directly (``exp``/``ndtr``) instead
-            of through the ``scipy.stats`` distribution machinery.  The
-            values are bitwise identical; only the per-call argument
-            validation and broadcasting overhead is skipped.
-        stimulus_cache: Memoize per-stage control-bit patterns and operand
-            bit decompositions in :class:`StimulusEncoder`, and scatter
-            them through precomputed source-position index arrays.
-        activity_cache: Serve window activity traces from the
-            content-addressed :class:`~repro.dta.windowpool.ActivityCache`
-            (keyed on a hash of the encoded stimulus) instead of
-            re-running the logic simulation for every occurrence of the
-            same window.
-    """
-
-    level_grouped_sim: bool = True
-    combine_memo: bool = True
-    precomputed_cov: bool = True
-    batched_ap_select: bool = True
-    scalar_norm: bool = True
-    stimulus_cache: bool = True
-    activity_cache: bool = True
-
-    @classmethod
-    def reference(cls) -> "KernelConfig":
-        """The pre-kernel-layer behaviour (every switch off)."""
-        return cls(**{f.name: False for f in fields(cls)})
-
-    @classmethod
-    def named(cls, profile: str) -> "KernelConfig":
-        """A configuration by profile name.
-
-        ``"kernels"`` is the fully vectorized default, ``"reference"``
-        the pre-kernel ground truth — the same identities the pipeline's
-        ``dta`` backends carry as their ``cache_id``.
-        """
-        if profile == "kernels":
-            return cls()
-        if profile == "reference":
-            return cls.reference()
-        raise ValueError(
-            f"unknown kernel profile {profile!r}; "
-            f"known: kernels, reference"
-        )
-
-    def to_overrides(self) -> dict[str, bool]:
-        """This configuration as ``configure_kernels`` keyword overrides."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-_CONFIG = KernelConfig()
-
-
-def kernel_config() -> KernelConfig:
-    """The active (process-wide) kernel configuration."""
-    return _CONFIG
-
-
-@contextmanager
-def configure_kernels(**overrides):
-    """Temporarily override kernel switches (testing / benchmarking).
-
-    >>> with configure_kernels(combine_memo=False):
-    ...     ...  # runs with memoization disabled
-
-    Pass ``reference=True`` to switch every kernel off at once.
-    """
-    global _CONFIG
-    previous = _CONFIG
-    if overrides.pop("reference", False):
-        base = KernelConfig.reference()
-    else:
-        base = previous
-    _CONFIG = replace(base, **overrides)
-    try:
-        yield _CONFIG
-    finally:
-        _CONFIG = previous
+__all__ = ["KernelStats", "kernel_stats"]
 
 
 @dataclass(slots=True)

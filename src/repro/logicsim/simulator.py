@@ -9,17 +9,16 @@ vectorization: gates are grouped by (topological level, gate type) at
 construction time, with the fanin ids of each group gathered into index
 arrays, so a whole level's worth of same-type gates is settled by a single
 vectorized op over the ``(cycles, gates-in-group)`` plane.  The per-gate
-reference loop is retained behind the ``level_grouped_sim`` kernel switch
-(see :mod:`repro.kernels`) for property testing and benchmarking.
+loop it replaced is frozen in the test suite as the parity oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import kernel_config, kernel_stats
+from repro.kernels import kernel_stats
 from repro.logicsim.activity import ActivityTrace
-from repro.netlist.gates import GATE_ARITY, GateType, evaluate_gate
+from repro.netlist.gates import GATE_ARITY, GateType
 from repro.netlist.netlist import Netlist
 
 __all__ = ["LevelizedSimulator"]
@@ -113,44 +112,34 @@ class LevelizedSimulator:
         stats = kernel_stats()
         stats.sim_calls += 1
         stats.sim_cycle_gates += n_cycles * len(self._topo)
-        if kernel_config().level_grouped_sim:
-            for code, gids, fanin in self._plan:
-                # One gather per group: (n_cycles, arity, n_group); the
-                # pin slices below are views into it.
-                ops = values[:, fanin]
-                a = ops[:, 0]
-                if code == 2:
-                    out = a & ops[:, 1]
-                elif code == 4:
-                    out = ~(a & ops[:, 1])
-                elif code == 3:
-                    out = a | ops[:, 1]
-                elif code == 5:
-                    out = ~(a | ops[:, 1])
-                elif code == 6:
-                    out = a ^ ops[:, 1]
-                elif code == 7:
-                    out = ~(a ^ ops[:, 1])
-                elif code == 1:
-                    out = ~a
-                elif code == 0:
-                    out = a
-                elif code == 8:
-                    out = np.where(a, ops[:, 2], ops[:, 1])
-                else:
-                    b, c = ops[:, 1], ops[:, 2]
-                    out = (a & b) | (a & c) | (b & c)
-                values[:, gids] = out
-        else:
-            self._evaluate_pergate(values)
+        for code, gids, fanin in self._plan:
+            # One gather per group: (n_cycles, arity, n_group); the pin
+            # slices below are views into it.
+            ops = values[:, fanin]
+            a = ops[:, 0]
+            if code == 2:
+                out = a & ops[:, 1]
+            elif code == 4:
+                out = ~(a & ops[:, 1])
+            elif code == 3:
+                out = a | ops[:, 1]
+            elif code == 5:
+                out = ~(a | ops[:, 1])
+            elif code == 6:
+                out = a ^ ops[:, 1]
+            elif code == 7:
+                out = ~(a ^ ops[:, 1])
+            elif code == 1:
+                out = ~a
+            elif code == 0:
+                out = a
+            elif code == 8:
+                out = np.where(a, ops[:, 2], ops[:, 1])
+            else:
+                b, c = ops[:, 1], ops[:, 2]
+                out = (a & b) | (a & c) | (b & c)
+            values[:, gids] = out
         return values
-
-    def _evaluate_pergate(self, values: np.ndarray) -> None:
-        """Reference kernel: settle one gate at a time in topological order."""
-        for gid in self._topo:
-            gate = self.netlist.gate(gid)
-            operands = [values[:, i] for i in gate.inputs]
-            values[:, gid] = evaluate_gate(gate.gtype, operands)
 
     def flushed_state(self) -> np.ndarray:
         """Settled per-gate values of the all-zero source assignment.

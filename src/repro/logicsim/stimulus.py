@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels import kernel_config
 from repro.netlist.generator import PipelineNetlist
 
 __all__ = [
@@ -110,8 +109,8 @@ class StimulusEncoder:
         self.netlist = pipeline.netlist
         self.source_ids = [g.gid for g in self.netlist.gates if g.is_endpoint]
         self._source_pos = {gid: i for i, gid in enumerate(self.source_ids)}
-        # Precomputed source-position scatter indices and memo tables for
-        # the cached encoding path (see encode_cycle).
+        # Precomputed source-position scatter indices and memo tables
+        # (see encode_cycle).
         self._ctrl_pos = [
             np.array([self._source_pos[g] for g in ctrl], dtype=int)
             for ctrl in pipeline.ctrl_src
@@ -163,8 +162,17 @@ class StimulusEncoder:
             self._bits_cache[key] = bits
         return bits
 
-    def _encode_cycle_cached(self, cycle: PipelineCycle) -> np.ndarray:
-        """Cached encoding: memoized patterns + index-array scatters."""
+    def encode_cycle(self, cycle: PipelineCycle) -> np.ndarray:
+        """Encode one pipeline cycle into a source-value row.
+
+        Control patterns and operand bit decompositions are memoized and
+        scattered through precomputed source-position index arrays.
+        """
+        num_stages = self.pipeline.num_stages
+        if len(cycle) != num_stages:
+            raise ValueError(
+                f"cycle must have {num_stages} stage entries, got {len(cycle)}"
+            )
         row = np.zeros(self.n_sources, dtype=bool)
         for s, occ in enumerate(cycle):
             pos = self._ctrl_pos[s]
@@ -175,42 +183,6 @@ class StimulusEncoder:
                 row[bus_pos] = self._value_bits(
                     occ.data.get(bus_name, 0), len(bus_pos)
                 )
-        return row
-
-    def encode_cycle(self, cycle: PipelineCycle) -> np.ndarray:
-        """Encode one pipeline cycle into a source-value row."""
-        num_stages = self.pipeline.num_stages
-        if len(cycle) != num_stages:
-            raise ValueError(
-                f"cycle must have {num_stages} stage entries, got {len(cycle)}"
-            )
-        if kernel_config().stimulus_cache:
-            return self._encode_cycle_cached(cycle)
-        row = np.zeros(self.n_sources, dtype=bool)
-        for s, occ in enumerate(cycle):
-            ctrl = self.pipeline.ctrl_src[s]
-            n = len(ctrl)
-            # Mix the stage index in so the same instruction produces
-            # distinct (but fixed) patterns in different stages.  Half the
-            # control bits encode the opcode class, a quarter the opcode,
-            # and a quarter the full static instruction (see
-            # StageOccupancy).
-            stage_salt = mix64(s + 101)
-            levels = (
-                token_bits(mix64(occ.class_token ^ stage_salt), n),
-                token_bits(mix64(occ.op_token ^ stage_salt), n),
-                token_bits(mix64(occ.token ^ stage_salt), n),
-            )
-            for i, gid in enumerate(ctrl):
-                level = 0 if i % 4 < 2 else (1 if i % 4 == 2 else 2)
-                bit = occ.ctrl_overrides.get(i)
-                row[self._source_pos[gid]] = (
-                    levels[level][i] if bit is None else bit
-                )
-            for bus_name, gids in self.pipeline.data_src[s].items():
-                value = occ.data.get(bus_name, 0)
-                for gid, bit in zip(gids, int_to_bits(value, len(gids))):
-                    row[self._source_pos[gid]] = bit
         return row
 
     def encode_schedule(self, schedule: list[PipelineCycle]) -> np.ndarray:

@@ -10,7 +10,7 @@ period-independent.  :func:`execute_grid` runs each of those once and
 fans out only the genuinely period-dependent tail:
 
 * one training functional run + one window characterization sweep
-  (:meth:`~repro.pipeline.stages._DTABackendBase.train_grid`), with the
+  (:meth:`~repro.pipeline.stages.KernelsDTABackend.train_grid`), with the
   DTS evaluation batched along the period axis down to the Clark
   reductions (:func:`repro.sta.ssta.statistical_min_grid`);
 * one evaluation functional run
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.kernels import kernel_stats
 from repro.pipeline.ir import ControlInputIR, DatapathInputIR, TrainingSpec
-from repro.pipeline.registry import REGISTRY, use_backends
+from repro.pipeline.registry import use_backends
 from repro.pipeline.store import stable_digest
 
 __all__ = [
@@ -220,7 +220,6 @@ def execute_grid(
         if use_store and pipeline.config is not None
         else None
     )
-    dta_info = REGISTRY.get("dta", plan["dta"])
     n = len(requests)
     pipes = [pipeline.pipeline_for(r.speculation) for r in requests]
     events: list[list[StageEvent]] = [[] for _ in requests]
@@ -243,7 +242,7 @@ def execute_grid(
         if store is not None:
             datapath_key = store.compose_key(
                 "datapath",
-                REGISTRY.get("datapath", plan["datapath"]).cache_id,
+                plan["datapath"],
                 DatapathInputIR.build(pipeline.config).content_hash,
             )
             hit = pipe._datapath.ensure(
@@ -271,7 +270,7 @@ def execute_grid(
         )
         windows_key = store.compose_key(
             "dta",
-            dta_info.cache_id,
+            plan["dta"],
             base_ir.period_independent().content_hash,
         )
         windows_doc = store.get_entry("windows", windows_key)
@@ -296,7 +295,7 @@ def execute_grid(
                     clock_period=pipe.processor.clock_period,
                 )
                 control_keys[i] = store.compose_key(
-                    "dta", dta_info.cache_id, control_ir.content_hash
+                    "dta", plan["dta"], control_ir.content_hash
                 )
                 doc = store.get_entry("control", control_keys[i])
                 if doc is not None:

@@ -18,8 +18,7 @@ Three persisted artifact streams feed the store, one namespace each:
   processor's :class:`~repro.pipeline.ir.DatapathInputIR`.
 
 Store keys additionally fold in the stage name and the selected
-backend's ``cache_id``, so a reference run can never serve a kernels
-run (or vice versa).  Every request runs through one flow, the grid
+backend's name.  Every request runs through one flow, the grid
 evaluator (:func:`repro.pipeline.grid.execute_grid`): :meth:`execute`
 is its one-point case and :meth:`run` its store-less form.
 """
@@ -98,8 +97,8 @@ class EstimationPipeline:
             ``None`` (the paper's default configuration).  Only the
             recipe form can key the artifact store — a pre-built
             processor runs storeless.
-        backends: Stage -> backend-name overrides (e.g. ``{"dta":
-            "reference"}``); unset stages use registry defaults.
+        backends: Stage -> backend-name overrides (e.g. ``{"statmin":
+            "montecarlo"}``); unset stages use registry defaults.
         store: The :class:`~repro.pipeline.store.ArtifactStore` to
             persist stage outputs in; defaults to a process-local
             in-memory store when a config is given, and ``None``
@@ -107,11 +106,10 @@ class EstimationPipeline:
         n_data_samples: Data-variation sample count used to represent
             the probability random variables.
         window_workers: Fork-pool width for the intra-job window
-            fan-out (the ``dta.reference`` backend always runs serial).
+            fan-out.
         executor: Window-analysis executor name (``"auto"``,
             ``"local-serial"``, ``"local-fork"``; see
-            :mod:`repro.dta.executor`).  Serial-pinned ``dta`` backends
-            ignore it.
+            :mod:`repro.dta.executor`).
         activity_cache: Content-addressed window activity cache shared
             by training, on-demand characterization, and breakdowns (a
             fresh one is built when omitted).
@@ -261,10 +259,9 @@ class EstimationPipeline:
     def build_characterizer(self, program):
         """A characterizer wired to this pipeline's cache and pool width."""
         with use_backends(**self.plan):
-            with self._dta.activation():
-                return self._dta.build_characterizer(
-                    self.processor, program, self.activity_cache
-                )
+            return self._dta.build_characterizer(
+                self.processor, program, self.activity_cache
+            )
 
     def window_doc(self) -> dict:
         """Persistable period-independent window artifacts."""
@@ -335,11 +332,10 @@ class EstimationPipeline:
             reservoir_size=reservoir_size,
         )
         with use_backends(**self.plan):
-            with self._dta.activation():
-                return self._finish_estimate(
-                    program, artifacts, profile, samples,
-                    seed=seed, start=start, kernels_before=kernels_before,
-                )
+            return self._finish_estimate(
+                program, artifacts, profile, samples,
+                seed=seed, start=start, kernels_before=kernels_before,
+            )
 
     @staticmethod
     def collect_evaluation(
@@ -435,13 +431,12 @@ class EstimationPipeline:
         characterization, error model, statistical estimate).
         """
         with use_backends(**self.plan):
-            with self._dta.activation():
-                return self._finish_estimate(
-                    program, artifacts, profile, samples,
-                    seed=seed,
-                    start=time.perf_counter(),
-                    kernels_before=kernel_stats().snapshot(),
-                )
+            return self._finish_estimate(
+                program, artifacts, profile, samples,
+                seed=seed,
+                start=time.perf_counter(),
+                kernels_before=kernel_stats().snapshot(),
+            )
 
     # ------------------------------------------------------------------ #
     # Request execution (store-aware)
@@ -514,31 +509,30 @@ class EstimationPipeline:
         from repro.cfg.marginal import MarginalSolver
 
         with use_backends(**self.plan):
-            with self._dta.activation():
-                cfg = artifacts.cfg
-                simulator = FunctionalSimulator(program)
-                state = MachineState()
-                if setup is not None:
-                    setup(state)
-                collector = SimulationCollector(cfg)
-                simulator.run(
-                    state, max_instructions=max_instructions,
-                    listener=collector.listener,
-                )
-                profile = collector.profile()
-                samples = collector.samples()
-                self._dta.characterize_missing(artifacts, samples)
-                conditionals = self._errormodel.conditionals(
-                    self.processor,
-                    program,
-                    cfg,
-                    artifacts.control_model,
-                    samples,
-                    None,
-                    n_data_samples=self.n_data_samples,
-                    seed=seed,
-                )
-                marginals, _ = MarginalSolver(cfg, profile).solve(conditionals)
+            cfg = artifacts.cfg
+            simulator = FunctionalSimulator(program)
+            state = MachineState()
+            if setup is not None:
+                setup(state)
+            collector = SimulationCollector(cfg)
+            simulator.run(
+                state, max_instructions=max_instructions,
+                listener=collector.listener,
+            )
+            profile = collector.profile()
+            samples = collector.samples()
+            self._dta.characterize_missing(artifacts, samples)
+            conditionals = self._errormodel.conditionals(
+                self.processor,
+                program,
+                cfg,
+                artifacts.control_model,
+                samples,
+                None,
+                n_data_samples=self.n_data_samples,
+                seed=seed,
+            )
+            marginals, _ = MarginalSolver(cfg, profile).solve(conditionals)
         rows: list[dict] = []
         lam_total = 0.0
         for bid, probs in marginals.items():

@@ -21,7 +21,7 @@ Backend classes themselves are registered by :mod:`repro.pipeline.stages`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "BackendInfo",
@@ -42,12 +42,6 @@ class BackendInfo:
         factory: Callable building the backend instance.
         description: One-line human description for ``pipeline inspect``.
         default: Whether this backend is the stage's default.
-        cache_id: Identity used in artifact-store keys.  Backends that
-            are byte-identical by construction (e.g. the serial and
-            pooled executions of the same kernels) share a ``cache_id``
-            so a warm store serves either; semantically distinct
-            backends (e.g. the reference implementation kept as ground
-            truth) get their own.
     """
 
     stage: str
@@ -55,11 +49,6 @@ class BackendInfo:
     factory: object
     description: str = ""
     default: bool = False
-    cache_id: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.cache_id:
-            object.__setattr__(self, "cache_id", self.name)
 
 
 class BackendRegistry:
@@ -81,7 +70,6 @@ class BackendRegistry:
         *,
         description: str = "",
         default: bool = False,
-        cache_id: str = "",
     ):
         """Class/function decorator registering a backend factory."""
 
@@ -97,7 +85,6 @@ class BackendRegistry:
                 factory=factory,
                 description=description,
                 default=default,
-                cache_id=cache_id,
             )
             if default:
                 if stage in self._defaults:
@@ -165,7 +152,6 @@ class BackendRegistry:
                     {
                         "name": info.name,
                         "description": info.description,
-                        "cache_id": info.cache_id,
                     }
                     for info in backends.values()
                 ],

@@ -3,31 +3,28 @@
 Each stage of the estimation flow has one or more backends registered
 into :data:`repro.pipeline.registry.REGISTRY`:
 
-====================  ===========================  ===========================
-stage                 backends                     contract
-====================  ===========================  ===========================
-``netlist``           ``generator``                ProcessorConfig -> ProcessorModel
-``datapath``          ``trainer``                  processor -> DatapathTimingModel (period-independent)
-``dta``               ``kernels`` / ``reference``  training samples -> ControlTimingModel + window artifacts
-``statmin``           ``clark`` / ``montecarlo``   slack Gaussians + covariance -> min Gaussian
-``errormodel``        ``joint``                    operand samples -> per-block conditional probabilities
-``estimate``          ``analytic``                 marginals + profile -> lambda / mixture / bounds
-``validate``          ``montecarlo``               processor + program -> per-chip measured rates
-====================  ===========================  ===========================
+====================  ==========================  ===========================
+stage                 backends                    contract
+====================  ==========================  ===========================
+``netlist``           ``generator``               ProcessorConfig -> ProcessorModel
+``datapath``          ``trainer``                 processor -> DatapathTimingModel (period-independent)
+``dta``               ``kernels``                 training samples -> ControlTimingModel + window artifacts
+``statmin``           ``clark`` / ``montecarlo``  slack Gaussians + covariance -> min Gaussian
+``errormodel``        ``joint``                   operand samples -> per-block conditional probabilities
+``estimate``          ``analytic``                marginals + profile -> lambda / mixture / bounds
+``validate``          ``montecarlo``              processor + program -> per-chip measured rates
+====================  ==========================  ===========================
 
 ``dta.kernels`` fans its windows out across ``window_workers`` through
 the named executor (a fork pool is byte-identical to serial by
-construction); ``dta.reference`` runs the unvectorized ground-truth
-path serially and gets its own cache identity.  ``statmin`` backends
-are consulted *inside* Algorithm 1's ``combine`` via
-:func:`~repro.pipeline.registry.active_backend` — the registry stays
-out of that hot loop.
+construction).  ``statmin`` backends are consulted *inside* Algorithm
+1's ``combine`` via :func:`~repro.pipeline.registry.active_backend` —
+the registry stays out of that hot loop.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
 
 from repro.pipeline.ir import (
     ControlArtifactIR,
@@ -43,7 +40,6 @@ __all__ = [
     "GeneratorNetlistBackend",
     "DatapathTrainerBackend",
     "KernelsDTABackend",
-    "ReferenceDTABackend",
     "ClarkStatMinBackend",
     "MonteCarloStatMinBackend",
     "JointErrorModelBackend",
@@ -152,9 +148,17 @@ class DatapathTrainerBackend:
 # --------------------------------------------------------------------- #
 
 
-class _DTABackendBase:
-    """Shared control-characterization flow; subclasses pick the kernel
-    configuration (via :meth:`activation`) and pool width."""
+@REGISTRY.register(
+    "dta",
+    "kernels",
+    description="Vectorized DTS kernels; window fan-out per "
+    "window_workers/executor",
+    default=True,
+)
+class KernelsDTABackend:
+    """Control characterization on the vectorized kernels.  Windows fan
+    out across ``window_workers`` through the named executor,
+    byte-identical to a serial run by construction."""
 
     def __init__(
         self, window_workers: int = 1, executor: str = "auto"
@@ -163,18 +167,6 @@ class _DTABackendBase:
             raise ValueError("window_workers must be >= 1")
         self.window_workers = window_workers
         self.executor = executor
-
-    @contextmanager
-    def activation(self):
-        """Kernel-configuration context the stage body runs under.
-
-        The default inherits the ambient :func:`repro.kernels.kernel_config`
-        — crucially, an enclosing ``configure_kernels(reference=True)``
-        still applies, so backend selection composes with (rather than
-        overrides) explicit kernel experiments.
-        """
-        with nullcontext():
-            yield
 
     def build_characterizer(self, processor, program, activity_cache):
         from repro.dta.characterize import ControlCharacterizer
@@ -258,13 +250,12 @@ class _DTABackendBase:
         cfg, samples, instructions = self.collect_training_samples(
             program, setup, max_instructions
         )
-        with self.activation():
-            characterizers = [
-                self.build_characterizer(p, program, activity_cache)
-                for p in processors
-            ]
-            models = characterize_grid(characterizers, samples)
-            _ = processors[0].datapath_model
+        characterizers = [
+            self.build_characterizer(p, program, activity_cache)
+            for p in processors
+        ]
+        models = characterize_grid(characterizers, samples)
+        _ = processors[0].datapath_model
         elapsed = time.perf_counter() - start
         # The batched pass cannot attribute counters per point; charge
         # the whole training delta to the first artifact so aggregates
@@ -307,10 +298,9 @@ class _DTABackendBase:
                 f"at {period:.3f} ps; re-train for this operating point"
             )
         cfg = build_cfg(program)
-        with self.activation():
-            characterizer = self.build_characterizer(
-                processor, program, activity_cache
-            )
+        characterizer = self.build_characterizer(
+            processor, program, activity_cache
+        )
         return TrainingArtifacts(
             cfg=cfg,
             control_model=ControlTimingModel.from_json(
@@ -347,8 +337,7 @@ class _DTABackendBase:
                 tail = [example.entry_prev] if example.entry_prev else []
                 tasks.append((bid, pred, tail, example.records))
         if tasks:
-            with self.activation():
-                artifacts.characterizer.characterize_many(tasks, model)
+            artifacts.characterizer.characterize_many(tasks, model)
 
     def window_doc(self, processor, activity_cache) -> dict:
         """Persistable period-independent window artifacts."""
@@ -370,40 +359,6 @@ class _DTABackendBase:
                 registry
             )
         return added
-
-
-@REGISTRY.register(
-    "dta",
-    "kernels",
-    description="Vectorized DTS kernels; window fan-out per "
-    "window_workers/executor",
-    default=True,
-    cache_id="kernels",
-)
-class KernelsDTABackend(_DTABackendBase):
-    """The vectorized kernels.  Windows fan out across
-    ``window_workers`` through the named executor, byte-identical to a
-    serial run by construction."""
-
-
-@REGISTRY.register(
-    "dta",
-    "reference",
-    description="Unvectorized reference DTS path (ground truth)",
-    cache_id="reference",
-)
-class ReferenceDTABackend(_DTABackendBase):
-    def __init__(
-        self, window_workers: int = 1, executor: str = "auto"
-    ) -> None:
-        super().__init__(window_workers=1, executor="local-serial")
-
-    @contextmanager
-    def activation(self):
-        from repro.kernels import KernelConfig, configure_kernels
-
-        with configure_kernels(**KernelConfig.named("reference").to_overrides()):
-            yield
 
 
 # --------------------------------------------------------------------- #

@@ -7,7 +7,7 @@ each with its own keying and persistence: the runner's artifact cache
 analyzer's path-moment ``registry_doc``.  The :class:`ArtifactStore`
 collapses their *persistence* behind one contract:
 
-* every entry is addressed by ``(stage name, backend cache id, input IR
+* every entry is addressed by ``(stage name, backend name, input IR
   content hash)``, digested into a single SHA-256 key;
 * entries are JSON documents living at
   ``<root>/<stage>/<key[:2]>/<key>.json`` (or in memory when no root is

@@ -383,7 +383,7 @@ class EstimationEngine:
         # parent-side load serves every worker.
         key = store.compose_key(
             "datapath",
-            REGISTRY.get("datapath").cache_id,
+            REGISTRY.default("datapath"),
             DatapathInputIR.build(self.config).content_hash,
         )
         return trainer.ensure(base, key=key, store=store)

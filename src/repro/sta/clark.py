@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from repro.kernels import kernel_config
 from repro.sta.gaussian import Gaussian
 
 __all__ = [
@@ -53,19 +52,11 @@ def clark_max_coefficients(
             return x, 1.0, 0.0
         return y, 0.0, 1.0
     alpha = (x.mean - y.mean) / theta
-    if kernel_config().scalar_norm:
-        # Same formulas scipy evaluates inside stats.norm (bitwise
-        # identical), minus its per-call shape/validity machinery —
-        # this sits inside every step of every Clark chain.
-        phi = float(np.exp(-alpha * alpha / 2.0) / _NORM_PDF_C)
-        cphi = float(ndtr(alpha))
-    else:
-        # The reference kernel: scipy's distribution machinery, imported
-        # here so that only this branch pays for ``scipy.stats``.
-        from scipy import stats
-
-        phi = float(stats.norm.pdf(alpha))
-        cphi = float(stats.norm.cdf(alpha))
+    # The formulas scipy evaluates inside stats.norm.pdf/cdf (bitwise
+    # identical), minus its per-call shape/validity machinery — this
+    # sits inside every step of every Clark chain.
+    phi = float(np.exp(-alpha * alpha / 2.0) / _NORM_PDF_C)
+    cphi = float(ndtr(alpha))
     mean = x.mean * cphi + y.mean * (1.0 - cphi) + theta * phi
     second = (
         (x.var + x.mean**2) * cphi
@@ -82,10 +73,10 @@ def clark_max_coefficients_grid(mx, vx, my, vy, cov):
     All inputs broadcast elementwise (the grid path passes ``(P,)``
     vectors, one element per operating point); returns ``(mean, var,
     wx, wy)`` arrays.  Every element executes the exact float64 op
-    sequence of the scalar fast path (``scalar_norm``), so each lane is
-    bitwise identical to calling :func:`clark_max_coefficients` with
-    that lane's scalars — including the degenerate ``theta ~ 0``
-    collapse to the larger-mean argument.
+    sequence of the scalar function, so each lane is bitwise identical
+    to calling :func:`clark_max_coefficients` with that lane's scalars —
+    including the degenerate ``theta ~ 0`` collapse to the larger-mean
+    argument.
     """
     mx = np.asarray(mx, dtype=float)
     vx = np.asarray(vx, dtype=float)

@@ -1,0 +1,290 @@
+"""Frozen scalar references of the DTS kernels (test-side oracles).
+
+Each kernel in ``src/repro`` has exactly one, vectorized implementation.
+The straight-line code each one replaced lives here, unchanged in
+arithmetic, as the ground truth the parity tests compare against:
+
+* ``LevelizedSimulator.evaluate`` -> :func:`evaluate` (per-gate
+  topological loop);
+* ``StimulusEncoder.encode_cycle`` -> :func:`encode_cycle` (uncached
+  re-encode);
+* ``StageDTSAnalyzer.ap_trace`` / ``ap_trace_grid`` -> :func:`ap_trace` /
+  :func:`ap_trace_grid` (per-endpoint, per-cycle scan, once per period);
+* ``StageDTSAnalyzer.combine`` / ``combine_grid`` -> :func:`combine` /
+  :func:`combine_grid` (every moment and ``path_cov`` recomputed per
+  call, no memo, one scalar reduction per period);
+* ``ActivityCache.activity`` -> :func:`activity` (simulate every window);
+* ``clark_max_coefficients`` -> :func:`clark_max_coefficients`
+  (``scipy.stats.norm`` pdf/cdf).
+
+The method references take ``self`` first, so :func:`reference_kernels`
+can patch them over the public entry points and a whole estimation runs
+end to end on the scalar code.  Patches do not cross a spawned process,
+so reference runs must stay in-process: ``window_workers=1``,
+``executor="local-serial"`` and engine ``max_workers=1``.
+"""
+
+from __future__ import annotations
+
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
+import numpy as np
+from scipy import stats
+
+import repro.dta.graphdta
+import repro.sta.clark
+import repro.sta.ssta
+from repro._util import check_in
+from repro.dta.algorithm1 import _MODES, StageDTSAnalyzer
+from repro.dta.windowpool import ActivityCache
+from repro.kernels import kernel_stats
+from repro.logicsim.simulator import LevelizedSimulator
+from repro.logicsim.stimulus import (
+    StimulusEncoder,
+    int_to_bits,
+    mix64,
+    token_bits,
+)
+from repro.netlist.gates import evaluate_gate
+from repro.sta.clark import _EPS, _theta
+from repro.sta.gaussian import Gaussian
+from repro.sta.ssta import statistical_min
+
+__all__ = [
+    "activity",
+    "ap_trace",
+    "ap_trace_grid",
+    "clark_max_coefficients",
+    "combine",
+    "combine_grid",
+    "encode_cycle",
+    "evaluate",
+    "reference_kernels",
+]
+
+
+# --------------------------------------------------------------------- #
+# Logic simulation
+# --------------------------------------------------------------------- #
+
+
+def evaluate(self: LevelizedSimulator, source_values) -> np.ndarray:
+    """``LevelizedSimulator.evaluate``, settling one gate at a time."""
+    source_values = np.asarray(source_values, dtype=bool)
+    if source_values.ndim != 2 or source_values.shape[1] != self.n_sources:
+        raise ValueError(
+            f"source_values must be (n_cycles, {self.n_sources}), got "
+            f"{source_values.shape}"
+        )
+    n_cycles = source_values.shape[0]
+    values = np.zeros((n_cycles, len(self.netlist)), dtype=bool)
+    for gid, col in self._source_pos.items():
+        values[:, gid] = source_values[:, col]
+    stats_ = kernel_stats()
+    stats_.sim_calls += 1
+    stats_.sim_cycle_gates += n_cycles * len(self._topo)
+    for gid in self._topo:
+        gate = self.netlist.gate(gid)
+        operands = [values[:, i] for i in gate.inputs]
+        values[:, gid] = evaluate_gate(gate.gtype, operands)
+    return values
+
+
+def encode_cycle(self: StimulusEncoder, cycle) -> np.ndarray:
+    """``StimulusEncoder.encode_cycle``, re-encoding from scratch."""
+    num_stages = self.pipeline.num_stages
+    if len(cycle) != num_stages:
+        raise ValueError(
+            f"cycle must have {num_stages} stage entries, got {len(cycle)}"
+        )
+    row = np.zeros(self.n_sources, dtype=bool)
+    for s, occ in enumerate(cycle):
+        ctrl = self.pipeline.ctrl_src[s]
+        n = len(ctrl)
+        # Mix the stage index in so the same instruction produces
+        # distinct (but fixed) patterns in different stages.  Half the
+        # control bits encode the opcode class, a quarter the opcode,
+        # and a quarter the full static instruction (see
+        # StageOccupancy).
+        stage_salt = mix64(s + 101)
+        levels = (
+            token_bits(mix64(occ.class_token ^ stage_salt), n),
+            token_bits(mix64(occ.op_token ^ stage_salt), n),
+            token_bits(mix64(occ.token ^ stage_salt), n),
+        )
+        for i, gid in enumerate(ctrl):
+            level = 0 if i % 4 < 2 else (1 if i % 4 == 2 else 2)
+            bit = occ.ctrl_overrides.get(i)
+            row[self._source_pos[gid]] = (
+                levels[level][i] if bit is None else bit
+            )
+        for bus_name, gids in self.pipeline.data_src[s].items():
+            value = occ.data.get(bus_name, 0)
+            for gid, bit in zip(gids, int_to_bits(value, len(gids))):
+                row[self._source_pos[gid]] = bit
+    return row
+
+
+def activity(self: ActivityCache, source_values, compute):
+    """``ActivityCache.activity`` without the cache: always simulate."""
+    return compute(source_values)
+
+
+# --------------------------------------------------------------------- #
+# Algorithm 1: AP selection and the statistical minimum
+# --------------------------------------------------------------------- #
+
+
+def ap_trace(
+    self: StageDTSAnalyzer,
+    stage: int,
+    activity,
+    clock_period: float,
+    mode: str = "statistical",
+    include_safe: bool = False,
+):
+    """``StageDTSAnalyzer.ap_trace``: per-endpoint loop, per-cycle union."""
+    check_in("mode", mode, _MODES)
+    n_cycles = activity.n_cycles
+    result = [[] for _ in range(n_cycles)]
+    threshold = clock_period - self.library.setup_time
+    for ep in self._stage_endpoints[stage]:
+        if not include_safe and ep.risk_metric <= threshold:
+            continue
+        if not ep.paths:
+            continue
+        # (n_paths, n_cycles) activation matrix for this endpoint.
+        act = ep.activation_matrix(activity.activated).T
+        orders = (
+            (ep.order_nominal,)
+            if mode == "deterministic"
+            else (ep.order_worst, ep.order_best)
+        )
+        chosen = np.full((len(orders), n_cycles), -1, dtype=int)
+        for oi, order in enumerate(orders):
+            ordered = act[order]
+            any_active = ordered.any(axis=0)
+            first = ordered.argmax(axis=0)
+            chosen[oi, any_active] = np.asarray(order)[first[any_active]]
+        for t in range(n_cycles):
+            picked = {int(i) for i in chosen[:, t] if i >= 0}
+            result[t].extend(ep.paths[i] for i in sorted(picked))
+    return result
+
+
+def ap_trace_grid(
+    self: StageDTSAnalyzer,
+    stage: int,
+    activity,
+    clock_periods,
+    mode: str = "statistical",
+    include_safe: bool = False,
+):
+    """``StageDTSAnalyzer.ap_trace_grid``: one scalar scan per period."""
+    check_in("mode", mode, _MODES)
+    return [
+        ap_trace(self, stage, activity, cp, mode, include_safe)
+        for cp in clock_periods
+    ]
+
+
+def combine(
+    self: StageDTSAnalyzer,
+    paths,
+    clock_period: float,
+    mode: str = "statistical",
+):
+    """``StageDTSAnalyzer.combine``, recomputing every path moment and
+    pairwise ``path_cov`` per call, with no memo."""
+    check_in("mode", mode, _MODES)
+    if not paths:
+        return None
+    setup = self.library.setup_time
+    if mode == "deterministic":
+        worst = max(p.delay for p in paths)
+        return Gaussian(clock_period - worst - setup, 0.0)
+    kernel_stats().combine_calls += 1
+    slacks = []
+    for p in paths:
+        mean, var = self.variation.path_delay_moments(p.gates)
+        slacks.append(Gaussian(clock_period - mean - setup, var))
+    if len(slacks) == 1:
+        return slacks[0]
+    n = len(paths)
+    kernel_stats().clark_reductions += n - 1
+    cov = np.zeros((n, n))
+    for i in range(n):
+        cov[i, i] = slacks[i].var
+        for j in range(i + 1, n):
+            cov[i, j] = cov[j, i] = self.variation.path_cov(
+                paths[i].gates, paths[j].gates
+            )
+    return statistical_min(slacks, cov)
+
+
+def combine_grid(
+    self: StageDTSAnalyzer,
+    paths,
+    clock_periods,
+    mode: str = "statistical",
+):
+    """``StageDTSAnalyzer.combine_grid``: the scalar combine per period."""
+    check_in("mode", mode, _MODES)
+    return [combine(self, paths, cp, mode) for cp in clock_periods]
+
+
+def clark_max_coefficients(x: Gaussian, y: Gaussian, cov_xy: float):
+    """``clark_max_coefficients`` through ``scipy.stats.norm``."""
+    theta = _theta(x.var, y.var, cov_xy)
+    if theta < _EPS:
+        # X - Y is (almost) deterministic: the max is whichever has the
+        # larger mean.
+        if x.mean >= y.mean:
+            return x, 1.0, 0.0
+        return y, 0.0, 1.0
+    alpha = (x.mean - y.mean) / theta
+    phi = float(stats.norm.pdf(alpha))
+    cphi = float(stats.norm.cdf(alpha))
+    mean = x.mean * cphi + y.mean * (1.0 - cphi) + theta * phi
+    second = (
+        (x.var + x.mean**2) * cphi
+        + (y.var + y.mean**2) * (1.0 - cphi)
+        + (x.mean + y.mean) * theta * phi
+    )
+    var = max(second - mean**2, 0.0)
+    return Gaussian(mean, var), cphi, 1.0 - cphi
+
+
+# --------------------------------------------------------------------- #
+# Whole-run switch
+# --------------------------------------------------------------------- #
+
+#: (owner, attribute, frozen body) patched by :func:`reference_kernels`.
+_PATCHES = (
+    (LevelizedSimulator, "evaluate", evaluate),
+    (StimulusEncoder, "encode_cycle", encode_cycle),
+    (StageDTSAnalyzer, "ap_trace", ap_trace),
+    (StageDTSAnalyzer, "ap_trace_grid", ap_trace_grid),
+    (StageDTSAnalyzer, "combine", combine),
+    (StageDTSAnalyzer, "combine_grid", combine_grid),
+    (ActivityCache, "activity", activity),
+    # Every module that binds the scalar Clark step by name.
+    (repro.sta.ssta, "clark_max_coefficients", clark_max_coefficients),
+    (repro.sta.clark, "clark_max_coefficients", clark_max_coefficients),
+    (repro.dta.graphdta, "clark_max_coefficients", clark_max_coefficients),
+)
+
+
+@contextmanager
+def reference_kernels():
+    """Run the enclosed code on the frozen scalar references.
+
+    Patches every kernel entry point with its reference body for the
+    duration of the block (in this process only; see the module
+    docstring for the serial settings a full run needs).
+    """
+    with ExitStack() as stack:
+        for owner, name, body in _PATCHES:
+            stack.enter_context(mock.patch.object(owner, name, body))
+        yield

@@ -78,20 +78,23 @@ class TestPipelineInspect:
         # Defaults are marked selected; alternates are listed unmarked.
         assert "*kernels" in text
         assert "*clark" in text
-        assert "reference" in text
         assert "montecarlo" in text
         assert "store: (none" in text
 
     def test_backend_override_moves_the_marker(self):
-        code, text = _run(["pipeline", "inspect", "--backend", "dta=reference"])
+        code, text = _run(
+            ["pipeline", "inspect", "--backend", "statmin=montecarlo"]
+        )
         assert code == 0
-        assert "*reference" in text
-        assert "*kernels" not in text
+        # ``validate`` also defaults to a ``montecarlo``: match the row.
+        assert f"{'statmin':12s} *montecarlo" in text
+        assert "*clark" not in text
 
     def test_unknown_backend_is_exit_2(self):
-        code, text = _run(["pipeline", "inspect", "--backend", "dta=nope"])
-        assert code == 2
-        assert "error:" in text
+        for backend in ("dta=nope", "dta=reference"):
+            code, text = _run(["pipeline", "inspect", "--backend", backend])
+            assert code == 2
+            assert "error:" in text
         code, text = _run(["pipeline", "inspect", "--backend", "garbage"])
         assert code == 2
         assert "STAGE=NAME" in text
@@ -104,8 +107,8 @@ class TestPipelineInspect:
         doc = json.loads(text)
         assert doc["schema"] == "repro.pipeline/1"
         assert len(doc["stages"]) >= 5
-        multi = [s for s in doc["stages"] if len(s["backends"]) >= 2]
-        assert len(multi) >= 2
+        multi = [s["stage"] for s in doc["stages"] if len(s["backends"]) >= 2]
+        assert "statmin" in multi
         assert doc["plan"]["dta"] == "kernels"
         assert doc["store"]["location"] == str(tmp_path)
 

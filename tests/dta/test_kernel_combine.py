@@ -1,18 +1,19 @@
 """Kernel-layer equivalence tests for Algorithm 1 (AP selection + combine).
 
 The batched AP selection and the memoized/precomputed combine path must
-reproduce the reference implementations exactly: AP sets path-for-path,
-and statistical-min results bitwise (``Gaussian`` is a frozen dataclass,
-so ``==`` compares the float payload exactly).
+reproduce the frozen scalar references of ``tests/_reference.py``: AP
+sets path-for-path, and statistical-min results bitwise (``Gaussian`` is
+a frozen dataclass, so ``==`` compares the float payload exactly).
 """
 
 import numpy as np
 import pytest
 
 from repro.dta import StageDTSAnalyzer
-from repro.kernels import configure_kernels, kernel_stats
+from repro.kernels import kernel_stats
 from repro.logicsim import LevelizedSimulator
 from repro.netlist import PipelineConfig, TimingLibrary, generate_pipeline
+from tests import _reference
 
 CONFIG = PipelineConfig(
     data_width=8, mult_width=4, ctrl_regs=8, cloud_gates=40, seed=1
@@ -61,10 +62,9 @@ def test_batched_ap_matches_reference(analyzer, trace, mode, include_safe):
             batched = analyzer.ap_trace(
                 stage, trace, period, mode, include_safe
             )
-            with configure_kernels(batched_ap_select=False):
-                reference = analyzer.ap_trace(
-                    stage, trace, period, mode, include_safe
-                )
+            reference = _reference.ap_trace(
+                analyzer, stage, trace, period, mode, include_safe
+            )
             assert _ap_ids(batched) == _ap_ids(reference)
 
 
@@ -85,8 +85,11 @@ def test_memoized_combine_bitwise_equal_to_direct(analyzer, trace):
     period = _periods(analyzer)[1]
     aps = _ap_sets(analyzer, trace, period, "statistical")
     assert aps  # the random trace must actually activate paths
-    with configure_kernels(combine_memo=False):
-        direct = [analyzer.combine(ap, period) for ap in aps]
+    direct = []
+    for ap in aps:
+        analyzer._combine_memo.clear()
+        direct.append(analyzer.combine(ap, period))
+    analyzer._combine_memo.clear()
     memo_once = [analyzer.combine(ap, period) for ap in aps]
     memo_again = [analyzer.combine(ap, period) for ap in aps]
     assert memo_once == direct
@@ -109,10 +112,9 @@ def test_precomputed_cov_matches_reference(analyzer, trace):
     period = _periods(analyzer)[1]
     aps = _ap_sets(analyzer, trace, period, "statistical")
     for ap in aps[:20]:
-        with configure_kernels(combine_memo=False):
-            fast = analyzer.combine(ap, period)
-        with configure_kernels(precomputed_cov=False, combine_memo=False):
-            reference = analyzer.combine(ap, period)
+        analyzer._combine_memo.clear()
+        fast = analyzer.combine(ap, period)
+        reference = _reference.combine(analyzer, ap, period)
         assert fast.mean == pytest.approx(reference.mean, rel=1e-9)
         assert fast.var == pytest.approx(reference.var, rel=1e-9, abs=1e-12)
 
@@ -121,8 +123,9 @@ def test_deterministic_mode_bypasses_memo(analyzer, trace):
     period = _periods(analyzer)[1]
     aps = _ap_sets(analyzer, trace, period, "deterministic")
     result = analyzer.combine(aps[0], period, mode="deterministic")
-    with configure_kernels(reference=True):
-        reference = analyzer.combine(aps[0], period, mode="deterministic")
+    reference = _reference.combine(
+        analyzer, aps[0], period, mode="deterministic"
+    )
     assert result == reference
     assert result.var == 0.0
 

@@ -24,7 +24,7 @@ from repro.dta.windowpool import (
     _decode_bits,
     _encode_bits,
 )
-from repro.kernels import configure_kernels, kernel_stats
+from repro.kernels import kernel_stats
 from repro.logicsim.activity import ActivityTrace
 
 
@@ -80,21 +80,6 @@ class TestActivityCache:
         assert delta.activity_cache_hits == 1
         assert delta.windows_reused == 0
         assert cache.dirty and len(cache) == 1
-
-    def test_switch_off_bypasses_cache(self):
-        cache = ActivityCache()
-        stim = _stimulus(1)
-        calls = []
-
-        def compute(values):
-            calls.append(1)
-            return _trace(5)
-
-        with configure_kernels(activity_cache=False):
-            cache.activity(stim, compute)
-            cache.activity(stim, compute)
-        assert len(calls) == 2
-        assert len(cache) == 0 and not cache.dirty
 
     def test_doc_round_trip_lossless(self):
         cache = ActivityCache()

@@ -2,16 +2,18 @@
 
 The level-grouped evaluation, the cached flushed state, and the memoized
 stimulus encoder must be *exactly* equivalent to the per-gate / per-call
-reference paths — all three only reorganize boolean work.
+references frozen in ``tests/_reference.py`` — all three only reorganize
+boolean work.
 """
 
 import numpy as np
 import pytest
 
-from repro.kernels import configure_kernels, kernel_stats
+from repro.kernels import kernel_stats
 from repro.logicsim import LevelizedSimulator, StimulusEncoder
 from repro.logicsim.stimulus import StageOccupancy
 from repro.netlist import PipelineConfig, generate_pipeline
+from tests import _reference
 
 CONFIGS = [
     PipelineConfig(data_width=8, mult_width=4, ctrl_regs=8,
@@ -31,8 +33,7 @@ def test_level_grouped_matches_pergate(config):
     for n_cycles in (1, 7, 33):
         sources = rng.random((n_cycles, sim.n_sources)) < 0.5
         batched = sim.evaluate(sources)
-        with configure_kernels(level_grouped_sim=False):
-            reference = sim.evaluate(sources)
+        reference = _reference.evaluate(sim, sources)
         assert np.array_equal(batched, reference)
 
 
@@ -90,8 +91,9 @@ def test_stimulus_cache_matches_reference(config):
     rng = np.random.default_rng(config.seed + 100)
     schedule = _random_schedule(pipe, rng, 9)
     cached = encoder.encode_schedule(schedule)
-    with configure_kernels(stimulus_cache=False):
-        reference = encoder.encode_schedule(schedule)
+    reference = np.stack(
+        [_reference.encode_cycle(encoder, cycle) for cycle in schedule]
+    )
     assert np.array_equal(cached, reference)
     # Repeat encodes hit the memo and stay identical.
     assert np.array_equal(encoder.encode_schedule(schedule), reference)

@@ -1,6 +1,7 @@
 """Grid parity suite: the batched operating-point evaluator must be
-byte-identical to the per-point loop — across workloads, DTA backends,
-and the degraded 1-CPU executor path."""
+byte-identical to the per-point loop — across workloads, executors,
+the frozen scalar kernel references, and the degraded 1-CPU executor
+path."""
 
 import json
 
@@ -13,6 +14,7 @@ from repro.pipeline.grid import GridRequest, GridResult, execute_grid
 from repro.pipeline.ir import ProcessorConfig
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.pipeline.store import ArtifactStore
+from tests._reference import reference_kernels
 
 SMALL = dict(
     pipeline=PipelineConfig(
@@ -98,18 +100,22 @@ class TestGridParity:
         grid = gridpipe.execute_grid(_requests())
         assert [_row(r) for r in grid.results] == expected
 
-    def test_reference_backend_falls_back_per_point(self, tmp_path):
-        """dta.reference has no batched trainer: execute_grid must still
-        return correct per-point results via the scalar fallback."""
+    def test_reference_kernels_fall_back_per_point(self, tmp_path):
+        """The frozen references batch nothing (``ap_trace_grid`` and
+        ``combine_grid`` loop over periods): execute_grid on them must
+        still return the kernels' per-point results.  The two higher
+        points: at 1.05 no control DTS reaches an error probability, so
+        the report would not see the references at all."""
         scalar = _pipeline(tmp_path, "scalar")
-        specs = SPECS[:2]
+        specs = SPECS[1:]
         expected = [
             _row(scalar.execute(r)) for r in _requests(specs=specs)
         ]
         gridpipe = _pipeline(
-            tmp_path, "grid", backends={"dta": "reference"}
+            tmp_path, "grid", window_workers=1, executor="local-serial"
         )
-        grid = gridpipe.execute_grid(_requests(specs=specs))
+        with reference_kernels():
+            grid = gridpipe.execute_grid(_requests(specs=specs))
         assert [_row(r) for r in grid.results] == expected
 
     def test_warm_grid_and_scalar_interop(self, tmp_path):

@@ -1,8 +1,8 @@
 """End-to-end tests of the staged :class:`EstimationPipeline`.
 
-Covers the refactor's acceptance criteria: the ``dta.kernels`` and
-``dta.reference`` backends produce byte-identical reports, and a warm
-second run against a shared store reports a hit for every
+Covers the staged flow's contracts: a run on the frozen scalar kernel
+references (``tests/_reference.py``) produces a byte-identical report,
+and a warm second run against a shared store reports a hit for every
 period-independent stage.
 """
 
@@ -15,6 +15,7 @@ from repro.netlist import PipelineConfig
 from repro.pipeline.ir import ProcessorConfig
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.pipeline.store import ArtifactStore
+from tests._reference import reference_kernels
 
 SMALL = ProcessorConfig(
     pipeline=PipelineConfig(
@@ -49,11 +50,14 @@ def kernels_row(processor):
 
 
 class TestShimMatchesPipeline:
-    def test_reference_backend_is_byte_identical(self, processor, kernels_row):
+    def test_reference_kernels_are_byte_identical(self, processor, kernels_row):
         pipeline = EstimationPipeline(
-            processor, backends={"dta": "reference"}, n_data_samples=32
+            processor, n_data_samples=32,
+            window_workers=1, executor="local-serial",
         )
-        assert _row(pipeline.run(_request())) == kernels_row
+        with reference_kernels():
+            row = _row(pipeline.run(_request()))
+        assert row == kernels_row
 
 
 class TestStoreAwareExecution:

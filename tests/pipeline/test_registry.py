@@ -18,7 +18,7 @@ class TestBackendRegistry:
         class A:
             pass
 
-        @reg.register("stage", "b", description="second", cache_id="a")
+        @reg.register("stage", "b", description="second")
         class B:
             pass
 
@@ -27,8 +27,6 @@ class TestBackendRegistry:
         assert reg.default("stage") == "a"
         assert reg.get("stage").factory is A
         assert reg.get("stage", "b").factory is B
-        assert reg.get("stage", "b").cache_id == "a"
-        assert reg.get("stage", "a").cache_id == "a"
         assert isinstance(reg.create("stage", "b"), B)
 
     def test_duplicate_backend_rejected(self):
@@ -102,8 +100,8 @@ class TestGlobalRegistryCensus:
             for stage in REGISTRY.stages()
             if len(REGISTRY.backends(stage)) >= 2
         ]
-        assert len(multi) >= 2
-        assert "dta" in multi
+        # ``dta`` has one backend since its scalar twin moved to the
+        # test-side references; ``statmin`` keeps two methods.
         assert "statmin" in multi
 
     def test_every_stage_has_a_default(self):
@@ -112,9 +110,3 @@ class TestGlobalRegistryCensus:
         for stage in REGISTRY.stages():
             assert REGISTRY.default(stage) in REGISTRY.backends(stage)
 
-    def test_kernels_and_windowpool_share_cache_identity(self):
-        import repro.pipeline.stages  # noqa: F401
-
-        kernels = REGISTRY.get("dta", "kernels")
-        reference = REGISTRY.get("dta", "reference")
-        assert reference.cache_id != kernels.cache_id

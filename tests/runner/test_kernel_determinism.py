@@ -1,18 +1,18 @@
 """Determinism of the kernel layer across full engine runs.
 
-The ISSUE contract: the vectorized kernels must not change results at
-all.  Memo-on vs. memo-off, kernels-on vs. full reference, and serial
-vs. parallel engine runs must all produce byte-identical report payloads
-(timing excluded — wall-clock is the one thing that legitimately
-differs).
+The vectorized kernels must not change results at all.  A run on the
+kernels vs. one on the frozen scalar references of ``tests/_reference.py``,
+and serial vs. parallel engine runs, must all produce byte-identical
+report payloads (timing excluded — wall-clock is the one thing that
+legitimately differs).
 """
 
 import json
 
 from repro.core import EstimationRequest
-from repro.kernels import configure_kernels
 from repro.netlist import PipelineConfig
 from repro.runner import EstimationEngine, ProcessorConfig
+from tests._reference import reference_kernels
 
 SMALL = ProcessorConfig(
     pipeline=PipelineConfig(
@@ -46,16 +46,12 @@ def _rows(summary):
     ]
 
 
-def test_memo_on_matches_memo_off():
-    with configure_kernels(combine_memo=False):
-        memo_off = _engine().run(_requests("bitcount"))
-    memo_on = _engine().run(_requests("bitcount"))
-    assert _rows(memo_on) == _rows(memo_off)
-
-
 def test_kernels_match_full_reference():
-    with configure_kernels(reference=True):
-        reference = _engine().run(_requests("bitcount"))
+    # The patches live in this process only: keep every stage in it.
+    with reference_kernels():
+        reference = _engine(
+            max_workers=1, window_workers=1, executor="local-serial"
+        ).run(_requests("bitcount"))
     kernels = _engine().run(_requests("bitcount"))
     assert _rows(kernels) == _rows(reference)
 

@@ -1,20 +1,23 @@
 """Determinism and reuse contracts of the window-analysis layer.
 
-The ISSUE contract: a full estimation run with ``window_workers=4`` and
-the activity cache on must produce a byte-identical
-``ErrorRateReport.to_json`` payload (timing excluded) to a serial,
-cache-off reference; and a warm second-period job of a frequency sweep
+A full estimation run with ``window_workers=4`` and the activity cache
+on must produce a byte-identical ``ErrorRateReport.to_json`` payload
+(timing excluded) to a serial run that simulates every window (the
+frozen uncached ``ActivityCache.activity`` of ``tests/_reference.py``);
+and a warm second-period job of a frequency sweep
 must re-characterize with zero logic simulations.
 """
 
 import json
+from unittest import mock
 
 import pytest
 
 from repro.core import EstimationRequest
-from repro.kernels import configure_kernels
+from repro.dta.windowpool import ActivityCache
 from repro.netlist import PipelineConfig
 from repro.runner import EstimationEngine, ProcessorConfig
+from tests import _reference
 
 SMALL = ProcessorConfig(
     pipeline=PipelineConfig(
@@ -45,8 +48,10 @@ def _rows(summary):
 
 def test_window_pool_and_cache_match_serial_reference():
     """Acceptance: parallel + cached == serial + uncached, byte for byte."""
-    with configure_kernels(activity_cache=False):
-        reference = _engine(max_workers=1).run(_requests("bitcount"))
+    with mock.patch.object(ActivityCache, "activity", _reference.activity):
+        reference = _engine(
+            max_workers=1, window_workers=1, executor="local-serial"
+        ).run(_requests("bitcount"))
     pooled = _engine(max_workers=1, window_workers=4).run(
         _requests("bitcount")
     )

@@ -15,13 +15,14 @@ from scipy import stats
 
 from repro.core.errormodel import InstructionErrorModel
 from repro.sta import Gaussian
-from repro.sta.clark import clark_min_arrays
+from repro.sta.clark import clark_max_coefficients, clark_min_arrays
 from repro.stats.mixture import (
     PoissonGaussianMixture,
     _poisson_cdf,
     _poisson_pmf,
 )
 from repro.stats.stein import stein_normal_bound
+from tests import _reference
 
 INF = np.inf
 _EPS = 1e-12
@@ -140,6 +141,50 @@ class TestClarkMinArrays:
             got = clark_min_arrays(m1, v, m2, v, 0.0)
             ref = _ref_clark_min_arrays(m1, v, m2, v, 0.0)
         assert same(got[0], ref[0]) and same(got[1], ref[1])
+
+
+class TestClarkMaxCoefficients:
+    """The scalar Clark step against its frozen ``stats.norm.pdf/cdf``
+    formulation (``tests/_reference.py``)."""
+
+    def test_dense_alpha_grid(self, rng):
+        # theta == 1 here, so alpha == x.mean: a dense sweep through the
+        # body and both tails of the normal, plus random moment triples.
+        alphas = np.concatenate([
+            np.linspace(-40.0, 40.0, 8001),
+            rng.normal(0, 3, 2000),
+            [-1e3, -38.5, -8.3, -0.0, 0.0, 1e-300, 5e-324, 8.3, 1e3],
+        ])
+        cases = [(Gaussian(float(a), 0.5), Gaussian(0.0, 0.5), 0.0)
+                 for a in alphas]
+        for mx, my, vx, vy in zip(rng.normal(0, 100, 2000),
+                                  rng.normal(0, 100, 2000),
+                                  rng.uniform(0, 400, 2000),
+                                  rng.uniform(0, 400, 2000)):
+            cov = float(rng.uniform(-1, 1) * np.sqrt(vx * vy))
+            cases.append((Gaussian(float(mx), float(vx)),
+                          Gaussian(float(my), float(vy)), cov))
+        for x, y, cov in cases:
+            assert clark_max_coefficients(x, y, cov) == (
+                _reference.clark_max_coefficients(x, y, cov)
+            )
+
+    def test_degenerate_theta_collapse(self):
+        # theta < _EPS: the max collapses onto the larger-mean argument,
+        # ties going to ``x``.
+        cases = [
+            (Gaussian(1.0, 0.0), Gaussian(2.0, 0.0), 0.0),
+            (Gaussian(2.0, 0.0), Gaussian(1.0, 0.0), 0.0),
+            (Gaussian(3.0, 0.0), Gaussian(3.0, 0.0), 0.0),
+            (Gaussian(1.0, 4.0), Gaussian(-1.0, 4.0), 4.0),
+            (Gaussian(-1.0, 4.0), Gaussian(1.0, 4.0), 4.0),
+            (Gaussian(0.5, 1e-30), Gaussian(0.25, 1e-30), 0.0),
+            (Gaussian(0.25, 1e-30), Gaussian(0.5, 0.0), 0.0),
+        ]
+        for x, y, cov in cases:
+            got = clark_max_coefficients(x, y, cov)
+            assert got == _reference.clark_max_coefficients(x, y, cov)
+            assert got[1:] in {(1.0, 0.0), (0.0, 1.0)}
 
 
 def _ref_probability(mean, var):

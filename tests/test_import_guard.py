@@ -2,9 +2,10 @@
 
 Importing ``scipy.stats`` costs over a second, which every CLI call,
 spawned service worker and cold estimate would pay.  The package uses
-``scipy.special`` instead; only the ``scalar_norm=False`` reference
-kernel imports ``scipy.stats``, lazily.  The check runs in a fresh
-interpreter, since the test process itself may have loaded the module.
+``scipy.special`` instead; only the test-side references
+(``tests/_reference.py``) and parity tests import ``scipy.stats``.  The
+check runs in a fresh interpreter, since the test process itself may
+have loaded the module.
 """
 
 import os
