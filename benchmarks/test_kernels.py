@@ -52,7 +52,7 @@ def _single_job(reference: bool = False):
     """One full characterize+estimate job on a fresh processor.
 
     ``reference=True`` runs it on the frozen scalar references, which
-    only patch this process: the window analysis stays serial.
+    only patch this process.
     """
     from repro.pipeline.pipeline import EstimationPipeline
 
@@ -60,10 +60,7 @@ def _single_job(reference: bool = False):
         before = kernel_stats().snapshot()
         t0 = time.perf_counter()
         processor = SMALL.build()
-        estimator = EstimationPipeline(
-            processor, n_data_samples=32,
-            window_workers=1, executor="local-serial",
-        )
+        estimator = EstimationPipeline(processor, n_data_samples=32)
         workload = load_workload("bitcount")
         program, train_setup, _ = workload.run_spec("small", seed=0)
         artifacts = estimator.train(

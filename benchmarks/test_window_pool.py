@@ -1,20 +1,8 @@
-"""Experiment ``window_pool`` — the intra-job window-analysis layer.
+"""Experiment ``window_pool`` — the window-analysis layer.
 
-Measures the three pieces the layer adds and writes the numbers to
+Measures the two reuse paths of the layer and writes the numbers to
 ``BENCH_window_pool.json`` at the repository root:
 
-* **Pool fan-out**: training-phase wall time serial vs. 4 window
-  workers under the adaptive ``auto`` executor, plus the *scheduled*
-  speedup — the serial critical path over the 4-worker LPT makespan
-  computed from the measured per-task durations.  The ``executor``
-  section records the resolved :class:`ExecutionPlan` (requested vs.
-  chosen executor, worker count, chunk size, and the degrade reason
-  when ``auto`` routed to serial), so the wall numbers are always read
-  against what actually ran.  The pool must never lose to serial: when
-  the plan forked, ``wall_speedup >= 1.0`` is asserted outright; when
-  it degraded, both measured runs are the identical in-process code
-  path, so the speedup is 1.0 by construction (the raw timer ratio is
-  still recorded as ``measured_ratio``).
 * **Activity cache**: logic simulations deduplicated by content
   addressing across the Monte Carlo validator's execution windows
   (the cache vs. the frozen uncached ``ActivityCache.activity`` of
@@ -32,16 +20,14 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import time
 from unittest import mock
 
 from conftest import print_table
 from repro.core import EstimationRequest
-from repro.dta.executor import effective_cpus, last_execution_plan
+from repro.dta.executor import effective_cpus
 from repro.dta.windowpool import ActivityCache
 from repro.kernels import kernel_stats
 from repro.netlist import PipelineConfig
-from repro.pipeline.pipeline import EstimationPipeline
 from repro.runner import EstimationEngine, ProcessorConfig
 from repro.workloads import load_workload
 from tests import _reference
@@ -49,9 +35,8 @@ from tests import _reference
 #: Single canonical output location — CI uploads the repo-root file.
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
-#: Reduced pipeline (the engine test-suite shape).  The workload is
-#: dijkstra: its CFG yields the largest (block, edge) task set of the
-#: suite, which is what the pool fans out.
+#: Reduced pipeline (the engine test-suite shape) on dijkstra, whose CFG
+#: yields the largest (block, edge) window set of the suite.
 SMALL = ProcessorConfig(
     pipeline=PipelineConfig(
         data_width=8, mult_width=4, shift_bits=3, ctrl_regs=10,
@@ -60,112 +45,20 @@ SMALL = ProcessorConfig(
 )
 WORKLOAD = "dijkstra"
 TRAIN_INSTRUCTIONS = 50_000
-POOL_WORKERS = 4
 
 
 def _training_inputs():
-    """A warmed processor + the training run spec (shared, untimed)."""
+    """A warmed processor + the program's run spec (shared)."""
     processor = SMALL.build()
     _ = processor.clock_period
     _ = processor.datapath_model  # charge shared training to warm-up
     workload = load_workload(WORKLOAD)
     program, setup, _ = workload.run_spec("small", seed=0)
-    # One untimed round warms every period-level analyzer cache so the
-    # measured rounds compare pool widths, not cold-start effects.
-    EstimationPipeline(processor, n_data_samples=32).train(
-        program, setup=setup, max_instructions=TRAIN_INSTRUCTIONS
-    )
     return processor, program, setup
-
-
-def _train_once(processor, program, setup, workers, executor="auto"):
-    """One training phase with a fresh activity cache; (seconds, stats)."""
-    pipeline = EstimationPipeline(
-        processor,
-        n_data_samples=32,
-        window_workers=workers,
-        executor=executor,
-    )
-    t0 = time.perf_counter()
-    artifacts = pipeline.train(
-        program, setup=setup, max_instructions=TRAIN_INSTRUCTIONS
-    )
-    return time.perf_counter() - t0, artifacts.kernel_stats
-
-
-def _per_task_durations(processor, program, setup):
-    """Measured duration of each pool task, from an in-process run."""
-    from repro.cfg import build_cfg
-    from repro.cpu import FunctionalSimulator, MachineState
-    from repro.dta.characterize import (
-        ControlSampleCollector,
-        _characterize_task,
-    )
-
-    cfg = build_cfg(program)
-    collector = ControlSampleCollector(cfg)
-    state = MachineState()
-    setup(state)
-    FunctionalSimulator(program).run(
-        state, max_instructions=TRAIN_INSTRUCTIONS,
-        listener=collector.listener,
-    )
-    pipeline = EstimationPipeline(processor, n_data_samples=32)
-    characterizer = pipeline.build_characterizer(program)
-    tasks = [
-        (bid, pred, tail, records)
-        for (bid, pred), (tail, records) in sorted(
-            collector.samples.items()
-        )
-    ]
-    durations = []
-    for index in range(len(tasks)):
-        t0 = time.perf_counter()
-        _characterize_task(
-            (characterizer, [characterizer.clock_period], tasks), index
-        )
-        durations.append(time.perf_counter() - t0)
-    return durations
-
-
-def _lpt_makespan(durations, workers):
-    """Longest-processing-time-first schedule length on ``workers`` bins."""
-    bins = [0.0] * workers
-    for d in sorted(durations, reverse=True):
-        bins[bins.index(min(bins))] += d
-    return max(bins)
 
 
 def test_window_pool_benchmark(tmp_path):
     processor, program, setup = _training_inputs()
-
-    # -- pool fan-out: interleaved best-of-3 rounds ---------------------- #
-    serial, pooled = [], []
-    stats_pooled = None
-    plan = None
-    for _ in range(3):
-        elapsed, _stats = _train_once(processor, program, setup, 1)
-        serial.append(elapsed)
-        elapsed, stats_pooled = _train_once(
-            processor, program, setup, POOL_WORKERS, executor="auto"
-        )
-        pooled.append(elapsed)
-        plan = last_execution_plan()
-    serial_s, pooled_s = min(serial), min(pooled)
-    measured_ratio = serial_s / pooled_s
-    assert plan is not None and plan.requested == "auto"
-    if plan.parallel:
-        wall_speedup = measured_ratio
-    else:
-        # The degraded run took the identical in-process path as the
-        # serial reference, so the speedup is 1.0 by construction; the
-        # raw timer ratio is recorded alongside.
-        wall_speedup = 1.0
-
-    durations = _per_task_durations(processor, program, setup)
-    critical_path = sum(durations)
-    makespan = _lpt_makespan(durations, POOL_WORKERS)
-    scheduled_speedup = critical_path / makespan
 
     # -- activity cache: sims deduplicated across MC windows ------------- #
     from repro.core.montecarlo import MonteCarloValidator
@@ -189,7 +82,6 @@ def test_window_pool_benchmark(tmp_path):
     # between the points; that variant is benchmarks/test_sweep_grid.py).
     engine = EstimationEngine(
         SMALL, max_workers=1, cache_dir=tmp_path, n_data_samples=32,
-        window_workers=POOL_WORKERS,
     )
     sweep_rows = []
     for spec in (1.15, 1.25):
@@ -208,32 +100,11 @@ def test_window_pool_benchmark(tmp_path):
         )
 
     doc = {
-        "schema": "repro.bench-window-pool/2",
+        "schema": "repro.bench-window-pool/3",
         "workload": WORKLOAD,
         "train_instructions": TRAIN_INSTRUCTIONS,
-        "pool_workers": POOL_WORKERS,
         "cpu_count": os.cpu_count(),
         "effective_cpus": effective_cpus(),
-        "executor": {
-            "requested": plan.requested,
-            "chosen": plan.executor,
-            "workers": plan.workers,
-            "chunk_size": plan.chunk_size,
-            "n_tasks": plan.n_tasks,
-            "degrade_reason": plan.reason,
-        },
-        "training_phase": {
-            "serial_s": round(serial_s, 3),
-            "pooled_s": round(pooled_s, 3),
-            "wall_speedup": round(wall_speedup, 2),
-            "measured_ratio": round(measured_ratio, 2),
-            "serial_rounds_s": [round(x, 3) for x in serial],
-            "pooled_rounds_s": [round(x, 3) for x in pooled],
-            "tasks": len(durations),
-            "critical_path_s": round(critical_path, 3),
-            "lpt_makespan_s": round(makespan, 3),
-            "scheduled_speedup": round(scheduled_speedup, 2),
-        },
         "activity_cache": {
             "sim_calls_uncached": int(sims_uncached),
             "sim_calls_cached": int(sims_cached),
@@ -249,20 +120,13 @@ def test_window_pool_benchmark(tmp_path):
                 "windows_reused": sweep_rows[1]["windows_reused"],
             },
         },
-        "kernel_stats_pooled": stats_pooled,
     }
     text = json.dumps(doc, indent=2)
     (REPO_ROOT / "BENCH_window_pool.json").write_text(text)
 
     print_table(
-        ["metric", "serial", "pooled/cached", "gain"],
+        ["metric", "uncached/first", "cached/second", "gain"],
         [
-            ["executor (requested/chosen)", plan.requested, plan.executor,
-             plan.reason or f"x{plan.workers}"],
-            ["training wall (s)", round(serial_s, 3), round(pooled_s, 3),
-             f"{wall_speedup:.2f}x"],
-            [f"scheduled x{POOL_WORKERS} (s)", round(critical_path, 3),
-             round(makespan, 3), f"{scheduled_speedup:.2f}x"],
             ["logic sims / MC run", sims_uncached, sims_cached,
              f"-{sims_uncached - sims_cached}"],
             ["sweep 2nd-period sims", sweep_rows[0]["sim_calls"],
@@ -272,26 +136,6 @@ def test_window_pool_benchmark(tmp_path):
         "Window-analysis layer (BENCH_window_pool.json)",
     )
 
-    # The fan-out itself must deliver >= 2x at 4 workers (measured task
-    # durations, LPT schedule).
-    assert scheduled_speedup >= 2.0
-    # The pool must never lose to serial, on any host shape.
-    assert wall_speedup >= 1.0
-    if plan.parallel:
-        # The auto executor chose to fork: the fork must have paid.
-        assert stats_pooled["pool_maps_forked"] >= 1
-        assert measured_ratio >= 1.0
-    else:
-        # Degraded to serial: no fork may have happened, the reason is
-        # on record, and the "pooled" run can only differ by timer
-        # noise from the serial one.
-        assert plan.reason
-        assert stats_pooled["pool_maps_forked"] == 0
-        assert stats_pooled["pool_maps_degraded"] >= 1
-        assert measured_ratio >= 0.8
-    if plan.parallel and effective_cpus() >= POOL_WORKERS:
-        # A core per worker existed and auto forked: it must scale.
-        assert measured_ratio >= 2.0
     # Cache floors: dedup saves sims; the warm sweep point runs none.
     assert sims_cached < sims_uncached
     assert sweep_rows[0]["sim_calls"] > 0

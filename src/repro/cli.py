@@ -9,7 +9,7 @@ Usage (after ``pip install -e .``)::
     python -m repro sweep bitcount --points 1.0,1.1,1.15,1.2
     python -m repro batch bitcount dijkstra --workers 2 --cache-dir .cache
     python -m repro pipeline inspect [--backend statmin=montecarlo] [--cache-dir D]
-    python -m repro montecarlo bitcount --chips 16 --window-workers 4
+    python -m repro montecarlo bitcount --chips 16
     python -m repro serve --port 8731 --state-dir .repro-service
     python -m repro submit bitcount --speculation 1.15 --json
 
@@ -21,9 +21,8 @@ over speculation ratios, ``batch`` executes an arbitrary set of
 brute-force per-chip error-rate distribution the framework is validated
 against.  ``table2``, ``sweep``, and ``batch`` all run on the batch
 estimation engine: ``--workers N`` fans the independent jobs out across
-a process pool, ``--window-workers N`` fans the per-window analysis
-*inside* each job out across the window pool (pinned to 1 automatically
-when the engine itself runs parallel), and ``--cache-dir`` (or the
+a process pool (each job analyzes its windows in-process, one after
+another), and ``--cache-dir`` (or the
 ``REPRO_CACHE_DIR`` environment variable) enables the content-addressed
 artifact cache so warm re-runs skip every training phase.
 
@@ -100,26 +99,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the artifact cache for this run",
-    )
-    parser.add_argument(
-        "--window-workers", type=_positive_int, default=1,
-        help=(
-            "intra-job window-analysis pool width (pinned to 1 when "
-            "--workers already runs the jobs in parallel)"
-        ),
-    )
-    _add_executor_argument(parser)
-
-
-def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.dta.executor import available_executors
-
-    parser.add_argument(
-        "--executor", choices=available_executors(), default="auto",
-        help=(
-            "window-analysis executor: 'auto' picks fork or serial from "
-            "the cost model, 'local-serial' and 'local-fork' force one"
-        ),
     )
 
 
@@ -243,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--windows-per-block", type=_positive_int, default=6,
         help="execution windows analyzed per basic block",
     )
-    mc.add_argument(
-        "--window-workers", type=_positive_int, default=1,
-        help="window-analysis pool width for the per-window DTA",
-    )
-    _add_executor_argument(mc)
     mc.add_argument("--speculation", type=float, default=1.15)
     mc.add_argument("--max-instructions", type=int, default=100_000)
     mc.add_argument("--seed", type=int, default=0)
@@ -270,11 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_positive_int, default=1,
         help="concurrent job-executor threads",
     )
-    srv.add_argument(
-        "--window-workers", type=_positive_int, default=1,
-        help="intra-job window-pool width per job thread",
-    )
-    _add_executor_argument(srv)
     srv.add_argument(
         "--store-budget", type=int, default=None,
         help="LRU byte budget for the shared artifact store",
@@ -331,8 +300,6 @@ def _engine_from_args(args) -> EstimationEngine:
         ),
         max_workers=args.workers,
         cache_dir=cache_dir,
-        window_workers=args.window_workers,
-        executor=args.executor,
     )
 
 
@@ -513,8 +480,6 @@ def _cmd_montecarlo(args, out) -> int:
         processor,
         n_chips=args.chips,
         windows_per_block=args.windows_per_block,
-        window_workers=args.window_workers,
-        executor=args.executor,
     )
     program, setup, budget = load_workload(args.benchmark).run_spec(
         "large", seed=args.seed
@@ -626,8 +591,6 @@ def _cmd_serve(args, out) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        window_workers=args.window_workers,
-        executor=args.executor,
         store_budget=args.store_budget,
         batch_window_ms=args.batch_window_ms,
         worker_processes=args.worker_processes,

@@ -19,10 +19,9 @@ here into a frozen :class:`CoreFamily` descriptor owning
 * the **performance accounting** (the ``repro.perf`` model built from
   the composed penalty).
 
-Families register by name, mirroring ``BackendRegistry`` and
-``register_executor``: out-of-tree cores plug in with
-:func:`register_core_family` instead of edits to ``repro.netlist`` or
-``repro.core.errormodel``.
+Families register by name, mirroring ``BackendRegistry``: out-of-tree
+cores plug in with :func:`register_core_family` instead of edits to
+``repro.netlist`` or ``repro.core.errormodel``.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from repro.cpu.pipeline import InstructionWindow
 from repro.dta.algorithm2 import entry_pairs
 from repro.cpu.state import MachineState
 from repro.dta.graphdta import GraphDTSAnalyzer
-from repro.dta.windowpool import ActivityCache, WindowAnalysisPool
+from repro.dta.windowpool import ActivityCache
 from repro.logicsim.simulator import LevelizedSimulator
 from repro.logicsim.stimulus import StimulusEncoder
 
@@ -90,11 +90,6 @@ class MonteCarloValidator:
         windows_per_block: Execution windows analyzed per basic block
             (data-variation subsampling; the activity of each window is
             simulated once and reused for every chip).
-        window_workers: Fork-pool width for fanning the per-window DTA
-            out through :class:`WindowAnalysisPool`; ``1`` runs
-            serially.  Parallel results equal serial exactly.
-        executor: Window-analysis executor name (``"auto"``,
-            ``"local-serial"``, ``"local-fork"``).
         activity_cache: Content-addressed activity cache; pass the
             estimator's cache to share logic simulations with the
             framework run being validated (a fresh one is built when
@@ -106,19 +101,13 @@ class MonteCarloValidator:
         processor: ProcessorModel,
         n_chips: int = 16,
         windows_per_block: int = 6,
-        window_workers: int = 1,
-        executor: str = "auto",
         activity_cache: ActivityCache | None = None,
     ) -> None:
         if n_chips < 2:
             raise ValueError("n_chips must be >= 2")
-        if window_workers < 1:
-            raise ValueError("window_workers must be >= 1")
         self.processor = processor
         self.n_chips = n_chips
         self.windows_per_block = windows_per_block
-        self.window_workers = window_workers
-        self.executor = executor
         self.activity_cache = (
             activity_cache if activity_cache is not None else ActivityCache()
         )
@@ -160,13 +149,12 @@ class MonteCarloValidator:
             setup_time=self.processor.library.setup_time,
         )
 
-        # Window subsampling happens up front, in sorted block order, for
-        # two reasons: the reservoir's first-k entries over-represent
-        # early executions (reservoir sampling only randomizes *which*
-        # k survive eviction, not their order), so the subsample must be
-        # drawn with the seeded rng; and consuming the rng stream before
-        # any fan-out keeps serial and parallel runs identical.
-        plan: list[tuple[int, int, list]] = []
+        # The per-block window subsample must be drawn with the seeded
+        # rng: the reservoir's first-k entries over-represent early
+        # executions (reservoir sampling only randomizes *which* k
+        # survive eviction, not their order).
+        lam = np.zeros(self.n_chips)
+        windows = 0
         for bid, block_samples in sorted(samples.items()):
             executions = int(profile.block_counts[bid])
             if executions == 0:
@@ -180,32 +168,11 @@ class MonteCarloValidator:
                 chosen = [block_samples[i] for i in np.sort(picked)]
             else:
                 chosen = list(block_samples)
-            plan.append((bid, executions, chosen))
-
-        tasks = [
-            (pi, wi)
-            for pi, (_, _, chosen) in enumerate(plan)
-            for wi in range(len(chosen))
-        ]
-        pool = WindowAnalysisPool(
-            self.window_workers, executor=self.executor
-        )
-        errors = pool.map(
-            _mc_window_task, (self, runtime, plan, tasks), len(tasks)
-        )
-
-        # lambda per chip, accumulated block by block in task order —
-        # the same float-addition sequence as a serial run.
-        lam = np.zeros(self.n_chips)
-        windows = 0
-        cursor = 0
-        for bid, executions, chosen in plan:
             n_i = cfg.block(bid).size
             # error fraction per chip, averaged over this block's windows.
             err = np.zeros((self.n_chips, n_i))
-            for _ in chosen:
-                err += errors[cursor]
-                cursor += 1
+            for sample in chosen:
+                err += self._window_error(runtime, bid, sample)
                 windows += 1
             err /= max(len(chosen), 1)
             lam += executions * err.sum(axis=1)
@@ -251,7 +218,7 @@ class MonteCarloValidator:
 
 @dataclass(slots=True)
 class _MCRuntime:
-    """Per-estimate machinery shared with pool workers via fork."""
+    """Per-estimate machinery shared by every window of one run."""
 
     cfg: object
     scheduler: object
@@ -262,10 +229,3 @@ class _MCRuntime:
     period: float
     setup_time: float
 
-
-def _mc_window_task(context, index: int) -> np.ndarray:
-    """Pool task: deterministic DTA for one (block, window) pair."""
-    validator, runtime, plan, tasks = context
-    pi, wi = tasks[index]
-    bid, _executions, chosen = plan[pi]
-    return validator._window_error(runtime, bid, chosen[wi])

@@ -24,24 +24,13 @@ from repro.dta.characterize import (
 )
 from repro.dta.datapath import DatapathTimingModel, DatapathSample, extract_features
 from repro.dta.trainer import DatapathTrainer
-from repro.dta.executor import (
-    ExecutionPlan,
-    available_executors,
-    get_executor,
-    last_execution_plan,
-    register_executor,
-)
+from repro.dta.executor import ExecutionPlan
 from repro.dta.graphdta import GraphDTSAnalyzer
-from repro.dta.windowpool import ActivityCache, WindowAnalysisPool
+from repro.dta.windowpool import ActivityCache
 
 __all__ = [
     "ActivityCache",
-    "WindowAnalysisPool",
     "ExecutionPlan",
-    "available_executors",
-    "get_executor",
-    "last_execution_plan",
-    "register_executor",
     "DatapathTrainer",
     "GraphDTSAnalyzer",
     "StageDTSAnalyzer",

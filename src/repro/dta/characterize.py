@@ -26,7 +26,7 @@ from repro.cpu.interpreter import StepRecord
 from repro.cpu.pipeline import InstructionWindow, PipelineScheduler
 from repro.cpu.program import Program
 from repro.dta.algorithm2 import InstructionDTSAnalyzer
-from repro.dta.windowpool import ActivityCache, WindowAnalysisPool
+from repro.dta.windowpool import ActivityCache
 from repro.logicsim.simulator import LevelizedSimulator
 from repro.logicsim.stimulus import StimulusEncoder
 from repro.sta.gaussian import Gaussian
@@ -218,11 +218,6 @@ class ControlCharacterizer:
         activity_cache: Content-addressed activity cache shared by every
             window analysis of this characterizer (a fresh one is built
             when omitted).
-        window_workers: Worker budget for fanning (block, edge) tasks
-            out through :class:`WindowAnalysisPool`; ``1`` runs serially.
-        executor: Named window executor running the fan-out
-            (:mod:`repro.dta.executor`): ``"auto"`` (adaptive default),
-            ``"local-serial"``, or ``"local-fork"``.
         scheduler: Occupancy scheduler mapping windows onto per-cycle
             stage occupancy (a core family's ``make_scheduler`` product).
             Defaults to the in-order :class:`PipelineScheduler`; any
@@ -238,8 +233,6 @@ class ControlCharacterizer:
         scheme: CorrectionScheme,
         clock_period: float,
         activity_cache: ActivityCache | None = None,
-        window_workers: int = 1,
-        executor: str = "auto",
         scheduler=None,
     ) -> None:
         self.pipeline = pipeline
@@ -250,8 +243,6 @@ class ControlCharacterizer:
         self.activity_cache = (
             activity_cache if activity_cache is not None else ActivityCache()
         )
-        self.window_workers = window_workers
-        self.executor = executor
         self.scheduler = scheduler or PipelineScheduler(
             program, num_stages=pipeline.num_stages
         )
@@ -291,12 +282,11 @@ class ControlCharacterizer:
     ) -> list[list[tuple[ControlKey, Gaussian | None, Gaussian | None]]]:
         """The (key, normal, corrected) rows for one (block, edge) pair.
 
-        Returns one row list per clock period.  No model mutation, so it
-        can run inside a pool worker and be merged in deterministic key
-        order by the parent.  Window construction (including the
-        correction-scheme emulation) is period-independent and happens
-        once; the normal window is the predecessor tail + block, the
-        corrected one applies the scheme's emulation before every
+        Returns one row list per clock period; the caller records the
+        rows in deterministic key order.  Window construction (including
+        the correction-scheme emulation) is period-independent and
+        happens once; the normal window is the predecessor tail + block,
+        the corrected one applies the scheme's emulation before every
         instruction (the paper inserts a nop before each one).
         """
         tail_slots: list[StepRecord | None] = list(tail)
@@ -371,34 +361,19 @@ def characterize_grid(
 def _characterize_tasks(characterizers, tasks, models) -> None:
     """The characterization loop: every (block, edge) task, every period.
 
-    Tasks fan out through :class:`WindowAnalysisPool` with the first
-    characterizer's worker budget and executor; results are recorded
-    into ``models`` (one per characterizer) in task order whether the
-    tasks run serially or in a fork pool, so the models' contents —
-    including the insertion-order-sensitive fallback-edge lists — are
-    byte-identical either way.  Worker-side activity traces are adopted
-    into the parent cache so downstream consumers (missing-edge
-    characterization, breakdowns, persistence) still hit.
+    Tasks run in order on the first characterizer (whose activity cache
+    every characterizer shares); each task's rows are recorded into
+    ``models`` (one per characterizer) in task order, which fixes the
+    insertion-order-sensitive fallback-edge lists.
     """
     if not characterizers:
         return
     base = characterizers[0]
     periods = [c.clock_period for c in characterizers]
-    pool = WindowAnalysisPool(base.window_workers, executor=base.executor)
-    results = pool.map(_characterize_task, (base, periods, tasks), len(tasks))
-    for rows_per_period, entries in results:
-        base.activity_cache.adopt_shared(entries)
+    for bid, pred, tail, block_records in tasks:
+        rows_per_period = base.characterize_edge_values_grid(
+            bid, pred, tail, block_records, periods
+        )
         for model, rows in zip(models, rows_per_period):
             for key, normal, corrected in rows:
                 model.record(key, normal, corrected)
-
-
-def _characterize_task(context, index: int):
-    """Pool task: one (block, edge) pair; returns rows + new activity."""
-    characterizer, periods, tasks = context
-    bid, pred, tail, block_records = tasks[index]
-    before = characterizer.activity_cache.snapshot_keys()
-    rows = characterizer.characterize_edge_values_grid(
-        bid, pred, tail, block_records, periods
-    )
-    return rows, characterizer.activity_cache.export_shared_since(before)

@@ -1,59 +1,40 @@
-"""Window-analysis layer: activity deduplication and intra-job fan-out.
+"""Window-analysis layer: activity deduplication.
 
 Every expensive step of the training phase is a *window analysis*: push
 an instruction window through the pipeline scheduler, encode the
 stimulus, run the levelized logic simulation, and analyze the resulting
-switching activity with Algorithms 1 and 2.  This module factors the two
-structural optimizations out of the call sites:
+switching activity with Algorithms 1 and 2.  Callers
+(:mod:`repro.dta.characterize`, :mod:`repro.core.montecarlo`) run their
+windows in-process, one after another, in sorted key order; this module
+holds the structural optimization they share.
 
-* :class:`ActivityCache` — a content-addressed cache of
-  :class:`~repro.logicsim.activity.ActivityTrace` results, keyed on a
-  SHA-256 digest of the *encoded stimulus*.  The schedule → stimulus →
-  logic-sim pipeline is a pure function of the stimulus (windows are
-  always simulated from the flushed pipeline state), so two windows with
-  the same encoded stimulus have bitwise-identical activity; the second
-  occurrence is free.  The normal and corrected characterization flows,
-  on-demand characterization during estimation, per-instruction
-  breakdowns, and the Monte Carlo validator all route through one cache.
-  Entries round-trip losslessly through a JSON document (packed bits +
-  base64), which is what makes **period-sweep reuse** possible: the
-  digest and the trace are independent of the clock period, so a
-  re-characterization of the same program at a new period can preload
-  the persisted entries and run zero logic simulations.
-* :class:`WindowAnalysisPool` — fan-out for per-window /
-  per-(block, edge) analysis tasks, executed by a named *executor*
-  (:mod:`repro.dta.executor`: ``local-serial``, ``local-fork``, or the
-  adaptive ``auto`` default, which forks only when its cost model says
-  the fan-out pays on this host).  Tasks are dispatched in sorted key
-  order and results are merged back in that same order, so a parallel
-  run is byte-identical to a serial one; worker-side
-  :class:`~repro.kernels.KernelStats` deltas are merged into the
-  parent's counters so telemetry survives the fan-out, and large
-  worker-side activity-trace deltas cross back through one
-  ``multiprocessing.shared_memory`` block instead of per-entry pipe
-  pickling.
+:class:`ActivityCache` is a content-addressed cache of
+:class:`~repro.logicsim.activity.ActivityTrace` results, keyed on a
+SHA-256 digest of the *encoded stimulus*.  The schedule → stimulus →
+logic-sim pipeline is a pure function of the stimulus (windows are
+always simulated from the flushed pipeline state), so two windows with
+the same encoded stimulus have bitwise-identical activity; the second
+occurrence is free.  The normal and corrected characterization flows,
+on-demand characterization during estimation, per-instruction
+breakdowns, and the Monte Carlo validator all route through one cache.
+Entries round-trip losslessly through a JSON document (packed bits +
+base64), which is what makes **period-sweep reuse** possible: the
+digest and the trace are independent of the clock period, so a
+re-characterization of the same program at a new period can preload
+the persisted entries and run zero logic simulations.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
-import math
 
 import numpy as np
 
-from repro.dta.executor import (
-    SHM_MIN_BYTES,
-    ExecutionPlan,
-    adopt_bytes,
-    get_executor,
-    in_pool_worker,
-    share_bytes,
-)
 from repro.kernels import kernel_stats
 from repro.logicsim.activity import ActivityTrace
 
-__all__ = ["ActivityCache", "WindowAnalysisPool"]
+__all__ = ["ActivityCache"]
 
 
 def _encode_bits(array: np.ndarray) -> dict:
@@ -65,17 +46,12 @@ def _encode_bits(array: np.ndarray) -> dict:
     }
 
 
-def _unpack_bits(raw, shape) -> np.ndarray:
-    """The boolean array of ``shape`` packed into ``raw`` by ``packbits``."""
-    count = int(np.prod(shape)) if shape else 0
-    bits = np.frombuffer(raw, dtype=np.uint8)
-    return np.unpackbits(bits, count=count).astype(bool).reshape(shape)
-
-
 def _decode_bits(doc: dict) -> np.ndarray:
     """Exact inverse of :func:`_encode_bits`."""
     shape = tuple(int(d) for d in doc["shape"])
-    return _unpack_bits(base64.b64decode(doc["bits"]), shape)
+    count = int(np.prod(shape)) if shape else 0
+    bits = np.frombuffer(base64.b64decode(doc["bits"]), dtype=np.uint8)
+    return np.unpackbits(bits, count=count).astype(bool).reshape(shape)
 
 
 class ActivityCache:
@@ -140,62 +116,6 @@ class ActivityCache:
         return self._dirty
 
     # ------------------------------------------------------------------ #
-    # Worker hand-off (fork-based pool)
-    # ------------------------------------------------------------------ #
-
-    def snapshot_keys(self) -> set[str]:
-        """The digests currently cached (cheap; for worker deltas)."""
-        return set(self._entries)
-
-    def export_shared_since(
-        self, keys: set[str], min_bytes: int = SHM_MIN_BYTES
-    ) -> dict:
-        """Worker->parent payload of the entries added since ``keys``.
-
-        A trace crosses the worker->parent process boundary pickled; raw
-        boolean arrays are 8x larger than their information content, so
-        both arrays of every new entry are bit-packed with
-        :func:`numpy.packbits` into one byte string, handed off by
-        :func:`~repro.dta.executor.share_bytes` (inline when small,
-        through one shared-memory block when large).  Only a fork-pool
-        worker has a parent to hand a block to; elsewhere the payload
-        stays inline.  The parent adopts with :meth:`adopt_shared`.
-        """
-        index: dict[str, tuple] = {}
-        chunks: list[bytes] = []
-        for digest, trace in self._entries.items():
-            if digest in keys:
-                continue
-            activated = np.packbits(trace.activated, axis=None).tobytes()
-            values = np.packbits(trace.values, axis=None).tobytes()
-            index[digest] = (
-                trace.activated.shape, len(activated), len(values)
-            )
-            chunks += (activated, values)
-        if not in_pool_worker():
-            min_bytes = math.inf
-        return {"index": index, **share_bytes(b"".join(chunks), min_bytes)}
-
-    def adopt_shared(self, payload: dict) -> None:
-        """Exact inverse of :meth:`export_shared_since` (only-missing).
-
-        Shared-memory payloads are consumed: the block is unlinked after
-        its entries are adopted, whether or not any were new.
-        """
-        data = memoryview(adopt_bytes(payload))
-        offset = 0
-        for digest, (shape, a_len, v_len) in payload["index"].items():
-            activated = data[offset : offset + a_len]
-            values = data[offset + a_len : offset + a_len + v_len]
-            offset += a_len + v_len
-            if digest not in self._entries:
-                self._entries[digest] = ActivityTrace(
-                    activated=_unpack_bits(activated, shape),
-                    values=_unpack_bits(values, shape),
-                )
-                self._dirty = True
-
-    # ------------------------------------------------------------------ #
     # Persistence (period-sweep reuse)
     # ------------------------------------------------------------------ #
 
@@ -242,44 +162,3 @@ class ActivityCache:
         cache = cls()
         cache.preload(doc)
         return cache
-
-
-# --------------------------------------------------------------------- #
-# The pool
-# --------------------------------------------------------------------- #
-
-
-class WindowAnalysisPool:
-    """Deterministic fan-out for window-analysis tasks, via an executor.
-
-    ``map(func, context, n_tasks)`` evaluates ``func(context, i)`` for
-    ``i in range(n_tasks)`` and returns the results *in task order* —
-    the contract callers rely on to merge results in the same sorted
-    key order as a serial run, making parallel output byte-identical.
-    ``context`` is shared with fork workers through fork inheritance
-    (not pickling), so it may hold arbitrarily heavy analyzer state;
-    task *results* must be picklable.
-
-    *How* the map runs is decided by the named executor
-    (:mod:`repro.dta.executor`): ``local-serial`` stays in-process,
-    ``local-fork`` forks on request (degrading only when forking is
-    unsafe), and ``auto`` — the default — forks exactly when the cost
-    model says the fan-out pays on this host.  Counters and results are
-    shaped identically on every path, and concurrent ``map`` calls from
-    different threads are safe: the serial path holds no shared state
-    and the fork hand-off is serialized under a process-wide lock.
-    """
-
-    def __init__(self, workers: int = 1, executor: str = "auto") -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.executor_name = executor
-        self._executor = get_executor(executor)
-
-    def plan(self, n_tasks: int) -> "ExecutionPlan":
-        """The :class:`ExecutionPlan` a map of ``n_tasks`` would run."""
-        return self._executor.plan(n_tasks, self.workers)
-
-    def map(self, func, context, n_tasks: int) -> list:
-        return self._executor.map(func, context, n_tasks, self.workers)

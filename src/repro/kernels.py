@@ -48,22 +48,13 @@ class KernelStats:
         windows_reused: Of the activity-cache hits, how many were served
             from entries preloaded out of a persisted window artifact
             (the period-sweep reuse path).
-        pool_tasks: Window-analysis tasks executed through
-            :class:`~repro.dta.windowpool.WindowAnalysisPool` (serial or
-            parallel).
-        pool_task_ms: Total task wall time in milliseconds, summed over
-            pool tasks (an integer so worker-side snapshots merge).
-            ``pool_task_ms / pool_tasks`` is the measured per-task cost
-            the adaptive executor's cost model feeds on.
-        pool_maps_serial: ``map`` calls that ran in-process.
-        pool_maps_forked: ``map`` calls that ran on the fork pool.
+        pool_maps_serial: Engine group maps that ran in-process.
+        pool_maps_forked: Engine group maps that ran on the fork pool.
         pool_maps_degraded: Of the serial maps, how many were a
-            parallel-capable request degraded by the executor (CPU
-            budget, cost model, or fork safety).
+            parallel-capable request degraded by fork safety.
         pool_chunks: Chunked task batches dispatched to fork workers.
-        pool_shm_bytes: Worker->parent activity-trace bytes handed off
-            through ``multiprocessing.shared_memory`` instead of the
-            result pipe.
+        pool_shm_bytes: Worker->parent bytes handed off through
+            ``multiprocessing.shared_memory`` instead of the result pipe.
         grid_points: Operating points evaluated through the batched
             grid path (one per point per grid pass).
         grid_clark_reductions: Pairwise Clark reductions executed inside
@@ -87,8 +78,6 @@ class KernelStats:
     activity_cache_hits: int = 0
     activity_cache_misses: int = 0
     windows_reused: int = 0
-    pool_tasks: int = 0
-    pool_task_ms: int = 0
     pool_maps_serial: int = 0
     pool_maps_forked: int = 0
     pool_maps_degraded: int = 0

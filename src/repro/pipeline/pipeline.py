@@ -105,11 +105,6 @@ class EstimationPipeline:
             (storeless) otherwise.  Pass ``None`` explicitly to disable.
         n_data_samples: Data-variation sample count used to represent
             the probability random variables.
-        window_workers: Fork-pool width for the intra-job window
-            fan-out.
-        executor: Window-analysis executor name (``"auto"``,
-            ``"local-serial"``, ``"local-fork"``; see
-            :mod:`repro.dta.executor`).
         activity_cache: Content-addressed window activity cache shared
             by training, on-demand characterization, and breakdowns (a
             fresh one is built when omitted).
@@ -122,17 +117,10 @@ class EstimationPipeline:
         backends: dict[str, str] | None = None,
         store=_UNSET,
         n_data_samples: int = 128,
-        window_workers: int = 1,
-        executor: str = "auto",
         activity_cache: ActivityCache | None = None,
     ) -> None:
-        from repro.dta.executor import get_executor
-
         if n_data_samples < 2:
             raise ValueError("n_data_samples must be >= 2")
-        if window_workers < 1:
-            raise ValueError("window_workers must be >= 1")
-        get_executor(executor)  # fail fast on unknown names
         if processor is None:
             processor = ProcessorConfig()
         if isinstance(processor, ProcessorConfig):
@@ -145,20 +133,13 @@ class EstimationPipeline:
             store = ArtifactStore() if self.config is not None else None
         self.store: ArtifactStore | None = store
         self.n_data_samples = n_data_samples
-        self.window_workers = window_workers
-        self.executor = executor
         self.activity_cache = (
             activity_cache if activity_cache is not None else ActivityCache()
         )
         self.plan = REGISTRY.resolve(backends)
         self._netlist = REGISTRY.create("netlist", self.plan["netlist"])
         self._datapath = REGISTRY.create("datapath", self.plan["datapath"])
-        self._dta = REGISTRY.create(
-            "dta",
-            self.plan["dta"],
-            window_workers=window_workers,
-            executor=executor,
-        )
+        self._dta = REGISTRY.create("dta", self.plan["dta"])
         self._errormodel = REGISTRY.create("errormodel", self.plan["errormodel"])
         self._estimate = REGISTRY.create("estimate", self.plan["estimate"])
         self._derived: dict[float, EstimationPipeline] = {}
@@ -204,7 +185,7 @@ class EstimationPipeline:
         Shares the artifact store and the activity cache — both are
         content-addressed, and every family-tagged IR hashes differently,
         so entries can never collide across families — plus the backend
-        plan and execution knobs.  Requires the recipe
+        plan and ``n_data_samples``.  Requires the recipe
         (:class:`ProcessorConfig`) form: a pre-built processor cannot be
         re-targeted.
         """
@@ -223,8 +204,6 @@ class EstimationPipeline:
                 backends=self.plan,
                 store=self.store,
                 n_data_samples=self.n_data_samples,
-                window_workers=self.window_workers,
-                executor=self.executor,
                 activity_cache=self.activity_cache,
             )
         return self._family_siblings[core_family]
@@ -246,8 +225,6 @@ class EstimationPipeline:
                 backends=self.plan,
                 store=self.store,
                 n_data_samples=self.n_data_samples,
-                window_workers=self.window_workers,
-                executor=self.executor,
                 activity_cache=self.activity_cache,
             )
         return self._derived[speculation]
@@ -257,7 +234,7 @@ class EstimationPipeline:
     # ------------------------------------------------------------------ #
 
     def build_characterizer(self, program):
-        """A characterizer wired to this pipeline's cache and pool width."""
+        """A characterizer wired to this pipeline's activity cache."""
         with use_backends(**self.plan):
             return self._dta.build_characterizer(
                 self.processor, program, self.activity_cache

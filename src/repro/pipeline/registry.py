@@ -4,7 +4,7 @@ Every stage of the estimation pipeline (netlist build, datapath
 training, control DTA, statistical minimum, error model, estimation,
 validation) is implemented by one or more *backends* registered here
 under ``(stage, name)``.  Callers select implementations by name —
-``{"dta": "windowpool", "statmin": "clark"}`` — instead of threading
+``{"dta": "kernels", "statmin": "clark"}`` — instead of threading
 ``if`` ladders through the flow, and new backends plug in with a
 decorator instead of another branch:
 

@@ -15,11 +15,10 @@ stage                 backends                    contract
 ``validate``          ``montecarlo``              processor + program -> per-chip measured rates
 ====================  ==========================  ===========================
 
-``dta.kernels`` fans its windows out across ``window_workers`` through
-the named executor (a fork pool is byte-identical to serial by
-construction).  ``statmin`` backends are consulted *inside* Algorithm
-1's ``combine`` via :func:`~repro.pipeline.registry.active_backend` —
-the registry stays out of that hot loop.
+``dta.kernels`` analyzes its windows in-process, one after another.
+``statmin`` backends are consulted *inside* Algorithm 1's ``combine``
+via :func:`~repro.pipeline.registry.active_backend` — the registry
+stays out of that hot loop.
 """
 
 from __future__ import annotations
@@ -151,22 +150,12 @@ class DatapathTrainerBackend:
 @REGISTRY.register(
     "dta",
     "kernels",
-    description="Vectorized DTS kernels; window fan-out per "
-    "window_workers/executor",
+    description="Vectorized DTS kernels; in-process window loop",
     default=True,
 )
 class KernelsDTABackend:
-    """Control characterization on the vectorized kernels.  Windows fan
-    out across ``window_workers`` through the named executor,
-    byte-identical to a serial run by construction."""
-
-    def __init__(
-        self, window_workers: int = 1, executor: str = "auto"
-    ) -> None:
-        if window_workers < 1:
-            raise ValueError("window_workers must be >= 1")
-        self.window_workers = window_workers
-        self.executor = executor
+    """Control characterization on the vectorized kernels, one window
+    after another in sorted (block, edge) order."""
 
     def build_characterizer(self, processor, program, activity_cache):
         from repro.dta.characterize import ControlCharacterizer
@@ -178,8 +167,6 @@ class KernelsDTABackend:
             processor.scheme,
             processor.clock_period,
             activity_cache=activity_cache,
-            window_workers=self.window_workers,
-            executor=self.executor,
             scheduler=processor.make_scheduler(program),
         )
 
@@ -318,7 +305,7 @@ class KernelsDTABackend:
         Blocks reached only by the evaluation dataset get characterized
         from the simulation-phase window (with the single pre-entry
         record as the pipeline-sharing tail); missing pairs are batched
-        through the same window-analysis pool as training, in sorted key
+        through the same window-analysis loop as training, in sorted key
         order.
         """
         model = artifacts.control_model

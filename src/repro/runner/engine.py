@@ -2,8 +2,8 @@
 
 An :class:`EstimationEngine` executes a batch of
 :class:`~repro.core.request.EstimationRequest` jobs — (workload ×
-operating point) pairs — fanned out through the ``local-fork``
-executor of :mod:`repro.dta.executor`.
+operating point) pairs — fanned out through the fork map of
+:mod:`repro.dta.executor` (:func:`~repro.dta.executor.plan_fork_map`).
 Per-job work runs through the staged
 :class:`~repro.pipeline.pipeline.EstimationPipeline` backed by the
 content-addressed :class:`~repro.pipeline.store.ArtifactStore`; the
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from repro.core.processor import ProcessorModel
 from repro.core.request import EstimationRequest
 from repro.core.results import ErrorRateReport
-from repro.dta.executor import ExecutionPlan, execute_plan, get_executor
+from repro.dta.executor import ExecutionPlan, execute_plan, plan_fork_map
 from repro.kernels import KernelStats
 from repro.pipeline.ir import (
     CORRECTION_SCHEMES,
@@ -130,12 +130,6 @@ class RunSummary:
     #: How the request groups fanned out (and why not, if they did not).
     plan: ExecutionPlan
     cache_dir: str | None = None
-    #: Intra-job window-analysis pool width the engine was configured
-    #: with (pinned to 1 inside jobs when the engine itself ran parallel).
-    window_workers: int = 1
-    #: Window-analysis executor the engine was configured with (jobs are
-    #: pinned to ``local-serial`` when the engine itself ran parallel).
-    executor: str = "auto"
     #: ``None`` when caching is disabled; otherwise whether the shared
     #: datapath model came from the cache.
     datapath_cache_hit: bool | None = None
@@ -194,8 +188,6 @@ class RunSummary:
             "max_workers": self.max_workers,
             "parallel": self.parallel,
             "plan": self.plan.to_json(),
-            "window_workers": self.window_workers,
-            "executor": self.executor,
             "cache_dir": self.cache_dir,
             "grid_batches": self.grid_batches,
             "kernels": self.kernel_totals(),
@@ -213,7 +205,7 @@ class RunSummary:
             f"{self.training_runs} training runs{grid}, "
             f"{self.total_instructions:,} instructions, "
             f"{self.wall_seconds:.1f}s wall "
-            f"({'parallel x' + str(self.max_workers) if self.parallel else 'in-process'})"
+            f"({'parallel x' + str(self.plan.workers) if self.parallel else 'in-process'})"
         )
 
 
@@ -226,14 +218,11 @@ def _job_pipeline(config: ProcessorConfig, payload: dict):
     """The per-job staged pipeline for one picklable payload."""
     from repro.pipeline.pipeline import EstimationPipeline
 
-    window_workers = payload.get("window_workers", 1)
     cache_dir = payload.get("cache_dir")
     return EstimationPipeline(
         config,
         store=ArtifactStore(cache_dir) if cache_dir else None,
         n_data_samples=payload["n_data_samples"],
-        window_workers=window_workers,
-        executor=payload.get("executor", "auto"),
     )
 
 
@@ -322,16 +311,6 @@ class EstimationEngine:
         cache_dir: Artifact-store directory, or ``None`` to disable
             caching.
         n_data_samples: Data-variation sample count per estimator.
-        window_workers: Intra-job :class:`WindowAnalysisPool` width for
-            window characterization and Monte Carlo DTA.  The engine and
-            the pool share one worker budget: when the engine itself
-            runs its jobs in parallel, jobs are pinned to
-            ``window_workers=1`` so a batch never oversubscribes to
-            ``max_workers x window_workers`` processes.
-        executor: Window-analysis executor for intra-job pools
-            (``"auto"``, ``"local-serial"``, ``"local-fork"``).  Jobs
-            are pinned to ``local-serial`` when the engine itself runs
-            parallel — a pool worker must never fork its own pool.
     """
 
     def __init__(
@@ -341,20 +320,13 @@ class EstimationEngine:
         max_workers: int = 1,
         cache_dir=None,
         n_data_samples: int = 128,
-        window_workers: int = 1,
-        executor: str = "auto",
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if window_workers < 1:
-            raise ValueError("window_workers must be >= 1")
-        get_executor(executor)  # fail fast on unknown names
         self.config = config or ProcessorConfig()
         self.max_workers = max_workers
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.n_data_samples = n_data_samples
-        self.window_workers = window_workers
-        self.executor = executor
 
     # ------------------------------------------------------------------ #
 
@@ -397,7 +369,7 @@ class EstimationEngine:
         a group of requests that differ only in operating point shares
         one training and one evaluation simulation.  With
         ``max_workers > 1`` the groups fan out across a fork pool
-        (the ``local-fork`` executor's plan).
+        (:func:`~repro.dta.executor.plan_fork_map`).
         """
         from repro.pipeline.grid import grid_key
 
@@ -408,21 +380,13 @@ class EstimationEngine:
         for i, request in enumerate(requests):
             by_key.setdefault(grid_key(request), []).append(i)
         groups = list(by_key.values())
-        plan = get_executor("local-fork").plan(len(groups), self.max_workers)
+        plan = plan_fork_map(len(groups), self.max_workers)
         payloads = [
             {
                 "requests": [requests[i] for i in indices],
                 "config": self.config,
                 "cache_dir": self.cache_dir,
                 "n_data_samples": self.n_data_samples,
-                # Shared worker budget: intra-job pools stay serial when
-                # the engine already fans groups out across processes.
-                "window_workers": (
-                    1 if plan.parallel else self.window_workers
-                ),
-                "executor": (
-                    "local-serial" if plan.parallel else self.executor
-                ),
             }
             for indices in groups
         ]
@@ -430,7 +394,6 @@ class EstimationEngine:
             plan,
             lambda context, i: _execute_group(context[i]),
             payloads,
-            count_tasks=False,
         )
         raw: list = [None] * len(requests)
         for indices, docs in zip(groups, group_docs):
@@ -445,8 +408,6 @@ class EstimationEngine:
             max_workers=self.max_workers,
             plan=plan,
             cache_dir=self.cache_dir,
-            window_workers=self.window_workers,
-            executor=self.executor,
             datapath_cache_hit=datapath_hit,
             grid_batches=sum(
                 1 for docs in group_docs if docs[0].get("grid")

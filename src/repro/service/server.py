@@ -99,14 +99,6 @@ class EstimationService:
             pipeline; all share the store, so the warm-reuse contract
             holds across workers and tenants.  Ignored for execution
             width when a worker-process pool is running.
-        window_workers: Intra-job window-pool width handed to each
-            pipeline (keep ``workers * window_workers`` within the host
-            budget).
-        executor: Window-analysis executor handed to each pipeline.
-            The default ``"auto"`` degrades to in-process serial inside
-            the service's worker threads — forking a multi-threaded
-            process is unsafe — so ``window_workers > 1`` is honored
-            only when an executor can prove the fan-out safe.
         n_data_samples: Data-variation samples per estimator.
         store_budget: LRU byte budget for the shared store (``None`` =
             unbounded / ``REPRO_STORE_BUDGET``).
@@ -139,8 +131,6 @@ class EstimationService:
         host: str = "127.0.0.1",
         port: int = 8731,
         workers: int = 1,
-        window_workers: int = 1,
-        executor: str = "auto",
         n_data_samples: int = 128,
         store_budget: int | None = None,
         backends: dict | None = None,
@@ -164,8 +154,6 @@ class EstimationService:
         self.host = host
         self.port = port
         self.workers = workers
-        self.window_workers = window_workers
-        self.executor = executor
         self.n_data_samples = n_data_samples
         self.store_budget = store_budget
         self.backends = backends
@@ -178,12 +166,6 @@ class EstimationService:
         self.store = ArtifactStore(
             self.state_dir / "store", max_bytes=store_budget
         )
-        # Per-host fork-pool cost calibration: measured once (while the
-        # process is still single-threaded and fork-safe), persisted in
-        # the shared store, env-overridable for reproducible tests.
-        from repro.dta.executor import calibrate_pool_costs
-
-        self.pool_costs = calibrate_pool_costs(self.store)
         self.stats = SchedulerStats()
         self.pool = None
         self.pool_plan = None
@@ -218,8 +200,6 @@ class EstimationService:
                 backends=self.backends,
                 store=self.store,
                 n_data_samples=self.n_data_samples,
-                window_workers=self.window_workers,
-                executor=self.executor,
             )
             self._local.pipeline = pipe
         return pipe
@@ -467,7 +447,6 @@ class EstimationService:
                 "workers": self.workers,
                 "worker_processes": self.worker_processes,
             },
-            "pool_costs": self.pool_costs.to_json(),
             "pool": (
                 self.pool.describe() if self.pool is not None else None
             ),
@@ -538,8 +517,6 @@ class EstimationService:
             self.config,
             n_data_samples=self.n_data_samples,
             backends=self.backends,
-            window_workers=self.window_workers,
-            executor=self.executor,
             store_budget=self.store_budget,
         )
 

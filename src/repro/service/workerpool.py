@@ -2,9 +2,9 @@
 
 The service used to execute every job on an in-process worker thread.
 Threads share the GIL, so ``workers > 1`` buys concurrency (two jobs in
-flight) but not parallelism (two jobs *computing*), and the window-
-analysis fork pool refuses to fork under the service's live non-daemon
-threads (:func:`repro.dta.executor.fork_safe`).  This module moves job
+flight) but not parallelism (two jobs *computing*), and forking under
+the service's live non-daemon threads is unsafe
+(:func:`repro.dta.executor.fork_safe`).  This module moves job
 execution onto a :class:`WorkerPool` of long-lived *spawned* processes:
 
 * each worker is a fresh interpreter owning one warm
@@ -12,20 +12,19 @@ execution onto a :class:`WorkerPool` of long-lived *spawned* processes:
   on-disk :class:`~repro.pipeline.store.ArtifactStore` (concurrent-
   writer safe), so the warm-reuse contract holds across processes
   exactly as it does across threads;
-* a spawn costs ~:data:`~repro.dta.executor.SPAWN_STARTUP_MS` — two
-  orders of magnitude above a fork — which is why the processes are
-  persistent: the pool pays the spawn once and amortizes it over the
-  service lifetime, not per batch;
+* a spawn costs a fresh interpreter plus the repro import graph
+  (~1.5 s) — orders of magnitude above a fork — which is why the
+  processes are persistent: the pool pays the spawn once and amortizes
+  it over the service lifetime, not per batch;
 * whether a pool pays at all is decided by :func:`plan_worker_pool`,
   which resolves an :class:`~repro.dta.executor.ExecutionPlan` in the
-  same cost-model vocabulary (spawn availability, CPU budget, degrade
-  reasons) the window executors use — on a 1-CPU host the plan degrades
-  and the service keeps executing in-thread.  The plan is not a window
-  executor: the pool runs *jobs*, so it is not in the executor registry;
+  same vocabulary (spawn availability, CPU budget, degrade reasons) the
+  engine's fork map uses — on a 1-CPU host the plan degrades and the
+  service keeps executing in-thread;
 * results travel back over the worker pipe, except large payloads,
   which go through ``multiprocessing.shared_memory`` — the same
   :func:`~repro.dta.executor.share_bytes` hand-off (threshold and
-  ``pool_shm_bytes`` accounting) as the window pool's trace deltas;
+  ``pool_shm_bytes`` accounting);
 * each worker ships its :class:`~repro.kernels.KernelStats` delta with
   every batch and the parent merges it, so process-wide counters stay
   truthful across the process boundary.
@@ -165,8 +164,6 @@ def _worker_main(conn, init: dict) -> None:
         backends=init["backends"],
         store=store,
         n_data_samples=init["n_data_samples"],
-        window_workers=init["window_workers"],
-        executor=init["executor"],
     )
     stats = kernel_stats()
     try:
@@ -218,8 +215,8 @@ class WorkerPool:
             opens its own handle (the store is concurrent-writer safe).
         config: :class:`~repro.pipeline.ir.ProcessorConfig` for every
             worker pipeline (pickled into the spawned interpreter).
-        n_data_samples / backends / window_workers / executor /
-        store_budget: Pipeline knobs, mirrored from the service.
+        n_data_samples / backends / store_budget: Pipeline knobs,
+            mirrored from the service.
 
     ``run_batch`` is thread-safe: the service's dispatch threads check
     workers out under a condition variable, so up to ``processes``
@@ -235,8 +232,6 @@ class WorkerPool:
         *,
         n_data_samples: int = 128,
         backends: dict | None = None,
-        window_workers: int = 1,
-        executor: str = "auto",
         store_budget: int | None = None,
     ) -> None:
         if processes < 1:
@@ -247,8 +242,6 @@ class WorkerPool:
             "config": config,
             "n_data_samples": n_data_samples,
             "backends": backends,
-            "window_workers": window_workers,
-            "executor": executor,
             "store_budget": store_budget,
         }
         self._context = multiprocessing.get_context("spawn")
@@ -264,10 +257,10 @@ class WorkerPool:
 
     def _spawn(self, worker: _Worker) -> None:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
-        # Not daemonic: a daemonic process cannot create children, which
-        # would break the worker's own window-analysis fan-out.  Orphans
-        # are impossible anyway — when the parent dies, the pipe closes
-        # and the worker loop exits on EOFError.
+        # Not daemonic: at interpreter exit the parent joins a worker
+        # instead of terminating it mid-batch.  Orphans are impossible:
+        # when the parent dies, the pipe closes and the worker loop
+        # exits on EOFError.
         process = self._context.Process(
             target=_worker_main,
             args=(child_conn, self._init),

@@ -20,8 +20,7 @@ arithmetic, as the ground truth the parity tests compare against:
 The method references take ``self`` first, so :func:`reference_kernels`
 can patch them over the public entry points and a whole estimation runs
 end to end on the scalar code.  Patches do not cross a spawned process,
-so reference runs must stay in-process: ``window_workers=1``,
-``executor="local-serial"`` and engine ``max_workers=1``.
+so reference runs must stay in-process: engine ``max_workers=1``.
 """
 
 from __future__ import annotations

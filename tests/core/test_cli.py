@@ -23,31 +23,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["estimate", "doom3"])
 
-    def test_window_workers_on_engine_commands(self):
-        for command in ("table2", ["sweep", "bitcount"], ["batch"]):
-            argv = command if isinstance(command, list) else [command]
-            args = build_parser().parse_args(
-                argv + ["--window-workers", "4"]
-            )
-            assert args.window_workers == 4
-
-    def test_window_workers_must_be_positive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["batch", "--window-workers", "0"])
+    def test_removed_fan_out_flags_are_exit_2(self):
+        """Window analysis runs in-process: intra-job fan-out flags are
+        rejected, not silently ignored."""
+        commands = (
+            ["table2"], ["sweep", "bitcount"], ["batch"],
+            ["montecarlo", "bitcount"], ["serve"],
+        )
+        for command in commands:
+            for flag in (["--window-workers", "2"], ["--executor", "auto"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + flag, out=io.StringIO())
+                assert exc.value.code == 2
 
     def test_montecarlo_defaults(self):
         args = build_parser().parse_args(["montecarlo", "bitcount"])
         assert args.chips == 16
         assert args.windows_per_block == 6
-        assert args.window_workers == 1
-
-    def test_engine_receives_window_workers(self):
-        from repro.cli import _engine_from_args
-
-        args = build_parser().parse_args(
-            ["batch", "--no-cache", "--window-workers", "3"]
-        )
-        assert _engine_from_args(args).window_workers == 3
 
 
 class TestLightCommands:

@@ -76,7 +76,6 @@ class TestMonteCarlo:
                 "--chips", "4",
                 "--windows-per-block", "2",
                 "--max-instructions", "3000",
-                "--window-workers", "2",
                 "--json",
             ]
         )

@@ -184,8 +184,6 @@ class TestValidation:
     def test_pipeline_keeps_validations(self, estimator):
         with pytest.raises(ValueError):
             EstimationPipeline(estimator.processor, n_data_samples=1)
-        with pytest.raises(ValueError):
-            EstimationPipeline(estimator.processor, window_workers=0)
 
 
 class TestFrequencySensitivity:

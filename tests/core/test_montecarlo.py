@@ -104,10 +104,6 @@ class TestValidator:
         with pytest.raises(ValueError):
             MonteCarloValidator(proc, n_chips=1)
 
-    def test_window_workers_validated(self, proc):
-        with pytest.raises(ValueError):
-            MonteCarloValidator(proc, window_workers=0)
-
 
 class TestWindowSubsampling:
     def test_subsample_not_biased_to_first_windows(self, proc, program):
@@ -143,15 +139,3 @@ class TestWindowSubsampling:
         np.testing.assert_array_equal(
             r_a.chip_error_rates, r_b.chip_error_rates
         )
-
-    def test_parallel_pool_matches_serial(self, proc, program):
-        serial = MonteCarloValidator(
-            proc, n_chips=4, windows_per_block=3
-        ).estimate(program, max_instructions=10_000, seed=2)
-        parallel = MonteCarloValidator(
-            proc, n_chips=4, windows_per_block=3, window_workers=3
-        ).estimate(program, max_instructions=10_000, seed=2)
-        np.testing.assert_array_equal(
-            serial.chip_error_rates, parallel.chip_error_rates
-        )
-        assert serial.windows_analyzed == parallel.windows_analyzed

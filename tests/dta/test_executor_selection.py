@@ -1,10 +1,10 @@
-"""Executor-selection determinism: every executor, one answer.
+"""Characterization under the engine's fork map.
 
-The contract the adaptive executor must never break: the characterized
-:class:`ControlTimingModel` is byte-identical whichever executor runs
-the window fan-out — ``local-serial``, a real ``local-fork`` pool, or
-``auto`` (including when it degrades to serial) — and worker-side
-:class:`KernelStats` deltas survive the fork merge.
+Window analysis itself runs in-process; the fork map left is the batch
+engine's group map.  Characterization tasks run through it must merge
+their worker-side :class:`KernelStats` deltas into the parent and come
+back identical to in-process results, and the map's chunking must not
+depend on how long earlier window tasks took in the same process.
 """
 
 import pytest
@@ -16,15 +16,12 @@ from repro.cpu import (
     ReplayHalfFrequency,
     assemble,
 )
-from repro.dta import executor as executor_mod
 from repro.dta.characterize import (
     ControlCharacterizer,
     ControlSampleCollector,
 )
-from repro.dta.executor import fork_available, last_execution_plan
+from repro.dta.executor import execute_plan, fork_available, plan_fork_map
 from repro.kernels import kernel_stats
-
-EXECUTORS = ["local-serial", "local-fork", "auto"]
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +62,7 @@ def clock_period(small_pipeline, library):
 
 
 def _characterizer(
-    small_pipeline, library, program, clock_period,
-    workers: int, executor: str,
+    small_pipeline, library, program, clock_period
 ) -> ControlCharacterizer:
     from repro.dta import InstructionDTSAnalyzer, StageDTSAnalyzer
     from repro.netlist import EndpointKind
@@ -86,56 +82,23 @@ def _characterizer(
         program,
         ReplayHalfFrequency(),
         clock_period=clock_period,
-        window_workers=workers,
-        executor=executor,
     )
 
 
-@pytest.fixture(scope="module")
-def serial_model_json(
-    small_pipeline, library, redirect_program, clock_period, samples
-):
-    characterizer = _characterizer(
-        small_pipeline, library, redirect_program, clock_period,
-        workers=1, executor="local-serial",
+def _edge_task(context, index):
+    """One (block, edge) characterization at the characterizer's period."""
+    characterizer, tasks = context
+    bid, pred, tail, block_records = tasks[index]
+    return characterizer.characterize_edge_values_grid(
+        bid, pred, tail, block_records, [characterizer.clock_period]
     )
-    return characterizer.characterize(samples).to_json()
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_model_byte_identical_across_executors(
-    small_pipeline, library, redirect_program, clock_period, samples,
-    serial_model_json, executor,
-):
-    if executor == "local-fork" and not fork_available():
-        pytest.skip("needs fork")
-    characterizer = _characterizer(
-        small_pipeline, library, redirect_program, clock_period,
-        workers=2, executor=executor,
-    )
-    model = characterizer.characterize(samples)
-    assert model.to_json() == serial_model_json
-
-
-def test_degraded_auto_is_byte_identical(
-    small_pipeline, library, redirect_program, clock_period, samples,
-    serial_model_json, monkeypatch,
-):
-    """``auto`` forced serial by the CPU budget changes nothing."""
-    monkeypatch.setattr(executor_mod, "effective_cpus", lambda: 1)
-    characterizer = _characterizer(
-        small_pipeline, library, redirect_program, clock_period,
-        workers=4, executor="auto",
-    )
-    before = kernel_stats().snapshot()
-    model = characterizer.characterize(samples)
-    assert model.to_json() == serial_model_json
-    delta = kernel_stats().delta(before)
-    assert delta.pool_maps_forked == 0
-    assert delta.pool_maps_degraded >= 1
-    plan = last_execution_plan()
-    assert plan is not None and plan.requested == "auto"
-    assert not plan.parallel and "CPU" in plan.reason
+def _tasks(samples):
+    return [
+        (bid, pred, tail, block_records)
+        for (bid, pred), (tail, block_records) in sorted(samples.items())
+    ]
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
@@ -144,17 +107,39 @@ def test_forked_worker_stats_merge_into_parent(
 ):
     """The parent's counters see the work the forked workers did."""
     characterizer = _characterizer(
-        small_pipeline, library, redirect_program, clock_period,
-        workers=2, executor="local-fork",
+        small_pipeline, library, redirect_program, clock_period
     )
+    context = (characterizer, _tasks(samples))
+    plan = plan_fork_map(len(samples), 2)
+    assert plan.parallel
     before = kernel_stats().snapshot()
-    characterizer.characterize(samples)
+    forked = execute_plan(plan, _edge_task, context)
     delta = kernel_stats().delta(before)
-    assert delta.pool_maps_forked >= 1
-    assert delta.pool_tasks == len(samples)
+    assert delta.pool_maps_forked == 1
     assert delta.pool_chunks >= 2
     # The logic simulation ran inside workers; its counters merged back.
     assert delta.sim_calls > 0
     assert delta.activity_cache_misses > 0
-    # The workers' fresh traces were adopted into the parent cache.
-    assert len(characterizer.activity_cache) > 0
+    # Results come back in task order, equal to the in-process loop.
+    assert forked == [
+        _edge_task(context, i) for i in range(len(samples))
+    ]
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
+def test_engine_chunking_ignores_window_task_cost(
+    small_pipeline, library, redirect_program, clock_period, samples,
+):
+    """Regression: engine group chunks were sized from the mean cost of
+    the *window* tasks that earlier ran in the same process, so after a
+    characterization a seconds-long group map lost dynamic balancing
+    (8 groups x 2 workers went from chunks of 1 to chunks of 4).  Chunks
+    are ``ceil(n / (4 * workers))``, capped at one worker's share."""
+    _characterizer(
+        small_pipeline, library, redirect_program, clock_period
+    ).characterize(samples)
+    plan = plan_fork_map(8, 2)
+    assert plan.parallel
+    assert plan.chunk_size == 1
+    assert plan_fork_map(200, 4).chunk_size == 13
+    assert plan_fork_map(3, 2).chunk_size == 1

@@ -1,29 +1,18 @@
-"""Unit tests for the window-analysis layer (cache + pool + executors)."""
+"""Unit tests for the window-analysis layer (activity cache) and the
+engine's fork map (plan + execution)."""
 
 import threading
 
 import numpy as np
 import pytest
 
-from repro.dta import executor as executor_mod
 from repro.dta.executor import (
-    MIN_TASKS_TO_FORK,
-    AutoWindowExecutor,
-    ForkWindowExecutor,
-    SerialWindowExecutor,
-    available_executors,
+    execute_plan,
     fork_available,
     fork_safe,
-    get_executor,
-    last_execution_plan,
-    register_executor,
+    plan_fork_map,
 )
-from repro.dta.windowpool import (
-    ActivityCache,
-    WindowAnalysisPool,
-    _decode_bits,
-    _encode_bits,
-)
+from repro.dta.windowpool import ActivityCache, _decode_bits, _encode_bits
 from repro.kernels import kernel_stats
 from repro.logicsim.activity import ActivityTrace
 
@@ -124,114 +113,46 @@ class TestActivityCache:
         with pytest.raises(ValueError, match="schema"):
             ActivityCache().preload({"schema": "bogus", "windows": {}})
 
-    def test_export_adopt_delta(self):
-        cache = ActivityCache()
-        cache.activity(_stimulus(1), lambda _v: _trace(1))
-        snapshot = cache.snapshot_keys()
-        cache.activity(_stimulus(2), lambda _v: _trace(2))
-        delta = cache.export_shared_since(snapshot)
-        assert set(delta["index"]) == {ActivityCache.digest(_stimulus(2))}
-        parent = ActivityCache()
-        parent.adopt_shared(delta)
-        assert len(parent) == 1 and parent.dirty
-
 
 def _square_task(context, index):
     base = context["base"]
     return (base + index) ** 2
 
 
-class TestExecutorRegistry:
-    def test_builtin_executors_registered(self):
-        # Plugins may append; the three built-ins always lead the
-        # registry in registration order.
-        assert available_executors()[:3] == [
-            "local-serial", "local-fork", "auto"
-        ]
-
-    def test_get_unknown_names_available(self):
-        with pytest.raises(KeyError, match="local-serial"):
-            get_executor("remote-farm")
-
-    def test_register_rejects_duplicates_and_anonymous(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_executor(SerialWindowExecutor())
-        with pytest.raises(ValueError, match="name"):
-            register_executor(type("Nameless", (SerialWindowExecutor,),
-                                   {"name": ""})())
-
-    def test_pool_rejects_unknown_executor(self):
-        with pytest.raises(KeyError):
-            WindowAnalysisPool(2, executor="remote-farm")
+def _live_thread():
+    """A live non-daemon thread (and its release event)."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    return thread, release
 
 
 class TestExecutionPlans:
-    def test_serial_executor_always_serial(self):
-        plan = SerialWindowExecutor().plan(100, 8, task_ms=1000.0)
-        assert plan.executor == "local-serial"
-        assert not plan.parallel and plan.workers == 1
-
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_fork_executor_trusts_worker_count(self):
-        plan = ForkWindowExecutor().plan(8, 3)
+        plan = plan_fork_map(8, 3)
         assert plan.parallel and plan.workers == 3
         assert plan.chunk_size >= 1 and plan.reason == ""
 
     def test_fork_executor_degrades_for_single_worker_or_task(self):
-        assert not ForkWindowExecutor().plan(8, 1).parallel
-        assert not ForkWindowExecutor().plan(1, 8).parallel
+        assert not plan_fork_map(8, 1).parallel
+        assert not plan_fork_map(1, 8).parallel
 
-    def test_auto_serial_on_single_cpu(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "effective_cpus", lambda: 1)
-        plan = AutoWindowExecutor().plan(32, 4, task_ms=50.0)
-        assert not plan.parallel
-        assert "usable CPU" in plan.reason
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_auto_forks_when_cost_model_pays(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "effective_cpus", lambda: 4)
-        plan = AutoWindowExecutor().plan(32, 8, task_ms=50.0)
-        assert plan.parallel
-        # The worker budget is capped by the usable CPUs.
-        assert plan.workers == 4
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_auto_serial_when_tasks_too_cheap(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "effective_cpus", lambda: 4)
-        plan = AutoWindowExecutor().plan(32, 4, task_ms=0.01)
-        assert not plan.parallel
-        assert "cannot pay" in plan.reason
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_auto_serial_below_task_floor(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "effective_cpus", lambda: 4)
-        plan = AutoWindowExecutor().plan(
-            MIN_TASKS_TO_FORK - 1, 4, task_ms=50.0
-        )
-        assert not plan.parallel
-        assert "amortize" in plan.reason
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_small_tasks_batched_into_chunks(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "effective_cpus", lambda: 4)
-        # 1ms tasks against a 25ms chunk target: chunks must batch up.
-        plan = AutoWindowExecutor().plan(200, 4, task_ms=1.0)
-        assert plan.parallel
-        assert plan.chunk_size >= 25
-
-    def test_degraded_map_counts(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "effective_cpus", lambda: 1)
-        before = kernel_stats().snapshot()
-        out = WindowAnalysisPool(4, executor="auto").map(
-            _square_task, {"base": 1}, 6
-        )
-        delta = kernel_stats().delta(before)
+    def test_degraded_map_counts(self):
+        thread, release = _live_thread()
+        try:
+            plan = plan_fork_map(6, 4)
+            before = kernel_stats().snapshot()
+            out = execute_plan(plan, _square_task, {"base": 1})
+            delta = kernel_stats().delta(before)
+        finally:
+            release.set()
+            thread.join()
         assert out == [(1 + i) ** 2 for i in range(6)]
         assert delta.pool_maps_serial == 1
         assert delta.pool_maps_degraded == 1
         assert delta.pool_maps_forked == 0
-        plan = last_execution_plan()
-        assert plan is not None and not plan.parallel and plan.reason
+        assert not plan.parallel and plan.reason
 
 
 class TestForkSafety:
@@ -239,17 +160,12 @@ class TestForkSafety:
         assert fork_safe()
 
     def test_live_thread_blocks_forking(self):
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
+        thread, release = _live_thread()
         try:
             assert not fork_safe()
-            plan = ForkWindowExecutor().plan(8, 4)
+            plan = plan_fork_map(8, 4)
             assert not plan.parallel
             assert "unsafe" in plan.reason
-            assert not AutoWindowExecutor().plan(
-                32, 4, task_ms=50.0
-            ).parallel
         finally:
             release.set()
             thread.join()
@@ -257,10 +173,9 @@ class TestForkSafety:
     def test_concurrent_maps_from_threads_stay_correct(self):
         """Regression: two threads mapping at once must not cross wires.
 
-        The old pool parked ``(func, context)`` in an unguarded module
-        global, so two concurrent maps could observe each other's
-        context.  Now threads degrade to the stateless serial path (and
-        the fork hand-off is lock-serialized besides).
+        The fork hand-off parks ``(func, context)`` in a module global;
+        threads degrade to the stateless serial path (and the hand-off
+        is lock-serialized besides).
         """
         results: dict[int, list] = {}
         errors: list = []
@@ -269,8 +184,9 @@ class TestForkSafety:
         def run(base: int) -> None:
             try:
                 barrier.wait(timeout=10)
-                pool = WindowAnalysisPool(4, executor="local-fork")
-                results[base] = pool.map(_square_task, {"base": base}, 20)
+                results[base] = execute_plan(
+                    plan_fork_map(20, 4), _square_task, {"base": base}
+                )
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -289,37 +205,22 @@ class TestForkSafety:
         assert kernel_stats().delta(before).pool_maps_forked == 0
 
 
-class TestWindowAnalysisPool:
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            WindowAnalysisPool(0)
-
-    def test_should_parallelize(self):
-        assert not WindowAnalysisPool(1).plan(10).parallel
-        assert not WindowAnalysisPool(4).plan(1).parallel
-        if fork_available():
-            assert WindowAnalysisPool(
-                4, executor="local-fork"
-            ).plan(8).parallel
-
+class TestExecutePlan:
     def test_serial_map_preserves_order(self):
-        pool = WindowAnalysisPool(1)
-        out = pool.map(_square_task, {"base": 3}, 5)
+        out = execute_plan(plan_fork_map(5, 1), _square_task, {"base": 3})
         assert out == [(3 + i) ** 2 for i in range(5)]
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_parallel_map_matches_serial(self):
-        serial = WindowAnalysisPool(1).map(_square_task, {"base": 3}, 7)
-        parallel = WindowAnalysisPool(3, executor="local-fork").map(
-            _square_task, {"base": 3}, 7
-        )
-        assert parallel == serial
+        serial = execute_plan(plan_fork_map(7, 1), _square_task, {"base": 3})
+        plan = plan_fork_map(7, 3)
+        assert plan.parallel
+        assert execute_plan(plan, _square_task, {"base": 3}) == serial
 
     def test_pool_counters_recorded(self):
         before = kernel_stats().snapshot()
-        WindowAnalysisPool(1).map(_square_task, {"base": 0}, 4)
+        execute_plan(plan_fork_map(4, 1), _square_task, {"base": 0})
         delta = kernel_stats().delta(before)
-        assert delta.pool_tasks == 4
         assert delta.pool_maps_serial == 1
         assert delta.pool_maps_degraded == 0
 
@@ -331,60 +232,9 @@ class TestWindowAnalysisPool:
             return index
 
         before = kernel_stats().snapshot()
-        WindowAnalysisPool(2, executor="local-fork").map(
-            _cache_task, None, 4
-        )
+        execute_plan(plan_fork_map(4, 2), _cache_task, None)
         delta = kernel_stats().delta(before)
         # The misses happened in forked workers; the parent merged them.
         assert delta.activity_cache_misses == 4
-        assert delta.pool_tasks == 4
         assert delta.pool_maps_forked == 1
         assert delta.pool_chunks >= 2
-
-
-class TestSharedMemoryHandoff:
-    def _filled_cache(self, seeds, cycles=4, gates=9):
-        cache = ActivityCache()
-        for seed in seeds:
-            cache.activity(
-                _stimulus(seed),
-                lambda _v, s=seed: _trace(s, cycles=cycles, gates=gates),
-            )
-        return cache
-
-    def test_small_delta_stays_inline(self):
-        cache = self._filled_cache([1, 2])
-        payload = cache.export_shared_since(set())
-        assert payload["kind"] == "inline"
-        parent = ActivityCache()
-        parent.adopt_shared(payload)
-        assert len(parent) == 2
-
-    def test_outside_pool_worker_stays_inline(self):
-        cache = self._filled_cache([1], cycles=600, gates=600)
-        # Far above the byte floor, but not inside a fork-pool worker.
-        payload = cache.export_shared_since(set(), min_bytes=1)
-        assert payload["kind"] == "inline"
-
-    def test_shm_round_trip_is_lossless(self, monkeypatch):
-        import repro.dta.windowpool as windowpool
-
-        monkeypatch.setattr(windowpool, "in_pool_worker", lambda: True)
-        cache = self._filled_cache([1, 2, 3], cycles=40, gates=40)
-        payload = cache.export_shared_since(set(), min_bytes=1)
-        assert payload["kind"] == "shm"
-        assert payload["bytes"] > 0
-        parent = ActivityCache()
-        before = kernel_stats().snapshot()
-        parent.adopt_shared(payload)
-        delta = kernel_stats().delta(before)
-        assert delta.pool_shm_bytes == payload["bytes"]
-        assert len(parent) == 3 and parent.dirty
-        for seed in (1, 2, 3):
-            key = ActivityCache.digest(_stimulus(seed))
-            original = cache._entries[key]
-            adopted = parent._entries[key]
-            np.testing.assert_array_equal(
-                adopted.activated, original.activated
-            )
-            np.testing.assert_array_equal(adopted.values, original.values)

@@ -2,9 +2,9 @@
 
 Satellite of the core-family refactor: a request answered by the
 ``ooo-tomasulo`` family must be byte-identical regardless of how it is
-executed — serial or fork window analysis, grid or per-point — and the
-two families must each be internally deterministic while producing
-*different* reports (the family genuinely changes the model).
+executed — in-process or in a forked engine worker, grid or per-point —
+and the two families must each be internally deterministic while
+producing *different* reports (the family genuinely changes the model).
 """
 
 import json
@@ -16,6 +16,7 @@ from repro.dta.executor import fork_available, fork_safe
 from repro.netlist import PipelineConfig
 from repro.pipeline.ir import ProcessorConfig
 from repro.pipeline.pipeline import EstimationPipeline
+from repro.runner import EstimationEngine
 
 SMALL = PipelineConfig(
     data_width=8, mult_width=4, shift_bits=3, ctrl_regs=10,
@@ -45,27 +46,27 @@ def _pipeline(family, **kwargs):
 
 @pytest.fixture(scope="module")
 def ooo_serial_row():
-    pipeline = _pipeline("ooo-tomasulo", executor="local-serial")
+    pipeline = _pipeline("ooo-tomasulo")
     return _row(pipeline.run(_request(core_family="ooo-tomasulo")))
 
 
 class TestSameRequestBothFamilies:
     def test_families_run_and_differ(self, ooo_serial_row):
-        inorder = _pipeline("inorder6", executor="local-serial")
+        inorder = _pipeline("inorder6")
         inorder_row = _row(inorder.run(_request()))
         assert inorder_row != ooo_serial_row  # the family changes the model
 
     def test_dispatch_matches_direct_pipeline(self, ooo_serial_row):
         # An inorder-based pipeline answering an ooo request via family
         # dispatch must agree with a pipeline built for ooo directly.
-        base = _pipeline("inorder6", executor="local-serial")
+        base = _pipeline("inorder6")
         result = base.execute(_request(core_family="ooo-tomasulo"))
         assert _row(result.report) == ooo_serial_row
 
 
 class TestOoOExecutorStability:
     def test_serial_rerun_is_byte_identical(self, ooo_serial_row):
-        again = _pipeline("ooo-tomasulo", executor="local-serial")
+        again = _pipeline("ooo-tomasulo")
         assert _row(again.run(_request(core_family="ooo-tomasulo"))) == (
             ooo_serial_row
         )
@@ -75,12 +76,20 @@ class TestOoOExecutorStability:
         reason="fork start method unavailable",
     )
     def test_fork_pool_matches_serial(self, ooo_serial_row):
-        pipeline = _pipeline(
-            "ooo-tomasulo", executor="local-fork", window_workers=2
+        """An ooo job run in a forked engine worker matches in-process."""
+        engine = EstimationEngine(
+            ProcessorConfig(pipeline=SMALL, core_family="ooo-tomasulo"),
+            max_workers=2,
+            n_data_samples=32,
         )
-        assert _row(pipeline.run(_request(core_family="ooo-tomasulo"))) == (
-            ooo_serial_row
+        summary = engine.run(
+            [
+                _request(core_family="ooo-tomasulo"),
+                _request(core_family="ooo-tomasulo", workload="stringsearch"),
+            ]
         )
+        assert summary.parallel
+        assert _row(summary.results[0].report) == ooo_serial_row
 
 
 class TestOoOGridStability:
@@ -90,11 +99,11 @@ class TestOoOGridStability:
             _request(core_family="ooo-tomasulo", speculation=s)
             for s in specs
         ]
-        grid_pipe = _pipeline("ooo-tomasulo", executor="local-serial")
+        grid_pipe = _pipeline("ooo-tomasulo")
         grid_rows = [
             _row(r.report) for r in grid_pipe.execute_grid(requests).results
         ]
-        scalar_pipe = _pipeline("ooo-tomasulo", executor="local-serial")
+        scalar_pipe = _pipeline("ooo-tomasulo")
         scalar_rows = [
             _row(scalar_pipe.execute(r).report) for r in requests
         ]

@@ -1,7 +1,6 @@
 """Grid parity suite: the batched operating-point evaluator must be
-byte-identical to the per-point loop — across workloads, executors,
-the frozen scalar kernel references, and the degraded 1-CPU executor
-path."""
+byte-identical to the per-point loop — across workloads and the frozen
+scalar kernel references."""
 
 import json
 
@@ -80,19 +79,12 @@ class TestGridParity:
         "kwargs",
         [
             dict(backends={"dta": "kernels"}),
-            dict(backends={"dta": "kernels"}, window_workers=2),
-            dict(
-                backends={"dta": "kernels"},
-                window_workers=2,
-                executor="local-serial",
-            ),
         ],
-        ids=["kernels", "windowpool", "windowpool-serial-executor"],
+        ids=["kernels"],
     )
     def test_backend_and_executor_variants(self, tmp_path, kwargs):
-        """The windowpool backend degrades to in-process serial work on
-        a 1-CPU host (and under the explicit serial executor); the grid
-        must stay byte-identical either way."""
+        """An explicitly selected backend keeps the grid
+        byte-identical to the per-point loop."""
         scalar = _pipeline(tmp_path, "scalar")
         expected = [_row(scalar.execute(r)) for r in _requests()]
 
@@ -111,9 +103,7 @@ class TestGridParity:
         expected = [
             _row(scalar.execute(r)) for r in _requests(specs=specs)
         ]
-        gridpipe = _pipeline(
-            tmp_path, "grid", window_workers=1, executor="local-serial"
-        )
+        gridpipe = _pipeline(tmp_path, "grid")
         with reference_kernels():
             grid = gridpipe.execute_grid(_requests(specs=specs))
         assert [_row(r) for r in grid.results] == expected

@@ -53,7 +53,6 @@ class TestShimMatchesPipeline:
     def test_reference_kernels_are_byte_identical(self, processor, kernels_row):
         pipeline = EstimationPipeline(
             processor, n_data_samples=32,
-            window_workers=1, executor="local-serial",
         )
         with reference_kernels():
             row = _row(pipeline.run(_request()))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core import EstimationRequest
-from repro.dta.executor import fork_available, get_executor
+from repro.dta.executor import fork_available, plan_fork_map
 from repro.netlist import PipelineConfig
 from repro.pipeline.store import ArtifactStore
 from repro.runner import EstimationEngine, ProcessorConfig
@@ -39,7 +39,7 @@ def _per_request(requests):
         results=[result for run in runs for result in run.results],
         wall_seconds=sum(run.wall_seconds for run in runs),
         max_workers=1,
-        plan=get_executor("local-serial").plan(len(runs), 1),
+        plan=plan_fork_map(len(runs), 1),
         grid_batches=sum(run.grid_batches for run in runs),
     )
 
@@ -256,6 +256,16 @@ class TestParallelMatchesSerial:
         assert parallel.plan.executor == "local-fork"
         assert parallel.plan.workers == 2
         assert parallel.to_json()["plan"] == parallel.plan.to_json()
+
+    def test_describe_prints_the_forked_worker_count(self):
+        """Two groups on a 4-wide engine fork 2 workers, not 4."""
+        summary = RunSummary(
+            results=[],
+            wall_seconds=0.0,
+            max_workers=4,
+            plan=plan_fork_map(2, 4),
+        )
+        assert "parallel x2)" in summary.describe()
 
     def test_single_job_falls_back_in_process(self):
         summary = _engine(max_workers=4).run(_requests("bitcount"))

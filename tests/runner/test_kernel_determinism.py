@@ -49,9 +49,7 @@ def _rows(summary):
 def test_kernels_match_full_reference():
     # The patches live in this process only: keep every stage in it.
     with reference_kernels():
-        reference = _engine(
-            max_workers=1, window_workers=1, executor="local-serial"
-        ).run(_requests("bitcount"))
+        reference = _engine(max_workers=1).run(_requests("bitcount"))
     kernels = _engine().run(_requests("bitcount"))
     assert _rows(kernels) == _rows(reference)
 

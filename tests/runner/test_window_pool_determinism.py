@@ -1,11 +1,11 @@
 """Determinism and reuse contracts of the window-analysis layer.
 
-A full estimation run with ``window_workers=4`` and the activity cache
-on must produce a byte-identical ``ErrorRateReport.to_json`` payload
-(timing excluded) to a serial run that simulates every window (the
-frozen uncached ``ActivityCache.activity`` of ``tests/_reference.py``);
-and a warm second-period job of a frequency sweep
-must re-characterize with zero logic simulations.
+A full estimation run with the activity cache on must produce a
+byte-identical ``ErrorRateReport.to_json`` payload (timing excluded) to
+a run that simulates every window (the frozen uncached
+``ActivityCache.activity`` of ``tests/_reference.py``); and a warm
+second-period job of a frequency sweep must re-characterize with zero
+logic simulations.
 """
 
 import json
@@ -47,43 +47,21 @@ def _rows(summary):
 
 
 def test_window_pool_and_cache_match_serial_reference():
-    """Acceptance: parallel + cached == serial + uncached, byte for byte."""
+    """Acceptance: cached == uncached, byte for byte."""
     with mock.patch.object(ActivityCache, "activity", _reference.activity):
-        reference = _engine(
-            max_workers=1, window_workers=1, executor="local-serial"
-        ).run(_requests("bitcount"))
-    pooled = _engine(max_workers=1, window_workers=4).run(
-        _requests("bitcount")
-    )
-    assert _rows(pooled) == _rows(reference)
-    stats = pooled.results[0].kernel_stats
+        reference = _engine(max_workers=1).run(_requests("bitcount"))
+    cached = _engine(max_workers=1).run(_requests("bitcount"))
+    assert _rows(cached) == _rows(reference)
+    stats = cached.results[0].kernel_stats
     assert stats["activity_cache_misses"] > 0
-    assert stats["pool_tasks"] > 0
 
 
 def test_parallel_engine_matches_windowed_serial_engine():
-    """Outer-parallel (pinned inner) == serial engine with inner pool."""
+    """Groups forked across the engine pool == the in-process engine."""
     requests = _requests("bitcount", "stringsearch")
-    inner = _engine(max_workers=1, window_workers=2).run(requests)
-    outer = _engine(max_workers=2, window_workers=2).run(requests)
+    inner = _engine(max_workers=1).run(requests)
+    outer = _engine(max_workers=2).run(requests)
     assert _rows(inner) == _rows(outer)
-
-
-def test_engine_pins_inner_pool_when_parallel():
-    engine = _engine(max_workers=2, window_workers=4)
-    assert engine.window_workers == 4
-    summary = engine.run(_requests("bitcount", "stringsearch"))
-    assert summary.to_json()["window_workers"] == 4
-    if summary.parallel:
-        # Jobs ran across the engine pool; intra-job pools were pinned
-        # serial, so no nested fan-out was recorded beyond the task count.
-        for result in summary.results:
-            assert result.kernel_stats["pool_tasks"] > 0
-
-
-def test_window_workers_validated():
-    with pytest.raises(ValueError):
-        _engine(window_workers=0)
 
 
 def test_warm_sweep_second_period_runs_zero_logic_sims(tmp_path):
@@ -93,9 +71,7 @@ def test_warm_sweep_second_period_runs_zero_logic_sims(tmp_path):
     reusing the persisted windows artifact (one run would share a single
     grid pass between the two points, which
     ``tests/runner/test_engine.py::TestGridRouting`` covers)."""
-    engine = _engine(
-        max_workers=1, window_workers=2, cache_dir=tmp_path
-    )
+    engine = _engine(max_workers=1, cache_dir=tmp_path)
     results = [
         result
         for spec in (1.15, 1.25)

@@ -7,11 +7,9 @@ import multiprocessing
 import pytest
 
 from repro import api
-from repro.dta.executor import available_executors
 from repro.kernels import kernel_stats
 from repro.netlist import PipelineConfig
 from repro.pipeline.ir import ProcessorConfig
-from repro.pipeline.pipeline import EstimationPipeline
 from repro.service import EstimationService
 from repro.service.workerpool import (
     CRASH_ONCE_ENV,
@@ -39,12 +37,6 @@ def _doc(**overrides):
 
 
 class TestWorkerPoolPlan:
-    def test_the_pool_is_not_a_window_executor(self):
-        """Importing the service leaves the window-executor set alone."""
-        assert available_executors() == ["local-serial", "local-fork", "auto"]
-        with pytest.raises(KeyError, match="service-pool"):
-            EstimationPipeline(SMALL, executor="service-pool")
-
     def test_plan_resolves_on_a_multi_cpu_host(self, monkeypatch):
         monkeypatch.setattr(
             "repro.service.workerpool.effective_cpus", lambda: 8
