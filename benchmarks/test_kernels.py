@@ -10,7 +10,9 @@ repository root so regressions are measured, not asserted:
   processor construction;
 * micro: batched logic simulation vs. the per-gate loop, memoized
   ``combine`` vs. a reduction with the memo cleared before every call,
-  blocked ``path_cov_matrix`` vs. the pairwise ``path_cov`` loop.
+  blocked ``path_cov_matrix`` vs. the pairwise ``path_cov`` loop, and
+  datapath training's AP unions reduced by one ``combine_many`` vs. one
+  ``combine`` per set.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_kernels.py -q``.
 """
@@ -27,6 +29,7 @@ import numpy as np
 from conftest import print_table
 from repro import kernel_stats
 from repro.dta.algorithm1 import StageDTSAnalyzer
+from repro.dta.trainer import _T_REF
 from repro.logicsim.simulator import LevelizedSimulator
 from repro.netlist import PipelineConfig, TimingLibrary, generate_pipeline
 from repro.runner import ProcessorConfig
@@ -158,6 +161,48 @@ def _bench_path_cov(pipe):
     }
 
 
+def _bench_training_combine():
+    """Datapath training's AP unions, replayed on fresh analyzers: one
+    ``combine_many`` (one covariance fill, one ragged Clark chain) vs.
+    one ``combine`` per set."""
+    processor = SMALL.build()
+    stage = processor.data_analyzer.stage_analyzer
+    ap_sets = []
+    combine_many = stage.combine_many
+    stage.combine_many = lambda sets, *args: (
+        ap_sets.extend(sets) or combine_many(sets, *args)
+    )
+    processor.datapath_model
+
+    def fresh():
+        return StageDTSAnalyzer(
+            processor.pipeline.netlist,
+            processor.library,
+            processor.variation,
+            paths_per_endpoint=stage.paths_per_endpoint,
+            endpoint_kind=stage.endpoint_kind,
+            enumerator=processor.enumerator,
+        )
+
+    batched_s = scalar_s = float("inf")
+    for _ in range(3):
+        analyzer = fresh()
+        t0 = time.perf_counter()
+        batched = analyzer.combine_many(ap_sets, _T_REF)
+        batched_s = min(batched_s, time.perf_counter() - t0)
+        analyzer = fresh()
+        t0 = time.perf_counter()
+        scalar = [analyzer.combine(ap, _T_REF) for ap in ap_sets]
+        scalar_s = min(scalar_s, time.perf_counter() - t0)
+        assert batched == scalar  # bitwise
+    return {
+        "ap_sets": len(ap_sets),
+        "scalar_s": round(scalar_s, 4),
+        "batched_s": round(batched_s, 4),
+        "speedup": round(scalar_s / batched_s, 2),
+    }
+
+
 def test_kernel_speedups():
     # Interleaved rounds, best-of: the end-to-end numbers are wall-clock
     # and the reference run is long enough to catch scheduler noise.
@@ -177,6 +222,7 @@ def test_kernel_speedups():
         "logic_sim": _bench_logic_sim(pipe, rng),
         "combine_memo": _bench_combine(pipe),
         "path_cov": _bench_path_cov(pipe),
+        "training_combine": _bench_training_combine(),
     }
 
     doc = {
@@ -210,6 +256,10 @@ def test_kernel_speedups():
             ["path cov (48 paths)", micro["path_cov"]["pairwise_s"],
              micro["path_cov"]["blocked_s"],
              f"{micro['path_cov']['speedup']:.2f}x"],
+            ["training combine (batched vs scalar)",
+             micro["training_combine"]["scalar_s"],
+             micro["training_combine"]["batched_s"],
+             f"{micro['training_combine']['speedup']:.2f}x"],
         ],
         "Kernel layer speedups (BENCH_kernels.json)",
     )
@@ -225,3 +275,4 @@ def test_kernel_speedups():
     assert micro["logic_sim"]["speedup"] > 1.0
     assert micro["combine_memo"]["speedup"] > 1.0
     assert micro["path_cov"]["speedup"] > 1.0
+    assert micro["training_combine"]["speedup"] >= 2.0

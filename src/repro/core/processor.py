@@ -22,6 +22,7 @@ from repro.dta.trainer import DatapathTrainer
 from repro.netlist.gates import EndpointKind
 from repro.netlist.generator import PipelineConfig, PipelineNetlist, generate_pipeline
 from repro.netlist.library import TimingLibrary
+from repro.netlist.paths import PathEnumerator
 from repro.perf.model import TSPerformanceModel
 from repro.sta.sta import StaticTimingAnalysis
 from repro.sta.ssta import StatisticalTimingAnalysis
@@ -92,13 +93,22 @@ class ProcessorModel:
     # ------------------------------------------------------------------ #
 
     @cached_property
+    def enumerator(self) -> PathEnumerator:
+        """The critical-path enumerator every timing engine shares."""
+        netlist = self.pipeline.netlist
+        return PathEnumerator(netlist, netlist.nominal_delays(self.library))
+
+    @cached_property
     def sta(self) -> StaticTimingAnalysis:
-        return StaticTimingAnalysis(self.pipeline.netlist, self.library)
+        return StaticTimingAnalysis(
+            self.pipeline.netlist, self.library, self.enumerator
+        )
 
     @cached_property
     def ssta(self) -> StatisticalTimingAnalysis:
         return StatisticalTimingAnalysis(
-            self.pipeline.netlist, self.library, self.variation
+            self.pipeline.netlist, self.library, self.variation,
+            self.enumerator,
         )
 
     @cached_property
@@ -159,6 +169,7 @@ class ProcessorModel:
                 self.variation,
                 paths_per_endpoint=self.paths_per_endpoint,
                 endpoint_kind=EndpointKind.CONTROL,
+                enumerator=self.enumerator,
             )
         )
 
@@ -172,6 +183,7 @@ class ProcessorModel:
                 self.variation,
                 paths_per_endpoint=self.paths_per_endpoint,
                 endpoint_kind=EndpointKind.DATA,
+                enumerator=self.enumerator,
             )
         )
 
@@ -262,6 +274,9 @@ class ProcessorModel:
         # Share the sampled variation model itself (the constructor built
         # an equivalent one; the engines below reference this instance).
         clone.variation = self.variation
+        # Every operating point enumerates the same critical paths: one
+        # enumerator (and its per-endpoint memo) serves them all.
+        clone.__dict__["enumerator"] = self.enumerator
         for name in self._PERIOD_INDEPENDENT:
             if name in self.__dict__:
                 clone.__dict__[name] = self.__dict__[name]

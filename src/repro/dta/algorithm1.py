@@ -17,6 +17,7 @@ probabilities (pass ``include_safe=True`` to analyze them anyway).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,19 @@ from repro.netlist.paths import Path, PathEnumerator
 from repro.pipeline.registry import active_backend
 from repro.sta.gaussian import Gaussian
 from repro.sta.ssta import statistical_min, statistical_min_grid
-from repro.variation.process import ProcessVariationModel
+from repro.variation.process import ProcessVariationModel, gate_table
 
 __all__ = ["StageDTSAnalyzer", "StageDTS"]
 
 _MODES = {"statistical", "deterministic"}
+
+#: Pair cells per batch of :meth:`StageDTSAnalyzer.combine_many`: each
+#: batch fills its missing covariance cells in one call and reduces its
+#: AP sets in one chain, which bounds the temporaries of both.
+_FILL_CELLS = 1 << 18
+
+#: Cache keys built per lookup run of :meth:`StageDTSAnalyzer._cov_block`.
+_LOOKUP_CELLS = 1 << 12
 
 
 @dataclass(slots=True)
@@ -237,6 +246,9 @@ class StageDTSAnalyzer:
         margin: Risk margin in sigmas for the safe-endpoint filter and the
             percentile scans (2.326 = 1st/99th percentiles, as in the
             paper; larger is more conservative).
+        enumerator: Critical-path enumerator over ``netlist`` with the
+            library's nominal delays, shared with the processor's other
+            engines; one is built when omitted.
     """
 
     def __init__(
@@ -247,6 +259,7 @@ class StageDTSAnalyzer:
         paths_per_endpoint: int = 12,
         endpoint_kind: EndpointKind | None = None,
         margin: float = 2.326,
+        enumerator: PathEnumerator | None = None,
     ) -> None:
         check_positive("paths_per_endpoint", paths_per_endpoint)
         check_positive("margin", margin)
@@ -256,7 +269,7 @@ class StageDTSAnalyzer:
         self.paths_per_endpoint = paths_per_endpoint
         self.endpoint_kind = endpoint_kind
         self.margin = margin
-        self._enumerator = PathEnumerator(
+        self._enumerator = enumerator or PathEnumerator(
             netlist, netlist.nominal_delays(library)
         )
         # Period-independent per-path state, precomputed once: a registry
@@ -271,25 +284,31 @@ class StageDTSAnalyzer:
         self._path_var: list[float] = []
         self._cov_cache: dict[tuple[int, int], float] = {}
         self._combine_memo: dict[tuple, Gaussian] = {}
-        self._stage_endpoints: dict[int, list[_EndpointPaths]] = {}
         self._stage_plans: dict[int, _StagePlan] = {}
-        for s in range(netlist.num_stages):
-            self._stage_endpoints[s] = [
-                self._prepare_endpoint(g.gid)
+        stage_endpoints = {
+            s: [
+                g.gid
                 for g in netlist.endpoints(stage=s, kind=endpoint_kind)
                 if g.gtype == GateType.DFF
             ]
+            for s in range(netlist.num_stages)
+        }
+        paths = {
+            e: self._enumerator.critical_paths(e, k=paths_per_endpoint)
+            for eps in stage_endpoints.values()
+            for e in eps
+        }
+        # One batched moments call registers every endpoint's paths.
+        self._register_paths([p for ps in paths.values() for p in ps])
+        self._stage_endpoints: dict[int, list[_EndpointPaths]] = {
+            s: [self._prepare_endpoint(e, paths[e]) for e in eps]
+            for s, eps in stage_endpoints.items()
+        }
 
-    def _prepare_endpoint(self, endpoint: int) -> _EndpointPaths:
-        paths = self._enumerator.critical_paths(
-            endpoint, k=self.paths_per_endpoint
-        )
-        means = np.empty(len(paths))
-        variances = np.empty(len(paths))
-        pids = [self._register_path(p) for p in paths]
-        for i, pid in enumerate(pids):
-            means[i] = self._path_mean[pid]
-            variances[i] = self._path_var[pid]
+    def _prepare_endpoint(self, endpoint: int, paths) -> _EndpointPaths:
+        pids = self._register_paths(paths)
+        means = np.array([self._path_mean[pid] for pid in pids])
+        variances = np.array([self._path_var[pid] for pid in pids])
         # Seed the covariance cache with the endpoint's full pairwise
         # matrix in one blocked computation (period-independent).
         if len(paths) > 1:
@@ -304,53 +323,128 @@ class StageDTSAnalyzer:
                     self._cov_cache.setdefault(key, float(cov[i, j]))
         return _EndpointPaths(endpoint, paths, means, variances, self.margin)
 
-    def _register_path(self, path: Path) -> int:
-        """Dense id of ``path``, registering its delay moments on first use."""
-        key = (path.gates, path.sink)
-        pid = self._path_ids.get(key)
-        if pid is None:
-            pid = len(self._registered)
-            self._path_ids[key] = pid
-            self._registered.append(path)
-            mean, var = self.variation.path_delay_moments(path.gates)
-            self._path_mean.append(mean)
-            self._path_var.append(var)
-        return pid
+    def _register_paths(self, paths) -> tuple[int, ...]:
+        """Dense ids of ``paths``, registering the delay moments of new
+        ones with one batched call."""
+        ids = self._path_ids
+        new: list[Path] = []
+        pids = []
+        for path in paths:
+            key = (path.gates, path.sink)
+            pid = ids.get(key)
+            if pid is None:
+                pid = ids[key] = len(self._registered)
+                self._registered.append(path)
+                new.append(path)
+            pids.append(pid)
+        if new:
+            means, variances = self.variation.path_delay_moments_many(
+                [p.gates for p in new]
+            )
+            self._path_mean.extend(means.tolist())
+            self._path_var.extend(variances.tolist())
+        return tuple(pids)
+
+    def _cov_block(self, sets) -> tuple[list[np.ndarray], np.ndarray]:
+        """Pairwise covariance cells inside each of ``sets`` (id tuples).
+
+        Returns ``(slots, cov)``: ``cov`` is a dense matrix over the
+        paths the sets touch, in ascending id order, and ``slots[i]``
+        maps the entries of ``sets[i]`` to its rows.  Within-endpoint
+        cells were precomputed by the blocked kernel; the missing cells
+        of all sets are computed in one
+        :meth:`~repro.variation.process.ProcessVariationModel.path_cov_rows`
+        call, each in canonical ``(low id, high id)`` orientation, and
+        cached in first-encounter order, so a cached value is bitwise the
+        reference ``path_cov`` and never depends on the set that first
+        requested it.  The diagonal is zero except for a path a set
+        repeats (the cell of that path with itself).
+        """
+        sizes = [len(pids) for pids in sets]
+        touched, inverse = np.unique(
+            np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp),
+            return_inverse=True,
+        )
+        u = len(touched)
+        offsets = itertools.accumulate(sizes, initial=0)
+        slots = [inverse[start : start + n] for start, n in zip(offsets, sizes)]
+        # Index pairs i < j < n in row-major order, per set size: the
+        # pairs of the largest size with j < n, in their order.
+        rows, cols = np.triu_indices(max(sizes), 1)
+        pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # rank[lo, hi]: where cell (lo, hi) falls in the order a per-set
+        # scan first meets the distinct cells (-1: no set has it).  One
+        # small matrix, not a list of per-set cell arrays: fewer live
+        # temporaries while the cache grows.
+        rank = np.full((u, u), -1, dtype=np.int32)
+        n_cells = n_keys = 0
+        for pids, slot in zip(sets, slots):
+            n = len(pids)
+            if n not in pairs:
+                pairs[n] = (rows[cols < n], cols[cols < n])
+            i, j = pairs[n]
+            a, b = slot[i], slot[j]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            n_keys += len(lo)
+            fresh = rank[lo, hi] < 0
+            lo, hi = lo[fresh], hi[fresh]
+            if len(set(pids)) < n:
+                # A repeated path repeats cells inside the set.
+                first = np.unique(lo * u + hi, return_index=True)[1]
+                first.sort()
+                lo, hi = lo[first], hi[first]
+            rank[lo, hi] = np.arange(n_cells, n_cells + len(lo))
+            n_cells += len(lo)
+        met = np.flatnonzero(rank >= 0)
+        cells = np.empty(n_cells, dtype=np.intp)
+        cells[rank.ravel()[met]] = met
+        del rank, met
+        lo, hi = np.divmod(cells, u)
+        del cells
+        cache = self._cov_cache
+        # Keys share the int objects of one id list; the lookups build a
+        # bounded run of key tuples at a time.  NaN marks a missing cell
+        # (covariances are finite).
+        ids = touched.tolist()
+        values = np.empty(n_cells)
+        for start in range(0, n_cells, _LOOKUP_CELLS):
+            stop = start + _LOOKUP_CELLS
+            values[start:stop] = [
+                cache.get((ids[a], ids[b]), np.nan)
+                for a, b in zip(
+                    lo[start:stop].tolist(), hi[start:stop].tolist()
+                )
+            ]
+        missing = np.flatnonzero(np.isnan(values))
+        if len(missing):
+            # Gate table of the touched paths, indexed by slot.
+            table = gate_table([self._registered[p].gates for p in ids])
+            values[missing] = self.variation.path_cov_rows(
+                *table, lo[missing], hi[missing]
+            )
+            cache.update(
+                ((ids[a], ids[b]), value)
+                for a, b, value in zip(
+                    lo[missing].tolist(),
+                    hi[missing].tolist(),
+                    values[missing].tolist(),
+                )
+            )
+        stats = kernel_stats()
+        stats.cov_cells_computed += len(missing)
+        stats.cov_cache_hits += n_keys - len(missing)
+        cov = np.zeros((u, u))
+        cov[lo, hi] = values
+        cov[hi, lo] = values
+        return slots, cov
 
     def _cov_for(self, pids: tuple[int, ...]) -> np.ndarray:
-        """Pairwise slack covariance matrix for registered path ids.
-
-        Within-endpoint cells were precomputed by the blocked kernel;
-        cross-endpoint cells are computed on first use and cached for the
-        analyzer's lifetime.  All of an AP set's missing cells are filled
-        in one :meth:`~repro.variation.process.ProcessVariationModel.path_cov_pairs`
-        call, each in canonical ``(low id, high id)`` orientation, so a
-        cached value is bitwise the reference ``path_cov`` and never
-        depends on the AP set that first requested it.
-        """
-        n = len(pids)
-        stats = kernel_stats()
-        cache = self._cov_cache
-        keys = [
-            (a, b) if a < b else (b, a)
-            for i, a in enumerate(pids)
-            for b in pids[i + 1 :]
-        ]
-        missing = list(dict.fromkeys(k for k in keys if k not in cache))
-        if missing:
-            reg = self._registered
-            values = self.variation.path_cov_pairs(
-                [(reg[a].gates, reg[b].gates) for a, b in missing]
-            )
-            cache.update(zip(missing, values))
-        stats.cov_cells_computed += len(missing)
-        stats.cov_cache_hits += len(keys) - len(missing)
-        cov = np.zeros((n, n))
-        rows, cols = np.triu_indices(n, 1)
-        upper = [cache[k] for k in keys]
-        cov[rows, cols] = upper
-        cov[cols, rows] = upper
-        cov[np.arange(n), np.arange(n)] = [self._path_var[p] for p in pids]
+        """Pairwise slack covariance matrix for registered path ids (the
+        cells of :meth:`_cov_block`, each path's variance on the
+        diagonal)."""
+        (slot,), cov = self._cov_block([pids])
+        cov = cov[slot[:, None], slot]
+        np.fill_diagonal(cov, [self._path_var[p] for p in pids])
         return cov
 
     # ------------------------------------------------------------------ #
@@ -537,7 +631,7 @@ class StageDTSAnalyzer:
             return Gaussian(clock_period - worst - setup, 0.0)
         stats = kernel_stats()
         stats.combine_calls += 1
-        pids = tuple(self._register_path(p) for p in paths)
+        pids = self._register_paths(paths)
         # The statmin pipeline backend is part of the memo identity: a
         # Clark result must never serve a Monte Carlo run (or vice versa).
         method = active_backend("statmin", "clark")
@@ -558,6 +652,98 @@ class StageDTSAnalyzer:
             result = statistical_min(slacks, self._cov_for(pids), method=method)
         self._combine_memo[memo_key] = result
         return result
+
+    def combine_many(
+        self,
+        ap_sets: list[list[Path]],
+        clock_period: float,
+        mode: str = "statistical",
+    ) -> list[Gaussian | None]:
+        """:meth:`combine` of many AP sets at one clock period.
+
+        Returns ``[self.combine(ap, clock_period, mode) for ap in
+        ap_sets]`` bit for bit, with the same memo and counters: a set
+        met earlier in the batch is a memo hit.  The distinct sets that
+        miss the memo are reduced :data:`_FILL_CELLS` pair cells at a
+        time: one covariance fill (:meth:`_cov_block`) and one lock-step
+        Clark chain over ragged rows
+        (:func:`~repro.sta.ssta.statistical_min_grid`) per batch.
+        """
+        check_in("mode", mode, _MODES)
+        if mode == "deterministic":
+            return [self.combine(ap, clock_period, mode) for ap in ap_sets]
+        stats = kernel_stats()
+        method = active_backend("statmin", "clark")
+        results: list[Gaussian | None] = [None] * len(ap_sets)
+        # Memo key of every set that misses the memo -> its positions.
+        pending: dict[tuple, list[int]] = {}
+        for i, paths in enumerate(ap_sets):
+            if not paths:
+                continue
+            stats.combine_calls += 1
+            key = (mode, clock_period, self._register_paths(paths), method)
+            hit = self._combine_memo.get(key)
+            if hit is not None:
+                stats.combine_memo_hits += 1
+                results[i] = hit
+            elif key in pending:
+                stats.combine_memo_hits += 1
+                pending[key].append(i)
+            else:
+                pending[key] = [i]
+        setup = self.library.setup_time
+        batch: list[tuple] = []
+        cells = 0
+        for key in pending:
+            pids = key[2]
+            if len(pids) == 1:
+                self._combine_memo[key] = Gaussian(
+                    clock_period - self._path_mean[pids[0]] - setup,
+                    self._path_var[pids[0]],
+                )
+                continue
+            n_cells = len(pids) * (len(pids) - 1) // 2
+            if batch and cells + n_cells > _FILL_CELLS:
+                self._reduce_batch(batch, clock_period, method)
+                batch, cells = [], 0
+            batch.append(key)
+            cells += n_cells
+        if batch:
+            self._reduce_batch(batch, clock_period, method)
+        for key, positions in pending.items():
+            for i in positions:
+                results[i] = self._combine_memo[key]
+        return results
+
+    def _reduce_batch(self, keys, clock_period: float, method: str) -> None:
+        """Memoize the statistical minimum of every multi-path AP set in
+        ``keys`` (memo keys), in one covariance fill and one chain."""
+        sets = [key[2] for key in keys]
+        slots, cov = self._cov_block(sets)
+        # Longest sets first: the chain's rows need no reordering.
+        order = sorted(range(len(sets)), key=lambda k: -len(sets[k]))
+        keys = [keys[k] for k in order]
+        sets = [sets[k] for k in order]
+        slots = [slots[k] for k in order]
+        lengths = np.array([len(pids) for pids in sets])
+        valid = np.arange(lengths.max())[None, :] < lengths[:, None]
+        flat = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)
+        grid_slots = np.zeros(valid.shape, dtype=np.int32)
+        grid_slots[valid] = np.concatenate(slots)
+        # Same op order as the scalar slack: (T - mean) - setup.
+        means = np.zeros(valid.shape)
+        means[valid] = (
+            clock_period - np.array(self._path_mean)[flat]
+        ) - self.library.setup_time
+        variances = np.ones(valid.shape)
+        variances[valid] = np.array(self._path_var)[flat]
+        kernel_stats().clark_reductions += int((lengths - 1).sum())
+        out_mean, out_var = statistical_min_grid(
+            means, variances, cov, method=method, slots=grid_slots,
+            lengths=lengths,
+        )
+        for key, mean, var in zip(keys, out_mean.tolist(), out_var.tolist()):
+            self._combine_memo[key] = Gaussian(mean, var)
 
     def combine_grid(
         self,
@@ -588,7 +774,7 @@ class StageDTSAnalyzer:
             ]
         stats = kernel_stats()
         stats.combine_calls += n_periods
-        pids = tuple(self._register_path(p) for p in paths)
+        pids = self._register_paths(paths)
         method = active_backend("statmin", "clark")
         results: list[Gaussian | None] = [None] * n_periods
         missing: list[int] = []

@@ -119,21 +119,19 @@ class InstructionDTSAnalyzer:
         clock_period: float,
         mode: str = "statistical",
         include_safe: bool = False,
-        ap_traces: list[list[list[Path]]] | None = None,
     ) -> list[Gaussian | None]:
         """Instruction DTS for many instructions sharing one trace window.
 
-        Computes each stage's AP trace once (unless ``ap_traces`` brings
-        them) and reuses it for every instruction — the dominant cost
-        amortization during basic-block characterization.
+        Computes each stage's AP trace once and reuses it for every
+        instruction — the dominant cost amortization during basic-block
+        characterization.
         """
-        if ap_traces is None:
-            ap_traces = [
-                self.stage_analyzer.ap_trace(
-                    s, activity, clock_period, mode, include_safe
-                )
-                for s in range(self.num_stages)
-            ]
+        ap_traces = [
+            self.stage_analyzer.ap_trace(
+                s, activity, clock_period, mode, include_safe
+            )
+            for s in range(self.num_stages)
+        ]
         return [
             self.instruction_dts(
                 activity, t, clock_period, mode, ap_traces=ap_traces

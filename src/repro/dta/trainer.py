@@ -158,20 +158,16 @@ class DatapathTrainer:
         rows = self.encoder.encode_schedule(scheduler.schedule(window))
         return rows, scheduler.entries(window, [1])
 
-    def measure(self, activity, entries, ap_traces=None):
-        """Gate-level arrival measurement of the target instruction from
-        its window's switching activity (and, optionally, the window's
-        per-stage AP traces from :meth:`ap_traces`)."""
-        dts = self.analyzer.window_dts(
-            activity, entries, _T_REF, include_safe=True, ap_traces=ap_traces
-        )[0]
+    def measure(self, dts):
+        """Gate-level arrival (and its SD) of a window's target
+        instruction from its reduced DTS (``None``: nothing activated)."""
         if dts is None:
             return 0.0, 0.5  # no data endpoint toggled (nop-like)
         arrival = _T_REF - self.setup_time - dts.mean
         return float(arrival), float(max(dts.std, 0.5))
 
     def ap_traces(self, activities):
-        """Per window, the per-stage AP traces :meth:`measure` selects.
+        """Per window, the per-stage AP traces at the reference period.
 
         Consecutive windows are stacked into chunks of at most
         :data:`_APSEL_CELLS` activation cells, each chunk's AP sets are
@@ -205,8 +201,10 @@ class DatapathTrainer:
 
         Every window is drawn first (measuring consumes no randomness,
         so the stream is the per-window loop's), then all windows are
-        logic-simulated in one batch, each from the flushed fabric, and
-        their AP sets are selected a chunk of windows at a time.
+        logic-simulated in one batch, each from the flushed fabric, their
+        AP sets are selected a chunk of windows at a time, and the target
+        instructions' AP unions are reduced in one
+        :meth:`~repro.dta.algorithm1.StageDTSAnalyzer.combine_many`.
         """
         rng = as_rng(seed)
         windows = []
@@ -223,11 +221,18 @@ class DatapathTrainer:
             *record_arrays([w[3] for w in windows]),
             *record_arrays([w[2] for w in windows]),
         )
+        unions = [
+            self.analyzer.instruction_ap(
+                activity, entries[0], _T_REF, ap_traces=traces
+            )
+            for (*_, entries), activity, traces in zip(
+                windows, activities, self.ap_traces(activities)
+            )
+        ]
+        reduced = self.analyzer.stage_analyzer.combine_many(unions, _T_REF)
         samples: list[DatapathSample] = []
-        for (klass, *_, entries), activity, traces, row in zip(
-            windows, activities, self.ap_traces(activities), features
-        ):
-            arrival, sd = self.measure(activity, entries, traces)
+        for (klass, *_), row, dts in zip(windows, features, reduced):
+            arrival, sd = self.measure(dts)
             samples.append(
                 DatapathSample(
                     op_class=klass,

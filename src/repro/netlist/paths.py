@@ -70,6 +70,8 @@ class PathEnumerator:
         self.netlist = netlist
         self.delays = np.asarray(delays, dtype=float)
         self._arrival = self._compute_arrivals()
+        # endpoint -> (k, the longest path list computed so far).
+        self._memo: dict[int, tuple[int, list[Path]]] = {}
 
     def _compute_arrivals(self) -> np.ndarray:
         """Longest source-to-output delay for every gate (incl. own delay)."""
@@ -95,9 +97,15 @@ class PathEnumerator:
         Paths are returned in non-increasing nominal-delay order, i.e. the
         order the paper's ``CP`` function consumes them in Algorithm 1.
         ``endpoint`` must be a DFF (input ports have no D pin to capture).
+        The search breaks ties by push order, so a shorter list is a
+        prefix of a longer one: each endpoint's longest list so far is
+        kept, and smaller ``k`` are served from it.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        known = self._memo.get(endpoint)
+        if known is not None and k <= known[0]:
+            return known[1][:k]
         sink = self.netlist.gate(endpoint)
         if sink.gtype != GateType.DFF:
             raise ValueError(f"gate {sink.name!r} is not a capture flip-flop")
@@ -125,7 +133,8 @@ class PathEnumerator:
                 heapq.heappush(
                     heap, (-bound, counter, inp, (inp,) + partial, new_cost)
                 )
-        return results
+        self._memo[endpoint] = (k, results)
+        return results[:]
 
     def all_paths(self, endpoint: int, limit: int = 100000) -> list[Path]:
         """Exhaustively enumerate paths to ``endpoint`` (testing helper).

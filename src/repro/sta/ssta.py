@@ -131,19 +131,20 @@ def statistical_min(
     return _pairwise_reduce(list(slacks), cov, order, minimum=True)
 
 
-def _rowwise_min_fallback(
-    means: np.ndarray, variances: np.ndarray, cov: np.ndarray, method: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row scalar reduction (grid fallback — identical by construction)."""
-    n_periods, _ = means.shape
-    out_mean = np.empty(n_periods)
-    out_var = np.empty(n_periods)
-    for p in range(n_periods):
+def _rowwise_montecarlo(means, variances, cov, slots, lengths):
+    """Per-row scalar ``montecarlo`` reduction of a (ragged) grid."""
+    out_mean = np.empty(len(means))
+    out_var = np.empty(len(means))
+    for p, n in enumerate(lengths):
         slacks = [
             Gaussian(float(m), float(v))
-            for m, v in zip(means[p], variances[p])
+            for m, v in zip(means[p, :n], variances[p, :n])
         ]
-        g = statistical_min(slacks, cov, method=method)
+        row_cov = (
+            cov if slots is None
+            else cov[np.ix_(slots[p, :n], slots[p, :n])]
+        )
+        g = statistical_min(slacks, row_cov, method="montecarlo")
         out_mean[p] = g.mean
         out_var[p] = g.var
     return out_mean, out_var
@@ -154,23 +155,34 @@ def statistical_min_grid(
     variances,
     cov: np.ndarray,
     method: str | None = None,
+    slots=None,
+    lengths=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Period-axis-batched :func:`statistical_min` (criticality order).
+    """Row-batched :func:`statistical_min` (criticality order).
 
     Args:
-        means: ``(P, N)`` slack means — one row per operating point.
+        means: ``(P, N)`` slack means, one row per reduction: one row
+            per operating point of an AP set, or (ragged) one padded row
+            per AP set.
         variances: ``(N,)`` or ``(P, N)`` slack variances (path variances
             are period-independent, so ``(N,)`` is the common case).
-        cov: Shared ``(N, N)`` covariance matrix (period-independent).
+        cov: Covariance matrix.  Without ``slots`` it is the ``(N, N)``
+            matrix every row shares; with them it is a dense ``(U, U)``
+            matrix over every Gaussian the rows touch.
         method: ``"clark"``/``"montecarlo"``; ``None`` consults the
             active ``statmin`` backend, exactly like the scalar entry.
+        slots: Optional ``(P, N)`` integer matrix: entry ``(p, i)`` of
+            the rows is Gaussian ``slots[p, i]`` of ``cov``.
+        lengths: Optional ``(P,)`` row lengths: row ``p`` reduces its
+            first ``lengths[p]`` entries; the rest is padding.
 
     Returns ``(mean, var)`` arrays of shape ``(P,)``, each row bitwise
-    identical to ``statistical_min`` on that row's scalars.  The
-    vectorized chain requires every row to share one greedy combination
-    order; when slack-mean ties break differently across periods (or the
-    backend is ``montecarlo``) the rows are reduced by the scalar code
-    path instead — identical either way.
+    identical to ``statistical_min`` on that row's scalars (its
+    ``cov`` sub-block when ``slots`` is given).  Every row runs its own
+    greedy order (a stable argsort, as ``sorted``) in one lock-step
+    chain; a row that is done stops updating.  Rows that share one
+    order and one covariance gather each step's covariance row once.
+    The ``montecarlo`` backend reduces row by row.
     """
     if method is None:
         method = active_backend("statmin", "clark")
@@ -178,45 +190,95 @@ def statistical_min_grid(
     means = np.asarray(means, dtype=float)
     if means.ndim != 2:
         raise ValueError(f"means must be (P, N), got shape {means.shape}")
-    n_periods, n = means.shape
+    n_rows, n = means.shape
     variances = np.asarray(variances, dtype=float)
     if variances.ndim == 1:
-        variances = np.broadcast_to(variances, (n_periods, n))
-    if variances.shape != (n_periods, n):
+        variances = np.broadcast_to(variances, (n_rows, n))
+    if variances.shape != (n_rows, n):
         raise ValueError(
-            f"variances must be ({n_periods}, {n}), got {variances.shape}"
+            f"variances must be ({n_rows}, {n}), got {variances.shape}"
         )
     if n == 0:
         raise ValueError("cannot reduce an empty set of Gaussians")
-    if n == 1:
-        return means[:, 0].copy(), variances[:, 0].copy()
     cov = np.asarray(cov, dtype=float)
-    if cov.shape != (n, n):
+    if slots is None and cov.shape != (n, n):
         raise ValueError(f"covariance must be ({n}, {n}), got {cov.shape}")
     if method == "montecarlo":
-        return _rowwise_min_fallback(means, variances, cov, method)
-    # Stable ascending argsort == sorted(range(n), key=mean) row by row;
-    # the chain vectorizes only if every period agrees on the order.
-    orders = np.argsort(means, axis=1, kind="stable")
-    if not (orders == orders[0]).all():
-        return _rowwise_min_fallback(means, variances, cov, method)
-    idx = orders[0]
-    j0 = int(idx[0])
-    cur_mean = means[:, j0].copy()
-    cur_var = variances[:, j0].copy()
-    # cov(current, X_k) for every original index k, one row per period.
-    cvec = np.broadcast_to(cov[j0, :], (n_periods, n)).astype(float).copy()
-    for j in idx[1:]:
-        j = int(j)
-        c = cvec[:, j]
+        if lengths is None:
+            lengths = np.full(n_rows, n)
+        return _rowwise_montecarlo(means, variances, cov, slots, lengths)
+    n_steps = n
+    rows = None
+    if lengths is not None:
+        # Longest rows first, so the rows still reducing at a step are a
+        # prefix; padding sorts after every entry of its row.
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if (np.diff(lengths) > 0).any():
+            rows = np.argsort(-lengths, kind="stable")
+            lengths = lengths[rows]
+            means = means[rows]
+            variances = variances[rows]
+            if slots is not None:
+                slots = np.asarray(slots)[rows]
+        n_steps = int(lengths[0])
+        keys = np.where(
+            np.arange(n)[None, :] < lengths[:, None], means, np.inf
+        )
+        active = (lengths[None, :] > np.arange(n)[:, None]).sum(axis=1)
+    else:
+        keys = means
+        active = np.full(n, n_rows)
+    # Stable ascending argsort == sorted(range(n), key=mean) row by row.
+    orders = np.argsort(keys, axis=1, kind="stable")
+    shared = (
+        slots is None and lengths is None and (orders == orders[0]).all()
+    )
+    lane = np.arange(n_rows)
+    first = (lane, orders[:, 0])
+    cur_mean = means[first]
+    cur_var = variances[first]
+    # cov(current, X_k) for every entry k of the row.
+    if slots is None:
+        cvec = cov[orders[:, 0]]
+    else:
+        cvec = cov[slots[first][:, None], slots]
+    out_mean = np.empty(n_rows)
+    out_var = np.empty(n_rows)
+    active = active.tolist()
+    order = orders[0].tolist()
+    for step in range(1, n_steps):
+        a = active[step]
+        if a < len(cur_mean):
+            # Rows a.. are done: keep their results, drop their lanes.
+            out_mean[a : len(cur_mean)] = cur_mean[a:]
+            out_var[a : len(cur_mean)] = cur_var[a:]
+            cur_mean, cur_var, cvec = cur_mean[:a], cur_var[:a], cvec[:a]
+        if shared:
+            # One column of every row, and one covariance row broadcast.
+            k = order[step]
+            take = (slice(None), k)
+            row = cov[k][None, :]
+        else:
+            k = orders[:a, step]
+            take = (lane[:a], k)
+            row = cov[k] if slots is None else cov[
+                slots[take][:, None], slots[:a]
+            ]
         # min(X, Y) = -max(-X, -Y); covariance unchanged by joint negation.
-        neg_mean, var, wx, wy = clark_max_coefficients_grid(
-            -cur_mean, cur_var, -means[:, j], variances[:, j], c
+        neg_mean, cur_var, wx, wy = clark_max_coefficients_grid(
+            -cur_mean, cur_var, -means[take], variances[take], cvec[take]
         )
         cur_mean = -neg_mean
-        cur_var = var
-        cvec = wx[:, None] * cvec + wy[:, None] * cov[j, :][None, :]
-    return cur_mean, cur_var
+        cvec = wx[:, None] * cvec + wy[:, None] * row
+    out_mean[: len(cur_mean)] = cur_mean
+    out_var[: len(cur_mean)] = cur_var
+    if rows is None:
+        return out_mean, out_var
+    result_mean = np.empty(n_rows)
+    result_var = np.empty(n_rows)
+    result_mean[rows] = out_mean
+    result_var[rows] = out_var
+    return result_mean, result_var
 
 
 def statistical_max(
@@ -242,6 +304,8 @@ class StatisticalTimingAnalysis:
         library: Timing library.
         variation: Correlated gate-delay model; if omitted, a default
             :class:`ProcessVariationModel` is constructed.
+        enumerator: Critical-path enumerator over ``netlist`` with the
+            library's nominal delays; one is built when omitted.
     """
 
     def __init__(
@@ -249,11 +313,12 @@ class StatisticalTimingAnalysis:
         netlist: Netlist,
         library: TimingLibrary,
         variation: ProcessVariationModel | None = None,
+        enumerator: PathEnumerator | None = None,
     ) -> None:
         self.netlist = netlist
         self.library = library
         self.variation = variation or ProcessVariationModel(netlist, library)
-        self.enumerator = PathEnumerator(
+        self.enumerator = enumerator or PathEnumerator(
             netlist, netlist.nominal_delays(library)
         )
 

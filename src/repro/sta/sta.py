@@ -47,13 +47,20 @@ class StaticTimingAnalysis:
     Args:
         netlist: The netlist to analyze.
         library: Timing library (delays, setup time).
+        enumerator: Critical-path enumerator over ``netlist`` with the
+            library's nominal delays; one is built when omitted.
     """
 
-    def __init__(self, netlist: Netlist, library: TimingLibrary) -> None:
+    def __init__(
+        self,
+        netlist: Netlist,
+        library: TimingLibrary,
+        enumerator: PathEnumerator | None = None,
+    ) -> None:
         self.netlist = netlist
         self.library = library
         self.delays = netlist.nominal_delays(library)
-        self.enumerator = PathEnumerator(netlist, self.delays)
+        self.enumerator = enumerator or PathEnumerator(netlist, self.delays)
 
     def capture_endpoints(self, stage: int | None = None) -> list[int]:
         """Ids of flip-flops that capture data (have a D pin)."""

@@ -13,6 +13,7 @@ validation experiments).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,32 @@ from repro.netlist.library import TimingLibrary
 from repro.netlist.netlist import Netlist
 from repro.variation.spatial import SpatialCorrelationModel
 
-__all__ = ["VariationConfig", "ProcessVariationModel"]
+__all__ = ["VariationConfig", "ProcessVariationModel", "gate_table"]
 
-#: Cells per block of :meth:`ProcessVariationModel.path_cov_pairs`.
-_BLOCK_CELLS = 1 << 16
+#: Cells per block (128 KB per float64 temporary) of the batched
+#: moment and covariance kernels.
+_BLOCK_CELLS = 1 << 14
+
+
+def gate_table(gate_seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Gate sequences as a zero-padded ``(n, max_len)`` id table plus
+    their lengths: row ``i`` holds sequence ``i`` in its first
+    ``lengths[i]`` columns."""
+    lengths = np.fromiter(map(len, gate_seqs), dtype=np.intp)
+    width = int(lengths.max(initial=0))
+    table = np.zeros((len(lengths), width), dtype=np.int32)
+    table[np.arange(width) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(gate_seqs), dtype=np.int32
+    )
+    return table, lengths
+
+
+def _groups(keys: np.ndarray) -> list[np.ndarray]:
+    """Indices of ``keys`` grouped by equal key."""
+    if not len(keys):
+        return []
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,6 +186,39 @@ class ProcessVariationModel:
         var = float(self.cov_matrix(ids).sum())
         return mean, var
 
+    def path_delay_moments_many(
+        self, gate_seqs
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`path_delay_moments` of many gate sequences, bit for bit.
+
+        Returns ``(means, variances)`` arrays.  Sequences are grouped by
+        length; each group's covariance matrices are built as one
+        ``(k, L, L)`` block with :meth:`cov_matrix`'s element-wise op
+        sequence and summed row-wise.
+        """
+        table, lengths = gate_table(gate_seqs)
+        means = np.empty(len(lengths))
+        variances = np.empty(len(lengths))
+        cfg = self.config
+        cells = self.spatial.cell_index
+        for rows in _groups(lengths):
+            n = int(lengths[rows[0]])
+            diag = np.arange(n)
+            step = max(1, _BLOCK_CELLS // max(1, n * n))
+            for start in range(0, len(rows), step):
+                chunk = rows[start : start + step]
+                ids = table[chunk, :n]
+                means[chunk] = self.mu[ids].sum(axis=1)
+                c = cells[ids]
+                rho = cfg.global_fraction + cfg.spatial_fraction * (
+                    self.spatial.cell_correlation[c[:, :, None], c[:, None, :]]
+                )
+                sig = self.sigma[ids]
+                cov = sig[:, :, None] * sig[:, None, :] * rho
+                cov[:, diag, diag] = sig**2
+                variances[chunk] = cov.reshape(len(chunk), -1).sum(axis=1)
+        return means, variances
+
     def path_cov(self, gates_a, gates_b) -> float:
         """Covariance between the summed delays of two gate sequences.
 
@@ -186,37 +242,42 @@ class ProcessVariationModel:
         return float(cov.sum())
 
     def path_cov_pairs(self, pairs) -> list[float]:
-        """``[self.path_cov(a, b) for a, b in pairs]``, bit for bit.
+        """``[self.path_cov(a, b) for a, b in pairs]``, bit for bit."""
+        table, lengths = gate_table([seq for pair in pairs for seq in pair])
+        firsts = np.arange(0, 2 * len(pairs), 2)
+        return self.path_cov_rows(table, lengths, firsts, firsts + 1).tolist()
 
-        Pairs are grouped by ``(len(a), len(b))`` and each group is
-        evaluated as ``(k, len(a), len(b))`` blocks with the element-wise
-        operation sequence of :meth:`path_cov`.  Every pair's block is
-        then summed on its own with ``.sum()``, which is the reduction
-        :meth:`path_cov` does on an array of the same shape and layout (a
-        reduction over a reshaped axis need not add in the same order).
+    def path_cov_rows(self, table, lengths, a, b) -> np.ndarray:
+        """:meth:`path_cov` of gate-table rows ``a[i]`` and ``b[i]``.
+
+        ``table``/``lengths`` come from :func:`gate_table`.  Pairs are
+        grouped by ``(len(a), len(b))`` and each group is evaluated as
+        ``(k, len(a), len(b))`` blocks with the element-wise operation
+        sequence of :meth:`path_cov`, then summed row-wise
+        (``tests/variation/test_moments_many.py`` checks that the
+        row-wise sum adds each pair's cells as ``.sum()`` does).
         """
-        out = [0.0] * len(pairs)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, (a, b) in enumerate(pairs):
-            groups.setdefault((len(a), len(b)), []).append(i)
+        a = np.asarray(a, dtype=np.intp)
+        b = np.asarray(b, dtype=np.intp)
+        out = np.empty(len(a))
         cfg = self.config
         cells = self.spatial.cell_index
-        for (len_a, len_b), members in groups.items():
-            # Bound each block to ~512 KB per temporary.
-            step = max(1, _BLOCK_CELLS // (len_a * len_b))
+        len_a, len_b = lengths[a], lengths[b]
+        shapes = len_a * (int(lengths.max(initial=0)) + 1) + len_b
+        for members in _groups(shapes):
+            na, nb = int(len_a[members[0]]), int(len_b[members[0]])
+            step = max(1, _BLOCK_CELLS // max(1, na * nb))
             for start in range(0, len(members), step):
                 chunk = members[start : start + step]
-                a = np.array([pairs[i][0] for i in chunk], dtype=int)
-                b = np.array([pairs[i][1] for i in chunk], dtype=int)
-                a3, b3 = a[:, :, None], b[:, None, :]
+                a3 = table[a[chunk], :na][:, :, None]
+                b3 = table[b[chunk], :nb][:, None, :]
                 rho = cfg.global_fraction + cfg.spatial_fraction * (
                     self.spatial.cell_correlation[cells[a3], cells[b3]]
                 )
                 outer = self.sigma[a3] * self.sigma[b3]
                 cov = outer * rho
                 cov = cov + np.equal(a3, b3) * outer * cfg.random_fraction
-                for row, i in enumerate(chunk):
-                    out[i] = float(cov[row].sum())
+                out[chunk] = cov.reshape(len(chunk), -1).sum(axis=1)
         return out
 
     def path_cov_matrix(self, gate_seqs) -> np.ndarray:

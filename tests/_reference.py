@@ -10,9 +10,10 @@ arithmetic, as the ground truth the parity tests compare against:
   re-encode);
 * ``StageDTSAnalyzer.ap_trace`` / ``ap_trace_grid`` -> :func:`ap_trace` /
   :func:`ap_trace_grid` (per-endpoint, per-cycle scan, once per period);
-* ``StageDTSAnalyzer.combine`` / ``combine_grid`` -> :func:`combine` /
-  :func:`combine_grid` (every moment and ``path_cov`` recomputed per
-  call, no memo, one scalar reduction per period);
+* ``StageDTSAnalyzer.combine`` / ``combine_grid`` / ``combine_many`` ->
+  :func:`combine` / :func:`combine_grid` / :func:`combine_many` (every
+  moment and ``path_cov`` recomputed per call, no memo, one scalar
+  reduction per period and per AP set);
 * ``ActivityCache.activity`` -> :func:`activity` (simulate every window);
 * ``clark_max_coefficients`` -> :func:`clark_max_coefficients`
   (``scipy.stats.norm`` pdf/cdf).
@@ -57,6 +58,7 @@ __all__ = [
     "clark_max_coefficients",
     "combine",
     "combine_grid",
+    "combine_many",
     "encode_cycle",
     "evaluate",
     "reference_kernels",
@@ -233,6 +235,17 @@ def combine_grid(
     return [combine(self, paths, cp, mode) for cp in clock_periods]
 
 
+def combine_many(
+    self: StageDTSAnalyzer,
+    ap_sets,
+    clock_period: float,
+    mode: str = "statistical",
+):
+    """``StageDTSAnalyzer.combine_many``: the scalar combine per AP set."""
+    check_in("mode", mode, _MODES)
+    return [combine(self, paths, clock_period, mode) for paths in ap_sets]
+
+
 def clark_max_coefficients(x: Gaussian, y: Gaussian, cov_xy: float):
     """``clark_max_coefficients`` through ``scipy.stats.norm``."""
     theta = _theta(x.var, y.var, cov_xy)
@@ -267,6 +280,7 @@ _PATCHES = (
     (StageDTSAnalyzer, "ap_trace_grid", ap_trace_grid),
     (StageDTSAnalyzer, "combine", combine),
     (StageDTSAnalyzer, "combine_grid", combine_grid),
+    (StageDTSAnalyzer, "combine_many", combine_many),
     (ActivityCache, "activity", activity),
     # Every module that binds the scalar Clark step by name.
     (repro.sta.ssta, "clark_max_coefficients", clark_max_coefficients),

@@ -9,7 +9,10 @@ legitimately differs).
 
 import json
 
+import numpy as np
+
 from repro.core import EstimationRequest
+from repro.dta.trainer import DatapathTrainer
 from repro.netlist import PipelineConfig
 from repro.runner import EstimationEngine, ProcessorConfig
 from tests._reference import reference_kernels
@@ -52,6 +55,31 @@ def test_kernels_match_full_reference():
         reference = _engine(max_workers=1).run(_requests("bitcount"))
     kernels = _engine().run(_requests("bitcount"))
     assert _rows(kernels) == _rows(reference)
+
+
+def test_reference_kernels_train_the_same_datapath_samples():
+    """Training reduces its AP sets with ``combine_many``; on the frozen
+    references that is one scalar ``combine`` per set.  The samples are
+    far more sensitive to the reductions than a report whose error rate
+    rounds to zero, so compare them directly.  Not bit for bit: the
+    analyzer seeds within-endpoint covariance cells from the blocked
+    ``path_cov_matrix``, which matches the reference's ``path_cov`` to
+    rounding error only."""
+
+    def train():
+        proc = SMALL.build()
+        trainer = DatapathTrainer(
+            proc.pipeline, proc.data_analyzer, proc.library.setup_time,
+            scheduler_factory=proc.core_family.make_scheduler,
+        )
+        _, samples = trainer.train(samples_per_class=12, seed=5)
+        return np.array([(s.arrival, s.arrival_sd) for s in samples])
+
+    with reference_kernels():
+        reference = train()
+    got = train()
+    assert (got[:, 0] > 0).any()
+    np.testing.assert_allclose(got, reference, rtol=1e-7, atol=0)
 
 
 def test_parallel_matches_serial_with_kernels():
