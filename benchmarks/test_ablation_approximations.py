@@ -21,6 +21,7 @@ from repro.cfg import MarginalSolver
 from repro.core.collect import SimulationCollector
 from repro.core.errormodel import InstructionErrorModel
 from repro.cpu import FunctionalSimulator, MachineState
+from repro.pipeline import stages
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.sta import Gaussian
 from repro.stats import (
@@ -98,7 +99,7 @@ def test_mixture_vs_dependent_chain(benchmark, processor):
             listener=listener,
         )
         profile = collector.profile()
-        estimator._dta.characterize_missing(artifacts, collector.samples())
+        stages.characterize_missing(artifacts, collector.samples())
         error_model = InstructionErrorModel(
             processor, workload.program, artifacts.cfg,
             artifacts.control_model,

@@ -17,6 +17,7 @@ from repro.cfg.marginal import BlockProbabilities
 from repro.core.collect import SimulationCollector
 from repro.core.errormodel import InstructionErrorModel
 from repro.cpu import FunctionalSimulator, MachineState
+from repro.pipeline import stages
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.stats import chen_stein_bound
 from repro.workloads import load_workload
@@ -37,7 +38,7 @@ def _conditionals(processor, workload):
         max_instructions=250_000,
         listener=collector.listener,
     )
-    estimator._dta.characterize_missing(artifacts, collector.samples())
+    stages.characterize_missing(artifacts, collector.samples())
     error_model = InstructionErrorModel(
         processor, workload.program, artifacts.cfg, artifacts.control_model
     )

@@ -17,6 +17,7 @@ from repro.cfg import MarginalSolver, build_cfg
 from repro.core import ProcessorModel
 from repro.core.collect import SimulationCollector
 from repro.cpu import FunctionalSimulator, MachineState
+from repro.pipeline import stages
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.sta import Gaussian
 from repro.stats import (
@@ -48,7 +49,7 @@ def main() -> None:
         listener=collector.listener,
     )
     profile = collector.profile()
-    estimator._dta.characterize_missing(artifacts, collector.samples())
+    stages.characterize_missing(artifacts, collector.samples())
 
     from repro.core.errormodel import InstructionErrorModel
 

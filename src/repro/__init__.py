@@ -48,7 +48,6 @@ from repro.core.montecarlo import MonteCarloValidator
 from repro.kernels import KernelStats, kernel_stats
 from repro.pipeline.ir import TrainingArtifacts
 from repro.pipeline.pipeline import EstimationPipeline
-from repro.pipeline.registry import REGISTRY, use_backends
 from repro.pipeline.store import ArtifactStore
 
 __all__ = [
@@ -65,8 +64,6 @@ __all__ = [
     "ErrorRateReport",
     "MonteCarloValidator",
     "ArtifactStore",
-    "REGISTRY",
-    "use_backends",
     "KernelStats",
     "kernel_stats",
 ]

@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     python -m repro table2 [--workers 4] [--max-instructions N] [--json]
     python -m repro sweep bitcount --points 1.0,1.1,1.15,1.2
     python -m repro batch bitcount dijkstra --workers 2 --cache-dir .cache
-    python -m repro pipeline inspect [--backend statmin=montecarlo] [--cache-dir D]
+    python -m repro pipeline inspect [--cache-dir D] [--json]
     python -m repro montecarlo bitcount --chips 16
     python -m repro serve --port 8731 --state-dir .repro-service
     python -m repro submit bitcount --speculation 1.15 --json
@@ -189,15 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     ins = pipe_sub.add_parser(
         "inspect",
         help=(
-            "print the registered stages, the resolved backend plan, "
-            "and the artifact-store state"
-        ),
-    )
-    ins.add_argument(
-        "--backend", action="append", default=[], metavar="STAGE=NAME",
-        help=(
-            "select a backend for a stage (repeatable), e.g. "
-            "--backend statmin=montecarlo"
+            "print the stages and their implementations, the core "
+            "families, and the artifact-store state"
         ),
     )
     ins.add_argument(
@@ -505,36 +498,18 @@ def _cmd_montecarlo(args, out) -> int:
     return 0
 
 
-def _parse_backend_overrides(pairs) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    for pair in pairs:
-        stage, sep, name = pair.partition("=")
-        if not sep or not stage or not name:
-            raise argparse.ArgumentTypeError(
-                f"expected STAGE=NAME, got {pair!r}"
-            )
-        overrides[stage] = name
-    return overrides
-
-
 def _cmd_pipeline(args, out) -> int:
     from repro.core.family import available_core_families, get_core_family
-    from repro.pipeline.registry import REGISTRY
+    from repro.pipeline import stages
     from repro.pipeline.store import ArtifactStore
 
-    try:
-        overrides = _parse_backend_overrides(args.backend)
-        plan = REGISTRY.resolve(overrides)
-    except (KeyError, argparse.ArgumentTypeError) as exc:
-        out.write(f"error: {exc}\n")
-        return 2
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
     store = ArtifactStore(cache_dir) if cache_dir else None
     families = available_core_families()
     if args.json:
         doc = {
             "schema": "repro.pipeline/1",
-            "plan": plan,
+            "plan": dict(stages.PLAN),
             "core_families": [
                 {
                     "name": name,
@@ -543,20 +518,14 @@ def _cmd_pipeline(args, out) -> int:
                 }
                 for name in families
             ],
-            "stages": REGISTRY.describe(),
+            "stages": stages.describe(),
             "store": store.describe() if store is not None else None,
         }
         out.write(json.dumps(doc, indent=2) + "\n")
         return 0
-    out.write(f"{'stage':12s} {'backend':14s} description\n")
-    for entry in REGISTRY.describe():
-        stage = entry["stage"]
-        for backend in entry["backends"]:
-            selected = "*" if plan[stage] == backend["name"] else " "
-            out.write(
-                f"{stage:12s} {selected}{backend['name']:13s} "
-                f"{backend['description']}\n"
-            )
+    out.write(f"{'stage':12s} {'backend':13s} description\n")
+    for stage, (name, description) in stages.STAGES.items():
+        out.write(f"{stage:12s} {name:13s} {description}\n")
     out.write("core families:\n")
     for name in families:
         family = get_core_family(name)

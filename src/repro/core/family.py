@@ -19,8 +19,7 @@ here into a frozen :class:`CoreFamily` descriptor owning
 * the **performance accounting** (the ``repro.perf`` model built from
   the composed penalty).
 
-Families register by name, mirroring ``BackendRegistry``: out-of-tree
-cores plug in with :func:`register_core_family` instead of edits to
+Families register by name: out-of-tree cores plug in with :func:`register_core_family` instead of edits to
 ``repro.netlist`` or ``repro.core.errormodel``.
 """
 

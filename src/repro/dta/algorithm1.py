@@ -29,7 +29,6 @@ from repro.netlist.gates import EndpointKind, GateType
 from repro.netlist.library import TimingLibrary
 from repro.netlist.netlist import Netlist
 from repro.netlist.paths import Path, PathEnumerator
-from repro.pipeline.registry import active_backend
 from repro.sta.gaussian import Gaussian
 from repro.sta.ssta import statistical_min, statistical_min_grid
 from repro.variation.process import ProcessVariationModel, gate_table
@@ -632,10 +631,7 @@ class StageDTSAnalyzer:
         stats = kernel_stats()
         stats.combine_calls += 1
         pids = self._register_paths(paths)
-        # The statmin pipeline backend is part of the memo identity: a
-        # Clark result must never serve a Monte Carlo run (or vice versa).
-        method = active_backend("statmin", "clark")
-        memo_key = (mode, clock_period, pids, method)
+        memo_key = (mode, clock_period, pids)
         hit = self._combine_memo.get(memo_key)
         if hit is not None:
             stats.combine_memo_hits += 1
@@ -649,7 +645,7 @@ class StageDTSAnalyzer:
             result = slacks[0]
         else:
             stats.clark_reductions += len(slacks) - 1
-            result = statistical_min(slacks, self._cov_for(pids), method=method)
+            result = statistical_min(slacks, self._cov_for(pids))
         self._combine_memo[memo_key] = result
         return result
 
@@ -673,7 +669,6 @@ class StageDTSAnalyzer:
         if mode == "deterministic":
             return [self.combine(ap, clock_period, mode) for ap in ap_sets]
         stats = kernel_stats()
-        method = active_backend("statmin", "clark")
         results: list[Gaussian | None] = [None] * len(ap_sets)
         # Memo key of every set that misses the memo -> its positions.
         pending: dict[tuple, list[int]] = {}
@@ -681,7 +676,7 @@ class StageDTSAnalyzer:
             if not paths:
                 continue
             stats.combine_calls += 1
-            key = (mode, clock_period, self._register_paths(paths), method)
+            key = (mode, clock_period, self._register_paths(paths))
             hit = self._combine_memo.get(key)
             if hit is not None:
                 stats.combine_memo_hits += 1
@@ -704,18 +699,18 @@ class StageDTSAnalyzer:
                 continue
             n_cells = len(pids) * (len(pids) - 1) // 2
             if batch and cells + n_cells > _FILL_CELLS:
-                self._reduce_batch(batch, clock_period, method)
+                self._reduce_batch(batch, clock_period)
                 batch, cells = [], 0
             batch.append(key)
             cells += n_cells
         if batch:
-            self._reduce_batch(batch, clock_period, method)
+            self._reduce_batch(batch, clock_period)
         for key, positions in pending.items():
             for i in positions:
                 results[i] = self._combine_memo[key]
         return results
 
-    def _reduce_batch(self, keys, clock_period: float, method: str) -> None:
+    def _reduce_batch(self, keys, clock_period: float) -> None:
         """Memoize the statistical minimum of every multi-path AP set in
         ``keys`` (memo keys), in one covariance fill and one chain."""
         sets = [key[2] for key in keys]
@@ -739,8 +734,7 @@ class StageDTSAnalyzer:
         variances[valid] = np.array(self._path_var)[flat]
         kernel_stats().clark_reductions += int((lengths - 1).sum())
         out_mean, out_var = statistical_min_grid(
-            means, variances, cov, method=method, slots=grid_slots,
-            lengths=lengths,
+            means, variances, cov, slots=grid_slots, lengths=lengths,
         )
         for key, mean, var in zip(keys, out_mean.tolist(), out_var.tolist()):
             self._combine_memo[key] = Gaussian(mean, var)
@@ -775,11 +769,10 @@ class StageDTSAnalyzer:
         stats = kernel_stats()
         stats.combine_calls += n_periods
         pids = self._register_paths(paths)
-        method = active_backend("statmin", "clark")
         results: list[Gaussian | None] = [None] * n_periods
         missing: list[int] = []
         for i, cp in enumerate(clock_periods):
-            hit = self._combine_memo.get((mode, cp, pids, method))
+            hit = self._combine_memo.get((mode, cp, pids))
             if hit is not None:
                 stats.combine_memo_hits += 1
                 stats.grid_reuse_hits += 1
@@ -802,12 +795,12 @@ class StageDTSAnalyzer:
             stats.clark_reductions += reductions
             stats.grid_clark_reductions += reductions
             out_mean, out_var = statistical_min_grid(
-                means, path_vars, self._cov_for(pids), method=method
+                means, path_vars, self._cov_for(pids)
             )
         for row, i in enumerate(missing):
             result = Gaussian(float(out_mean[row]), float(out_var[row]))
             results[i] = result
-            self._combine_memo[(mode, clock_periods[i], pids, method)] = result
+            self._combine_memo[(mode, clock_periods[i], pids)] = result
         return results
 
     def dts_trace(

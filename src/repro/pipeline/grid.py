@@ -10,7 +10,7 @@ period-independent.  :func:`execute_grid` runs each of those once and
 fans out only the genuinely period-dependent tail:
 
 * one training functional run + one window characterization sweep
-  (:meth:`~repro.pipeline.stages.KernelsDTABackend.train_grid`), with the
+  (:func:`~repro.pipeline.stages.train_grid`), with the
   DTS evaluation batched along the period axis down to the Clark
   reductions (:func:`repro.sta.ssta.statistical_min_grid`);
 * one evaluation functional run
@@ -36,8 +36,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.kernels import kernel_stats
-from repro.pipeline.ir import ControlInputIR, DatapathInputIR, TrainingSpec
-from repro.pipeline.registry import use_backends
+from repro.pipeline import stages
+from repro.pipeline.ir import ControlInputIR, TrainingSpec
 from repro.pipeline.store import stable_digest
 
 __all__ = [
@@ -201,7 +201,6 @@ def execute_grid(
     if artifacts is not None and len(requests) != 1:
         raise ValueError("pre-trained artifacts need a one-request grid")
     pipeline = pipeline.pipeline_for_family(requests[0].core_family)
-    plan = pipeline.plan
     stats = kernel_stats()
     kernels_before = stats.snapshot()
     first = requests[0]
@@ -223,6 +222,9 @@ def execute_grid(
     n = len(requests)
     pipes = [pipeline.pipeline_for(r.speculation) for r in requests]
     events: list[list[StageEvent]] = [[] for _ in requests]
+    datapath_key = (
+        stages.datapath_key(pipeline.config) if store is not None else None
+    )
 
     # --- netlist + datapath (per point; the store key is period- ------ #
     # independent, so every point past the first is a hit) ------------- #
@@ -233,27 +235,17 @@ def execute_grid(
         events[i].append(
             StageEvent(
                 "netlist",
-                plan["netlist"],
+                stages.PLAN["netlist"],
                 "provided" if provided else "computed",
                 time.perf_counter() - t0,
             )
         )
         t0 = time.perf_counter()
-        if store is not None:
-            datapath_key = store.compose_key(
-                "datapath",
-                plan["datapath"],
-                DatapathInputIR.build(pipeline.config).content_hash,
-            )
-            hit = pipe._datapath.ensure(
-                processor, key=datapath_key, store=store
-            )
-        else:
-            hit = pipe._datapath.ensure(processor)
+        hit = stages.ensure_datapath(processor, datapath_key, store)
         events[i].append(
             StageEvent(
                 "datapath",
-                plan["datapath"],
+                stages.PLAN["datapath"],
                 "hit" if hit else "computed",
                 time.perf_counter() - t0,
             )
@@ -270,7 +262,7 @@ def execute_grid(
         )
         windows_key = store.compose_key(
             "dta",
-            plan["dta"],
+            stages.PLAN["dta"],
             base_ir.period_independent().content_hash,
         )
         windows_doc = store.get_entry("windows", windows_key)
@@ -278,7 +270,9 @@ def execute_grid(
             windows_preloaded = pipes[0].preload_windows(windows_doc)
             seconds = time.perf_counter() - t0
             for ev in events:
-                ev.append(StageEvent("windows", plan["dta"], "hit", seconds))
+                ev.append(
+                    StageEvent("windows", stages.PLAN["dta"], "hit", seconds)
+                )
 
     # --- control artifacts: provided / store-served points + one ------ #
     # batched train over the rest ------------------------------------- #
@@ -286,65 +280,64 @@ def execute_grid(
     status = ["provided" if artifacts is not None else "computed"] * n
     control_keys: list = [None] * n
     train_seconds = [0.0] * n
-    with use_backends(**plan):
-        if store is not None and artifacts is None:
-            for i, pipe in enumerate(pipes):
-                t0 = time.perf_counter()
-                control_ir = ControlInputIR.build(
-                    program, pipeline.config, spec,
-                    clock_period=pipe.processor.clock_period,
-                )
-                control_keys[i] = store.compose_key(
-                    "dta", plan["dta"], control_ir.content_hash
-                )
-                doc = store.get_entry("control", control_keys[i])
-                if doc is not None:
-                    trained[i] = pipe.artifacts_from_doc(program, doc)
-                    status[i] = "hit"
-                    stats.grid_reuse_hits += 1
-                train_seconds[i] = time.perf_counter() - t0
-        # Identical operating points are identical computations: train
-        # one representative per distinct point and share its artifact
-        # with the duplicates (repeated sweep points, or several
-        # coalesced jobs asking for the same point).
-        leader_of: dict = {}
-        train_idx: list[int] = []
-        duplicates: list[tuple[int, int]] = []
-        for i in range(n):
-            if trained[i] is not None:
-                continue
-            point = control_keys[i] if store is not None else (
-                requests[i].speculation
-            )
-            if point in leader_of:
-                duplicates.append((i, leader_of[point]))
-            else:
-                leader_of[point] = i
-                train_idx.append(i)
-        if train_idx:
+    if store is not None and artifacts is None:
+        for i, pipe in enumerate(pipes):
             t0 = time.perf_counter()
-            batch = pipeline._dta.train_grid(
-                [pipes[i].processor for i in train_idx],
-                program,
-                pipeline.activity_cache,
-                setup=train_setup,
-                max_instructions=train_instructions,
+            control_ir = ControlInputIR.build(
+                program, pipeline.config, spec,
+                clock_period=pipe.processor.clock_period,
             )
-            batch_seconds = time.perf_counter() - t0
-            for i, artifact in zip(train_idx, batch):
-                trained[i] = artifact
-                train_seconds[i] += batch_seconds
-                if store is not None:
-                    store.put_entry(
-                        "control", control_keys[i], artifact.to_doc()
-                    )
-            for i, leader in duplicates:
-                trained[i] = trained[leader]
-                train_seconds[i] += batch_seconds
+            control_keys[i] = store.compose_key(
+                "dta", stages.PLAN["dta"], control_ir.content_hash
+            )
+            doc = store.get_entry("control", control_keys[i])
+            if doc is not None:
+                trained[i] = pipe.artifacts_from_doc(program, doc)
+                status[i] = "hit"
                 stats.grid_reuse_hits += 1
+            train_seconds[i] = time.perf_counter() - t0
+    # Identical operating points are identical computations: train
+    # one representative per distinct point and share its artifact
+    # with the duplicates (repeated sweep points, or several
+    # coalesced jobs asking for the same point).
+    leader_of: dict = {}
+    train_idx: list[int] = []
+    duplicates: list[tuple[int, int]] = []
+    for i in range(n):
+        if trained[i] is not None:
+            continue
+        point = control_keys[i] if store is not None else (
+            requests[i].speculation
+        )
+        if point in leader_of:
+            duplicates.append((i, leader_of[point]))
+        else:
+            leader_of[point] = i
+            train_idx.append(i)
+    if train_idx:
+        t0 = time.perf_counter()
+        batch = stages.train_grid(
+            [pipes[i].processor for i in train_idx],
+            program,
+            pipeline.activity_cache,
+            setup=train_setup,
+            max_instructions=train_instructions,
+        )
+        batch_seconds = time.perf_counter() - t0
+        for i, artifact in zip(train_idx, batch):
+            trained[i] = artifact
+            train_seconds[i] += batch_seconds
+            if store is not None:
+                store.put_entry(
+                    "control", control_keys[i], artifact.to_doc()
+                )
+        for i, leader in duplicates:
+            trained[i] = trained[leader]
+            train_seconds[i] += batch_seconds
+            stats.grid_reuse_hits += 1
     for i in range(n):
         events[i].append(
-            StageEvent("dta", plan["dta"], status[i], train_seconds[i])
+            StageEvent("dta", stages.PLAN["dta"], status[i], train_seconds[i])
         )
 
     # --- one shared evaluation run ------------------------------------ #
@@ -371,7 +364,10 @@ def execute_grid(
         estimate_seconds = time.perf_counter() - t1
         events[i].append(
             StageEvent(
-                "estimate", plan["estimate"], "computed", estimate_seconds
+                "estimate",
+                stages.PLAN["estimate"],
+                "computed",
+                estimate_seconds,
             )
         )
         results.append(
@@ -389,7 +385,7 @@ def execute_grid(
     if store is not None and pipeline.activity_cache.dirty:
         store.put_entry("windows", windows_key, pipes[0].window_doc())
         for ev in events:
-            ev.append(StageEvent("windows", plan["dta"], "computed"))
+            ev.append(StageEvent("windows", stages.PLAN["dta"], "computed"))
 
     hits = sum(r.cache_hit for r in results)
     return GridResult(

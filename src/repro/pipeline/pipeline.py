@@ -1,6 +1,6 @@
 """The staged estimation pipeline: composition root of the flow.
 
-:class:`EstimationPipeline` wires the registered stage backends
+:class:`EstimationPipeline` wires the stage functions
 (:mod:`repro.pipeline.stages`) into the paper's two-phase flow —
 training (control characterization + datapath fit) and simulation
 (profile, error model, marginal solve, statistical estimate) — with
@@ -17,10 +17,11 @@ Three persisted artifact streams feed the store, one namespace each:
 * ``datapath`` — the shared datapath timing model, keyed on the
   processor's :class:`~repro.pipeline.ir.DatapathInputIR`.
 
-Store keys additionally fold in the stage name and the selected
-backend's name.  Every request runs through one flow, the grid
-evaluator (:func:`repro.pipeline.grid.execute_grid`): :meth:`execute`
-is its one-point case and :meth:`run` its store-less form.
+Store keys additionally fold in the stage name and the stage's fixed
+implementation name (:data:`~repro.pipeline.stages.STAGES`).  Every
+request runs through one flow, the grid evaluator
+(:func:`repro.pipeline.grid.execute_grid`): :meth:`execute` is its
+one-point case and :meth:`run` its store-less form.
 """
 
 from __future__ import annotations
@@ -34,13 +35,10 @@ from repro.cpu.interpreter import FunctionalSimulator
 from repro.cpu.state import MachineState
 from repro.dta.windowpool import ActivityCache
 from repro.kernels import kernel_stats
-from repro.pipeline.ir import ProcessorConfig, TrainingArtifacts
-from repro.pipeline.registry import REGISTRY, use_backends
-from repro.pipeline.store import ArtifactStore
-
-# Importing the stage module is what populates REGISTRY.
-from repro.pipeline import stages as _stages  # noqa: F401
+from repro.pipeline import stages
 from repro.pipeline.grid import execute_grid
+from repro.pipeline.ir import ProcessorConfig, TrainingArtifacts
+from repro.pipeline.store import ArtifactStore
 
 __all__ = ["EstimationPipeline", "PipelineResult", "StageEvent"]
 
@@ -97,8 +95,6 @@ class EstimationPipeline:
             ``None`` (the paper's default configuration).  Only the
             recipe form can key the artifact store — a pre-built
             processor runs storeless.
-        backends: Stage -> backend-name overrides (e.g. ``{"statmin":
-            "montecarlo"}``); unset stages use registry defaults.
         store: The :class:`~repro.pipeline.store.ArtifactStore` to
             persist stage outputs in; defaults to a process-local
             in-memory store when a config is given, and ``None``
@@ -114,7 +110,6 @@ class EstimationPipeline:
         self,
         processor=None,
         *,
-        backends: dict[str, str] | None = None,
         store=_UNSET,
         n_data_samples: int = 128,
         activity_cache: ActivityCache | None = None,
@@ -136,12 +131,6 @@ class EstimationPipeline:
         self.activity_cache = (
             activity_cache if activity_cache is not None else ActivityCache()
         )
-        self.plan = REGISTRY.resolve(backends)
-        self._netlist = REGISTRY.create("netlist", self.plan["netlist"])
-        self._datapath = REGISTRY.create("datapath", self.plan["datapath"])
-        self._dta = REGISTRY.create("dta", self.plan["dta"])
-        self._errormodel = REGISTRY.create("errormodel", self.plan["errormodel"])
-        self._estimate = REGISTRY.create("estimate", self.plan["estimate"])
         self._derived: dict[float, EstimationPipeline] = {}
         self._derived_models: dict[float, object] = {}
         self._family_siblings: dict[str, EstimationPipeline] = {}
@@ -154,7 +143,7 @@ class EstimationPipeline:
     def processor(self):
         """The processor under analysis (built on first use)."""
         if self._processor is None:
-            self._processor = self._netlist.build(self.config)
+            self._processor = stages.base_processor(self.config)
         return self._processor
 
     def processor_for(self, speculation):
@@ -165,7 +154,7 @@ class EstimationPipeline:
         ):
             return self.processor
         if self.config is not None:
-            return self._netlist.derive(self.config, speculation)
+            return stages.processor_for(self.config, speculation)
         if speculation not in self._derived_models:
             self._derived_models[speculation] = self.processor.derive(
                 speculation=speculation
@@ -184,8 +173,8 @@ class EstimationPipeline:
 
         Shares the artifact store and the activity cache — both are
         content-addressed, and every family-tagged IR hashes differently,
-        so entries can never collide across families — plus the backend
-        plan and ``n_data_samples``.  Requires the recipe
+        so entries can never collide across families — plus
+        ``n_data_samples``.  Requires the recipe
         (:class:`ProcessorConfig`) form: a pre-built processor cannot be
         re-targeted.
         """
@@ -201,7 +190,6 @@ class EstimationPipeline:
                 )
             self._family_siblings[core_family] = EstimationPipeline(
                 dataclasses.replace(self.config, core_family=core_family),
-                backends=self.plan,
                 store=self.store,
                 n_data_samples=self.n_data_samples,
                 activity_cache=self.activity_cache,
@@ -212,7 +200,7 @@ class EstimationPipeline:
         """This pipeline at a derived operating point.
 
         Shares the activity cache (stimulus digests are
-        period-independent), the artifact store, and the backend plan.
+        period-independent) and the artifact store.
         """
         if (
             speculation is None
@@ -222,7 +210,6 @@ class EstimationPipeline:
         if speculation not in self._derived:
             self._derived[speculation] = EstimationPipeline(
                 self.processor_for(speculation),
-                backends=self.plan,
                 store=self.store,
                 n_data_samples=self.n_data_samples,
                 activity_cache=self.activity_cache,
@@ -235,27 +222,25 @@ class EstimationPipeline:
 
     def build_characterizer(self, program):
         """A characterizer wired to this pipeline's activity cache."""
-        with use_backends(**self.plan):
-            return self._dta.build_characterizer(
-                self.processor, program, self.activity_cache
-            )
+        return stages.build_characterizer(
+            self.processor, program, self.activity_cache
+        )
 
     def window_doc(self) -> dict:
         """Persistable period-independent window artifacts."""
-        return self._dta.window_doc(self.processor, self.activity_cache)
+        return stages.window_doc(self.processor, self.activity_cache)
 
     def preload_windows(self, doc: dict) -> int:
         """Load a :meth:`window_doc` document; returns entries added."""
-        return self._dta.preload_windows(
+        return stages.preload_windows(
             self.processor, self.activity_cache, doc
         )
 
     def artifacts_from_doc(self, program, doc: dict) -> TrainingArtifacts:
         """Rebuild :class:`TrainingArtifacts` from a persisted document."""
-        with use_backends(**self.plan):
-            return self._dta.artifacts_from_doc(
-                self.processor, program, self.activity_cache, doc
-            )
+        return stages.artifacts_from_doc(
+            self.processor, program, self.activity_cache, doc
+        )
 
     def load_artifacts(self, program, path) -> TrainingArtifacts:
         """Reload artifacts persisted by :meth:`TrainingArtifacts.save`."""
@@ -276,14 +261,13 @@ class EstimationPipeline:
         max_instructions: int = 2_000_000,
     ) -> TrainingArtifacts:
         """Characterize the program's control network on a training run."""
-        with use_backends(**self.plan):
-            return self._dta.train(
-                self.processor,
-                program,
-                self.activity_cache,
-                setup=setup,
-                max_instructions=max_instructions,
-            )
+        return stages.train_grid(
+            [self.processor],
+            program,
+            self.activity_cache,
+            setup=setup,
+            max_instructions=max_instructions,
+        )[0]
 
     # ------------------------------------------------------------------ #
     # Phase 2: simulation + estimation
@@ -308,11 +292,10 @@ class EstimationPipeline:
             max_instructions=max_instructions,
             reservoir_size=reservoir_size,
         )
-        with use_backends(**self.plan):
-            return self._finish_estimate(
-                program, artifacts, profile, samples,
-                seed=seed, start=start, kernels_before=kernels_before,
-            )
+        return self._finish_estimate(
+            program, artifacts, profile, samples,
+            seed=seed, start=start, kernels_before=kernels_before,
+        )
 
     @staticmethod
     def collect_evaluation(
@@ -355,8 +338,8 @@ class EstimationPipeline:
         from repro.core.results import ErrorRateReport
 
         cfg = artifacts.cfg
-        self._dta.characterize_missing(artifacts, samples)
-        conditionals = self._errormodel.conditionals(
+        stages.characterize_missing(artifacts, samples)
+        conditionals = stages.block_conditionals(
             self.processor,
             program,
             cfg,
@@ -366,7 +349,7 @@ class EstimationPipeline:
             n_data_samples=self.n_data_samples,
             seed=seed,
         )
-        lam, mixture, stein, chen = self._estimate.distribution(
+        lam, mixture, stein, chen = stages.error_distribution(
             cfg, profile, conditionals
         )
         elapsed = time.perf_counter() - start
@@ -407,13 +390,12 @@ class EstimationPipeline:
         and each point runs only the period-dependent tail (on-demand
         characterization, error model, statistical estimate).
         """
-        with use_backends(**self.plan):
-            return self._finish_estimate(
-                program, artifacts, profile, samples,
-                seed=seed,
-                start=time.perf_counter(),
-                kernels_before=kernel_stats().snapshot(),
-            )
+        return self._finish_estimate(
+            program, artifacts, profile, samples,
+            seed=seed,
+            start=time.perf_counter(),
+            kernels_before=kernel_stats().snapshot(),
+        )
 
     # ------------------------------------------------------------------ #
     # Request execution (store-aware)
@@ -463,9 +445,10 @@ class EstimationPipeline:
         Shares the activity cache with the estimation flow unless an
         explicit one is passed.
         """
+        from repro.core.montecarlo import MonteCarloValidator
+
         kwargs.setdefault("activity_cache", self.activity_cache)
-        backend = REGISTRY.create("validate", self.plan["validate"])
-        return backend.validator(self.processor, **kwargs)
+        return MonteCarloValidator(self.processor, **kwargs)
 
     def instruction_breakdown(
         self,
@@ -485,31 +468,30 @@ class EstimationPipeline:
         """
         from repro.cfg.marginal import MarginalSolver
 
-        with use_backends(**self.plan):
-            cfg = artifacts.cfg
-            simulator = FunctionalSimulator(program)
-            state = MachineState()
-            if setup is not None:
-                setup(state)
-            collector = SimulationCollector(cfg)
-            simulator.run(
-                state, max_instructions=max_instructions,
-                listener=collector.listener,
-            )
-            profile = collector.profile()
-            samples = collector.samples()
-            self._dta.characterize_missing(artifacts, samples)
-            conditionals = self._errormodel.conditionals(
-                self.processor,
-                program,
-                cfg,
-                artifacts.control_model,
-                samples,
-                None,
-                n_data_samples=self.n_data_samples,
-                seed=seed,
-            )
-            marginals, _ = MarginalSolver(cfg, profile).solve(conditionals)
+        cfg = artifacts.cfg
+        simulator = FunctionalSimulator(program)
+        state = MachineState()
+        if setup is not None:
+            setup(state)
+        collector = SimulationCollector(cfg)
+        simulator.run(
+            state, max_instructions=max_instructions,
+            listener=collector.listener,
+        )
+        profile = collector.profile()
+        samples = collector.samples()
+        stages.characterize_missing(artifacts, samples)
+        conditionals = stages.block_conditionals(
+            self.processor,
+            program,
+            cfg,
+            artifacts.control_model,
+            samples,
+            None,
+            n_data_samples=self.n_data_samples,
+            seed=seed,
+        )
+        marginals, _ = MarginalSolver(cfg, profile).solve(conditionals)
         rows: list[dict] = []
         lam_total = 0.0
         for bid, probs in marginals.items():
@@ -538,14 +520,14 @@ class EstimationPipeline:
         return rows
 
     def describe(self) -> dict:
-        """The resolved stage graph + store state (``pipeline inspect``)."""
+        """The stage graph + store state (``pipeline inspect``)."""
         from repro.core.family import available_core_families
 
         return {
             "schema": "repro.pipeline/1",
-            "plan": dict(self.plan),
+            "plan": dict(stages.PLAN),
             "core_family": self.core_family_name,
             "core_families": list(available_core_families()),
-            "stages": REGISTRY.describe(),
+            "stages": stages.describe(),
             "store": self.store.describe() if self.store is not None else None,
         }

@@ -7,8 +7,9 @@ each with its own keying and persistence: the runner's artifact cache
 analyzer's path-moment ``registry_doc``.  The :class:`ArtifactStore`
 collapses their *persistence* behind one contract:
 
-* every entry is addressed by ``(stage name, backend name, input IR
-  content hash)``, digested into a single SHA-256 key;
+* every entry is addressed by ``(stage name, implementation name, input
+  IR content hash)``, digested into a single SHA-256 key
+  (:meth:`ArtifactStore.compose_key`);
 * entries are JSON documents living at
   ``<root>/<stage>/<key[:2]>/<key>.json`` (or in memory when no root is
   given, which is what gives every pipeline memoization for free);
@@ -116,19 +117,7 @@ class ArtifactStore:
         )
 
     # ------------------------------------------------------------------ #
-    # Stage-level API
-    # ------------------------------------------------------------------ #
-
-    def get(self, stage: str, backend: str, input_hash: str) -> dict | None:
-        """The stored stage output document, or ``None`` on a miss."""
-        return self.get_entry(stage, self.compose_key(stage, backend, input_hash))
-
-    def put(self, stage: str, backend: str, input_hash: str, doc: dict):
-        """Store one stage output document (atomic on disk)."""
-        return self.put_entry(stage, self.compose_key(stage, backend, input_hash), doc)
-
-    # ------------------------------------------------------------------ #
-    # Raw entry API (explicit keys: namespaces such as calibration)
+    # Entry API (keys from compose_key)
     # ------------------------------------------------------------------ #
 
     def path_for(self, namespace: str, key: str) -> Path:

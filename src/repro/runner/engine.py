@@ -42,14 +42,9 @@ from repro.core.request import EstimationRequest
 from repro.core.results import ErrorRateReport
 from repro.dta.executor import ExecutionPlan, execute_plan, plan_fork_map
 from repro.kernels import KernelStats
-from repro.pipeline.ir import (
-    CORRECTION_SCHEMES,
-    DatapathInputIR,
-    ProcessorConfig,
-)
-from repro.pipeline.registry import REGISTRY
+from repro.pipeline import stages
+from repro.pipeline.ir import CORRECTION_SCHEMES, ProcessorConfig
 from repro.pipeline.store import ArtifactStore
-from repro.pipeline.stages import base_processor as _base_processor
 
 __all__ = [
     "ProcessorConfig",
@@ -333,7 +328,7 @@ class EstimationEngine:
     @property
     def base_processor(self) -> ProcessorModel:
         """The built (and registry-shared) base processor."""
-        return _base_processor(self.config)
+        return stages.base_processor(self.config)
 
     def _prepare(self) -> bool | None:
         """Warm parent-side shared state before any fork.
@@ -347,18 +342,13 @@ class EstimationEngine:
         base = self.base_processor
         _ = base.clock_period  # triggers the SSTA baseline solve
         _ = base.control_analyzer
-        trainer = REGISTRY.create("datapath")
         if self.cache_dir is None:
-            return trainer.ensure(base)
-        store = ArtifactStore(self.cache_dir)
-        # The same composed key the per-job pipeline uses, so the warm
-        # parent-side load serves every worker.
-        key = store.compose_key(
-            "datapath",
-            REGISTRY.default("datapath"),
-            DatapathInputIR.build(self.config).content_hash,
+            return stages.ensure_datapath(base)
+        return stages.ensure_datapath(
+            base,
+            stages.datapath_key(self.config),
+            ArtifactStore(self.cache_dir),
         )
-        return trainer.ensure(base, key=key, store=store)
 
     def run(self, requests) -> RunSummary:
         """Execute all requests; results come back in request order.

@@ -102,7 +102,6 @@ class EstimationService:
         n_data_samples: Data-variation samples per estimator.
         store_budget: LRU byte budget for the shared store (``None`` =
             unbounded / ``REPRO_STORE_BUDGET``).
-        backends: Stage->backend overrides for every job pipeline.
         batch_window_ms: Micro-batch window.  A claimed job waits up to
             this long (measured from its enqueue time) for compatible
             stragglers before its batch dispatches; ``0`` disables
@@ -133,7 +132,6 @@ class EstimationService:
         workers: int = 1,
         n_data_samples: int = 128,
         store_budget: int | None = None,
-        backends: dict | None = None,
         batch_window_ms: float = 4.0,
         max_batch: int = 16,
         worker_processes: int = 0,
@@ -156,7 +154,6 @@ class EstimationService:
         self.workers = workers
         self.n_data_samples = n_data_samples
         self.store_budget = store_budget
-        self.backends = backends
         self.batch_window_ms = float(batch_window_ms)
         self.max_batch = max_batch
         self.worker_processes = worker_processes
@@ -197,7 +194,6 @@ class EstimationService:
 
             pipe = EstimationPipeline(
                 self.config,
-                backends=self.backends,
                 store=self.store,
                 n_data_samples=self.n_data_samples,
             )
@@ -516,7 +512,6 @@ class EstimationService:
             self.state_dir / "store",
             self.config,
             n_data_samples=self.n_data_samples,
-            backends=self.backends,
             store_budget=self.store_budget,
         )
 

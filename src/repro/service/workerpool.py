@@ -161,7 +161,6 @@ def _worker_main(conn, init: dict) -> None:
     )
     pipeline = EstimationPipeline(
         init["config"],
-        backends=init["backends"],
         store=store,
         n_data_samples=init["n_data_samples"],
     )
@@ -215,7 +214,7 @@ class WorkerPool:
             opens its own handle (the store is concurrent-writer safe).
         config: :class:`~repro.pipeline.ir.ProcessorConfig` for every
             worker pipeline (pickled into the spawned interpreter).
-        n_data_samples / backends / store_budget: Pipeline knobs,
+        n_data_samples / store_budget: Pipeline knobs,
             mirrored from the service.
 
     ``run_batch`` is thread-safe: the service's dispatch threads check
@@ -231,7 +230,6 @@ class WorkerPool:
         config,
         *,
         n_data_samples: int = 128,
-        backends: dict | None = None,
         store_budget: int | None = None,
     ) -> None:
         if processes < 1:
@@ -241,7 +239,6 @@ class WorkerPool:
             "store_path": str(store_path),
             "config": config,
             "n_data_samples": n_data_samples,
-            "backends": backends,
             "store_budget": store_budget,
         }
         self._context = multiprocessing.get_context("spawn")

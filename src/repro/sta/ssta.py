@@ -16,7 +16,6 @@ from repro.netlist.gates import GateType
 from repro.netlist.library import TimingLibrary
 from repro.netlist.netlist import Netlist
 from repro.netlist.paths import Path, PathEnumerator
-from repro.pipeline.registry import active_backend
 from repro.sta.clark import clark_max_coefficients, clark_max_coefficients_grid
 from repro.sta.gaussian import Gaussian
 from repro.variation.process import ProcessVariationModel
@@ -31,7 +30,7 @@ __all__ = [
 _ORDERINGS = {"criticality", "reverse", "given"}
 _METHODS = {"clark", "montecarlo"}
 
-#: Fixed sample count/seed of the ``statmin.montecarlo`` backend — a
+#: Fixed sample count/seed of the ``montecarlo`` reduction — a
 #: deterministic cross-check of Clark's moment matching, not a speed path.
 _MC_SAMPLES = 20_000
 _MC_SEED = 0x5EED
@@ -111,7 +110,7 @@ def statistical_min(
     slacks: list[Gaussian],
     cov: np.ndarray,
     order: str = "criticality",
-    method: str | None = None,
+    method: str = "clark",
 ) -> Gaussian:
     """Gaussian approximation of ``min`` over correlated Gaussians.
 
@@ -119,12 +118,10 @@ def statistical_min(
     (the diagonal is ignored in favour of each Gaussian's own variance).
     ``order`` selects the greedy pairwise combination order ([21]):
     ``'criticality'`` (default — most critical first), ``'reverse'``, or
-    ``'given'``.  ``method`` picks the reduction backend — ``"clark"``
-    (pairwise moment matching) or ``"montecarlo"`` (fixed-seed correlated
-    sampling); ``None`` consults the active ``statmin`` pipeline backend.
+    ``'given'``.  ``method`` picks the reduction — ``"clark"`` (pairwise
+    moment matching, the pipeline's reduction) or ``"montecarlo"``
+    (fixed-seed correlated sampling, a kernel-level cross-check).
     """
-    if method is None:
-        method = active_backend("statmin", "clark")
     check_in("method", method, _METHODS)
     if method == "montecarlo":
         return _montecarlo_reduce(list(slacks), cov, minimum=True)
@@ -154,7 +151,7 @@ def statistical_min_grid(
     means,
     variances,
     cov: np.ndarray,
-    method: str | None = None,
+    method: str = "clark",
     slots=None,
     lengths=None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +166,8 @@ def statistical_min_grid(
         cov: Covariance matrix.  Without ``slots`` it is the ``(N, N)``
             matrix every row shares; with them it is a dense ``(U, U)``
             matrix over every Gaussian the rows touch.
-        method: ``"clark"``/``"montecarlo"``; ``None`` consults the
-            active ``statmin`` backend, exactly like the scalar entry.
+        method: ``"clark"`` (default) or ``"montecarlo"``, as for the
+            scalar entry.
         slots: Optional ``(P, N)`` integer matrix: entry ``(p, i)`` of
             the rows is Gaussian ``slots[p, i]`` of ``cov``.
         lengths: Optional ``(P,)`` row lengths: row ``p`` reduces its
@@ -182,10 +179,8 @@ def statistical_min_grid(
     greedy order (a stable argsort, as ``sorted``) in one lock-step
     chain; a row that is done stops updating.  Rows that share one
     order and one covariance gather each step's covariance row once.
-    The ``montecarlo`` backend reduces row by row.
+    The ``montecarlo`` reduction runs row by row.
     """
-    if method is None:
-        method = active_backend("statmin", "clark")
     check_in("method", method, _METHODS)
     means = np.asarray(means, dtype=float)
     if means.ndim != 2:
@@ -285,11 +280,9 @@ def statistical_max(
     values: list[Gaussian],
     cov: np.ndarray,
     order: str = "criticality",
-    method: str | None = None,
+    method: str = "clark",
 ) -> Gaussian:
     """Gaussian approximation of ``max`` over correlated Gaussians."""
-    if method is None:
-        method = active_backend("statmin", "clark")
     check_in("method", method, _METHODS)
     if method == "montecarlo":
         return _montecarlo_reduce(list(values), cov, minimum=False)

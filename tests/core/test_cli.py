@@ -62,34 +62,33 @@ class TestPipelineInspect:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["pipeline"])
 
-    def test_table_lists_stages_and_marks_plan(self):
+    def test_table_lists_one_implementation_per_stage(self):
         code, text = _run(["pipeline", "inspect"])
         assert code == 0
-        for stage in ("netlist", "datapath", "dta", "statmin", "estimate"):
-            assert stage in text
-        # Defaults are marked selected; alternates are listed unmarked.
-        assert "*kernels" in text
-        assert "*clark" in text
-        assert "montecarlo" in text
+        rows = {
+            line.split()[0]: line.split()[1]
+            for line in text.splitlines()[1:8]
+        }
+        assert rows == {
+            "netlist": "generator",
+            "datapath": "trainer",
+            "dta": "kernels",
+            "statmin": "clark",
+            "errormodel": "joint",
+            "estimate": "analytic",
+            "validate": "montecarlo",
+        }
         assert "store: (none" in text
 
-    def test_backend_override_moves_the_marker(self):
-        code, text = _run(
-            ["pipeline", "inspect", "--backend", "statmin=montecarlo"]
-        )
-        assert code == 0
-        # ``validate`` also defaults to a ``montecarlo``: match the row.
-        assert f"{'statmin':12s} *montecarlo" in text
-        assert "*clark" not in text
-
     def test_unknown_backend_is_exit_2(self):
-        for backend in ("dta=nope", "dta=reference"):
-            code, text = _run(["pipeline", "inspect", "--backend", backend])
-            assert code == 2
-            assert "error:" in text
-        code, text = _run(["pipeline", "inspect", "--backend", "garbage"])
-        assert code == 2
-        assert "STAGE=NAME" in text
+        """Each stage has one implementation, so no ``--backend`` is
+        known: the flag is rejected, not silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["pipeline", "inspect", "--backend", "statmin=montecarlo"],
+                out=io.StringIO(),
+            )
+        assert exc.value.code == 2
 
     def test_json_document(self, tmp_path):
         code, text = _run(
@@ -99,9 +98,12 @@ class TestPipelineInspect:
         doc = json.loads(text)
         assert doc["schema"] == "repro.pipeline/1"
         assert len(doc["stages"]) >= 5
-        multi = [s["stage"] for s in doc["stages"] if len(s["backends"]) >= 2]
-        assert "statmin" in multi
+        for stage in doc["stages"]:
+            assert [b["name"] for b in stage["backends"]] == [
+                doc["plan"][stage["stage"]]
+            ]
         assert doc["plan"]["dta"] == "kernels"
+        assert doc["plan"]["statmin"] == "clark"
         assert doc["store"]["location"] == str(tmp_path)
 
     def test_reports_store_entry_counts(self, tmp_path):

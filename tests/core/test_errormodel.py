@@ -10,6 +10,7 @@ from repro.core.errormodel import InstructionErrorModel, _SAFE_SLACK
 from repro.cpu import FunctionalSimulator, MachineState, assemble
 from repro.dta.characterize import ControlTimingModel
 from repro.netlist import PipelineConfig, generate_pipeline
+from repro.pipeline import stages
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.sta import Gaussian
 
@@ -42,7 +43,7 @@ def env():
     )
     estimator = EstimationPipeline(proc)
     artifacts = estimator.train(program)
-    estimator._dta.characterize_missing(artifacts, collector.samples())
+    stages.characterize_missing(artifacts, collector.samples())
     model = InstructionErrorModel(
         proc, program, cfg, artifacts.control_model
     )

@@ -11,6 +11,7 @@ import pytest
 from repro.core import ProcessorModel
 from repro.cpu import assemble
 from repro.netlist import PipelineConfig, generate_pipeline
+from repro.pipeline import stages
 from repro.pipeline.pipeline import EstimationPipeline
 
 SRC = """
@@ -126,7 +127,7 @@ class TestCorrectionEffect:
         FunctionalSimulator(program).run(
             MachineState(), listener=collector.listener
         )
-        estimator._dta.characterize_missing(artifacts, collector.samples())
+        stages.characterize_missing(artifacts, collector.samples())
         em = InstructionErrorModel(
             estimator.processor, program, artifacts.cfg,
             artifacts.control_model,

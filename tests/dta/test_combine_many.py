@@ -21,7 +21,6 @@ from repro.kernels import kernel_stats
 from repro.netlist import PipelineConfig, TimingLibrary, generate_pipeline
 from repro.netlist.paths import PathEnumerator
 from repro.pipeline.ir import ProcessorConfig
-from repro.pipeline.registry import use_backends
 from repro.variation import ProcessVariationModel
 
 CONFIG = PipelineConfig(
@@ -128,11 +127,6 @@ def test_equals_sequential_combine(pipe, ap_sets):
 
 def test_deterministic_mode(pipe, ap_sets):
     _check(pipe, ap_sets, _period(ap_sets), mode="deterministic")
-
-
-def test_montecarlo_backend(pipe, ap_sets):
-    with use_backends(statmin="montecarlo"):
-        _check(pipe, ap_sets[:12], _period(ap_sets))
 
 
 def _count_fills(monkeypatch):

@@ -28,6 +28,7 @@ from repro.dta.datapath import (
     feature_matrix,
 )
 from repro.netlist import PipelineConfig
+from repro.pipeline import stages
 from repro.pipeline.ir import ProcessorConfig
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.sta.clark import clark_min_arrays
@@ -230,7 +231,7 @@ def test_block_probabilities_equal_per_sample_features(family):
     estimator = EstimationPipeline(proc)
     artifacts = estimator.train(program)
     samples = collector.samples()
-    estimator._dta.characterize_missing(artifacts, samples)
+    stages.characterize_missing(artifacts, samples)
     model = InstructionErrorModel(proc, program, cfg, artifacts.control_model)
     assert any(blk.size > 4 for blk in (cfg.block(b) for b in samples))
     for bid, blk_samples in sorted(samples.items()):

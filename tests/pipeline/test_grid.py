@@ -42,12 +42,11 @@ def _row(result):
     )
 
 
-def _pipeline(tmp_path, name, **kwargs):
+def _pipeline(tmp_path, name):
     return EstimationPipeline(
         ProcessorConfig(**SMALL),
         store=ArtifactStore(tmp_path / name),
         n_data_samples=32,
-        **kwargs,
     )
 
 
@@ -74,23 +73,6 @@ class TestGridParity:
         telemetry = grid.telemetry()
         assert telemetry["points"] == len(SPECS)
         assert telemetry["grid_points"] == len(SPECS)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(backends={"dta": "kernels"}),
-        ],
-        ids=["kernels"],
-    )
-    def test_backend_and_executor_variants(self, tmp_path, kwargs):
-        """An explicitly selected backend keeps the grid
-        byte-identical to the per-point loop."""
-        scalar = _pipeline(tmp_path, "scalar")
-        expected = [_row(scalar.execute(r)) for r in _requests()]
-
-        gridpipe = _pipeline(tmp_path, "grid", **kwargs)
-        grid = gridpipe.execute_grid(_requests())
-        assert [_row(r) for r in grid.results] == expected
 
     def test_reference_kernels_fall_back_per_point(self, tmp_path):
         """The frozen references batch nothing (``ap_trace_grid`` and

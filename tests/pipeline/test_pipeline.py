@@ -147,26 +147,3 @@ class TestStatMinBackends:
         again = statistical_min(items, cov, method="montecarlo")
         assert (mc.mean, mc.var) == (again.mean, again.var)
         assert (mc.mean, mc.var) != (clark.mean, clark.var)
-
-    def test_use_backends_switches_default_dispatch(self):
-        from repro.pipeline.registry import use_backends
-        from repro.sta.ssta import statistical_min
-
-        items, cov = self._correlated_set()
-        explicit = statistical_min(items, cov, method="montecarlo")
-        with use_backends(statmin="montecarlo"):
-            ambient = statistical_min(items, cov)
-        assert (ambient.mean, ambient.var) == (explicit.mean, explicit.var)
-        clark = statistical_min(items, cov)
-        assert (clark.mean, clark.var) != (explicit.mean, explicit.var)
-
-    def test_montecarlo_pipeline_run_is_repeatable(self, processor):
-        def run_mc():
-            pipeline = EstimationPipeline(
-                processor,
-                backends={"statmin": "montecarlo"},
-                n_data_samples=32,
-            )
-            return _row(pipeline.run(_request()))
-
-        assert run_mc() == run_mc(), "seeded Monte Carlo must be repeatable"

@@ -26,10 +26,10 @@ class TestKeying:
 class TestMemoryStore:
     def test_roundtrip_and_contains(self):
         store = ArtifactStore()
-        assert store.get("dta", "kernels", "in0") is None
-        store.put("dta", "kernels", "in0", DOC)
-        assert store.get("dta", "kernels", "in0") == DOC
         key = store.compose_key("dta", "kernels", "in0")
+        assert store.get_entry("dta", key) is None
+        store.put_entry("dta", key, DOC)
+        assert store.get_entry("dta", key) == DOC
         assert ("dta", key) in store
         assert ("dta", "other") not in store
 
@@ -74,17 +74,20 @@ class TestDiskStore:
 
     def test_hit_miss_telemetry(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        assert store.get("dta", "kernels", "x") is None
-        store.put("dta", "kernels", "x", DOC)
-        assert store.get("dta", "kernels", "x") == DOC
+        key = store.compose_key("dta", "kernels", "x")
+        assert store.get_entry("dta", key) is None
+        store.put_entry("dta", key, DOC)
+        assert store.get_entry("dta", key) == DOC
         stats = store.stats["dta"]
         assert stats == {"hits": 1, "misses": 1, "puts": 1, "corrupt": 0}
 
     def test_backend_identity_partitions_entries(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        store.put("dta", "kernels", "same-input", DOC)
-        assert store.get("dta", "reference", "same-input") is None
-        assert store.get("dta", "kernels", "same-input") == DOC
+        kernels = store.compose_key("dta", "kernels", "same-input")
+        other = store.compose_key("dta", "reference", "same-input")
+        store.put_entry("dta", kernels, DOC)
+        assert store.get_entry("dta", other) is None
+        assert store.get_entry("dta", kernels) == DOC
 
     def test_entries_sorted(self, tmp_path):
         store = ArtifactStore(tmp_path)
