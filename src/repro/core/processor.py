@@ -10,6 +10,7 @@ Section 6.1).
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 
 from repro._util import check_positive
@@ -19,6 +20,7 @@ from repro.dta.algorithm1 import StageDTSAnalyzer
 from repro.dta.algorithm2 import InstructionDTSAnalyzer
 from repro.dta.datapath import DatapathTimingModel
 from repro.dta.trainer import DatapathTrainer
+from repro.logicsim.simulator import LevelizedSimulator
 from repro.netlist.gates import EndpointKind
 from repro.netlist.generator import PipelineConfig, PipelineNetlist, generate_pipeline
 from repro.netlist.library import TimingLibrary
@@ -29,6 +31,39 @@ from repro.sta.ssta import StatisticalTimingAnalysis
 from repro.variation.process import ProcessVariationModel, VariationConfig
 
 __all__ = ["ProcessorModel", "default_processor"]
+
+
+class _engine:
+    """A period-independent engine: built once, on the base processor.
+
+    The first access from any operating point of one hardware design
+    (the base or a point :meth:`ProcessorModel.derive` made from it)
+    builds the engine on the base, under the base's lock for that
+    engine, and every later access reads that one copy.  Engines have
+    one lock each, so a build waits only for a concurrent build of the
+    same engine (or of one it uses), never for unrelated training.
+    Assigning the attribute attaches a prebuilt engine to that
+    processor alone.
+    """
+
+    def __init__(self, build) -> None:
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, processor, owner=None):
+        if processor is None:
+            return self
+        base = processor.base
+        engines = base.__dict__
+        if self.name not in engines:
+            lock = base._engine_locks.setdefault(self.name, threading.Lock())
+            with lock:
+                if self.name not in engines:
+                    engines[self.name] = self.build(base)
+        return engines[self.name]
 
 
 class ProcessorModel:
@@ -78,33 +113,51 @@ class ProcessorModel:
         self.core_family = resolve_core_family(core_family)
         self.pipeline = pipeline or self.core_family.build_netlist(None)
         self.library = library or TimingLibrary()
-        self.variation = ProcessVariationModel(
-            self.pipeline.netlist, self.library, variation_config
-        )
+        self.variation_config = variation_config
         self.scheme = scheme or ReplayHalfFrequency()
         self.speculation = speculation
         self.yield_quantile = yield_quantile
         self.droop_guardband = droop_guardband
         self.clock_period_override = clock_period_override
         self.paths_per_endpoint = paths_per_endpoint
+        self._base: ProcessorModel | None = None
+        self._engine_locks: dict[str, threading.Lock] = {}
+
+    @property
+    def base(self) -> "ProcessorModel":
+        """The processor whose engines this one uses: itself, or the
+        processor it was derived from."""
+        return self if self._base is None else self._base
+
+    def has_engine(self, name: str) -> bool:
+        """Whether engine ``name`` (say ``"datapath_model"``) is built,
+        on the base or attached to this processor."""
+        return name in vars(self) or name in vars(self.base)
 
     # ------------------------------------------------------------------ #
     # Timing engines
     # ------------------------------------------------------------------ #
 
-    @cached_property
+    @_engine
+    def variation(self) -> ProcessVariationModel:
+        """The correlated process-variation model."""
+        return ProcessVariationModel(
+            self.pipeline.netlist, self.library, self.variation_config
+        )
+
+    @_engine
     def enumerator(self) -> PathEnumerator:
         """The critical-path enumerator every timing engine shares."""
         netlist = self.pipeline.netlist
         return PathEnumerator(netlist, netlist.nominal_delays(self.library))
 
-    @cached_property
+    @_engine
     def sta(self) -> StaticTimingAnalysis:
         return StaticTimingAnalysis(
             self.pipeline.netlist, self.library, self.enumerator
         )
 
-    @cached_property
+    @_engine
     def ssta(self) -> StatisticalTimingAnalysis:
         return StatisticalTimingAnalysis(
             self.pipeline.netlist, self.library, self.variation,
@@ -113,7 +166,17 @@ class ProcessorModel:
 
     @cached_property
     def baseline_period(self) -> float:
-        """Guardbanded (droop-derated SSTA timing-yield) clock period, ps."""
+        """Guardbanded (droop-derated SSTA timing-yield) clock period, ps.
+
+        A derived point with the base's yield target and droop derate
+        reads the base's period; any other point solves its own.
+        """
+        base = self.base
+        if base is not self and (
+            base.yield_quantile == self.yield_quantile
+            and base.droop_guardband == self.droop_guardband
+        ):
+            return base.baseline_period
         return self.droop_guardband * self.ssta.min_clock_period(
             self.yield_quantile
         )
@@ -159,7 +222,7 @@ class ProcessorModel:
     # DTA analyzers
     # ------------------------------------------------------------------ #
 
-    @cached_property
+    @_engine
     def control_analyzer(self) -> InstructionDTSAnalyzer:
         """Algorithm 2 over the control endpoints (Section 4)."""
         return InstructionDTSAnalyzer(
@@ -173,7 +236,7 @@ class ProcessorModel:
             )
         )
 
-    @cached_property
+    @_engine
     def data_analyzer(self) -> InstructionDTSAnalyzer:
         """Algorithm 2 over the data endpoints (datapath training)."""
         return InstructionDTSAnalyzer(
@@ -191,7 +254,12 @@ class ProcessorModel:
     # Shared models
     # ------------------------------------------------------------------ #
 
-    @cached_property
+    @_engine
+    def logic_simulator(self) -> LevelizedSimulator:
+        """The levelized logic simulator of control characterization."""
+        return LevelizedSimulator(self.pipeline.netlist)
+
+    @_engine
     def datapath_model(self) -> DatapathTimingModel:
         """Trained datapath timing model (fitted once per processor)."""
         trainer = DatapathTrainer(
@@ -213,16 +281,6 @@ class ProcessorModel:
     # Derived operating points
     # ------------------------------------------------------------------ #
 
-    #: Cached engines that do not depend on the clock period and are
-    #: therefore safe to share between derived operating points.
-    _PERIOD_INDEPENDENT = (
-        "sta",
-        "ssta",
-        "control_analyzer",
-        "data_analyzer",
-        "datapath_model",
-    )
-
     def derive(
         self,
         speculation: float | None = None,
@@ -231,15 +289,17 @@ class ProcessorModel:
         yield_quantile: float | None = None,
         droop_guardband: float | None = None,
     ) -> "ProcessorModel":
-        """A new operating point sharing this processor's trained engines.
+        """A new operating point of this processor's hardware.
 
-        Sweeps re-analyze the same hardware at many clock periods; the
-        netlist, variation model, (S)STA engines, DTA analyzers, and the
-        trained datapath model are all period-independent, so a derived
-        processor inherits whichever of them this one has already built
-        and only re-derives the period-dependent quantities.  This is the
-        sanctioned replacement for the old ``__dict__.update`` sharing
-        hack.
+        Sweeps re-analyze the same hardware at many clock periods.  The
+        engines that do not depend on the period live on the base
+        processor (:attr:`base`): the variation model, path enumerator,
+        (S)STA engines, DTA analyzers, logic simulator and trained
+        datapath model.  Each is built there once, on first use from any
+        point, and a derived point builds none of its own.  The point
+        holds only its period-dependent scalars: speculation, scheme,
+        period override, and the baseline period (read from the base
+        when the yield target and droop derate match).
 
         Args:
             speculation: New working-frequency ratio (default: keep).
@@ -252,7 +312,7 @@ class ProcessorModel:
         clone = ProcessorModel(
             pipeline=self.pipeline,
             library=self.library,
-            variation_config=self.variation.config,
+            variation_config=self.variation_config,
             scheme=self.scheme if scheme is None else scheme,
             speculation=(
                 self.speculation if speculation is None else speculation
@@ -271,23 +331,7 @@ class ProcessorModel:
             paths_per_endpoint=self.paths_per_endpoint,
             core_family=self.core_family,
         )
-        # Share the sampled variation model itself (the constructor built
-        # an equivalent one; the engines below reference this instance).
-        clone.variation = self.variation
-        # Every operating point enumerates the same critical paths: one
-        # enumerator (and its per-endpoint memo) serves them all.
-        clone.__dict__["enumerator"] = self.enumerator
-        for name in self._PERIOD_INDEPENDENT:
-            if name in self.__dict__:
-                clone.__dict__[name] = self.__dict__[name]
-        if (
-            "baseline_period" in self.__dict__
-            and clone.yield_quantile == self.yield_quantile
-            and clone.droop_guardband == self.droop_guardband
-        ):
-            clone.__dict__["baseline_period"] = self.__dict__[
-                "baseline_period"
-            ]
+        clone._base = self.base
         return clone
 
     def control_data_covariance(self, sigma_c: float, sigma_d: float) -> float:

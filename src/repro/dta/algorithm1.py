@@ -18,6 +18,7 @@ probabilities (pass ``include_safe=True`` to analyze them anyway).
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,7 +277,11 @@ class StageDTSAnalyzer:
         # a pairwise path-covariance cache (seeded per endpoint by the
         # blocked kernel, filled lazily for cross-endpoint pairs), and a
         # memo reducing each distinct (mode, period, AP id-set) exactly
-        # once.
+        # once.  Every operating point of a processor shares one
+        # analyzer, so the registry grows under a lock: an id is
+        # published only with its moments.
+        self._lock = threading.Lock()
+        self._preloaded: set[str] = set()
         self._path_ids: dict[tuple[tuple[int, ...], int], int] = {}
         self._registered: list[Path] = []
         self._path_mean: list[float] = []
@@ -326,23 +331,28 @@ class StageDTSAnalyzer:
         """Dense ids of ``paths``, registering the delay moments of new
         ones with one batched call."""
         ids = self._path_ids
-        new: list[Path] = []
-        pids = []
-        for path in paths:
-            key = (path.gates, path.sink)
-            pid = ids.get(key)
-            if pid is None:
-                pid = ids[key] = len(self._registered)
-                self._registered.append(path)
-                new.append(path)
-            pids.append(pid)
-        if new:
-            means, variances = self.variation.path_delay_moments_many(
-                [p.gates for p in new]
-            )
-            self._path_mean.extend(means.tolist())
-            self._path_var.extend(variances.tolist())
-        return tuple(pids)
+        pids = [ids.get((path.gates, path.sink)) for path in paths]
+        if None not in pids:
+            return tuple(pids)
+        with self._lock:
+            new: dict[tuple, Path] = {}
+            for path in paths:
+                key = (path.gates, path.sink)
+                if key not in ids:
+                    new.setdefault(key, path)
+            if new:
+                means, variances = self.variation.path_delay_moments_many(
+                    [p.gates for p in new.values()]
+                )
+                # Moments first, then paths, then ids: a reader holding an
+                # id always finds its path and moments.
+                self._path_mean.extend(means.tolist())
+                self._path_var.extend(variances.tolist())
+                start = len(self._registered)
+                self._registered.extend(new.values())
+                for pid, key in enumerate(new, start):
+                    ids[key] = pid
+            return tuple(ids[(path.gates, path.sink)] for path in paths)
 
     def _cov_block(self, sets) -> tuple[list[np.ndarray], np.ndarray]:
         """Pairwise covariance cells inside each of ``sets`` (id tuples).
@@ -421,14 +431,15 @@ class StageDTSAnalyzer:
             values[missing] = self.variation.path_cov_rows(
                 *table, lo[missing], hi[missing]
             )
-            cache.update(
-                ((ids[a], ids[b]), value)
-                for a, b, value in zip(
-                    lo[missing].tolist(),
-                    hi[missing].tolist(),
-                    values[missing].tolist(),
+            with self._lock:
+                cache.update(
+                    ((ids[a], ids[b]), value)
+                    for a, b, value in zip(
+                        lo[missing].tolist(),
+                        hi[missing].tolist(),
+                        values[missing].tolist(),
+                    )
                 )
-            )
         stats = kernel_stats()
         stats.cov_cells_computed += len(missing)
         stats.cov_cache_hits += n_keys - len(missing)
@@ -461,6 +472,9 @@ class StageDTSAnalyzer:
         turn an AP set into a slack Gaussian at *any* clock period
         without touching the variation model again.
         """
+        with self._lock:
+            registered = list(self._registered)
+            cov = sorted(self._cov_cache.items())
         return {
             "schema": self.REGISTRY_SCHEMA,
             "paths": [
@@ -471,47 +485,51 @@ class StageDTSAnalyzer:
                     "mean": self._path_mean[pid],
                     "var": self._path_var[pid],
                 }
-                for pid, path in enumerate(self._registered)
+                for pid, path in enumerate(registered)
             ],
-            "cov": [
-                [a, b, value]
-                for (a, b), value in sorted(self._cov_cache.items())
-            ],
+            "cov": [[a, b, value] for (a, b), value in cov],
         }
 
-    def preload_registry(self, doc: dict) -> None:
+    def preload_registry(self, doc: dict, key: str) -> None:
         """Fill the registry/covariance cache from a persisted document.
 
         Strictly fill-missing: paths already registered (the constructor
         registers every enumerated critical path) and covariance cells
         already cached keep their locally computed values, so preloading
         can never perturb results — it only spares recomputation for
-        entries the current analyzer has not produced yet.
+        entries the current analyzer has not produced yet.  ``key`` is
+        the document's store key, and each key is loaded once: the
+        analyzer is shared by every operating point, so a later job
+        asking for the same windows entry finds its cells already there.
         """
         if doc.get("schema") != self.REGISTRY_SCHEMA:
             raise ValueError(
                 f"unsupported path-registry schema {doc.get('schema')!r};"
                 f" expected {self.REGISTRY_SCHEMA!r}"
             )
-        ids = []
-        for entry in doc["paths"]:
-            gates = tuple(int(g) for g in entry["gates"])
-            key = (gates, int(entry["sink"]))
-            pid = self._path_ids.get(key)
-            if pid is None:
-                pid = len(self._registered)
-                self._path_ids[key] = pid
-                self._registered.append(
-                    Path(gates=gates, sink=key[1],
-                         delay=float(entry["delay"]))
-                )
-                self._path_mean.append(float(entry["mean"]))
-                self._path_var.append(float(entry["var"]))
-            ids.append(pid)
-        for a, b, value in doc["cov"]:
-            pa, pb = ids[int(a)], ids[int(b)]
-            cov_key = (pa, pb) if pa < pb else (pb, pa)
-            self._cov_cache.setdefault(cov_key, float(value))
+        with self._lock:
+            if key in self._preloaded:
+                return
+            self._preloaded.add(key)
+            ids = []
+            for entry in doc["paths"]:
+                gates = tuple(int(g) for g in entry["gates"])
+                path_key = (gates, int(entry["sink"]))
+                pid = self._path_ids.get(path_key)
+                if pid is None:
+                    pid = len(self._registered)
+                    self._path_mean.append(float(entry["mean"]))
+                    self._path_var.append(float(entry["var"]))
+                    self._registered.append(
+                        Path(gates=gates, sink=path_key[1],
+                             delay=float(entry["delay"]))
+                    )
+                    self._path_ids[path_key] = pid
+                ids.append(pid)
+            for a, b, value in doc["cov"]:
+                pa, pb = ids[int(a)], ids[int(b)]
+                cov_key = (pa, pb) if pa < pb else (pb, pa)
+                self._cov_cache.setdefault(cov_key, float(value))
 
     # ------------------------------------------------------------------ #
 

@@ -215,6 +215,8 @@ class ControlCharacterizer:
         program: The program under analysis.
         scheme: Error-correction scheme (supplies the p^e emulation).
         clock_period: Speculative clock period (ps).
+        simulator: The netlist's :class:`LevelizedSimulator`, shared
+            by every characterizer of one processor.
         activity_cache: Content-addressed activity cache shared by every
             window analysis of this characterizer (a fresh one is built
             when omitted).
@@ -232,6 +234,7 @@ class ControlCharacterizer:
         program: Program,
         scheme: CorrectionScheme,
         clock_period: float,
+        simulator: LevelizedSimulator,
         activity_cache: ActivityCache | None = None,
         scheduler=None,
     ) -> None:
@@ -246,7 +249,7 @@ class ControlCharacterizer:
         self.scheduler = scheduler or PipelineScheduler(
             program, num_stages=pipeline.num_stages
         )
-        self.simulator = LevelizedSimulator(pipeline.netlist)
+        self.simulator = simulator
         self.encoder = StimulusEncoder(pipeline)
 
     def _window_dts_grid(

@@ -36,6 +36,7 @@ class Netlist:
         self._fanout: list[list[int]] | None = None
         self._topo: list[int] | None = None
         self._delays: np.ndarray | None = None
+        self._endpoints: dict[tuple, list[Gate]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -150,6 +151,7 @@ class Netlist:
         self._fanout = None
         self._topo = None
         self._delays = None
+        self._endpoints = {}
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -177,17 +179,23 @@ class Netlist:
     def endpoints(
         self, stage: int | None = None, kind: EndpointKind | None = None
     ) -> list[Gate]:
-        """Return endpoints ``E(N, s)``, optionally filtered by stage/kind."""
-        result = []
-        for g in self._gates:
-            if not g.is_endpoint:
-                continue
-            if stage is not None and g.stage != stage:
-                continue
-            if kind is not None and g.endpoint_kind != kind:
-                continue
-            result.append(g)
-        return result
+        """Return endpoints ``E(N, s)``, optionally filtered by stage/kind.
+
+        Each filter's scan runs once per netlist structure (the cache is
+        dropped with the topological order when a gate is added or a
+        flip-flop reconnected); callers get their own list.
+        """
+        key = (stage, kind)
+        result = self._endpoints.get(key)
+        if result is None:
+            result = self._endpoints[key] = [
+                g
+                for g in self._gates
+                if g.is_endpoint
+                and (stage is None or g.stage == stage)
+                and (kind is None or g.endpoint_kind == kind)
+            ]
+        return list(result)
 
     def combinational_gates(self) -> list[Gate]:
         """All combinational (non-endpoint) gates."""

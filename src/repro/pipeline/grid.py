@@ -267,7 +267,9 @@ def execute_grid(
         )
         windows_doc = store.get_entry("windows", windows_key)
         if windows_doc is not None:
-            windows_preloaded = pipes[0].preload_windows(windows_doc)
+            windows_preloaded = pipes[0].preload_windows(
+                windows_doc, windows_key
+            )
             seconds = time.perf_counter() - t0
             for ev in events:
                 ev.append(

@@ -132,7 +132,6 @@ class EstimationPipeline:
             activity_cache if activity_cache is not None else ActivityCache()
         )
         self._derived: dict[float, EstimationPipeline] = {}
-        self._derived_models: dict[float, object] = {}
         self._family_siblings: dict[str, EstimationPipeline] = {}
 
     # ------------------------------------------------------------------ #
@@ -148,18 +147,7 @@ class EstimationPipeline:
 
     def processor_for(self, speculation):
         """The processor at ``speculation`` (derived, shared engines)."""
-        if (
-            speculation is None
-            or speculation == self.processor.speculation
-        ):
-            return self.processor
-        if self.config is not None:
-            return stages.processor_for(self.config, speculation)
-        if speculation not in self._derived_models:
-            self._derived_models[speculation] = self.processor.derive(
-                speculation=speculation
-            )
-        return self._derived_models[speculation]
+        return self.pipeline_for(speculation).processor
 
     @property
     def core_family_name(self) -> str:
@@ -199,8 +187,11 @@ class EstimationPipeline:
     def pipeline_for(self, speculation) -> "EstimationPipeline":
         """This pipeline at a derived operating point.
 
-        Shares the activity cache (stimulus digests are
-        period-independent) and the artifact store.
+        The point's processor is derived from :attr:`processor`, whose
+        period-independent engines it uses; the pipeline shares the
+        activity cache (stimulus digests are period-independent) and the
+        artifact store.  This is the one per-point cache: deriving is
+        cheap, but a point keeps its pipeline and processor identity.
         """
         if (
             speculation is None
@@ -209,7 +200,7 @@ class EstimationPipeline:
             return self
         if speculation not in self._derived:
             self._derived[speculation] = EstimationPipeline(
-                self.processor_for(speculation),
+                self.processor.derive(speculation=speculation),
                 store=self.store,
                 n_data_samples=self.n_data_samples,
                 activity_cache=self.activity_cache,
@@ -230,10 +221,11 @@ class EstimationPipeline:
         """Persistable period-independent window artifacts."""
         return stages.window_doc(self.processor, self.activity_cache)
 
-    def preload_windows(self, doc: dict) -> int:
-        """Load a :meth:`window_doc` document; returns entries added."""
+    def preload_windows(self, doc: dict, key: str) -> int:
+        """Load a :meth:`window_doc` document stored under ``key``;
+        returns entries added."""
         return stages.preload_windows(
-            self.processor, self.activity_cache, doc
+            self.processor, self.activity_cache, doc, key
         )
 
     def artifacts_from_doc(self, program, doc: dict) -> TrainingArtifacts:

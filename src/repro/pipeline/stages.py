@@ -40,7 +40,6 @@ __all__ = [
     "PLAN",
     "describe",
     "base_processor",
-    "processor_for",
     "datapath_key",
     "ensure_datapath",
     "build_characterizer",
@@ -104,26 +103,20 @@ def describe() -> list[dict]:
 #: method the parent's warmed entries (base processor, SSTA baseline,
 #: datapath model) are inherited by every worker for free.
 _PROCESSORS: dict[str, object] = {}
-_DERIVED: dict[tuple[str, float], object] = {}
 
 
 def base_processor(config):
-    """The built (and registry-shared) processor for ``config``."""
+    """The built (and registry-shared) processor for ``config``.
+
+    Every operating point of ``config`` is derived from this one
+    processor, so they all share its period-independent engines.
+    Threads racing on a new config keep the first processor stored.
+    """
     key = config.digest()
-    if key not in _PROCESSORS:
-        _PROCESSORS[key] = config.build()
-    return _PROCESSORS[key]
-
-
-def processor_for(config, speculation):
-    """``config``'s processor at ``speculation`` (derived, shared engines)."""
-    base = base_processor(config)
-    if speculation is None or speculation == base.speculation:
-        return base
-    key = (config.digest(), speculation)
-    if key not in _DERIVED:
-        _DERIVED[key] = base.derive(speculation=speculation)
-    return _DERIVED[key]
+    processor = _PROCESSORS.get(key)
+    if processor is None:
+        processor = _PROCESSORS.setdefault(key, config.build())
+    return processor
 
 
 # --------------------------------------------------------------------- #
@@ -143,22 +136,30 @@ def datapath_key(config) -> str:
 def ensure_datapath(processor, key=None, store=None):
     """Attach the shared datapath model, via the store when available.
 
-    Returns ``True`` on a store hit, ``False`` on train+put, and
-    ``None`` when running storeless (model trained or already cached on
-    the processor).
+    The model lives on the processor's base, so a model loaded from the
+    store is decoded once per base; later calls only check that the
+    store still holds a valid entry (:meth:`ArtifactStore.has_entry`),
+    and put the base's model again when it does not.  Returns ``True``
+    on a store hit, ``False`` on train (or reuse) + put, and ``None``
+    when running storeless (model trained or already cached on the
+    base).
     """
     if store is None or key is None:
         _ = processor.datapath_model
         return None
     from repro.dta.datapath import DatapathTimingModel
 
-    doc = store.get_entry("datapath", key)
-    if doc is not None:
-        artifact = DatapathArtifactIR.from_doc(doc)
-        processor.datapath_model = DatapathTimingModel.from_json(
-            artifact.doc["model"]
-        )
-        return True
+    if processor.has_engine("datapath_model"):
+        if store.has_entry("datapath", key):
+            return True
+    else:
+        doc = store.get_entry("datapath", key)
+        if doc is not None:
+            artifact = DatapathArtifactIR.from_doc(doc)
+            processor.base.datapath_model = DatapathTimingModel.from_json(
+                artifact.doc["model"]
+            )
+            return True
     store.put_entry(
         "datapath",
         key,
@@ -187,6 +188,7 @@ def build_characterizer(processor, program, activity_cache):
         processor.clock_period,
         activity_cache=activity_cache,
         scheduler=processor.make_scheduler(program),
+        simulator=processor.logic_simulator,
     )
 
 
@@ -338,13 +340,19 @@ def window_doc(processor, activity_cache) -> dict:
     }
 
 
-def preload_windows(processor, activity_cache, doc: dict) -> int:
-    """Load a :func:`window_doc` document; returns entries added."""
+def preload_windows(processor, activity_cache, doc: dict, key: str) -> int:
+    """Load a :func:`window_doc` document; returns entries added.
+
+    ``key`` is the document's store key: the shared control analyzer
+    loads the path registry of each key once.
+    """
     artifact = WindowArtifactIR.from_doc(doc)
     added = activity_cache.preload(artifact.doc["activity"])
     registry = artifact.doc.get("path_registry")
     if registry is not None:
-        processor.control_analyzer.stage_analyzer.preload_registry(registry)
+        processor.control_analyzer.stage_analyzer.preload_registry(
+            registry, key
+        )
     return added
 
 

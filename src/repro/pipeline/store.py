@@ -95,6 +95,9 @@ class ArtifactStore:
         self._memory: dict[tuple[str, str], dict] = {}
         self._memory_sizes: dict[tuple[str, str], int] = {}
         self._index_conn: sqlite3.Connection | None = None
+        # (size, mtime_ns) of each on-disk entry this store last decoded
+        # or wrote: an unchanged file is known valid without a re-read.
+        self._verified: dict[tuple[str, str], tuple[int, int]] = {}
         self._lock = threading.Lock()
         #: Per-stage telemetry: ``{stage: {"hits": n, "misses": n,
         #: "puts": n, "corrupt": n}}`` accumulated over this store's
@@ -143,6 +146,7 @@ class ArtifactStore:
         try:
             with open(path) as handle:
                 doc = json.load(handle)
+                stat = os.fstat(handle.fileno())
         except OSError:
             counters["misses"] += 1
             self._index_forget(namespace, key)
@@ -158,9 +162,34 @@ class ArtifactStore:
                 pass
             self._index_forget(namespace, key)
             return None
+        self._verified[(namespace, key)] = (stat.st_size, stat.st_mtime_ns)
         counters["hits"] += 1
         self._index_touch(namespace, key, path)
         return doc
+
+    def has_entry(self, namespace: str, key: str) -> bool:
+        """Whether a valid entry exists, for a caller that already holds
+        the document's content.
+
+        An entry this store decoded or wrote, and whose file has not
+        changed since (same size and modification time), is checked by
+        ``stat`` alone.  Any other entry is read like :meth:`get_entry`,
+        so a truncated or corrupt one is removed and reads as a miss.
+        Counted and marked recently used like a :meth:`get_entry` call.
+        """
+        if self.root is None:
+            return self.get_entry(namespace, key) is not None
+        path = self.path_for(namespace, key)
+        try:
+            stat = os.stat(path)
+        except OSError:
+            stat = None
+        verified = self._verified.get((namespace, key))
+        if stat is None or verified != (stat.st_size, stat.st_mtime_ns):
+            return self.get_entry(namespace, key) is not None
+        self._counters(namespace)["hits"] += 1
+        self._index_touch(namespace, key, path)
+        return True
 
     def put_entry(self, namespace: str, key: str, doc: dict):
         """Store by explicit key; durable, concurrent writers are safe."""
@@ -182,6 +211,7 @@ class ArtifactStore:
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
+                stat = os.fstat(handle.fileno())
             os.replace(tmp, path)
             _fsync_dir(path.parent)
         except BaseException:
@@ -190,6 +220,7 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
+        self._verified[(namespace, key)] = (stat.st_size, stat.st_mtime_ns)
         self._index_record(namespace, key, len(blob))
         self._evict(protect=(namespace, key))
         return path

@@ -196,3 +196,68 @@ class TestStatisticalAgainstMonteCarlo:
         )
         assert stat.mean == pytest.approx(slacks.mean(), abs=2.0)
         assert stat.std == pytest.approx(slacks.std(), rel=0.2)
+
+
+class TestSharedRegistry:
+    def test_concurrent_registration_keeps_ids_and_moments_paired(
+        self, small_pipeline
+    ):
+        """Every operating point of a processor shares one analyzer, so
+        threads register new paths at once.  Under a tiny switch
+        interval, each id must still map to its own path's moments."""
+        import sys
+        import threading
+
+        nl = small_pipeline.netlist
+        lib = TimingLibrary()
+        an = StageDTSAnalyzer(
+            nl, lib, ProcessVariationModel(nl, lib),
+            paths_per_endpoint=2, endpoint_kind=EndpointKind.CONTROL,
+        )
+        endpoints = [
+            e for s in range(nl.num_stages) for e in an.endpoints(s)
+        ]
+        enumerator = an._enumerator
+        # Deeper paths than the constructor registered, split over more
+        # threads than cores; each thread also re-registers its
+        # neighbour's endpoints so threads race on the same new paths.
+        work = [
+            [enumerator.critical_paths(e, k=10) for e in endpoints[i::4]]
+            for i in range(4)
+        ]
+        errors = []
+
+        def register(i):
+            try:
+                for paths in work[i] + work[(i + 1) % 4]:
+                    an.combine(paths, clock_period=400.0)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=register, args=(i,))
+                for i in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        n = len(an._registered)
+        assert len(an._path_mean) == len(an._path_var) == n
+        assert sorted(an._path_ids.values()) == list(range(n))
+        means, variances = an.variation.path_delay_moments_many(
+            [p.gates for p in an._registered]
+        )
+        for pid, path in enumerate(an._registered):
+            assert an._path_ids[(path.gates, path.sink)] == pid
+            assert an._path_mean[pid] == pytest.approx(means[pid], rel=1e-12)
+            assert an._path_var[pid] == pytest.approx(
+                variances[pid], rel=1e-12
+            )

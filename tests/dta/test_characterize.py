@@ -14,6 +14,7 @@ from repro.dta.characterize import (
     ControlSampleCollector,
     ControlTimingModel,
 )
+from repro.logicsim import LevelizedSimulator
 from repro.sta import Gaussian
 
 
@@ -149,6 +150,7 @@ class TestCharacterizer:
             ReplayHalfFrequency(),
             clock_period=sta.endpoint_arrival(redirect.gid)
             + library.setup_time,
+            simulator=LevelizedSimulator(small_pipeline.netlist),
         )
 
     def test_characterizes_every_sampled_pair(

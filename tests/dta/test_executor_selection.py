@@ -22,6 +22,7 @@ from repro.dta.characterize import (
 )
 from repro.dta.executor import execute_plan, fork_available, plan_fork_map
 from repro.kernels import kernel_stats
+from repro.logicsim import LevelizedSimulator
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,7 @@ def _characterizer(
         program,
         ReplayHalfFrequency(),
         clock_period=clock_period,
+        simulator=LevelizedSimulator(small_pipeline.netlist),
     )
 
 

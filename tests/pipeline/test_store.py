@@ -72,6 +72,20 @@ class TestDiskStore:
         store.put_entry("control", key, DOC)
         assert store.get_entry("control", key) == DOC
 
+    def test_has_entry_checks_validity(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        key = "ac" + "4" * 62
+        assert not store.has_entry("control", key)
+        store.put_entry("control", key, DOC)
+        assert store.has_entry("control", key)
+        # Another store has not read the entry yet: it decodes it once.
+        assert ArtifactStore(tmp_path).has_entry("control", key)
+        path = store.path_for("control", key)
+        path.write_text('{"schema": "test/1", "value": [1, 2')  # truncated
+        assert not store.has_entry("control", key)
+        assert not path.exists(), "corrupt entry must be removed"
+        assert store.stats["control"]["corrupt"] == 1
+
     def test_hit_miss_telemetry(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = store.compose_key("dta", "kernels", "x")

@@ -271,6 +271,41 @@ class TestConcurrentWindowWorkers:
 
 
 @pytest.mark.slow
+class TestConcurrentDerivedPoints:
+    def test_two_threads_at_two_points_match_serial(self, tmp_path):
+        """Two worker threads run jobs at two non-base operating points
+        of one new processor, so both register paths on its one shared
+        control analyzer at once; the reports must stay byte-identical
+        to serial runs on an independently built processor."""
+        import dataclasses
+
+        from repro.pipeline.pipeline import EstimationPipeline
+
+        # A configuration no other test builds: the service starts from
+        # a fresh base processor whose analyzer both threads fill.
+        config = dataclasses.replace(SMALL, paths_per_endpoint=10)
+        requests = [
+            _request(speculation=1.05),
+            _request(speculation=1.27),
+        ]
+        service = EstimationService(
+            tmp_path / "svc",
+            config=config, port=0, workers=2, n_data_samples=32,
+            batch_window_ms=0,
+        )
+        with service.start_in_thread():
+            client = ServiceClient(f"http://127.0.0.1:{service.port}")
+            jobs = [client.submit(request) for request in requests]
+            done = [client.wait(job.id, timeout=300) for job in jobs]
+        serial = EstimationPipeline(config.build(), n_data_samples=32)
+        for request, result in zip(requests, done):
+            expected = serial.execute(request).report
+            assert result.report.to_json(include_timing=False) == (
+                expected.to_json(include_timing=False)
+            )
+
+
+@pytest.mark.slow
 class TestCrashResume:
     def test_sigkilled_server_resumes_its_queue(self, tmp_path):
         """A server killed mid-job requeues it on restart; nothing is
