@@ -14,10 +14,9 @@ writes the numbers to ``BENCH_service.json`` at the repository root:
 * **Batched throughput**: the same warm job mix submitted by M
   concurrent tenants against a micro-batching service: the scheduler
   coalesces the compatible singles into shared grid passes, so the
-  batch pays one evaluation simulation instead of M.  The worker-process
-  pool is requested and left to the ``service-pool`` cost model — on a
-  1-CPU host it degrades (reason recorded in ``pool_plan``) and batching
-  still wins in-thread by sharing the evaluation pass.
+  batch pays one evaluation simulation instead of M.  Batches run on
+  the service's dispatch thread: batching wins by sharing the
+  evaluation pass, not by running jobs in parallel.
 * **Never-lose gate**: both services stay up, warmed, and the two
   throughputs are measured in :data:`PAIRS` pairs whose order alternates
   (warm first, then batched first, ...), so host-speed drift falls on
@@ -60,9 +59,6 @@ SMALL = ProcessorConfig(
 WORKLOAD = "bitcount"
 WARM_JOBS = 8
 BATCH_WINDOW_MS = 50.0
-#: Requested spawned job processes; the service-pool cost model decides
-#: whether the host can actually pay for them.
-WORKER_PROCESSES = 2
 #: Alternating (unbatched, batched) measurement pairs of the gate.
 PAIRS = 5
 
@@ -124,7 +120,6 @@ def test_service_benchmark():
     batched_service = EstimationService(
         state_dir / "batched", config=SMALL, port=0, workers=1,
         n_data_samples=32, batch_window_ms=BATCH_WINDOW_MS,
-        worker_processes=WORKER_PROCESSES,
     )
     with service.start_in_thread(), batched_service.start_in_thread():
         client = ServiceClient(f"http://127.0.0.1:{service.port}")
@@ -180,10 +175,9 @@ def test_service_benchmark():
     batching = metrics["batching"]
     # Every batched-service job, the warm-up round included.
     coalesce_rate = batching["jobs_coalesced"] / (WARM_JOBS * (PAIRS + 1))
-    pool_plan = metrics["pool_plan"]
 
     doc = {
-        "schema": "repro.bench-service/3",
+        "schema": "repro.bench-service/4",
         "workload": WORKLOAD,
         "config": "reduced (engine test-suite shape)",
         "cold_latency_s": round(cold_s, 3),
@@ -197,8 +191,6 @@ def test_service_benchmark():
         "warm_training_sims": warm.training_sims,
         "batching": {
             "batch_window_ms": BATCH_WINDOW_MS,
-            "worker_processes_requested": WORKER_PROCESSES,
-            "pool_plan": pool_plan,
             "batched_jobs": WARM_JOBS,
             "batched_batch_s": round(batched_s, 3),
             "batched_jobs_per_s": round(batched_jobs_per_s, 2),
@@ -266,10 +258,8 @@ def test_service_benchmark():
         assert result.report.to_json(include_timing=False) == warm_report
     # ... bound per-job latency overhead by the window ...
     assert batching["window_wait_ms_max"] <= BATCH_WINDOW_MS + 1.0
-    # ... and never lose to the unbatched warm path (on hosts where the
-    # worker-process pool cannot pay, the plan degrades with a recorded
-    # reason and in-thread batching still carries the gate): batched
-    # wins the median of the alternating pairs.
+    # ... and never lose to the unbatched warm path: batched wins the
+    # median of the alternating pairs.
     assert median_ratio >= 1.0, (
         f"batched lost the median of {PAIRS} alternating pairs "
         f"({wins} won): {pairs}"

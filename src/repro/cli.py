@@ -249,14 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
             "dispatches; 0 disables coalescing"
         ),
     )
-    srv.add_argument(
-        "--worker-processes", type=int, default=0,
-        help=(
-            "persistent spawned job processes; 0 keeps execution "
-            "in-thread, N>0 is arbitrated by the service-pool cost "
-            "model (degrades with a recorded reason when it cannot pay)"
-        ),
-    )
 
     sm = sub.add_parser(
         "submit", help="submit one job to a running estimation server"
@@ -562,25 +554,16 @@ def _cmd_serve(args, out) -> int:
         workers=args.workers,
         store_budget=args.store_budget,
         batch_window_ms=args.batch_window_ms,
-        worker_processes=args.worker_processes,
     )
 
     async def _main() -> None:
         await service.start()
         queued = service.queue.counts()["queued"]
-        pool = (
-            f", pool: {service.pool.processes} processes"
-            if service.pool is not None else ""
-        )
         out.write(
             f"serving on http://{service.host}:{service.port} "
             f"(state: {state_dir}, workers: {service.workers}, "
-            f"batch window: {service.batch_window_ms:g}ms{pool})\n"
+            f"batch window: {service.batch_window_ms:g}ms)\n"
         )
-        if service.pool_plan is not None and service.pool is None:
-            out.write(
-                f"worker-process pool degraded: {service.pool_plan.reason}\n"
-            )
         if queued:
             out.write(f"resuming {queued} queued job(s)\n")
         if hasattr(out, "flush"):

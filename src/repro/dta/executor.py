@@ -21,10 +21,6 @@ Thread safety: the fork hand-off global is written only under
 :data:`_FORK_LOCK`, held for the whole pooled map, so two concurrent
 maps from different threads can never swap each other's
 ``(func, context)``; the serial path does not touch the global at all.
-
-The module also owns the worker->parent shared-memory hand-off
-(:func:`share_bytes` / :func:`adopt_bytes`) used by the service's
-spawned job processes.
 """
 
 from __future__ import annotations
@@ -45,16 +41,7 @@ __all__ = [
     "fork_safe",
     "plan_fork_map",
     "execute_plan",
-    "share_bytes",
-    "adopt_bytes",
-    "SHM_MIN_BYTES",
 ]
-
-#: Worker->parent payloads smaller than this stay on the result pipe;
-#: pickling a few KiB is cheaper than standing a shared-memory segment
-#: up.  Above it, the bytes cross through one
-#: ``multiprocessing.shared_memory`` block instead.
-SHM_MIN_BYTES = 1 << 16
 
 
 def effective_cpus() -> int:
@@ -130,9 +117,9 @@ class ExecutionPlan:
         }
 
 
-def _serial_plan(requested: str, n_tasks: int, reason: str = "") -> ExecutionPlan:
+def _serial_plan(n_tasks: int, reason: str = "") -> ExecutionPlan:
     return ExecutionPlan(
-        requested=requested,
+        requested="local-fork",
         executor="local-serial",
         workers=1,
         chunk_size=1,
@@ -153,15 +140,12 @@ def plan_fork_map(n_tasks: int, workers: int) -> ExecutionPlan:
     """
     if workers <= 1 or n_tasks <= 1:
         # Not a degrade: the request was never parallel-capable.
-        return _serial_plan("local-fork", n_tasks)
+        return _serial_plan(n_tasks)
     if not fork_available():
-        return _serial_plan(
-            "local-fork", n_tasks, "platform has no fork start method"
-        )
+        return _serial_plan(n_tasks, "platform has no fork start method")
     if not fork_safe():
         return _serial_plan(
-            "local-fork", n_tasks,
-            "live non-daemon threads make forking unsafe",
+            n_tasks, "live non-daemon threads make forking unsafe"
         )
     workers = min(workers, n_tasks)
     chunk = math.ceil(n_tasks / (4 * workers))
@@ -245,52 +229,3 @@ def execute_plan(plan: ExecutionPlan, func, context) -> list:
     if plan.parallel:
         return _execute_fork(plan, func, context)
     return _execute_serial(plan, func, context)
-
-
-# ---------------------------------------------------------------------- #
-# Shared-memory hand-off (worker -> parent bytes)
-# ---------------------------------------------------------------------- #
-
-
-def share_bytes(data: bytes, min_bytes: float = SHM_MIN_BYTES) -> dict:
-    """The hand-off payload carrying ``data`` to another process.
-
-    Below ``min_bytes`` (and on any shared-memory failure) the bytes
-    travel inline in the payload; above it they are copied once into a
-    ``multiprocessing.shared_memory`` block and only its name crosses
-    the pipe.  The receiver must call :func:`adopt_bytes` exactly once,
-    which unlinks the block.
-    """
-    if data and len(data) >= min_bytes:
-        try:
-            from multiprocessing import shared_memory
-
-            block = shared_memory.SharedMemory(create=True, size=len(data))
-        except Exception:
-            block = None
-        if block is not None:
-            block.buf[: len(data)] = data
-            block.close()
-            return {"kind": "shm", "name": block.name, "bytes": len(data)}
-    return {"kind": "inline", "data": data}
-
-
-def adopt_bytes(payload: dict) -> bytes:
-    """Exact inverse of :func:`share_bytes`.
-
-    A shared-memory payload is consumed: its block is unlinked and its
-    size is counted in the ``pool_shm_bytes`` kernel counter.
-    """
-    if payload["kind"] == "inline":
-        return payload["data"]
-    from multiprocessing import shared_memory
-
-    nbytes = int(payload["bytes"])
-    block = shared_memory.SharedMemory(name=payload["name"])
-    try:
-        data = bytes(block.buf[:nbytes])
-    finally:
-        block.close()
-        block.unlink()
-    kernel_stats().pool_shm_bytes += nbytes
-    return data

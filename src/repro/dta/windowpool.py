@@ -112,8 +112,13 @@ class ActivityCache:
 
     @property
     def dirty(self) -> bool:
-        """True when entries were added since construction / preload."""
+        """True when entries were added since construction or the last
+        :meth:`mark_persisted`."""
         return self._dirty
+
+    def mark_persisted(self) -> None:
+        """Clear :attr:`dirty`: every entry has been written out."""
+        self._dirty = False
 
     # ------------------------------------------------------------------ #
     # Persistence (period-sweep reuse)

@@ -53,8 +53,6 @@ class KernelStats:
         pool_maps_degraded: Of the serial maps, how many were a
             parallel-capable request degraded by fork safety.
         pool_chunks: Chunked task batches dispatched to fork workers.
-        pool_shm_bytes: Worker->parent bytes handed off through
-            ``multiprocessing.shared_memory`` instead of the result pipe.
         grid_points: Operating points evaluated through the batched
             grid path (one per point per grid pass).
         grid_clark_reductions: Pairwise Clark reductions executed inside
@@ -82,7 +80,6 @@ class KernelStats:
     pool_maps_forked: int = 0
     pool_maps_degraded: int = 0
     pool_chunks: int = 0
-    pool_shm_bytes: int = 0
     grid_points: int = 0
     grid_clark_reductions: int = 0
     grid_reuse_hits: int = 0

@@ -386,6 +386,7 @@ def execute_grid(
         )
     if store is not None and pipeline.activity_cache.dirty:
         store.put_entry("windows", windows_key, pipes[0].window_doc())
+        pipeline.activity_cache.mark_persisted()
         for ev in events:
             ev.append(StageEvent("windows", stages.PLAN["dta"], "computed"))
 

@@ -6,10 +6,9 @@ schema-versioned :class:`~repro.api.EstimationRequest` documents to
 ``/v1/jobs``, the server enqueues them on a persistent SQLite-backed
 :class:`JobQueue`, a micro-batching scheduler
 (:mod:`repro.service.scheduler`) coalesces grid-compatible jobs into
-shared evaluation passes, execution runs on worker threads or a
-:class:`WorkerPool` of persistent spawned processes
-(:mod:`repro.service.workerpool`), and the server serves status, stage
-telemetry, and results back over the same wire schema (:mod:`repro.api`).
+shared evaluation passes that run on the server's dispatch threads,
+and the server serves status, stage telemetry, and results back over
+the same wire schema (:mod:`repro.api`).
 
 See ``docs/SERVICE.md`` for the endpoint contract, batching semantics,
 and queue resume semantics.
@@ -24,11 +23,6 @@ from repro.service.scheduler import (
 )
 from repro.service.server import EstimationService
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.workerpool import (
-    WorkerCrashed,
-    WorkerPool,
-    plan_worker_pool,
-)
 
 __all__ = [
     "JobQueue",
@@ -39,7 +33,4 @@ __all__ = [
     "SchedulerStats",
     "batch_key",
     "form_batches",
-    "WorkerCrashed",
-    "WorkerPool",
-    "plan_worker_pool",
 ]

@@ -151,36 +151,6 @@ class JobQueue:
             ).fetchall()
         return " ".join(str(row[-1]) for row in rows)
 
-    def requeue(self, job_ids, worker: str | None = None) -> int:
-        """Transition ``running`` jobs back to ``queued``; returns count.
-
-        The batching scheduler's crash path: when a worker process dies
-        mid-batch, every job of the batch goes back to the queue in one
-        transaction (attempts stay on record, so a poison job cannot
-        crash-loop forever — the scheduler fails it after a bounded
-        number of attempts).  Only ``running`` rows move, so a job that
-        finished just before the crash was detected is never re-run.
-        """
-        job_ids = list(job_ids)
-        if not job_ids:
-            return 0
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                count = 0
-                for job_id in job_ids:
-                    count += self._conn.execute(
-                        "UPDATE jobs SET state = 'queued',"
-                        " started_at = NULL, worker = ?"
-                        " WHERE id = ? AND state = 'running'",
-                        (worker, job_id),
-                    ).rowcount
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-        return count
-
     def complete(self, job_id: str, result_doc: dict,
                  stages: list | None = None) -> None:
         """Record a successful run's result document."""

@@ -23,12 +23,11 @@ module is the serving-side half of the grid evaluator:
   become per-job error documents, and a failed grid pass falls back to
   one pass per job;
 * :class:`SchedulerStats` counts what the batching layer did (batches
-  formed, jobs coalesced, window waits, fallback singles, crash
-  requeues) for ``/v1/metrics``.
+  formed, jobs coalesced, window waits, fallback singles, grid
+  fallbacks) for ``/v1/metrics``.
 
-The same :func:`execute_batch_jobs` body runs on the server's worker
-threads and inside :mod:`~repro.service.workerpool` worker processes,
-so the in-thread and multi-process paths cannot drift apart.
+:func:`execute_batch_jobs` runs on the server's dispatch threads, one
+warm pipeline per thread.
 """
 
 from __future__ import annotations
@@ -140,7 +139,6 @@ class SchedulerStats:
     window_wait_ms_max: float = 0.0
     fallback_singles: int = 0
     grid_fallbacks: int = 0
-    crash_requeues: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def record_dispatch(self, batch: Batch) -> None:
@@ -162,10 +160,6 @@ class SchedulerStats:
         with self._lock:
             self.grid_fallbacks += 1
 
-    def record_crash_requeue(self, jobs: int) -> None:
-        with self._lock:
-            self.crash_requeues += jobs
-
     def to_json(self) -> dict:
         with self._lock:
             return {
@@ -177,12 +171,11 @@ class SchedulerStats:
                 "window_wait_ms_max": round(self.window_wait_ms_max, 3),
                 "fallback_singles": self.fallback_singles,
                 "grid_fallbacks": self.grid_fallbacks,
-                "crash_requeues": self.crash_requeues,
             }
 
 
 # --------------------------------------------------------------------- #
-# Batch execution (worker thread or worker process)
+# Batch execution (dispatch thread)
 # --------------------------------------------------------------------- #
 
 
@@ -210,8 +203,8 @@ def execute_batch_jobs(
     """Execute one batch; returns one outcome document per job.
 
     Args:
-        pipeline: A warm :class:`EstimationPipeline` (thread-local on
-            the in-thread path, process-owned on the worker-pool path).
+        pipeline: A warm :class:`EstimationPipeline` (the dispatch
+            thread's own).
         jobs: ``(job_id, request_doc)`` pairs sharing one
             :func:`batch_key` (singleton lists are fine).
         batch_info: Telemetry stamped onto every coalesced job's

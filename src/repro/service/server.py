@@ -15,12 +15,9 @@
   are identical up to the operating point into one grid pass, and
   dispatches batches concurrently — incompatible jobs fall through as
   singleton batches on the unchanged scalar path;
-* job execution, either on worker threads (each owning one
-  :class:`~repro.pipeline.pipeline.EstimationPipeline`) or — when
-  :func:`~repro.service.workerpool.plan_worker_pool` says the host can
-  pay for it — on a
-  :class:`~repro.service.workerpool.WorkerPool` of persistent spawned
-  processes.  Either way every pipeline shares one on-disk
+* job execution on dispatch threads, each owning one
+  :class:`~repro.pipeline.pipeline.EstimationPipeline`.  Every
+  pipeline shares one on-disk
   :class:`~repro.pipeline.store.ArtifactStore` — the warm store is the
   multiplexing medium: a second tenant submitting an overlapping
   operating point trains with zero logic simulations.
@@ -39,7 +36,7 @@ Endpoints (all JSON, schema :data:`repro.api.SCHEMA`):
 ``GET /v1/store/stats``     shared-store entry counts / bytes /
                             telemetry + queue state counts
 ``GET /v1/metrics``         batching counters, queue depth, in-flight
-                            batches, worker-pool utilization
+                            batches, per-family job counts
 ``GET /v1/healthz``         liveness + queue counts + scheduler shape
 =========================== =========================================
 """
@@ -97,8 +94,7 @@ class EstimationService:
             (``self.port`` is updated once bound).
         workers: Concurrent in-thread batch executors.  Each owns one
             pipeline; all share the store, so the warm-reuse contract
-            holds across workers and tenants.  Ignored for execution
-            width when a worker-process pool is running.
+            holds across workers and tenants.
         n_data_samples: Data-variation samples per estimator.
         store_budget: LRU byte budget for the shared store (``None`` =
             unbounded / ``REPRO_STORE_BUDGET``).
@@ -109,17 +105,6 @@ class EstimationService:
             execution.
         max_batch: Cap on jobs claimed per scheduler pass and on
             operating points per coalesced batch.
-        worker_processes: Requested persistent spawned job processes.
-            ``0`` keeps execution in-thread; ``N > 0`` asks
-            :func:`~repro.service.workerpool.plan_worker_pool`, whose
-            cost model degrades the request (with a recorded reason, see
-            ``pool_plan`` in ``/v1/metrics``) on hosts where spawned
-            processes cannot pay — e.g. a single usable CPU.
-        pool_force: Trust ``worker_processes`` without cost-model
-            arbitration (crash/determinism tests use this to exercise
-            the real spawn path on any host).
-        max_attempts: A job whose worker process crashes is requeued
-            until its attempt count reaches this bound, then failed.
     """
 
     def __init__(
@@ -134,16 +119,11 @@ class EstimationService:
         store_budget: int | None = None,
         batch_window_ms: float = 4.0,
         max_batch: int = 16,
-        worker_processes: int = 0,
-        pool_force: bool = False,
-        max_attempts: int = 3,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if worker_processes < 0:
-            raise ValueError("worker_processes must be >= 0")
         from repro.pipeline.ir import ProcessorConfig
 
         self.state_dir = Path(state_dir)
@@ -156,16 +136,11 @@ class EstimationService:
         self.store_budget = store_budget
         self.batch_window_ms = float(batch_window_ms)
         self.max_batch = max_batch
-        self.worker_processes = worker_processes
-        self.pool_force = pool_force
-        self.max_attempts = max_attempts
         self.queue = JobQueue(self.state_dir / "queue.db")
         self.store = ArtifactStore(
             self.state_dir / "store", max_bytes=store_budget
         )
         self.stats = SchedulerStats()
-        self.pool = None
-        self.pool_plan = None
         self._dispatch: ThreadPoolExecutor | None = None
         self._slots: asyncio.Semaphore | None = None
         self._inflight = 0
@@ -173,7 +148,6 @@ class EstimationService:
         self._server: asyncio.base_events.Server | None = None
         self._scheduler_task: asyncio.Task | None = None
         self._wake: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._stopping = False
         #: Set once the socket is bound (handle for tests/benchmarks).
         self.ready = threading.Event()
@@ -183,7 +157,7 @@ class EstimationService:
         self.jobs_by_family: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
-    # Job execution (dispatch threads / worker processes)
+    # Job execution (dispatch threads)
     # ------------------------------------------------------------------ #
 
     def _pipeline(self):
@@ -212,20 +186,11 @@ class EstimationService:
 
     def _run_batch(self, batch: Batch) -> None:
         """Execute one batch (dispatch thread); finishes every job."""
-        from repro.service.workerpool import WorkerCrashed
-
         self.stats.record_dispatch(batch)
-        info = self._batch_info(batch)
-        try:
-            if self.pool is not None:
-                outcomes = self.pool.run_batch(batch.jobs, info)
-            else:
-                outcomes = execute_batch_jobs(
-                    self._pipeline(), batch.jobs, info, stats=self.stats
-                )
-        except WorkerCrashed as crash:
-            self._requeue_batch(batch, crash)
-            return
+        outcomes = execute_batch_jobs(
+            self._pipeline(), batch.jobs, self._batch_info(batch),
+            stats=self.stats,
+        )
         doc_by_job = {job_id: doc for job_id, doc in batch.jobs}
         for outcome in outcomes:
             if outcome["ok"]:
@@ -244,31 +209,6 @@ class EstimationService:
             else:
                 self.queue.fail(outcome["job"], outcome["error"])
                 self.jobs_failed += 1
-
-    def _requeue_batch(self, batch: Batch, crash) -> None:
-        """Crash path: requeue the batch's jobs (bounded by attempts).
-
-        Only ``running`` rows transition (:meth:`JobQueue.requeue`), so
-        a job completed just before the crash was detected can never be
-        re-run or double-claimed.
-        """
-        retry = []
-        for job_id in batch.job_ids:
-            status = self.queue.get(job_id)
-            if status is None or status.state != "running":
-                continue
-            if status.attempts >= self.max_attempts:
-                self.queue.fail(
-                    job_id,
-                    f"{crash} after {status.attempts} attempts",
-                )
-                self.jobs_failed += 1
-            else:
-                retry.append(job_id)
-        requeued = self.queue.requeue(retry, worker=str(crash))
-        self.stats.record_crash_requeue(requeued)
-        if requeued and self._loop is not None:
-            self._loop.call_soon_threadsafe(self._wake.set)
 
     async def _scheduler_loop(self) -> None:
         """Claim -> window -> coalesce -> dispatch, forever.
@@ -419,9 +359,6 @@ class EstimationService:
                     "batch_window_ms": self.batch_window_ms,
                     "max_batch": self.max_batch,
                 },
-                "pool": (
-                    self.pool.describe() if self.pool is not None else None
-                ),
             }
         raise _HttpError(404, f"no such path {path!r}")
 
@@ -441,15 +378,7 @@ class EstimationService:
                 "batch_window_ms": self.batch_window_ms,
                 "max_batch": self.max_batch,
                 "workers": self.workers,
-                "worker_processes": self.worker_processes,
             },
-            "pool": (
-                self.pool.describe() if self.pool is not None else None
-            ),
-            "pool_plan": (
-                self.pool_plan.to_json()
-                if self.pool_plan is not None else None
-            ),
         }
 
     def _post_job(self, raw: bytes):
@@ -491,45 +420,16 @@ class EstimationService:
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    def _resolve_pool(self) -> None:
-        """Stand up the worker-process pool if its plan says it pays."""
-        if self.worker_processes < 1:
-            return
-        from repro.service.workerpool import (
-            POOL_NAME,
-            WorkerPool,
-            plan_worker_pool,
-        )
-
-        plan = plan_worker_pool(
-            self.max_batch, self.worker_processes, force=self.pool_force
-        )
-        self.pool_plan = plan
-        if plan.executor != POOL_NAME:
-            return  # degraded: in-thread execution, reason recorded
-        self.pool = WorkerPool(
-            plan.workers,
-            self.state_dir / "store",
-            self.config,
-            n_data_samples=self.n_data_samples,
-            store_budget=self.store_budget,
-        )
-
     async def start(self) -> None:
         """Bind the socket, recover the queue, start the scheduler."""
-        self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         recovered = self.queue.recover()
         if recovered:
             self._wake.set()
-        self._resolve_pool()
-        width = (
-            self.pool.processes if self.pool is not None else self.workers
-        )
         self._dispatch = ThreadPoolExecutor(
-            max_workers=width, thread_name_prefix="repro-job"
+            max_workers=self.workers, thread_name_prefix="repro-job"
         )
-        self._slots = asyncio.Semaphore(width)
+        self._slots = asyncio.Semaphore(self.workers)
         self._server = await asyncio.start_server(
             self._handle, host=self.host, port=self.port
         )
@@ -538,7 +438,7 @@ class EstimationService:
         self.ready.set()
 
     async def stop(self) -> None:
-        """Stop accepting, cancel the scheduler, close pool and queue."""
+        """Stop accepting, cancel the scheduler, close queue and store."""
         self._stopping = True
         if self._wake is not None:
             self._wake.set()
@@ -552,8 +452,6 @@ class EstimationService:
             )
         if self._dispatch is not None:
             self._dispatch.shutdown(wait=False)
-        if self.pool is not None:
-            self.pool.close()
         self.queue.close()
         self.store.close()
 
@@ -601,7 +499,7 @@ class ServiceThread:
                 started.set()
                 await self._stop_requested.wait()
                 # Run stop() to completion here: cancelling it with the
-                # loop's leftover tasks would skip closing the pool.
+                # loop's leftover tasks would skip closing the queue.
                 await self.service.stop()
 
             try:

@@ -36,6 +36,13 @@ class TestParser:
                     main(command + flag, out=io.StringIO())
                 assert exc.value.code == 2
 
+    def test_serve_worker_processes_is_exit_2(self):
+        """Service batches run on dispatch threads: there is no spawned
+        job pool to size, so the flag is rejected."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--worker-processes", "2"], out=io.StringIO())
+        assert exc.value.code == 2
+
     def test_montecarlo_defaults(self):
         args = build_parser().parse_args(["montecarlo", "bitcount"])
         assert args.chips == 16

@@ -101,6 +101,24 @@ class TestStoreAwareExecution:
         assert training["windows_reused"] > 0
         assert _row(swept.report) != _row(first.report)
 
+    def test_persisted_windows_are_not_rewritten(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        pipeline = EstimationPipeline(SMALL, store=store, n_data_samples=32)
+        cold = pipeline.execute(_request())
+        assert cold.event("windows").status == "computed"
+        assert store.stats["windows"]["puts"] == 1
+        # A new point on the same pipeline recharacterizes the control
+        # model, but every window is an activity-cache hit: the windows
+        # entry already holds them all and is not written again.
+        swept = pipeline.execute(_request(speculation=1.25))
+        assert swept.event("dta").status == "computed"
+        training = swept.report.to_json()["timing"]["kernels_training"]
+        assert training["sim_calls"] == 0
+        assert ("windows", "kernels", "computed") not in [
+            (e.stage, e.backend, e.status) for e in swept.events
+        ]
+        assert store.stats["windows"]["puts"] == 1
+
     def test_prebuilt_processor_runs_storeless(self, processor, kernels_row):
         pipeline = EstimationPipeline(processor, n_data_samples=32)
         assert pipeline.store is None

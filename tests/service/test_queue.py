@@ -96,21 +96,6 @@ class TestClaimMany:
         queue.claim_many("sched", 2)
         assert queue.depth() == 1
 
-    def test_requeue_moves_only_running_rows(self, queue):
-        ids = [queue.submit(dict(REQ, seed=i)) for i in range(3)]
-        queue.claim_many("sched", 3)
-        queue.complete(ids[0], {"answer": 1})
-        # The finished job stays done: a crash detected after completion
-        # must never re-run (or double-claim) its work.
-        assert queue.requeue(ids, worker="crash") == 2
-        assert queue.get(ids[0]).state == "done"
-        for job_id in ids[1:]:
-            status = queue.get(job_id)
-            assert status.state == "queued"
-            assert status.started_at is None
-            assert status.attempts == 1  # the lost attempt stays on record
-        assert queue.requeue([]) == 0
-
     def test_no_duplicate_claims_across_concurrent_claim_many(self, queue):
         ids = {queue.submit(dict(REQ, seed=i)) for i in range(24)}
         claimed: list[str] = []

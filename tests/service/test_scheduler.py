@@ -1,5 +1,5 @@
 """Micro-batching scheduler tests: grouping, fan-out determinism,
-mixed-traffic isolation, crash requeue, and the metrics surface."""
+mixed-traffic isolation, and the metrics surface."""
 
 import threading
 
@@ -15,7 +15,6 @@ from repro.service import (
     form_batches,
 )
 from repro.service.scheduler import SchedulerStats, execute_batch_jobs
-from repro.service.workerpool import CRASH_ONCE_ENV
 
 SMALL = ProcessorConfig(
     pipeline=PipelineConfig(
@@ -125,14 +124,12 @@ class TestStats:
         for batch in batches:
             stats.record_dispatch(batch)
         stats.record_wait(3.5)
-        stats.record_crash_requeue(2)
         doc = stats.to_json()
         assert doc["batches_formed"] == 1
         assert doc["jobs_coalesced"] == 2
         assert doc["fallback_singles"] == 1
         assert doc["window_waits"] == 1
         assert doc["window_wait_ms_max"] == 3.5
-        assert doc["crash_requeues"] == 2
 
 
 @pytest.fixture(scope="module")
@@ -329,54 +326,18 @@ class TestEndToEndBatching:
         assert health["batching"] == {
             "batch_window_ms": 7.5, "max_batch": 9,
         }
-        assert health["pool"] is None
+        assert "pool" not in health
         assert metrics["kind"] == "service-metrics"
         assert metrics["config"]["batch_window_ms"] == 7.5
-        assert metrics["config"]["worker_processes"] == 0
+        assert "worker_processes" not in metrics["config"]
+        assert "pool" not in metrics
+        assert "pool_plan" not in metrics
         assert set(metrics["batching"]) >= {
             "batches_formed", "jobs_coalesced", "window_waits",
-            "fallback_singles", "crash_requeues",
+            "fallback_singles",
         }
+        assert "crash_requeues" not in metrics["batching"]
         assert stats_status == 200
         assert stats_doc["jobs"] == {
             "queued": 0, "running": 0, "done": 0, "failed": 0,
         }
-
-
-@pytest.mark.slow
-class TestWorkerCrashRequeue:
-    def test_crash_mid_batch_requeues_without_duplicates(
-        self, tmp_path, monkeypatch
-    ):
-        """A worker process dying mid-batch: the batch's jobs requeue
-        (attempts on record), the respawned worker finishes them, and
-        nothing runs twice."""
-        marker = tmp_path / "crash-once"
-        monkeypatch.setenv(CRASH_ONCE_ENV, str(marker))
-        service = EstimationService(
-            tmp_path / "svc", config=SMALL, port=0, workers=1,
-            n_data_samples=32, batch_window_ms=800,
-            worker_processes=1, pool_force=True,
-        )
-        assert not marker.exists()
-        with service.start_in_thread():
-            assert service.pool is not None, "pool_force must spawn"
-            client = ServiceClient(f"http://127.0.0.1:{service.port}")
-            ids = _submit_concurrently(client, [_request()] * 2)
-            results = [client.wait(i, timeout=300) for i in ids]
-            metrics = client.metrics()
-            statuses = [client.status(i) for i in ids]
-
-        assert marker.exists(), "the crash hook must have fired"
-        assert results[0].report.to_json(include_timing=False) == (
-            results[1].report.to_json(include_timing=False)
-        )
-        # Both jobs were claimed, lost to the crash, requeued, and
-        # finished exactly once on the second attempt.
-        assert [s.state for s in statuses] == ["done", "done"]
-        assert [s.attempts for s in statuses] == [2, 2]
-        assert metrics["batching"]["crash_requeues"] == 2
-        assert metrics["jobs_done"] == 2
-        assert metrics["jobs_failed"] == 0
-        workers = metrics["pool"]["workers"]
-        assert sum(w["respawns"] for w in workers) == 1
