@@ -9,6 +9,15 @@ probability ``p = P(DTS < 0)`` under process variation.
 Each sampled block execution yields one *joint* row of conditional
 probabilities: p^c from the observed pipeline flow, p^e from the
 error-correction emulation (flushed previous state).
+
+The clock period enters only through the slack base ``period - setup``
+and the per-point control model.  So the model runs in two parts:
+:class:`DatapathArrivals`, the period-independent half (the resampled
+executions and their datapath arrival Gaussians, one tree prediction per
+op class over every block), and the per-point tail of
+:meth:`InstructionErrorModel.all_block_probabilities` (control slack
+gather, Clark minimum, probability).  A grid pass computes the half once
+per (seed, sample count) and every operating point reuses it.
 """
 
 from __future__ import annotations
@@ -22,10 +31,86 @@ from repro.core.collect import BlockExecutionSample
 from repro.dta.datapath import feature_matrix, record_arrays
 from repro.sta.clark import clark_min_arrays
 
-__all__ = ["InstructionErrorModel"]
+__all__ = ["DatapathArrivals", "InstructionErrorModel"]
 
 #: Stand-in mean for an absent (never-risky) slack contribution, in ps.
 _SAFE_SLACK = 1.0e9
+
+
+class DatapathArrivals:
+    """The period-independent half of the error model.
+
+    Resamples each block's executions with replacement to ``n_samples``
+    (each resampled execution stays *joint* across the block's
+    instructions, preserving adjacent-instruction correlation) and
+    predicts the datapath arrival Gaussian of every (instruction,
+    execution), under the observed flow and with the previous pipeline
+    state flushed (the correction emulation).  The feature rows of all
+    blocks go through one :meth:`DatapathTimingModel.predict_arrival`
+    call per op class.
+
+    Attributes:
+        datapath: The datapath timing model the arrivals came from.
+        samples: The ``bid -> executions`` dict that was resampled.
+        preds: ``bid -> (S,)`` incoming edge of each resampled execution.
+        rows: ``bid -> slice`` of the block's instruction rows.
+        mean: ``(2, R, S)`` arrival means over the ``R`` instruction rows
+            of all blocks; ``[0]`` observed flow, ``[1]`` flushed.
+        sd: Arrival sds, same shape.
+        var: ``sd**2``.
+    """
+
+    def __init__(
+        self,
+        datapath,
+        program,
+        cfg,
+        samples: dict[int, list[BlockExecutionSample]],
+        n_samples: int,
+        seed=0,
+    ) -> None:
+        self.datapath = datapath
+        self.samples = samples
+        self.preds: dict[int, np.ndarray] = {}
+        self.rows: dict[int, slice] = {}
+        by_class: dict = {}  # op class -> ([row], [features (2S, F)])
+        flushed = np.zeros((n_samples, 3), dtype=np.int64)
+        n_rows = 0
+        for bid, block_samples in sorted(samples.items()):
+            if not block_samples:
+                raise ValueError(f"block {bid} has no execution samples")
+            block = cfg.block(bid)
+            n_i = block.size
+            rng = as_rng(seed + bid)
+            chosen = rng.integers(len(block_samples), size=n_samples)
+            distinct, which = np.unique(chosen, return_inverse=True)
+            picked = [block_samples[int(i)] for i in distinct]
+            self.preds[bid] = np.array([s.pred for s in picked])[which]
+            # (S, n_i + 1, 3): the pre-entry record, then the block's.
+            records = [
+                r for s in picked for r in [s.entry_prev, *s.records[:n_i]]
+            ]
+            ops = np.stack(record_arrays(records), axis=-1).reshape(
+                len(picked), n_i + 1, 3
+            )[which]
+            for k in range(n_i):
+                ins = program[block.start + k]
+                # Rows [observed flow; previous state flushed].
+                cur = np.concatenate([ops[:, k + 1], ops[:, k + 1]])
+                prev = np.concatenate([ops[:, k], flushed])
+                rows, feats = by_class.setdefault(ins.op_class, ([], []))
+                rows.append(n_rows + k)
+                feats.append(feature_matrix(ins, *cur.T, *prev.T))
+            self.rows[bid] = slice(n_rows, n_rows + n_i)
+            n_rows += n_i
+        self.mean = np.empty((2, n_rows, n_samples))
+        self.sd = np.empty((2, n_rows, n_samples))
+        for klass, (rows, feats) in by_class.items():
+            mean, sd = datapath.predict_arrival(klass, np.concatenate(feats))
+            shape = (len(rows), 2, n_samples)
+            self.mean[:, rows] = mean.reshape(shape).transpose(1, 0, 2)
+            self.sd[:, rows] = sd.reshape(shape).transpose(1, 0, 2)
+        self.var = self.sd**2
 
 
 class InstructionErrorModel:
@@ -61,21 +146,24 @@ class InstructionErrorModel:
         return np.clip(p, 0.0, 1.0)
 
     def _control_arrays(
-        self, bid: int, k: int, preds: list[int], corrected: bool
+        self, bid: int, n_i: int, preds: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sample control slack (mean, var) for instruction k."""
-        means = np.empty(len(preds))
-        variances = np.empty(len(preds))
-        for i, pred in enumerate(preds):
-            normal, corr = self.control_model.get(bid, pred, k)
-            g = corr if corrected else normal
-            if g is None:
-                means[i] = _SAFE_SLACK
-                variances[i] = 0.0
-            else:
-                means[i] = g.mean
-                variances[i] = g.var
-        return means, variances
+        """Control slack (mean, var) of a block, each ``(2, n_i, S)``:
+        ``[0]`` normal flow, ``[1]`` corrected.  Each distinct edge of
+        ``preds`` is looked up once."""
+        distinct, which = np.unique(preds, return_inverse=True)
+        means = np.empty((2, n_i, len(distinct)))
+        variances = np.empty((2, n_i, len(distinct)))
+        for j, pred in enumerate(distinct.tolist()):
+            for k in range(n_i):
+                for c, g in enumerate(self.control_model.get(bid, pred, k)):
+                    if g is None:
+                        means[c, k, j] = _SAFE_SLACK
+                        variances[c, k, j] = 0.0
+                    else:
+                        means[c, k, j] = g.mean
+                        variances[c, k, j] = g.var
+        return means[:, :, which], variances[:, :, which]
 
     def block_probabilities(
         self,
@@ -84,64 +172,49 @@ class InstructionErrorModel:
         n_samples: int,
         seed=0,
     ) -> BlockProbabilities:
-        """Conditional probability rows ``(n_i, n_samples)`` for a block.
-
-        Executions are resampled with replacement to the common sample
-        count; each resampled execution stays *joint* across the block's
-        instructions (preserving adjacent-instruction correlation).
-        """
-        if not samples:
-            raise ValueError(f"block {bid} has no execution samples")
-        block = self.cfg.block(bid)
-        rng = as_rng(seed + bid)
-        chosen = [
-            samples[int(i)]
-            for i in rng.integers(len(samples), size=n_samples)
-        ]
-        preds = [s.pred for s in chosen]
-        n_i = block.size
-        pc = np.empty((n_i, n_samples))
-        pe = np.empty((n_i, n_samples))
-        g_frac = self.processor.variation.config.global_fraction
-        flushed = np.zeros(n_samples, dtype=np.int64)
-        for k in range(n_i):
-            ins = self.program[block.start + k]
-            klass = ins.op_class
-            a, b, r = record_arrays([sample.records[k] for sample in chosen])
-            pa, pb, pr = record_arrays(
-                [
-                    sample.records[k - 1] if k > 0 else sample.entry_prev
-                    for sample in chosen
-                ]
-            )
-            feats_c = feature_matrix(ins, a, b, r, pa, pb, pr)
-            # Correction emulation: previous pipeline state flushed.
-            feats_e = feature_matrix(ins, a, b, r, flushed, flushed, flushed)
-            dp_mean_c, dp_sd_c = self.datapath.predict_arrival(klass, feats_c)
-            dp_mean_e, dp_sd_e = self.datapath.predict_arrival(klass, feats_e)
-            slack_base = self.clock_period - self.setup_time
-            for corrected, dp_mean, dp_sd, out in (
-                (False, dp_mean_c, dp_sd_c, pc),
-                (True, dp_mean_e, dp_sd_e, pe),
-            ):
-                ctrl_mean, ctrl_var = self._control_arrays(
-                    bid, k, preds, corrected
-                )
-                dpm = slack_base - dp_mean
-                dpv = dp_sd**2
-                cov = g_frac * np.sqrt(ctrl_var) * dp_sd
-                mean, var = clark_min_arrays(ctrl_mean, ctrl_var, dpm, dpv, cov)
-                out[k] = self._probability(mean, var)
-        return BlockProbabilities(pc=pc, pe=pe)
+        """Conditional probability rows ``(n_i, n_samples)`` for a block."""
+        return self.all_block_probabilities(
+            {bid: samples}, n_samples, seed
+        )[bid]
 
     def all_block_probabilities(
         self,
         samples: dict[int, list[BlockExecutionSample]],
         n_samples: int = 128,
         seed=0,
+        datapath_memo: dict | None = None,
     ) -> dict[int, BlockProbabilities]:
-        """Conditional probabilities for every sampled block."""
+        """Conditional probabilities for every sampled block.
+
+        ``datapath_memo`` is one grid pass's memo of
+        :class:`DatapathArrivals`: the first point with a key computes
+        the half, later points of the pass reuse it.  The key holds the
+        identity of ``samples`` and of the datapath model next to
+        ``(seed, n_samples)``; the half keeps both objects alive, so an
+        identity is never reused while its entry is in the memo.
+        """
+        memo = {} if datapath_memo is None else datapath_memo
+        key = (id(samples), id(self.datapath), seed, n_samples)
+        half = memo.get(key)
+        if half is None:
+            half = memo[key] = DatapathArrivals(
+                self.datapath, self.program, self.cfg, samples,
+                n_samples, seed,
+            )
+        ctrl_mean = np.empty_like(half.mean)
+        ctrl_var = np.empty_like(half.mean)
+        for bid, rows in half.rows.items():
+            ctrl_mean[:, rows], ctrl_var[:, rows] = self._control_arrays(
+                bid, rows.stop - rows.start, half.preds[bid]
+            )
+        g_frac = self.processor.variation.config.global_fraction
+        slack_base = self.clock_period - self.setup_time
+        cov = g_frac * np.sqrt(ctrl_var) * half.sd
+        mean, var = clark_min_arrays(
+            ctrl_mean, ctrl_var, slack_base - half.mean, half.var, cov
+        )
+        p = self._probability(mean, var)
         return {
-            bid: self.block_probabilities(bid, blk, n_samples, seed)
-            for bid, blk in sorted(samples.items())
+            bid: BlockProbabilities(pc=p[0, rows], pe=p[1, rows])
+            for bid, rows in half.rows.items()
         }

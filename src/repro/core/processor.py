@@ -21,6 +21,7 @@ from repro.dta.algorithm2 import InstructionDTSAnalyzer
 from repro.dta.datapath import DatapathTimingModel
 from repro.dta.trainer import DatapathTrainer
 from repro.logicsim.simulator import LevelizedSimulator
+from repro.logicsim.stimulus import StimulusEncoder
 from repro.netlist.gates import EndpointKind
 from repro.netlist.generator import PipelineConfig, PipelineNetlist, generate_pipeline
 from repro.netlist.library import TimingLibrary
@@ -260,6 +261,12 @@ class ProcessorModel:
         return LevelizedSimulator(self.pipeline.netlist)
 
     @_engine
+    def stimulus_encoder(self) -> StimulusEncoder:
+        """The stimulus encoder of control characterization (its memo
+        tables do not depend on the period)."""
+        return StimulusEncoder(self.pipeline)
+
+    @_engine
     def datapath_model(self) -> DatapathTimingModel:
         """Trained datapath timing model (fitted once per processor)."""
         trainer = DatapathTrainer(
@@ -294,12 +301,12 @@ class ProcessorModel:
         Sweeps re-analyze the same hardware at many clock periods.  The
         engines that do not depend on the period live on the base
         processor (:attr:`base`): the variation model, path enumerator,
-        (S)STA engines, DTA analyzers, logic simulator and trained
-        datapath model.  Each is built there once, on first use from any
-        point, and a derived point builds none of its own.  The point
-        holds only its period-dependent scalars: speculation, scheme,
-        period override, and the baseline period (read from the base
-        when the yield target and droop derate match).
+        (S)STA engines, DTA analyzers, logic simulator, stimulus encoder
+        and trained datapath model.  Each is built there once, on first
+        use from any point, and a derived point builds none of its own.
+        The point holds only its period-dependent scalars: speculation,
+        scheme, period override, and the baseline period (read from the
+        base when the yield target and droop derate match).
 
         Args:
             speculation: New working-frequency ratio (default: keep).

@@ -490,6 +490,10 @@ class StageDTSAnalyzer:
             "cov": [[a, b, value] for (a, b), value in cov],
         }
 
+    def registry_loaded(self, key: str) -> bool:
+        """Whether the registry stored under ``key`` was preloaded."""
+        return key in self._preloaded
+
     def preload_registry(self, doc: dict, key: str) -> None:
         """Fill the registry/covariance cache from a persisted document.
 

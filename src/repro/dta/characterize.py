@@ -217,6 +217,8 @@ class ControlCharacterizer:
         clock_period: Speculative clock period (ps).
         simulator: The netlist's :class:`LevelizedSimulator`, shared
             by every characterizer of one processor.
+        encoder: The pipeline's :class:`StimulusEncoder`, shared by
+            every characterizer of one processor.
         activity_cache: Content-addressed activity cache shared by every
             window analysis of this characterizer (a fresh one is built
             when omitted).
@@ -235,6 +237,7 @@ class ControlCharacterizer:
         scheme: CorrectionScheme,
         clock_period: float,
         simulator: LevelizedSimulator,
+        encoder: StimulusEncoder,
         activity_cache: ActivityCache | None = None,
         scheduler=None,
     ) -> None:
@@ -250,7 +253,7 @@ class ControlCharacterizer:
             program, num_stages=pipeline.num_stages
         )
         self.simulator = simulator
-        self.encoder = StimulusEncoder(pipeline)
+        self.encoder = encoder
 
     def _window_dts_grid(
         self,

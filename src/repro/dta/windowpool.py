@@ -72,6 +72,7 @@ class ActivityCache:
     def __init__(self) -> None:
         self._entries: dict[str, ActivityTrace] = {}
         self._preloaded: set[str] = set()
+        self._documents: set[str] = set()
         self._dirty = False
 
     @staticmethod
@@ -137,12 +138,13 @@ class ActivityCache:
             },
         }
 
-    def preload(self, doc: dict) -> int:
+    def preload(self, doc: dict, key: str | None = None) -> int:
         """Load persisted entries; returns how many were added.
 
         Preloaded entries are tracked separately so that hits on them
         count as ``windows_reused`` — the counter the sweep benchmark
-        asserts on.  Existing entries are never overwritten.
+        asserts on.  Existing entries are never overwritten.  ``key``,
+        the document's store key, is remembered for :meth:`loaded`.
         """
         if doc.get("schema") != self.SCHEMA:
             raise ValueError(
@@ -159,7 +161,13 @@ class ActivityCache:
             )
             self._preloaded.add(digest)
             added += 1
+        if key is not None:
+            self._documents.add(key)
         return added
+
+    def loaded(self, key: str) -> bool:
+        """Whether the document stored under ``key`` was preloaded."""
+        return key in self._documents
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ActivityCache":

@@ -16,9 +16,11 @@ fans out only the genuinely period-dependent tail:
 * one evaluation functional run
   (:meth:`~repro.pipeline.pipeline.EstimationPipeline.collect_evaluation`)
   feeding every point's error model;
-* per point: on-demand characterization, the data-variation error
-  model (whose seed folds in the operating point), and the statistical
-  estimate.
+* per point: on-demand characterization, the tail of the
+  data-variation error model, and the statistical estimate.  The error
+  model's datapath half (resampled executions and their predicted
+  arrivals) is period-independent: it is computed once per pass for
+  each (seed, sample count) and shared by every point with that key.
 
 A single request is the one-point grid: ``EstimationPipeline.execute``
 and ``EstimationPipeline.run`` both delegate here, so the store-aware
@@ -265,11 +267,21 @@ def execute_grid(
             stages.PLAN["dta"],
             base_ir.period_independent().content_hash,
         )
-        windows_doc = store.get_entry("windows", windows_key)
-        if windows_doc is not None:
-            windows_preloaded = pipes[0].preload_windows(
-                windows_doc, windows_key
-            )
+        if stages.windows_loaded(
+            pipes[0].processor, pipes[0].activity_cache, windows_key
+        ) and store.unchanged("windows", windows_key):
+            # An earlier job loaded this entry and its file is as it was
+            # then: confirm it, no decode.  A file rewritten since (by
+            # another pipeline or process) is read and preloaded below.
+            found = store.has_entry("windows", windows_key)
+            added = 0
+        else:
+            windows_doc = store.get_entry("windows", windows_key)
+            found = windows_doc is not None
+            if found:
+                added = pipes[0].preload_windows(windows_doc, windows_key)
+        if found:
+            windows_preloaded = added
             seconds = time.perf_counter() - t0
             for ev in events:
                 ev.append(
@@ -355,12 +367,16 @@ def execute_grid(
     )
 
     # --- per-point period-dependent tail ------------------------------ #
+    # The error model's datapath half depends on the seed and sample
+    # count, not the period: the first point with a key computes it.
+    datapath_memo: dict = {}
     results: list[PipelineResult] = []
     for i, (request, pipe) in enumerate(zip(requests, pipes)):
         seed = request.resolved_seed()
         t1 = time.perf_counter()
         report = pipe.estimate_collected(
-            program, trained[i], profile, samples, seed=seed
+            program, trained[i], profile, samples, seed=seed,
+            datapath_memo=datapath_memo,
         )
         stats.grid_points += 1
         estimate_seconds = time.perf_counter() - t1

@@ -325,6 +325,7 @@ class EstimationPipeline:
         seed: int,
         start: float,
         kernels_before,
+        datapath_memo: dict | None = None,
     ):
         """Estimation downstream of the evaluation run (per point)."""
         from repro.core.results import ErrorRateReport
@@ -340,6 +341,7 @@ class EstimationPipeline:
             profile,
             n_data_samples=self.n_data_samples,
             seed=seed,
+            datapath_memo=datapath_memo,
         )
         lam, mixture, stein, chen = stages.error_distribution(
             cfg, profile, conditionals
@@ -374,6 +376,7 @@ class EstimationPipeline:
         profile,
         samples,
         seed: int = 0,
+        datapath_memo: dict | None = None,
     ):
         """Estimate from an already-collected evaluation run.
 
@@ -381,12 +384,16 @@ class EstimationPipeline:
         :meth:`collect_evaluation` output feeds every operating point,
         and each point runs only the period-dependent tail (on-demand
         characterization, error model, statistical estimate).
+        ``datapath_memo`` is the pass's memo of the error model's
+        period-independent half, shared by every point with the same
+        seed.
         """
         return self._finish_estimate(
             program, artifacts, profile, samples,
             seed=seed,
             start=time.perf_counter(),
             kernels_before=kernel_stats().snapshot(),
+            datapath_memo=datapath_memo,
         )
 
     # ------------------------------------------------------------------ #

@@ -189,6 +189,7 @@ def build_characterizer(processor, program, activity_cache):
         activity_cache=activity_cache,
         scheduler=processor.make_scheduler(program),
         simulator=processor.logic_simulator,
+        encoder=processor.stimulus_encoder,
     )
 
 
@@ -347,13 +348,22 @@ def preload_windows(processor, activity_cache, doc: dict, key: str) -> int:
     loads the path registry of each key once.
     """
     artifact = WindowArtifactIR.from_doc(doc)
-    added = activity_cache.preload(artifact.doc["activity"])
+    added = activity_cache.preload(artifact.doc["activity"], key)
     registry = artifact.doc.get("path_registry")
     if registry is not None:
         processor.control_analyzer.stage_analyzer.preload_registry(
             registry, key
         )
     return added
+
+
+def windows_loaded(processor, activity_cache, key: str) -> bool:
+    """Whether the :func:`window_doc` document stored under ``key`` is
+    already in memory: preloaded into the activity cache and into the
+    shared control analyzer's path registry."""
+    return activity_cache.loaded(key) and (
+        processor.control_analyzer.stage_analyzer.registry_loaded(key)
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -363,9 +373,14 @@ def preload_windows(processor, activity_cache, doc: dict, key: str) -> int:
 
 def block_conditionals(
     processor, program, cfg, control_model, samples, profile,
-    n_data_samples: int, seed: int,
+    n_data_samples: int, seed: int, datapath_memo: dict | None = None,
 ) -> dict:
-    """Per-block conditional error probabilities from operand samples."""
+    """Per-block conditional error probabilities from operand samples.
+
+    ``datapath_memo`` is a grid pass's memo of the error model's
+    period-independent half (see
+    :meth:`~repro.core.errormodel.InstructionErrorModel.all_block_probabilities`).
+    """
     import numpy as np
 
     from repro.cfg.marginal import BlockProbabilities
@@ -373,7 +388,8 @@ def block_conditionals(
 
     error_model = InstructionErrorModel(processor, program, cfg, control_model)
     conditionals = error_model.all_block_probabilities(
-        samples, n_samples=n_data_samples, seed=seed
+        samples, n_samples=n_data_samples, seed=seed,
+        datapath_memo=datapath_memo,
     )
     if profile is not None:
         # A block whose only execution was cut off by the instruction

@@ -177,19 +177,27 @@ class ArtifactStore:
         so a truncated or corrupt one is removed and reads as a miss.
         Counted and marked recently used like a :meth:`get_entry` call.
         """
-        if self.root is None:
-            return self.get_entry(namespace, key) is not None
-        path = self.path_for(namespace, key)
-        try:
-            stat = os.stat(path)
-        except OSError:
-            stat = None
-        verified = self._verified.get((namespace, key))
-        if stat is None or verified != (stat.st_size, stat.st_mtime_ns):
+        if not self.unchanged(namespace, key):
             return self.get_entry(namespace, key) is not None
         self._counters(namespace)["hits"] += 1
-        self._index_touch(namespace, key, path)
+        self._index_touch(namespace, key, self.path_for(namespace, key))
         return True
+
+    def unchanged(self, namespace: str, key: str) -> bool:
+        """Whether this store decoded or wrote the entry and its file has
+        not changed since (same size and modification time).
+
+        Always false for an in-memory store, whose reads decode nothing.
+        Not counted as a read.
+        """
+        if self.root is None:
+            return False
+        try:
+            stat = os.stat(self.path_for(namespace, key))
+        except OSError:
+            return False
+        verified = self._verified.get((namespace, key))
+        return verified == (stat.st_size, stat.st_mtime_ns)
 
     def put_entry(self, namespace: str, key: str, doc: dict):
         """Store by explicit key; durable, concurrent writers are safe."""

@@ -16,7 +16,13 @@ arithmetic, as the ground truth the parity tests compare against:
   reduction per period and per AP set);
 * ``ActivityCache.activity`` -> :func:`activity` (simulate every window);
 * ``clark_max_coefficients`` -> :func:`clark_max_coefficients`
-  (``scipy.stats.norm`` pdf/cdf).
+  (``scipy.stats.norm`` pdf/cdf);
+* ``InstructionErrorModel.all_block_probabilities`` /
+  ``block_probabilities`` / ``_control_arrays`` ->
+  :func:`all_block_probabilities` / :func:`block_probabilities` /
+  :func:`control_arrays` (every block, instruction and operating point
+  resampled, featurized and predicted on its own; one control lookup
+  per sample).
 
 The method references take ``self`` first, so :func:`reference_kernels`
 can patch them over the public entry points and a whole estimation runs
@@ -35,8 +41,11 @@ from scipy import stats
 import repro.dta.graphdta
 import repro.sta.clark
 import repro.sta.ssta
-from repro._util import check_in
+from repro._util import as_rng, check_in
+from repro.cfg.marginal import BlockProbabilities
+from repro.core.errormodel import _SAFE_SLACK, InstructionErrorModel
 from repro.dta.algorithm1 import _MODES, StageDTSAnalyzer
+from repro.dta.datapath import feature_matrix, record_arrays
 from repro.dta.windowpool import ActivityCache
 from repro.kernels import kernel_stats
 from repro.logicsim.simulator import LevelizedSimulator
@@ -47,18 +56,21 @@ from repro.logicsim.stimulus import (
     token_bits,
 )
 from repro.netlist.gates import evaluate_gate
-from repro.sta.clark import _EPS, _theta
+from repro.sta.clark import _EPS, _theta, clark_min_arrays
 from repro.sta.gaussian import Gaussian
 from repro.sta.ssta import statistical_min
 
 __all__ = [
     "activity",
+    "all_block_probabilities",
     "ap_trace",
     "ap_trace_grid",
+    "block_probabilities",
     "clark_max_coefficients",
     "combine",
     "combine_grid",
     "combine_many",
+    "control_arrays",
     "encode_cycle",
     "evaluate",
     "reference_kernels",
@@ -269,6 +281,95 @@ def clark_max_coefficients(x: Gaussian, y: Gaussian, cov_xy: float):
 
 
 # --------------------------------------------------------------------- #
+# The error model
+# --------------------------------------------------------------------- #
+
+
+def control_arrays(
+    self: InstructionErrorModel, bid: int, k: int, preds, corrected: bool
+):
+    """``InstructionErrorModel._control_arrays``: one lookup per sample
+    of instruction ``k``."""
+    means = np.empty(len(preds))
+    variances = np.empty(len(preds))
+    for i, pred in enumerate(preds):
+        normal, corr = self.control_model.get(bid, pred, k)
+        g = corr if corrected else normal
+        if g is None:
+            means[i] = _SAFE_SLACK
+            variances[i] = 0.0
+        else:
+            means[i] = g.mean
+            variances[i] = g.var
+    return means, variances
+
+
+def block_probabilities(
+    self: InstructionErrorModel, bid: int, samples, n_samples: int, seed=0
+) -> BlockProbabilities:
+    """``InstructionErrorModel.block_probabilities``: resample, featurize
+    and predict per instruction, at this operating point only."""
+    if not samples:
+        raise ValueError(f"block {bid} has no execution samples")
+    block = self.cfg.block(bid)
+    rng = as_rng(seed + bid)
+    chosen = [
+        samples[int(i)]
+        for i in rng.integers(len(samples), size=n_samples)
+    ]
+    preds = [s.pred for s in chosen]
+    n_i = block.size
+    pc = np.empty((n_i, n_samples))
+    pe = np.empty((n_i, n_samples))
+    g_frac = self.processor.variation.config.global_fraction
+    flushed = np.zeros(n_samples, dtype=np.int64)
+    for k in range(n_i):
+        ins = self.program[block.start + k]
+        klass = ins.op_class
+        a, b, r = record_arrays([sample.records[k] for sample in chosen])
+        pa, pb, pr = record_arrays(
+            [
+                sample.records[k - 1] if k > 0 else sample.entry_prev
+                for sample in chosen
+            ]
+        )
+        feats_c = feature_matrix(ins, a, b, r, pa, pb, pr)
+        feats_e = feature_matrix(ins, a, b, r, flushed, flushed, flushed)
+        dp_mean_c, dp_sd_c = self.datapath.predict_arrival(klass, feats_c)
+        dp_mean_e, dp_sd_e = self.datapath.predict_arrival(klass, feats_e)
+        slack_base = self.clock_period - self.setup_time
+        for corrected, dp_mean, dp_sd, out in (
+            (False, dp_mean_c, dp_sd_c, pc),
+            (True, dp_mean_e, dp_sd_e, pe),
+        ):
+            ctrl_mean, ctrl_var = self._control_arrays(
+                bid, k, preds, corrected
+            )
+            dpm = slack_base - dp_mean
+            dpv = dp_sd**2
+            cov = g_frac * np.sqrt(ctrl_var) * dp_sd
+            mean, var = clark_min_arrays(ctrl_mean, ctrl_var, dpm, dpv, cov)
+            out[k] = self._probability(mean, var)
+    return BlockProbabilities(pc=pc, pe=pe)
+
+
+def all_block_probabilities(
+    self: InstructionErrorModel,
+    samples,
+    n_samples: int = 128,
+    seed=0,
+    datapath_memo=None,
+):
+    """``InstructionErrorModel.all_block_probabilities``: every block on
+    its own, nothing shared across operating points (``datapath_memo``
+    is ignored)."""
+    return {
+        bid: self.block_probabilities(bid, blk, n_samples, seed)
+        for bid, blk in sorted(samples.items())
+    }
+
+
+# --------------------------------------------------------------------- #
 # Whole-run switch
 # --------------------------------------------------------------------- #
 
@@ -286,6 +387,9 @@ _PATCHES = (
     (repro.sta.ssta, "clark_max_coefficients", clark_max_coefficients),
     (repro.sta.clark, "clark_max_coefficients", clark_max_coefficients),
     (repro.dta.graphdta, "clark_max_coefficients", clark_max_coefficients),
+    (InstructionErrorModel, "all_block_probabilities", all_block_probabilities),
+    (InstructionErrorModel, "block_probabilities", block_probabilities),
+    (InstructionErrorModel, "_control_arrays", control_arrays),
 )
 
 

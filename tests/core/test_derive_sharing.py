@@ -2,16 +2,24 @@
 
 Only Algorithm 1's slack evaluation depends on the clock period, so a
 point derived from a processor must build none of the period-independent
-engines (variation model, path enumerator, SSTA, DTA analyzers, trained
-datapath model) itself: it reads the base's, built once on first use.
+engines (variation model, path enumerator, SSTA, DTA analyzers, stimulus
+encoder, trained datapath model) itself: it reads the base's, built once
+on first use.
 """
 
 import threading
 
+import numpy as np
 import pytest
 
+from repro.cfg import build_cfg
 from repro.core import ProcessorModel
+from repro.core.collect import SimulationCollector
+from repro.cpu import FunctionalSimulator, MachineState, assemble
+from repro.cpu.pipeline import InstructionWindow
 from repro.dta import algorithm1
+from repro.dta.windowpool import ActivityCache
+from repro.logicsim.stimulus import StimulusEncoder
 from repro.netlist import PipelineConfig
 from repro.pipeline import stages
 from repro.pipeline.ir import ProcessorConfig
@@ -51,6 +59,40 @@ class TestSharedEngines:
     def test_derived_point_reads_the_base_engine(self, base, engine):
         point = base.derive(speculation=1.3)
         assert getattr(point, engine) is getattr(base, engine)
+
+    def test_derived_points_share_one_stimulus_encoder(self, base):
+        program = assemble(
+            """
+            li r1, 9
+        loop:
+            add r2, r2, r1
+            sll r3, r2, r1
+            subcc r1, r1, 1
+            bne loop
+            halt
+        """,
+            name="encoder-sharing",
+        )
+        collector = SimulationCollector(build_cfg(program))
+        FunctionalSimulator(program).run(
+            MachineState(), listener=collector.listener
+        )
+        records = [
+            r for blk in collector.samples().values() for r in blk[0].records
+        ]
+        points = [base.derive(speculation=s) for s in (1.1, 1.3)]
+        characterizers = [
+            stages.build_characterizer(p, program, ActivityCache())
+            for p in points
+        ]
+        assert all(c.encoder is base.stimulus_encoder for c in characterizers)
+        schedule = points[0].make_scheduler(program).schedule(
+            InstructionWindow(records)
+        )
+        fresh = StimulusEncoder(base.pipeline).encode_schedule(schedule)
+        for characterizer in characterizers:
+            encoded = characterizer.encoder.encode_schedule(schedule)
+            assert np.array_equal(encoded, fresh)
 
     def test_datapath_model_is_trained_once_on_the_base(self, base):
         point = base.derive(speculation=1.05)

@@ -90,9 +90,10 @@ class TestControlArrays:
         if key_found is None:
             pytest.skip("every control entry is risky at this period")
         b, pred, k = key_found
-        means, variances = model._control_arrays(b, k, [pred], False)
-        assert means[0] == _SAFE_SLACK
-        assert variances[0] == 0.0
+        means, variances = model._control_arrays(b, k + 1, np.array([pred]))
+        assert means.shape == variances.shape == (2, k + 1, 1)
+        assert means[0, k, 0] == _SAFE_SLACK
+        assert variances[0, k, 0] == 0.0
 
 
 class TestBlockProbabilities:

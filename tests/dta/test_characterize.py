@@ -14,7 +14,7 @@ from repro.dta.characterize import (
     ControlSampleCollector,
     ControlTimingModel,
 )
-from repro.logicsim import LevelizedSimulator
+from repro.logicsim import LevelizedSimulator, StimulusEncoder
 from repro.sta import Gaussian
 
 
@@ -151,6 +151,7 @@ class TestCharacterizer:
             clock_period=sta.endpoint_arrival(redirect.gid)
             + library.setup_time,
             simulator=LevelizedSimulator(small_pipeline.netlist),
+            encoder=StimulusEncoder(small_pipeline),
         )
 
     def test_characterizes_every_sampled_pair(

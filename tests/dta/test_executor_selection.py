@@ -22,7 +22,7 @@ from repro.dta.characterize import (
 )
 from repro.dta.executor import execute_plan, fork_available, plan_fork_map
 from repro.kernels import kernel_stats
-from repro.logicsim import LevelizedSimulator
+from repro.logicsim import LevelizedSimulator, StimulusEncoder
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,7 @@ def _characterizer(
         ReplayHalfFrequency(),
         clock_period=clock_period,
         simulator=LevelizedSimulator(small_pipeline.netlist),
+        encoder=StimulusEncoder(small_pipeline),
     )
 
 

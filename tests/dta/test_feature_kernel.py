@@ -32,6 +32,7 @@ from repro.pipeline import stages
 from repro.pipeline.ir import ProcessorConfig
 from repro.pipeline.pipeline import EstimationPipeline
 from repro.sta.clark import clark_min_arrays
+from tests import _reference
 
 
 def _chain(a, b, cin=0):
@@ -183,8 +184,9 @@ loop:
 
 def _reference_block_probabilities(model, bid, samples, n_samples, seed=0):
     """``block_probabilities`` with one scalar feature row per sample
-    (the control slacks and the probability use the model's own
-    helpers)."""
+    (the control slacks come from the frozen per-sample lookup of
+    ``tests/_reference.py``; the probability uses the model's own
+    helper)."""
     block = model.cfg.block(bid)
     rng = as_rng(seed + bid)
     chosen = [
@@ -208,8 +210,8 @@ def _reference_block_probabilities(model, bid, samples, n_samples, seed=0):
             dp_mean, dp_sd = model.datapath.predict_arrival(
                 ins.op_class, feats
             )
-            ctrl_mean, ctrl_var = model._control_arrays(
-                bid, k, preds, corrected
+            ctrl_mean, ctrl_var = _reference.control_arrays(
+                model, bid, k, preds, corrected
             )
             mean, var = clark_min_arrays(
                 ctrl_mean, ctrl_var, slack_base - dp_mean, dp_sd**2,

@@ -7,6 +7,8 @@ period-independent stage.
 """
 
 import json
+import os
+from unittest import mock
 
 import pytest
 
@@ -118,6 +120,61 @@ class TestStoreAwareExecution:
             (e.stage, e.backend, e.status) for e in swept.events
         ]
         assert store.stats["windows"]["puts"] == 1
+
+    def test_second_warm_job_does_not_decode_windows(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        EstimationPipeline(SMALL, store=store, n_data_samples=32).execute(
+            _request()
+        )
+        pipeline = EstimationPipeline(SMALL, store=store, n_data_samples=32)
+        first = pipeline.execute(_request())
+        assert first.windows_preloaded > 0
+        namespaces = []
+        get_entry = ArtifactStore.get_entry
+
+        def spy(self, namespace, key):
+            namespaces.append(namespace)
+            return get_entry(self, namespace, key)
+
+        with mock.patch.object(ArtifactStore, "get_entry", spy):
+            second = pipeline.execute(_request(speculation=1.25))
+        # The pipeline already holds the entry: confirmed, not decoded.
+        assert "windows" not in namespaces
+        assert second.event("windows").status == "hit"
+        assert second.windows_preloaded == 0
+        fresh = EstimationPipeline(
+            SMALL, store=store, n_data_samples=32
+        ).execute(_request(speculation=1.25))
+        assert _row(second.report) == _row(fresh.report)
+
+    def test_rewritten_windows_entry_is_decoded_and_preloaded(
+        self, tmp_path
+    ):
+        store = ArtifactStore(tmp_path)
+        EstimationPipeline(SMALL, store=store, n_data_samples=32).execute(
+            _request()
+        )
+        pipeline = EstimationPipeline(SMALL, store=store, n_data_samples=32)
+        assert pipeline.execute(_request()).windows_preloaded > 0
+        (path,) = (tmp_path / "windows").glob("*/*.json")
+        key = path.stem
+        # Another writer replaces the file: same content, new mtime.
+        ArtifactStore(tmp_path).put_entry(
+            "windows", key, json.loads(path.read_text())
+        )
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**6))
+        assert not store.unchanged("windows", key)
+        real = EstimationPipeline.preload_windows
+        with mock.patch.object(
+            EstimationPipeline, "preload_windows", autospec=True,
+            side_effect=real,
+        ) as preload:
+            swept = pipeline.execute(_request(speculation=1.25))
+        # The decoded document is preloaded, not thrown away.
+        preload.assert_called_once()
+        assert swept.event("windows").status == "hit"
+        assert store.unchanged("windows", key)
 
     def test_prebuilt_processor_runs_storeless(self, processor, kernels_row):
         pipeline = EstimationPipeline(processor, n_data_samples=32)

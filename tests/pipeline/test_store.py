@@ -1,6 +1,7 @@
 """The unified content-addressed ArtifactStore."""
 
 import json
+import os
 
 import pytest
 
@@ -85,6 +86,22 @@ class TestDiskStore:
         assert not store.has_entry("control", key)
         assert not path.exists(), "corrupt entry must be removed"
         assert store.stats["control"]["corrupt"] == 1
+
+    def test_unchanged_tracks_this_stores_reads_and_writes(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        key = "ac" + "5" * 62
+        assert not store.unchanged("control", key)
+        store.put_entry("control", key, DOC)
+        assert store.unchanged("control", key)
+        other = ArtifactStore(tmp_path)
+        assert not other.unchanged("control", key)
+        other.get_entry("control", key)
+        assert other.unchanged("control", key)
+        path = store.path_for("control", key)
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**6))
+        assert not store.unchanged("control", key)
+        assert not ArtifactStore().unchanged("control", key)
 
     def test_hit_miss_telemetry(self, tmp_path):
         store = ArtifactStore(tmp_path)
