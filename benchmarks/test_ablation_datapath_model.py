@@ -26,6 +26,8 @@ def test_tree_vs_linear(benchmark, processor):
             processor.pipeline,
             processor.data_analyzer,
             processor.library.setup_time,
+            processor.logic_simulator,
+            processor.stimulus_encoder,
         )
         _, samples = trainer.train()
         residuals = {}

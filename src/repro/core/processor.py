@@ -257,13 +257,14 @@ class ProcessorModel:
 
     @_engine
     def logic_simulator(self) -> LevelizedSimulator:
-        """The levelized logic simulator of control characterization."""
+        """The levelized logic simulator of control characterization and
+        datapath training."""
         return LevelizedSimulator(self.pipeline.netlist)
 
     @_engine
     def stimulus_encoder(self) -> StimulusEncoder:
-        """The stimulus encoder of control characterization (its memo
-        tables do not depend on the period)."""
+        """The stimulus encoder of control characterization and datapath
+        training (its memo tables do not depend on the period)."""
         return StimulusEncoder(self.pipeline)
 
     @_engine
@@ -273,6 +274,8 @@ class ProcessorModel:
             self.pipeline,
             self.data_analyzer,
             self.library.setup_time,
+            self.logic_simulator,
+            self.stimulus_encoder,
             scheduler_factory=self.core_family.make_scheduler,
         )
         model, _ = trainer.train()

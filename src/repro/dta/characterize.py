@@ -255,53 +255,37 @@ class ControlCharacterizer:
         self.simulator = simulator
         self.encoder = encoder
 
-    def _window_dts_grid(
-        self,
-        window: InstructionWindow,
-        slot_indices: list[int],
-        clock_periods: list[float],
-    ) -> list[list[Gaussian | None]]:
-        """One window analyzed at many operating points.
+    def _window_inputs(
+        self, window: InstructionWindow, slot_indices: list[int]
+    ) -> tuple:
+        """A window's period-independent analysis inputs.
 
         Scheduling, stimulus encoding, and the (cached) logic simulation
-        are period-independent and run once; only the DTS evaluation
-        fans out over the period axis.
+        do not depend on the clock period: returns the window's
+        activity trace and the analyzer entry specs of ``slot_indices``.
         """
         schedule = self.scheduler.schedule(window)
         source_values = self.encoder.encode_schedule(schedule)
         activity = self.activity_cache.activity(
             source_values, self.simulator.activity
         )
-        return self.analyzer.window_dts_grid(
-            activity,
-            self.scheduler.entries(window, slot_indices),
-            clock_periods,
-        )
+        return activity, self.scheduler.entries(window, slot_indices)
 
-    def characterize_edge_values_grid(
-        self,
-        bid: int,
-        pred: int,
-        tail: list[StepRecord],
-        block_records: list[StepRecord],
-        clock_periods: list[float],
-    ) -> list[list[tuple[ControlKey, Gaussian | None, Gaussian | None]]]:
-        """The (key, normal, corrected) rows for one (block, edge) pair.
+    def edge_inputs(
+        self, tail: list[StepRecord], block_records: list[StepRecord]
+    ) -> tuple:
+        """The period-independent inputs of one (block, edge) pair.
 
-        Returns one row list per clock period; the caller records the
-        rows in deterministic key order.  Window construction (including
-        the correction-scheme emulation) is period-independent and
-        happens once; the normal window is the predecessor tail + block,
-        the corrected one applies the scheme's emulation before every
-        instruction (the paper inserts a nop before each one).
+        Returns the normal and the corrected window's
+        :meth:`_window_inputs`.  The normal window is the predecessor
+        tail + block, the corrected one applies the scheme's emulation
+        before every instruction (the paper inserts a nop before each
+        one).
         """
         tail_slots: list[StepRecord | None] = list(tail)
         n = len(block_records)
         normal_window = InstructionWindow(tail_slots + list(block_records))
         normal_entries = [len(tail_slots) + k for k in range(n)]
-        dts_c = self._window_dts_grid(
-            normal_window, normal_entries, clock_periods
-        )
         corrected = InstructionWindow(list(tail_slots))
         positions = []
         for rec in block_records:
@@ -311,11 +295,47 @@ class ControlCharacterizer:
             )
             corrected = emulated
             positions.append(len(corrected.slots) - 1)
-        dts_e = self._window_dts_grid(corrected, positions, clock_periods)
+        return (
+            self._window_inputs(normal_window, normal_entries),
+            self._window_inputs(corrected, positions),
+        )
+
+    def characterize_edge_values_grid(
+        self,
+        bid: int,
+        pred: int,
+        tail: list[StepRecord],
+        block_records: list[StepRecord],
+        clock_periods: list[float],
+        windows: dict | None = None,
+    ) -> list[list[tuple[ControlKey, Gaussian | None, Gaussian | None]]]:
+        """The (key, normal, corrected) rows for one (block, edge) pair.
+
+        Returns one row list per clock period; the caller records the
+        rows in deterministic key order.  The pair's
+        :meth:`edge_inputs` are built once; only the DTS evaluation fans
+        out over the period axis.  ``windows`` maps ``(bid, pred)`` to
+        edge inputs built earlier from the same records: a pair found
+        there skips window construction, and a new pair is added.
+        """
+        inputs = None if windows is None else windows.get((bid, pred))
+        if inputs is None:
+            inputs = self.edge_inputs(tail, block_records)
+            if windows is not None:
+                windows[(bid, pred)] = inputs
+        (normal_activity, normal_entries), (
+            corrected_activity, corrected_entries
+        ) = inputs
+        dts_c = self.analyzer.window_dts_grid(
+            normal_activity, normal_entries, clock_periods
+        )
+        dts_e = self.analyzer.window_dts_grid(
+            corrected_activity, corrected_entries, clock_periods
+        )
         return [
             [
                 ((bid, pred, k), dts_c[p][k], dts_e[p][k])
-                for k in range(n)
+                for k in range(len(block_records))
             ]
             for p in range(len(clock_periods))
         ]
@@ -324,14 +344,16 @@ class ControlCharacterizer:
         self,
         tasks: list[tuple[int, int, list, list]],
         model: ControlTimingModel,
+        windows: dict | None = None,
     ) -> None:
         """Characterize ``(bid, pred, tail, block_records)`` tasks.
 
         Tasks are expected in sorted (bid, pred) order; results are
         recorded into ``model`` in exactly that order (see
-        :func:`_characterize_tasks`).
+        :func:`_characterize_tasks`).  ``windows`` is an edge-input map
+        (see :meth:`characterize_edge_values_grid`).
         """
-        _characterize_tasks([self], tasks, [model])
+        _characterize_tasks([self], tasks, [model], windows)
 
     def characterize(
         self, samples: dict[tuple[int, int], tuple[list, list]]
@@ -343,6 +365,7 @@ class ControlCharacterizer:
 def characterize_grid(
     characterizers: list[ControlCharacterizer],
     samples: dict[tuple[int, int], tuple[list, list]],
+    windows: dict | None = None,
 ) -> list[ControlTimingModel]:
     """Characterize the same samples at many operating points in one pass.
 
@@ -353,18 +376,21 @@ def characterize_grid(
     scheduled, encoded, and simulated once; the DTS evaluation fans out
     along the period axis.  Returns one :class:`ControlTimingModel` per
     characterizer; a single characterizer is the one-period case
-    (:meth:`ControlCharacterizer.characterize`).
+    (:meth:`ControlCharacterizer.characterize`).  ``windows`` maps
+    ``(bid, pred)`` to edge inputs built from these same samples by an
+    earlier call: their windows are not rebuilt (see
+    :meth:`ControlCharacterizer.characterize_edge_values_grid`).
     """
     models = [ControlTimingModel() for _ in characterizers]
     tasks = [
         (bid, pred, tail, block_records)
         for (bid, pred), (tail, block_records) in sorted(samples.items())
     ]
-    _characterize_tasks(characterizers, tasks, models)
+    _characterize_tasks(characterizers, tasks, models, windows)
     return models
 
 
-def _characterize_tasks(characterizers, tasks, models) -> None:
+def _characterize_tasks(characterizers, tasks, models, windows) -> None:
     """The characterization loop: every (block, edge) task, every period.
 
     Tasks run in order on the first characterizer (whose activity cache
@@ -378,7 +404,7 @@ def _characterize_tasks(characterizers, tasks, models) -> None:
     periods = [c.clock_period for c in characterizers]
     for bid, pred, tail, block_records in tasks:
         rows_per_period = base.characterize_edge_values_grid(
-            bid, pred, tail, block_records, periods
+            bid, pred, tail, block_records, periods, windows
         )
         for model, rows in zip(models, rows_per_period):
             for key, normal, corrected in rows:

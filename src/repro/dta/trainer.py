@@ -90,6 +90,10 @@ class DatapathTrainer:
         pipeline: Generated pipeline netlist.
         analyzer: Instruction DTS analyzer restricted to DATA endpoints.
         setup_time: Flip-flop setup time of the library (ps).
+        simulator: The netlist's :class:`LevelizedSimulator`, shared
+            with the processor's control characterizers.
+        encoder: The pipeline's :class:`StimulusEncoder`, shared with
+            the processor's control characterizers.
         scheduler_factory: ``(program, pipeline) -> scheduler`` building
             the occupancy scheduler per training program (a core
             family's ``make_scheduler``).  Defaults to the in-order
@@ -101,6 +105,8 @@ class DatapathTrainer:
         pipeline,
         analyzer: InstructionDTSAnalyzer,
         setup_time: float,
+        simulator: LevelizedSimulator,
+        encoder: StimulusEncoder,
         scheduler_factory=None,
     ) -> None:
         self.pipeline = pipeline
@@ -111,8 +117,8 @@ class DatapathTrainer:
                 program, num_stages=pl.num_stages
             )
         )
-        self.simulator = LevelizedSimulator(pipeline.netlist)
-        self.encoder = StimulusEncoder(pipeline)
+        self.simulator = simulator
+        self.encoder = encoder
 
     # ------------------------------------------------------------------ #
 

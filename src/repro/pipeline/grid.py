@@ -22,6 +22,13 @@ fans out only the genuinely period-dependent tail:
   arrivals) is period-independent: it is computed once per pass for
   each (seed, sample count) and shared by every point with that key.
 
+The family pipeline keeps each program's period-independent pass
+inputs (:class:`~repro.pipeline.stages.PassInputs`: the two functional
+runs and every characterization window's activity and entry specs)
+across passes, keyed by the request minus its operating point
+(:meth:`~repro.pipeline.pipeline.EstimationPipeline.pass_inputs`), so a
+later pass over the same program runs only the period-dependent tail.
+
 A single request is the one-point grid: ``EstimationPipeline.execute``
 and ``EstimationPipeline.run`` both delegate here, so the store-aware
 orchestration (netlist, datapath, windows, control) exists once.  Every
@@ -130,7 +137,10 @@ class GridResult:
 
     ``results`` holds one
     :class:`~repro.pipeline.pipeline.PipelineResult` per request, in
-    request order.  The telemetry counts what the batching avoided.
+    request order.  The telemetry counts what the batching avoided:
+    ``train_sims_skipped`` and ``eval_sims_skipped`` are the points
+    that needed a functional run minus the runs made, so a pass whose
+    runs were kept from an earlier pass skips all of them.
     """
 
     SCHEMA = "repro.grid-result/1"
@@ -226,6 +236,13 @@ def execute_grid(
     events: list[list[StageEvent]] = [[] for _ in requests]
     datapath_key = (
         stages.datapath_key(pipeline.config) if store is not None else None
+    )
+    # Pre-trained artifacts bring their own cfg and control model, so
+    # they neither read nor fill the program's kept inputs.
+    inputs = (
+        pipeline.pass_inputs(first)
+        if artifacts is None
+        else stages.PassInputs()
     )
 
     # --- netlist + datapath (per point; the store key is period- ------ #
@@ -328,6 +345,7 @@ def execute_grid(
         else:
             leader_of[point] = i
             train_idx.append(i)
+    train_runs = int(bool(train_idx) and inputs.training is None)
     if train_idx:
         t0 = time.perf_counter()
         batch = stages.train_grid(
@@ -336,6 +354,7 @@ def execute_grid(
             pipeline.activity_cache,
             setup=train_setup,
             max_instructions=train_instructions,
+            inputs=inputs,
         )
         batch_seconds = time.perf_counter() - t0
         for i, artifact in zip(train_idx, batch):
@@ -354,17 +373,20 @@ def execute_grid(
             StageEvent("dta", stages.PLAN["dta"], status[i], train_seconds[i])
         )
 
-    # --- one shared evaluation run ------------------------------------ #
-    _, eval_setup, eval_budget = workload.run_spec(
-        first.eval_scale, seed=first.eval_seed
-    )
-    profile, samples = EstimationPipeline.collect_evaluation(
-        program,
-        trained[0].cfg,
-        setup=eval_setup,
-        max_instructions=first.max_instructions or eval_budget,
-        reservoir_size=first.reservoir_size,
-    )
+    # --- one shared evaluation run (none when kept) ------------------- #
+    eval_runs = int(inputs.evaluation is None)
+    if eval_runs:
+        _, eval_setup, eval_budget = workload.run_spec(
+            first.eval_scale, seed=first.eval_seed
+        )
+        inputs.evaluation = EstimationPipeline.collect_evaluation(
+            program,
+            trained[0].cfg,
+            setup=eval_setup,
+            max_instructions=first.max_instructions or eval_budget,
+            reservoir_size=first.reservoir_size,
+        )
+    profile, samples = inputs.evaluation
 
     # --- per-point period-dependent tail ------------------------------ #
     # The error model's datapath half depends on the seed and sample
@@ -377,6 +399,7 @@ def execute_grid(
         report = pipe.estimate_collected(
             program, trained[i], profile, samples, seed=seed,
             datapath_memo=datapath_memo,
+            windows=inputs.evaluation_windows,
         )
         stats.grid_points += 1
         estimate_seconds = time.perf_counter() - t1
@@ -406,12 +429,11 @@ def execute_grid(
         for ev in events:
             ev.append(StageEvent("windows", stages.PLAN["dta"], "computed"))
 
-    hits = sum(r.cache_hit for r in results)
     return GridResult(
         request=grid_request,
         results=results,
-        train_sims_skipped=max(0, n - hits - 1),
-        eval_sims_skipped=n - 1,
-        control_cache_hits=hits,
+        train_sims_skipped=len(train_idx) + len(duplicates) - train_runs,
+        eval_sims_skipped=n - eval_runs,
+        control_cache_hits=sum(r.cache_hit for r in results),
         kernel_delta=stats.delta(kernels_before).to_json(),
     )

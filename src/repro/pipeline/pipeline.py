@@ -36,7 +36,7 @@ from repro.cpu.state import MachineState
 from repro.dta.windowpool import ActivityCache
 from repro.kernels import kernel_stats
 from repro.pipeline import stages
-from repro.pipeline.grid import execute_grid
+from repro.pipeline.grid import GridRequest, execute_grid
 from repro.pipeline.ir import ProcessorConfig, TrainingArtifacts
 from repro.pipeline.store import ArtifactStore
 
@@ -133,6 +133,7 @@ class EstimationPipeline:
         )
         self._derived: dict[float, EstimationPipeline] = {}
         self._family_siblings: dict[str, EstimationPipeline] = {}
+        self._pass_inputs: tuple[tuple, stages.PassInputs] | None = None
 
     # ------------------------------------------------------------------ #
     # Processor access
@@ -206,6 +207,25 @@ class EstimationPipeline:
                 activity_cache=self.activity_cache,
             )
         return self._derived[speculation]
+
+    def pass_inputs(self, request) -> stages.PassInputs:
+        """The period-independent pass inputs of ``request``'s program.
+
+        Keyed by :meth:`GridRequest.base_identity` (the request minus
+        its operating point).  The pipeline keeps one entry and replaces
+        it when the key changes, so a later pass over the same program
+        at new operating points runs no functional simulation and builds
+        no window.  A workload object gets fresh inputs every time: its
+        dataset is not content-addressed, and an object's ``id`` can be
+        reused.  The entry belongs to this pipeline and takes no lock; a
+        pipeline is driven by one thread at a time.
+        """
+        if not isinstance(request.workload, str):
+            return stages.PassInputs()
+        key = GridRequest.base_identity(request)
+        if self._pass_inputs is None or self._pass_inputs[0] != key:
+            self._pass_inputs = (key, stages.PassInputs())
+        return self._pass_inputs[1]
 
     # ------------------------------------------------------------------ #
     # Characterizer / window-artifact plumbing (shim + benchmark surface)
@@ -326,12 +346,13 @@ class EstimationPipeline:
         start: float,
         kernels_before,
         datapath_memo: dict | None = None,
+        windows: dict | None = None,
     ):
         """Estimation downstream of the evaluation run (per point)."""
         from repro.core.results import ErrorRateReport
 
         cfg = artifacts.cfg
-        stages.characterize_missing(artifacts, samples)
+        stages.characterize_missing(artifacts, samples, windows)
         conditionals = stages.block_conditionals(
             self.processor,
             program,
@@ -377,6 +398,7 @@ class EstimationPipeline:
         samples,
         seed: int = 0,
         datapath_memo: dict | None = None,
+        windows: dict | None = None,
     ):
         """Estimate from an already-collected evaluation run.
 
@@ -386,7 +408,9 @@ class EstimationPipeline:
         characterization, error model, statistical estimate).
         ``datapath_memo`` is the pass's memo of the error model's
         period-independent half, shared by every point with the same
-        seed.
+        seed; ``windows`` is the edge-input map of on-demand
+        characterization over these ``samples``
+        (:attr:`~repro.pipeline.stages.PassInputs.evaluation_windows`).
         """
         return self._finish_estimate(
             program, artifacts, profile, samples,
@@ -394,6 +418,7 @@ class EstimationPipeline:
             start=time.perf_counter(),
             kernels_before=kernel_stats().snapshot(),
             datapath_memo=datapath_memo,
+            windows=windows,
         )
 
     # ------------------------------------------------------------------ #

@@ -25,6 +25,7 @@ pairwise Clark reduction (:func:`repro.sta.ssta.statistical_min`).
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 
 from repro.pipeline.ir import (
     ControlArtifactIR,
@@ -39,6 +40,7 @@ __all__ = [
     "STAGES",
     "PLAN",
     "describe",
+    "PassInputs",
     "base_processor",
     "datapath_key",
     "ensure_datapath",
@@ -93,6 +95,33 @@ def describe() -> list[dict]:
         }
         for stage, (name, description) in STAGES.items()
     ]
+
+
+@dataclass(slots=True)
+class PassInputs:
+    """A program's period-independent grid-pass inputs.
+
+    Filled lazily by the stages that compute them: a field, once set, is
+    never replaced, and the window maps only gain entries, each final
+    when added.  A pass that finds a field set skips the work behind it.
+
+    Attributes:
+        training: The training run ``(cfg, samples, instructions)`` of
+            :func:`collect_training_samples`.
+        evaluation: The evaluation run ``(profile, samples)`` of
+            :meth:`~repro.pipeline.pipeline.EstimationPipeline.collect_evaluation`.
+        training_windows: ``(bid, pred) -> edge inputs`` (activity traces
+            and entry specs of the normal and corrected windows, see
+            :meth:`~repro.dta.characterize.ControlCharacterizer.edge_inputs`)
+            of the training samples.
+        evaluation_windows: The same for the evaluation samples'
+            on-demand characterization (:func:`characterize_missing`).
+    """
+
+    training: tuple | None = None
+    evaluation: tuple | None = None
+    training_windows: dict = field(default_factory=dict)
+    evaluation_windows: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------- #
@@ -226,6 +255,7 @@ def train_grid(
     activity_cache,
     setup=None,
     max_instructions: int = 2_000_000,
+    inputs: PassInputs | None = None,
 ) -> list[TrainingArtifacts]:
     """Train at many operating points from one shared functional run.
 
@@ -234,22 +264,31 @@ def train_grid(
     analyzer's path registry).  The training functional simulation runs
     once and every window is scheduled, encoded, and logic-simulated
     once; only the DTS evaluation fans out over the period axis
-    (:func:`~repro.dta.characterize.characterize_grid`).  Returns
-    per-point :class:`TrainingArtifacts` whose control models are
-    byte-identical to one-point calls.
+    (:func:`~repro.dta.characterize.characterize_grid`).  ``inputs``
+    carries the training run and window inputs of an earlier call for
+    the same program and training spec: what it holds is not recomputed,
+    and what is computed is added to it.  Returns per-point
+    :class:`TrainingArtifacts` whose control models are byte-identical
+    to one-point calls.
     """
     from repro.dta.characterize import characterize_grid
     from repro.kernels import kernel_stats
 
     start = time.perf_counter()
     kernels_before = kernel_stats().snapshot()
-    cfg, samples, instructions = collect_training_samples(
-        program, setup, max_instructions
-    )
+    if inputs is None:
+        inputs = PassInputs()
+    if inputs.training is None:
+        inputs.training = collect_training_samples(
+            program, setup, max_instructions
+        )
+    cfg, samples, instructions = inputs.training
     characterizers = [
         build_characterizer(p, program, activity_cache) for p in processors
     ]
-    models = characterize_grid(characterizers, samples)
+    models = characterize_grid(
+        characterizers, samples, inputs.training_windows
+    )
     _ = processors[0].datapath_model
     elapsed = time.perf_counter() - start
     # The batched pass cannot attribute counters per point; charge the
@@ -305,13 +344,15 @@ def artifacts_from_doc(
     )
 
 
-def characterize_missing(artifacts, samples) -> None:
+def characterize_missing(artifacts, samples, windows=None) -> None:
     """On-demand characterization for blocks/edges unseen in training.
 
     Blocks reached only by the evaluation dataset get characterized from
     the simulation-phase window (with the single pre-entry record as the
     pipeline-sharing tail); missing pairs are batched through the same
-    window-analysis loop as training, in sorted key order.
+    window-analysis loop as training, in sorted key order.  ``windows``
+    is an edge-input map built from these same ``samples``
+    (:attr:`PassInputs.evaluation_windows`).
     """
     model = artifacts.control_model
     tasks = []
@@ -327,7 +368,7 @@ def characterize_missing(artifacts, samples) -> None:
             tail = [example.entry_prev] if example.entry_prev else []
             tasks.append((bid, pred, tail, example.records))
     if tasks:
-        artifacts.characterizer.characterize_many(tasks, model)
+        artifacts.characterizer.characterize_many(tasks, model, windows)
 
 
 def window_doc(processor, activity_cache) -> dict:

@@ -17,6 +17,8 @@ to keep valid probabilities.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import gammaln, ndtri, pdtr, xlogy
 
@@ -56,6 +58,20 @@ def _poisson_pmf(k, mu) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _hermite_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilists' Gauss–Hermite nodes and normalized weights.
+
+    Computed once per node count (``hermegauss`` costs milliseconds);
+    the arrays are read-only because every mixture shares them.
+    """
+    nodes, weights = np.polynomial.hermite_e.hermegauss(points)
+    weights = weights / weights.sum()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 class PoissonGaussianMixture:
     """The error-count distribution ``N_E`` of Eq. 14.
 
@@ -68,10 +84,9 @@ class PoissonGaussianMixture:
         if quadrature_points < 2:
             raise ValueError("quadrature_points must be >= 2")
         self.lam = lam
-        nodes, weights = np.polynomial.hermite_e.hermegauss(quadrature_points)
+        nodes, self._weights = _hermite_rule(quadrature_points)
         # lambda realizations at the probabilists' Hermite nodes.
         self._lam_nodes = lam.mean + lam.std * nodes
-        self._weights = weights / weights.sum()
 
     # ------------------------------------------------------------------ #
 

@@ -171,6 +171,7 @@ def test_training_fills_once_per_budget_batch(monkeypatch):
     ).build()
     trainer = DatapathTrainer(
         proc.pipeline, proc.data_analyzer, proc.library.setup_time,
+        proc.logic_simulator, proc.stimulus_encoder,
         scheduler_factory=proc.core_family.make_scheduler,
     )
     calls = _count_fills(monkeypatch)

@@ -150,6 +150,8 @@ class TestTrainedOnPipeline:
     def test_trainer_produces_model(self, small_pipeline, library):
         from repro.dta import DatapathTrainer, InstructionDTSAnalyzer
         from repro.dta.algorithm1 import StageDTSAnalyzer
+        from repro.logicsim.simulator import LevelizedSimulator
+        from repro.logicsim.stimulus import StimulusEncoder
         from repro.netlist import EndpointKind
         from repro.variation import ProcessVariationModel
 
@@ -162,7 +164,9 @@ class TestTrainedOnPipeline:
             )
         )
         trainer = DatapathTrainer(
-            small_pipeline, analyzer, library.setup_time
+            small_pipeline, analyzer, library.setup_time,
+            LevelizedSimulator(small_pipeline.netlist),
+            StimulusEncoder(small_pipeline),
         )
         model, samples = trainer.train(samples_per_class=6, seed=1)
         assert model.trained

@@ -57,7 +57,8 @@ def _reference_window(trainer, klass, rng):
 def trainer():
     proc = ProcessorConfig(pipeline=SMALL).build()
     return DatapathTrainer(
-        proc.pipeline, proc.data_analyzer, proc.library.setup_time
+        proc.pipeline, proc.data_analyzer, proc.library.setup_time,
+        proc.logic_simulator, proc.stimulus_encoder,
     )
 
 

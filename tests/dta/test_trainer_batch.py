@@ -37,6 +37,8 @@ def _trainer(family):
         proc.pipeline,
         proc.data_analyzer,
         proc.library.setup_time,
+        proc.logic_simulator,
+        proc.stimulus_encoder,
         scheduler_factory=proc.core_family.make_scheduler,
     )
 

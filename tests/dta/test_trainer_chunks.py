@@ -28,6 +28,8 @@ def setup(request):
         proc.pipeline,
         proc.data_analyzer,
         proc.library.setup_time,
+        proc.logic_simulator,
+        proc.stimulus_encoder,
         scheduler_factory=proc.core_family.make_scheduler,
     )
     rng = np.random.default_rng(4)

@@ -70,6 +70,7 @@ def test_reference_kernels_train_the_same_datapath_samples():
         proc = SMALL.build()
         trainer = DatapathTrainer(
             proc.pipeline, proc.data_analyzer, proc.library.setup_time,
+            proc.logic_simulator, proc.stimulus_encoder,
             scheduler_factory=proc.core_family.make_scheduler,
         )
         _, samples = trainer.train(samples_per_class=12, seed=5)
