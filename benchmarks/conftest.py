@@ -48,13 +48,11 @@ def processor() -> ProcessorModel:
 def full_results():
     """Reports for all 12 benchmarks (the data behind Table 2 / Figure 3).
 
-    Runs on the batch estimation engine; set ``REPRO_BENCH_WORKERS`` to
-    fan the 12 independent jobs out across a process pool and
-    ``REPRO_CACHE_DIR`` to reuse trained artifacts across sessions.
+    Runs on the batch estimation engine; set ``REPRO_CACHE_DIR`` to
+    reuse trained artifacts across sessions.
     """
     engine = EstimationEngine(
         ProcessorConfig(),
-        max_workers=int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
         cache_dir=os.environ.get("REPRO_CACHE_DIR"),
     )
     summary = engine.run(

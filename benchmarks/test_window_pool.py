@@ -81,7 +81,7 @@ def test_window_pool_benchmark(tmp_path):
     # persisted windows artifact (one run would share a single grid pass
     # between the points; that variant is benchmarks/test_sweep_grid.py).
     engine = EstimationEngine(
-        SMALL, max_workers=1, cache_dir=tmp_path, n_data_samples=32,
+        SMALL, cache_dir=tmp_path, n_data_samples=32,
     )
     sweep_rows = []
     for spec in (1.15, 1.25):

@@ -9,12 +9,12 @@ processor from a shared base (netlist, SSTA, analyzers, and the trained
 datapath model are period-independent and reused), and the returned
 :class:`RunSummary` carries both the estimates and the run telemetry.
 
-Pass ``--workers N`` to fan the points out across a process pool and
-``--cache-dir DIR`` to persist trained artifacts so a re-run skips all
-training.
+The points differ only in operating point, so the engine runs them as
+one grid pass: one training and one evaluation simulation for all of
+them.  Pass ``--cache-dir DIR`` to persist trained artifacts so a re-run
+skips all training.
 
-Run:  python examples/frequency_sweep.py [benchmark] [--workers N]
-      [--cache-dir DIR]
+Run:  python examples/frequency_sweep.py [benchmark] [--cache-dir DIR]
 """
 
 import argparse
@@ -31,7 +31,6 @@ def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("benchmark", nargs="?", default="gsm.decode",
                         choices=list_workloads())
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
     name = args.benchmark
@@ -39,7 +38,6 @@ def main() -> None:
     print(f"sweeping speculation ratio for {name}...")
     engine = EstimationEngine(
         ProcessorConfig(),
-        max_workers=args.workers,
         cache_dir=args.cache_dir,
     )
     requests = [

@@ -5,9 +5,9 @@ Usage (after ``pip install -e .``)::
     python -m repro info
     python -m repro list
     python -m repro estimate gsm.decode [--speculation 1.15] [--json]
-    python -m repro table2 [--workers 4] [--max-instructions N] [--json]
+    python -m repro table2 [--max-instructions N] [--json]
     python -m repro sweep bitcount --points 1.0,1.1,1.15,1.2
-    python -m repro batch bitcount dijkstra --workers 2 --cache-dir .cache
+    python -m repro batch bitcount dijkstra --cache-dir .cache
     python -m repro pipeline inspect [--cache-dir D] [--json]
     python -m repro montecarlo bitcount --chips 16
     python -m repro serve --port 8731 --state-dir .repro-service
@@ -20,11 +20,10 @@ over speculation ratios, ``batch`` executes an arbitrary set of
 (workload × operating point) jobs, and ``montecarlo`` measures the
 brute-force per-chip error-rate distribution the framework is validated
 against.  ``table2``, ``sweep``, and ``batch`` all run on the batch
-estimation engine: ``--workers N`` fans the independent jobs out across
-a process pool (each job analyzes its windows in-process, one after
-another), and ``--cache-dir`` (or the
-``REPRO_CACHE_DIR`` environment variable) enables the content-addressed
-artifact cache so warm re-runs skip every training phase.
+estimation engine, which runs every job in this process, and
+``--cache-dir`` (or the ``REPRO_CACHE_DIR`` environment variable)
+enables the content-addressed artifact cache so warm re-runs skip every
+training phase.
 
 ``serve`` runs the estimation job server (:mod:`repro.service`) and
 ``submit`` posts one job to it over HTTP; both speak the versioned
@@ -85,10 +84,6 @@ def _grid_spec(text: str) -> list[float]:
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="process-pool width (1 = in-process)",
-    )
     parser.add_argument(
         "--cache-dir", default=None,
         help=(
@@ -283,7 +278,6 @@ def _engine_from_args(args) -> EstimationEngine:
         ProcessorConfig(
             core_family=getattr(args, "core_family", "inorder6")
         ),
-        max_workers=args.workers,
         cache_dir=cache_dir,
     )
 
@@ -445,8 +439,8 @@ def _cmd_batch(args, out) -> int:
                 f"{result.request.describe():24s} "
                 f"ER {result.report.error_rate_mean:7.3f}% "
                 f"(SD {result.report.error_rate_sd:.3f}%)  "
-                f"[{hit}, {result.train_seconds + result.estimate_seconds:.1f}s, "
-                f"worker {result.worker}]\n"
+                f"[{hit}, "
+                f"{result.train_seconds + result.estimate_seconds:.1f}s]\n"
             )
         else:
             out.write(f"{result.request.describe():24s} FAILED\n")

@@ -24,13 +24,11 @@ from repro.dta.characterize import (
 )
 from repro.dta.datapath import DatapathTimingModel, DatapathSample, extract_features
 from repro.dta.trainer import DatapathTrainer
-from repro.dta.executor import ExecutionPlan
 from repro.dta.graphdta import GraphDTSAnalyzer
 from repro.dta.windowpool import ActivityCache
 
 __all__ = [
     "ActivityCache",
-    "ExecutionPlan",
     "DatapathTrainer",
     "GraphDTSAnalyzer",
     "StageDTSAnalyzer",

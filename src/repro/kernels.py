@@ -14,8 +14,8 @@ This module holds :class:`KernelStats` — cheap counters (simulated
 cycle-gates, Clark reductions performed vs. memo hits, covariance cells
 computed) threaded through :class:`~repro.runner.engine.RunSummary` and
 the report ``timing`` section so the speedup is measured, not asserted.
-The counters are a per-process global: pool workers each carry their own
-copy, and the engine merges worker-side snapshots into the run summary.
+The counters are a per-process global; every job runs in this process,
+and each job's figures are the delta between two snapshots.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ class KernelStats:
         windows_reused: Of the activity-cache hits, how many were served
             from entries preloaded out of a persisted window artifact
             (the period-sweep reuse path).
-        pool_maps_serial: Engine group maps that ran in-process.
-        pool_maps_forked: Engine group maps that ran on the fork pool.
-        pool_maps_degraded: Of the serial maps, how many were a
-            parallel-capable request degraded by fork safety.
-        pool_chunks: Chunked task batches dispatched to fork workers.
         grid_points: Operating points evaluated through the batched
             grid path (one per point per grid pass).
         grid_clark_reductions: Pairwise Clark reductions executed inside
@@ -76,10 +71,6 @@ class KernelStats:
     activity_cache_hits: int = 0
     activity_cache_misses: int = 0
     windows_reused: int = 0
-    pool_maps_serial: int = 0
-    pool_maps_forked: int = 0
-    pool_maps_degraded: int = 0
-    pool_chunks: int = 0
     grid_points: int = 0
     grid_clark_reductions: int = 0
     grid_reuse_hits: int = 0

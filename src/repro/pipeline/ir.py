@@ -93,9 +93,9 @@ def _config_doc(config) -> dict:
 class ProcessorConfig:
     """A picklable recipe for building a ``ProcessorModel``.
 
-    The input IR of the netlist stage; engines ship this (not the
-    multi-megabyte processor object) to pool workers, which rebuild —
-    or, under fork, inherit — the processor.  The same fields feed every
+    The input IR of the netlist stage; engines and pipelines hold this
+    (not the multi-megabyte processor object) and look the processor up
+    in the per-process registry.  The same fields feed every
     artifact-store key.
     """
 

@@ -125,12 +125,12 @@ class PassInputs:
 
 
 # --------------------------------------------------------------------- #
-# netlist: per-process processor registry (shared with fork-pool workers)
+# netlist: per-process processor registry
 # --------------------------------------------------------------------- #
 
-#: Per-process registry of built processors.  Under the fork start
-#: method the parent's warmed entries (base processor, SSTA baseline,
-#: datapath model) are inherited by every worker for free.
+#: Per-process registry of built processors: every engine, pipeline and
+#: service thread in the process shares one base processor per config
+#: (with its SSTA baseline and datapath model).
 _PROCESSORS: dict[str, object] = {}
 
 

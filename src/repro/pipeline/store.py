@@ -16,7 +16,7 @@ collapses their *persistence* behind one contract:
 * writes are durable and atomic — the temp file is fsynced before the
   rename and the directory is fsynced after it — so a ``SIGKILL``ed
   writer can never leave a truncated artifact behind, and concurrent
-  writers (pool workers, service tenants) share a directory without
+  writers (processes, service tenants) share a directory without
   locking;
 * a corrupt entry is a *miss*: it is deleted and the stage recomputes,
   instead of poisoning the run with a parse error;

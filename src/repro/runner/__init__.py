@@ -1,4 +1,4 @@
-"""Parallel batch estimation with trained-artifact caching.
+"""Batch estimation with trained-artifact caching.
 
 The runner turns the one-job framework API into a production batch
 surface: express each (workload × operating point) job as an
@@ -14,7 +14,7 @@ Quickstart::
 
     from repro.runner import EstimationEngine, EstimationRequest
 
-    engine = EstimationEngine(max_workers=4, cache_dir=".repro-cache")
+    engine = EstimationEngine(cache_dir=".repro-cache")
     summary = engine.run(
         [EstimationRequest(workload=n) for n in ("bitcount", "dijkstra")]
     )

@@ -1,38 +1,30 @@
-"""The parallel batch estimation engine.
+"""The batch estimation engine.
 
 An :class:`EstimationEngine` executes a batch of
 :class:`~repro.core.request.EstimationRequest` jobs — (workload ×
-operating point) pairs — fanned out through the fork map of
-:mod:`repro.dta.executor` (:func:`~repro.dta.executor.plan_fork_map`).
-Per-job work runs through the staged
-:class:`~repro.pipeline.pipeline.EstimationPipeline` backed by the
+operating point) pairs — in this process.  It groups the requests by
+:func:`~repro.pipeline.grid.grid_key` and runs each group, in order, as
+one grid pass of the staged
+:class:`~repro.pipeline.pipeline.EstimationPipeline`, backed by the
 content-addressed :class:`~repro.pipeline.store.ArtifactStore`; the
-engine's job is batching, process fan-out, and telemetry aggregation.
-Everything shared is either derived once in the parent before forking
-(the base processor, its SSTA baseline period, the period-independent
-datapath model — all inherited by the workers through fork's
-copy-on-write memory) or read from the store.
+engine's job is batching and telemetry aggregation.  The base
+processor and its period-independent engines are built once per
+processor and shared by every group.
 
 Design points:
 
 * **Determinism** — every job carries an explicit or identity-derived
-  seed, results are returned in request order, and reports cross the
-  process boundary as their versioned JSON documents, so a parallel run
-  is byte-identical to a serial one.
+  seed and results are returned in request order.
 * **Graceful degradation** — a job that raises is captured as a failed
   :class:`JobResult` with its traceback instead of killing the batch;
-  the fan-out resolves to an :class:`~repro.dta.executor.ExecutionPlan`
-  that runs in-process when ``max_workers <= 1``, when there is a
-  single request group, or when forking is unavailable or unsafe (the
-  plan records why).
+  a failed group is retried one request at a time.
 * **Telemetry** — each result records train/estimate wall time, the
-  simulated instruction count, cache hit/miss, per-stage events, and the
-  worker PID; :class:`RunSummary` aggregates them.
+  simulated instruction count, cache hit/miss, per-stage events and the
+  job's kernel counters; :class:`RunSummary` aggregates them.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 from dataclasses import dataclass
@@ -40,7 +32,6 @@ from dataclasses import dataclass
 from repro.core.processor import ProcessorModel
 from repro.core.request import EstimationRequest
 from repro.core.results import ErrorRateReport
-from repro.dta.executor import ExecutionPlan, execute_plan, plan_fork_map
 from repro.kernels import KernelStats
 from repro.pipeline import stages
 from repro.pipeline.ir import CORRECTION_SCHEMES, ProcessorConfig
@@ -67,7 +58,6 @@ class JobResult:
     train_seconds: float = 0.0
     estimate_seconds: float = 0.0
     instructions: int = 0
-    worker: int = 0
     seed: int = 0
     speculation: float = 0.0
     working_frequency_mhz: float | None = None
@@ -95,7 +85,6 @@ class JobResult:
             "train_seconds": round(self.train_seconds, 3),
             "estimate_seconds": round(self.estimate_seconds, 3),
             "instructions": self.instructions,
-            "worker": self.worker,
             "seed": self.seed,
             "speculation": self.speculation,
             "working_frequency_mhz": self.working_frequency_mhz,
@@ -121,9 +110,6 @@ class RunSummary:
 
     results: list[JobResult]
     wall_seconds: float
-    max_workers: int
-    #: How the request groups fanned out (and why not, if they did not).
-    plan: ExecutionPlan
     cache_dir: str | None = None
     #: ``None`` when caching is disabled; otherwise whether the shared
     #: datapath model came from the cache.
@@ -133,10 +119,6 @@ class RunSummary:
 
     def __len__(self) -> int:
         return len(self.results)
-
-    @property
-    def parallel(self) -> bool:
-        return self.plan.parallel
 
     @property
     def succeeded(self) -> list[JobResult]:
@@ -180,9 +162,6 @@ class RunSummary:
             "datapath_cache_hit": self.datapath_cache_hit,
             "total_instructions": self.total_instructions,
             "wall_seconds": round(self.wall_seconds, 3),
-            "max_workers": self.max_workers,
-            "parallel": self.parallel,
-            "plan": self.plan.to_json(),
             "cache_dir": self.cache_dir,
             "grid_batches": self.grid_batches,
             "kernels": self.kernel_totals(),
@@ -199,96 +178,32 @@ class RunSummary:
             f"{len(self.failed)} failed, {self.cache_hits} cache hits, "
             f"{self.training_runs} training runs{grid}, "
             f"{self.total_instructions:,} instructions, "
-            f"{self.wall_seconds:.1f}s wall "
-            f"({'parallel x' + str(self.plan.workers) if self.parallel else 'in-process'})"
+            f"{self.wall_seconds:.1f}s wall"
         )
 
 
-# --------------------------------------------------------------------- #
-# Worker-side execution
-# --------------------------------------------------------------------- #
-
-
-def _job_pipeline(config: ProcessorConfig, payload: dict):
-    """The per-job staged pipeline for one picklable payload."""
-    from repro.pipeline.pipeline import EstimationPipeline
-
-    cache_dir = payload.get("cache_dir")
-    return EstimationPipeline(
-        config,
-        store=ArtifactStore(cache_dir) if cache_dir else None,
-        n_data_samples=payload["n_data_samples"],
-    )
-
-
-def _doc_from_result(result) -> dict:
-    """The picklable job document for one successful PipelineResult."""
+def _job_result(request: EstimationRequest, result) -> JobResult:
+    """The job outcome of one successful
+    :class:`~repro.pipeline.pipeline.PipelineResult`."""
     processor = result.processor
     report = result.report
-    out = {
-        "worker": os.getpid(),
-        "status": "ok",
-        "cache_hit": result.cache_hit,
-    }
-    if result.windows_preloaded is not None:
-        out["windows_preloaded"] = result.windows_preloaded
-    out["train_seconds"] = result.train_seconds
-    out["estimate_seconds"] = result.estimate_seconds
-    out["stages"] = [event.to_json() for event in result.events]
-    out["report"] = report.to_json()
-    out["instructions"] = report.total_instructions
-    out["kernel_stats"] = report.kernel_stats
-    out["seed"] = result.seed
-    out["speculation"] = processor.speculation
-    out["working_frequency_mhz"] = processor.working_frequency_mhz
-    out["net_performance_percent"] = (
-        processor.performance.improvement_percent(
+    return JobResult(
+        request=request,
+        status="ok",
+        report=report,
+        cache_hit=result.cache_hit,
+        train_seconds=result.train_seconds,
+        estimate_seconds=result.estimate_seconds,
+        instructions=report.total_instructions,
+        seed=result.seed,
+        speculation=processor.speculation,
+        working_frequency_mhz=processor.working_frequency_mhz,
+        net_performance_percent=processor.performance.improvement_percent(
             report.error_rate_mean / 100.0
-        )
+        ),
+        kernel_stats=report.kernel_stats,
+        stages=[event.to_json() for event in result.events],
     )
-    return out
-
-
-def _execute_group(payload: dict) -> list[dict]:
-    """Run one request group as one grid pass; one document per request.
-
-    Never raises: a failed pass over several requests is retried one
-    request at a time, so one bad request cannot fail its neighbours,
-    and a failed single request becomes an error document.  Executed
-    either in a pool worker or in-process; the return value is plain
-    picklable data (reports travel as their JSON documents).
-    """
-    requests: list[EstimationRequest] = payload["requests"]
-    try:
-        outcome = _job_pipeline(payload["config"], payload).execute_grid(
-            requests
-        )
-    except Exception:
-        if len(requests) > 1:
-            return [
-                doc
-                for request in requests
-                for doc in _execute_group({**payload, "requests": [request]})
-            ]
-        return [
-            {
-                "worker": os.getpid(),
-                "status": "error",
-                "cache_hit": False,
-                "error": traceback.format_exc(),
-            }
-        ]
-    docs = [_doc_from_result(result) for result in outcome.results]
-    if len(docs) > 1:
-        first_cold = next(
-            (k for k, r in enumerate(outcome.results) if not r.cache_hit),
-            None,
-        )
-        for k, (doc, result) in enumerate(zip(docs, outcome.results)):
-            doc["grid"] = True
-            doc["eval_sim_skipped"] = k > 0
-            doc["train_sim_skipped"] = result.cache_hit or k != first_cold
-    return docs
 
 
 # --------------------------------------------------------------------- #
@@ -302,7 +217,6 @@ class EstimationEngine:
     Args:
         config: Processor recipe shared by every job (default: the
             paper's Section 6.1 configuration).
-        max_workers: Process-pool width; ``1`` executes in-process.
         cache_dir: Artifact-store directory, or ``None`` to disable
             caching.
         n_data_samples: Data-variation sample count per estimator.
@@ -312,14 +226,10 @@ class EstimationEngine:
         self,
         config: ProcessorConfig | None = None,
         *,
-        max_workers: int = 1,
         cache_dir=None,
         n_data_samples: int = 128,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
         self.config = config or ProcessorConfig()
-        self.max_workers = max_workers
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.n_data_samples = n_data_samples
 
@@ -331,17 +241,12 @@ class EstimationEngine:
         return stages.base_processor(self.config)
 
     def _prepare(self) -> bool | None:
-        """Warm parent-side shared state before any fork.
+        """Train or load the shared datapath model before any group runs.
 
-        Builds the base processor, its baseline period (the SSTA solve),
-        and the datapath model — loading the latter from the store when
-        possible — so pool workers inherit them copy-on-write instead of
-        re-deriving them per process.  Returns the datapath store-hit
-        flag (``None`` when caching is off).
+        Returns the datapath store-hit flag (``None`` when caching is
+        off).
         """
         base = self.base_processor
-        _ = base.clock_period  # triggers the SSTA baseline solve
-        _ = base.control_analyzer
         if self.cache_dir is None:
             return stages.ensure_datapath(base)
         return stages.ensure_datapath(
@@ -350,16 +255,58 @@ class EstimationEngine:
             ArtifactStore(self.cache_dir),
         )
 
+    def _run_group(self, requests: list[EstimationRequest]) -> list[JobResult]:
+        """Run one request group as one grid pass; one result per request.
+
+        Never raises: a failed pass over several requests is retried one
+        request at a time, so one bad request cannot fail its neighbours,
+        and a failed single request becomes an error result.
+        """
+        from repro.pipeline.pipeline import EstimationPipeline
+
+        try:
+            store = ArtifactStore(self.cache_dir) if self.cache_dir else None
+            outcome = EstimationPipeline(
+                self.config, store=store, n_data_samples=self.n_data_samples
+            ).execute_grid(requests)
+        except Exception:
+            if len(requests) > 1:
+                return [
+                    job
+                    for request in requests
+                    for job in self._run_group([request])
+                ]
+            return [
+                JobResult(
+                    request=requests[0],
+                    status="error",
+                    error=traceback.format_exc(),
+                )
+            ]
+        jobs = [
+            _job_result(request, result)
+            for request, result in zip(requests, outcome.results)
+        ]
+        if len(jobs) > 1:
+            first_cold = next(
+                (k for k, r in enumerate(outcome.results) if not r.cache_hit),
+                None,
+            )
+            for k, (job, result) in enumerate(zip(jobs, outcome.results)):
+                job.grid = True
+                job.eval_sim_skipped = k > 0
+                job.train_sim_skipped = result.cache_hit or k != first_cold
+        return jobs
+
     def run(self, requests) -> RunSummary:
         """Execute all requests; results come back in request order.
 
         Requests are grouped by :func:`~repro.pipeline.grid.grid_key`
-        and every group — singletons included — runs as one grid pass
+        and every group — singletons included — runs in this process,
+        in order, as one grid pass
         (:meth:`~repro.pipeline.pipeline.EstimationPipeline.execute_grid`):
         a group of requests that differ only in operating point shares
-        one training and one evaluation simulation.  With
-        ``max_workers > 1`` the groups fan out across a fork pool
-        (:func:`~repro.dta.executor.plan_fork_map`).
+        one training and one evaluation simulation.
         """
         from repro.pipeline.grid import grid_key
 
@@ -369,63 +316,17 @@ class EstimationEngine:
         by_key: dict[tuple, list[int]] = {}
         for i, request in enumerate(requests):
             by_key.setdefault(grid_key(request), []).append(i)
-        groups = list(by_key.values())
-        plan = plan_fork_map(len(groups), self.max_workers)
-        payloads = [
-            {
-                "requests": [requests[i] for i in indices],
-                "config": self.config,
-                "cache_dir": self.cache_dir,
-                "n_data_samples": self.n_data_samples,
-            }
-            for indices in groups
-        ]
-        group_docs = execute_plan(
-            plan,
-            lambda context, i: _execute_group(context[i]),
-            payloads,
-        )
-        raw: list = [None] * len(requests)
-        for indices, docs in zip(groups, group_docs):
-            for i, doc in zip(indices, docs):
-                raw[i] = doc
+        results: list = [None] * len(requests)
+        grid_batches = 0
+        for indices in by_key.values():
+            jobs = self._run_group([requests[i] for i in indices])
+            grid_batches += jobs[0].grid
+            for i, job in zip(indices, jobs):
+                results[i] = job
         return RunSummary(
-            results=[
-                self._result_from(request, doc)
-                for request, doc in zip(requests, raw)
-            ],
+            results=results,
             wall_seconds=time.perf_counter() - start,
-            max_workers=self.max_workers,
-            plan=plan,
             cache_dir=self.cache_dir,
             datapath_cache_hit=datapath_hit,
-            grid_batches=sum(
-                1 for docs in group_docs if docs[0].get("grid")
-            ),
-        )
-
-    @staticmethod
-    def _result_from(request: EstimationRequest, doc: dict) -> JobResult:
-        report = None
-        if doc.get("report") is not None:
-            report = ErrorRateReport.from_json(doc["report"])
-        return JobResult(
-            request=request,
-            status=doc["status"],
-            report=report,
-            error=doc.get("error"),
-            cache_hit=doc.get("cache_hit", False),
-            train_seconds=doc.get("train_seconds", 0.0),
-            estimate_seconds=doc.get("estimate_seconds", 0.0),
-            instructions=doc.get("instructions", 0),
-            worker=doc.get("worker", 0),
-            seed=doc.get("seed", 0),
-            speculation=doc.get("speculation", 0.0),
-            working_frequency_mhz=doc.get("working_frequency_mhz"),
-            net_performance_percent=doc.get("net_performance_percent"),
-            kernel_stats=doc.get("kernel_stats"),
-            stages=doc.get("stages"),
-            grid=doc.get("grid", False),
-            train_sim_skipped=doc.get("train_sim_skipped", False),
-            eval_sim_skipped=doc.get("eval_sim_skipped", False),
+            grid_batches=grid_batches,
         )

@@ -218,9 +218,9 @@ def _bitcount_params(dataset: Dataset) -> dict:
     rng = as_rng(dataset.seed)
     # Mixed sparsity: real bit-twiddling inputs are rarely uniform.
     widths = rng.integers(1, 17, size=n)
-    values = np.array(
-        [int(rng.integers(1 << w)) for w in widths], dtype=np.int64
-    )
+    # One draw per value, each in [0, 2**width): the same stream as n
+    # scalar ``rng.integers(1 << w)`` calls.
+    values = rng.integers(0, np.left_shift(1, widths))
     return {"n": n, "values": values}
 
 

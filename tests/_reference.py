@@ -17,6 +17,8 @@ arithmetic, as the ground truth the parity tests compare against:
 * ``ActivityCache.activity`` -> :func:`activity` (simulate every window);
 * ``clark_max_coefficients`` -> :func:`clark_max_coefficients`
   (``scipy.stats.norm`` pdf/cdf);
+* ``repro.workloads.automotive._bitcount_params`` ->
+  :func:`bitcount_params` (one scalar ``rng.integers`` draw per value);
 * ``InstructionErrorModel.all_block_probabilities`` /
   ``block_probabilities`` / ``_control_arrays`` ->
   :func:`all_block_probabilities` / :func:`block_probabilities` /
@@ -26,8 +28,8 @@ arithmetic, as the ground truth the parity tests compare against:
 
 The method references take ``self`` first, so :func:`reference_kernels`
 can patch them over the public entry points and a whole estimation runs
-end to end on the scalar code.  Patches do not cross a spawned process,
-so reference runs must stay in-process: engine ``max_workers=1``.
+end to end on the scalar code.  Patches act in this process only, which
+is where the engine runs every job.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from scipy import stats
 import repro.dta.graphdta
 import repro.sta.clark
 import repro.sta.ssta
+import repro.workloads.automotive
 from repro._util import as_rng, check_in
 from repro.cfg.marginal import BlockProbabilities
 from repro.core.errormodel import _SAFE_SLACK, InstructionErrorModel
@@ -65,6 +68,7 @@ __all__ = [
     "all_block_probabilities",
     "ap_trace",
     "ap_trace_grid",
+    "bitcount_params",
     "block_probabilities",
     "clark_max_coefficients",
     "combine",
@@ -370,6 +374,23 @@ def all_block_probabilities(
 
 
 # --------------------------------------------------------------------- #
+# Workload data
+# --------------------------------------------------------------------- #
+
+
+def bitcount_params(dataset) -> dict:
+    """``_bitcount_params``: the seeded ``bitcount`` inputs, one scalar
+    draw per value."""
+    n = 110 if dataset.scale == "small" else 2100
+    rng = as_rng(dataset.seed)
+    widths = rng.integers(1, 17, size=n)
+    values = np.array(
+        [int(rng.integers(1 << w)) for w in widths], dtype=np.int64
+    )
+    return {"n": n, "values": values}
+
+
+# --------------------------------------------------------------------- #
 # Whole-run switch
 # --------------------------------------------------------------------- #
 
@@ -390,6 +411,7 @@ _PATCHES = (
     (InstructionErrorModel, "all_block_probabilities", all_block_probabilities),
     (InstructionErrorModel, "block_probabilities", block_probabilities),
     (InstructionErrorModel, "_control_arrays", control_arrays),
+    (repro.workloads.automotive, "_bitcount_params", bitcount_params),
 )
 
 

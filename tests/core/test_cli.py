@@ -24,8 +24,8 @@ class TestParser:
             build_parser().parse_args(["estimate", "doom3"])
 
     def test_removed_fan_out_flags_are_exit_2(self):
-        """Window analysis runs in-process: intra-job fan-out flags are
-        rejected, not silently ignored."""
+        """Window analysis and the engine's request groups run
+        in-process: fan-out flags are rejected, not silently ignored."""
         commands = (
             ["table2"], ["sweep", "bitcount"], ["batch"],
             ["montecarlo", "bitcount"], ["serve"],
@@ -35,6 +35,15 @@ class TestParser:
                 with pytest.raises(SystemExit) as exc:
                     main(command + flag, out=io.StringIO())
                 assert exc.value.code == 2
+        for command in (["table2"], ["sweep", "bitcount"], ["batch"]):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--workers", "2"], out=io.StringIO())
+            assert exc.value.code == 2
+
+    def test_serve_workers_still_parses(self):
+        """``serve --workers`` sizes the dispatch threads and stays."""
+        args = build_parser().parse_args(["serve", "--workers", "2"])
+        assert args.workers == 2
 
     def test_serve_worker_processes_is_exit_2(self):
         """Service batches run on dispatch threads: there is no spawned

@@ -1,17 +1,8 @@
-"""Unit tests for the window-analysis layer (activity cache) and the
-engine's fork map (plan + execution)."""
-
-import threading
+"""Unit tests for the window-analysis layer (activity cache)."""
 
 import numpy as np
 import pytest
 
-from repro.dta.executor import (
-    execute_plan,
-    fork_available,
-    fork_safe,
-    plan_fork_map,
-)
 from repro.dta.windowpool import ActivityCache, _decode_bits, _encode_bits
 from repro.kernels import kernel_stats
 from repro.logicsim.activity import ActivityTrace
@@ -113,128 +104,3 @@ class TestActivityCache:
         with pytest.raises(ValueError, match="schema"):
             ActivityCache().preload({"schema": "bogus", "windows": {}})
 
-
-def _square_task(context, index):
-    base = context["base"]
-    return (base + index) ** 2
-
-
-def _live_thread():
-    """A live non-daemon thread (and its release event)."""
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    return thread, release
-
-
-class TestExecutionPlans:
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_fork_executor_trusts_worker_count(self):
-        plan = plan_fork_map(8, 3)
-        assert plan.parallel and plan.workers == 3
-        assert plan.chunk_size >= 1 and plan.reason == ""
-
-    def test_fork_executor_degrades_for_single_worker_or_task(self):
-        assert not plan_fork_map(8, 1).parallel
-        assert not plan_fork_map(1, 8).parallel
-
-    def test_degraded_map_counts(self):
-        thread, release = _live_thread()
-        try:
-            plan = plan_fork_map(6, 4)
-            before = kernel_stats().snapshot()
-            out = execute_plan(plan, _square_task, {"base": 1})
-            delta = kernel_stats().delta(before)
-        finally:
-            release.set()
-            thread.join()
-        assert out == [(1 + i) ** 2 for i in range(6)]
-        assert delta.pool_maps_serial == 1
-        assert delta.pool_maps_degraded == 1
-        assert delta.pool_maps_forked == 0
-        assert not plan.parallel and plan.reason
-
-
-class TestForkSafety:
-    def test_fork_safe_on_quiet_main_thread(self):
-        assert fork_safe()
-
-    def test_live_thread_blocks_forking(self):
-        thread, release = _live_thread()
-        try:
-            assert not fork_safe()
-            plan = plan_fork_map(8, 4)
-            assert not plan.parallel
-            assert "unsafe" in plan.reason
-        finally:
-            release.set()
-            thread.join()
-
-    def test_concurrent_maps_from_threads_stay_correct(self):
-        """Regression: two threads mapping at once must not cross wires.
-
-        The fork hand-off parks ``(func, context)`` in a module global;
-        threads degrade to the stateless serial path (and the hand-off
-        is lock-serialized besides).
-        """
-        results: dict[int, list] = {}
-        errors: list = []
-        barrier = threading.Barrier(2)
-
-        def run(base: int) -> None:
-            try:
-                barrier.wait(timeout=10)
-                results[base] = execute_plan(
-                    plan_fork_map(20, 4), _square_task, {"base": base}
-                )
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        before = kernel_stats().snapshot()
-        threads = [
-            threading.Thread(target=run, args=(base,)) for base in (10, 500)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        for base in (10, 500):
-            assert results[base] == [(base + i) ** 2 for i in range(20)]
-        # Neither map may have forked: both ran under live threads.
-        assert kernel_stats().delta(before).pool_maps_forked == 0
-
-
-class TestExecutePlan:
-    def test_serial_map_preserves_order(self):
-        out = execute_plan(plan_fork_map(5, 1), _square_task, {"base": 3})
-        assert out == [(3 + i) ** 2 for i in range(5)]
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_parallel_map_matches_serial(self):
-        serial = execute_plan(plan_fork_map(7, 1), _square_task, {"base": 3})
-        plan = plan_fork_map(7, 3)
-        assert plan.parallel
-        assert execute_plan(plan, _square_task, {"base": 3}) == serial
-
-    def test_pool_counters_recorded(self):
-        before = kernel_stats().snapshot()
-        execute_plan(plan_fork_map(4, 1), _square_task, {"base": 0})
-        delta = kernel_stats().delta(before)
-        assert delta.pool_maps_serial == 1
-        assert delta.pool_maps_degraded == 0
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_parallel_merges_worker_kernel_stats(self):
-        def _cache_task(context, index):
-            cache = ActivityCache()
-            cache.activity(_stimulus(index), lambda _v: _trace(index))
-            return index
-
-        before = kernel_stats().snapshot()
-        execute_plan(plan_fork_map(4, 2), _cache_task, None)
-        delta = kernel_stats().delta(before)
-        # The misses happened in forked workers; the parent merged them.
-        assert delta.activity_cache_misses == 4
-        assert delta.pool_maps_forked == 1
-        assert delta.pool_chunks >= 2

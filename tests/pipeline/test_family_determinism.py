@@ -2,7 +2,8 @@
 
 Satellite of the core-family refactor: a request answered by the
 ``ooo-tomasulo`` family must be byte-identical regardless of how it is
-executed — in-process or in a forked engine worker, grid or per-point —
+executed — through the batch engine or a direct pipeline, grid or
+per-point —
 and the two families must each be internally deterministic while
 producing *different* reports (the family genuinely changes the model).
 """
@@ -12,7 +13,6 @@ import json
 import pytest
 
 from repro.core import EstimationRequest
-from repro.dta.executor import fork_available, fork_safe
 from repro.netlist import PipelineConfig
 from repro.pipeline.ir import ProcessorConfig
 from repro.pipeline.pipeline import EstimationPipeline
@@ -71,15 +71,11 @@ class TestOoOExecutorStability:
             ooo_serial_row
         )
 
-    @pytest.mark.skipif(
-        not (fork_available() and fork_safe()),
-        reason="fork start method unavailable",
-    )
-    def test_fork_pool_matches_serial(self, ooo_serial_row):
-        """An ooo job run in a forked engine worker matches in-process."""
+    def test_engine_row_matches_pipeline(self, ooo_serial_row):
+        """An ooo job run through the batch engine, next to a job of
+        another program, matches a direct pipeline run."""
         engine = EstimationEngine(
             ProcessorConfig(pipeline=SMALL, core_family="ooo-tomasulo"),
-            max_workers=2,
             n_data_samples=32,
         )
         summary = engine.run(
@@ -88,7 +84,7 @@ class TestOoOExecutorStability:
                 _request(core_family="ooo-tomasulo", workload="stringsearch"),
             ]
         )
-        assert summary.parallel
+        assert summary.failed == []
         assert _row(summary.results[0].report) == ooo_serial_row
 
 

@@ -10,12 +10,11 @@ from repro.cli import main
 
 @pytest.mark.slow
 class TestBatchSmoke:
-    def test_two_workloads_two_workers(self):
+    def test_two_workloads(self):
         out = io.StringIO()
         code = main(
             [
                 "batch", "bitcount", "stringsearch",
-                "--workers", "2",
                 "--max-instructions", "20000",
                 "--json",
             ],

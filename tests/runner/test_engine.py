@@ -2,11 +2,9 @@
 
 import json
 
-import pytest
-
 from repro.core import EstimationRequest
-from repro.dta.executor import fork_available, plan_fork_map
 from repro.netlist import PipelineConfig
+from repro.pipeline.pipeline import EstimationPipeline
 from repro.pipeline.store import ArtifactStore
 from repro.runner import EstimationEngine, ProcessorConfig
 from repro.runner.engine import RunSummary
@@ -38,8 +36,6 @@ def _per_request(requests):
     return RunSummary(
         results=[result for run in runs for result in run.results],
         wall_seconds=sum(run.wall_seconds for run in runs),
-        max_workers=1,
-        plan=plan_fork_map(len(runs), 1),
         grid_batches=sum(run.grid_batches for run in runs),
     )
 
@@ -56,7 +52,6 @@ class TestSerialRuns:
     def test_summary_telemetry(self):
         summary = _engine().run(_requests("bitcount", "stringsearch"))
         assert len(summary) == 2
-        assert not summary.parallel
         assert summary.failed == []
         assert summary.cache_hits == 0
         assert summary.training_runs == 2
@@ -67,7 +62,6 @@ class TestSerialRuns:
             assert result.report is not None
             assert result.train_seconds > 0
             assert result.estimate_seconds > 0
-            assert result.worker > 0
         doc = summary.to_json()
         assert doc["schema"] == "repro.run-summary/1"
         assert doc["jobs"] == 2
@@ -167,13 +161,27 @@ class TestGridRouting:
         assert not any(r.grid for r in summary.results)
 
     def test_mixed_batch_routes_each_group_correctly(self):
-        requests = self._sweep((1.05, 1.15)) + _requests("stringsearch")
-        summary = _engine().run(requests)
+        """A sweep group and a singleton group: each engine report equals
+        the report of a direct grid pass over its group."""
+        sweep = self._sweep((1.05, 1.20))
+        single = _requests("stringsearch")
+        summary = _engine().run(sweep + single)
+        assert summary.failed == []
         assert summary.grid_batches == 1
         assert [r.grid for r in summary.results] == [True, True, False]
         assert [
             r.request.workload_name for r in summary.results
         ] == ["bitcount", "bitcount", "stringsearch"]
+        direct = [
+            result.report
+            for group in (sweep, single)
+            for result in EstimationPipeline(
+                SMALL, store=None, n_data_samples=32
+            ).execute_grid(group).results
+        ]
+        assert [
+            r.report.to_json(include_timing=False) for r in summary.results
+        ] == [report.to_json(include_timing=False) for report in direct]
 
     def test_repeated_identical_points_form_a_deduped_grid(self):
         """Two copies of one operating point are still a grid: the pass
@@ -218,56 +226,3 @@ class TestGridRouting:
         assert warm.training_runs == 0
         assert _rows(warm) == _rows(cold)[:1]
 
-
-@pytest.mark.skipif(not fork_available(), reason="needs fork")
-class TestParallelMatchesSerial:
-    def test_rows_byte_identical(self):
-        requests = _requests("bitcount", "stringsearch")
-        serial = _engine(max_workers=1).run(requests)
-        parallel = _engine(max_workers=2).run(requests)
-        assert not serial.parallel
-        assert parallel.parallel
-        assert parallel.failed == []
-        assert _rows(parallel) == _rows(serial)
-
-    def test_sweep_and_singleton_groups_byte_identical(self):
-        """Forked fan-out maps request groups: a multi-point sweep group
-        and a singleton group must match the serial run row for row."""
-        requests = [
-            EstimationRequest(
-                workload="bitcount", speculation=s,
-                train_instructions=4_000, max_instructions=6_000, seed=0,
-            )
-            for s in (1.05, 1.20)
-        ] + _requests("stringsearch")
-        serial = _engine(max_workers=1).run(requests)
-        parallel = _engine(max_workers=2).run(requests)
-        assert not serial.parallel
-        assert parallel.parallel
-        assert parallel.failed == []
-        assert serial.grid_batches == parallel.grid_batches == 1
-        assert _rows(parallel) == _rows(serial)
-
-    def test_summary_records_the_fan_out_plan(self):
-        requests = _requests("bitcount", "stringsearch")
-        serial = _engine(max_workers=1).run(requests)
-        parallel = _engine(max_workers=2).run(requests)
-        assert serial.plan.executor == "local-serial"
-        assert parallel.plan.executor == "local-fork"
-        assert parallel.plan.workers == 2
-        assert parallel.to_json()["plan"] == parallel.plan.to_json()
-
-    def test_describe_prints_the_forked_worker_count(self):
-        """Two groups on a 4-wide engine fork 2 workers, not 4."""
-        summary = RunSummary(
-            results=[],
-            wall_seconds=0.0,
-            max_workers=4,
-            plan=plan_fork_map(2, 4),
-        )
-        assert "parallel x2)" in summary.describe()
-
-    def test_single_job_falls_back_in_process(self):
-        summary = _engine(max_workers=4).run(_requests("bitcount"))
-        assert not summary.parallel
-        assert summary.results[0].ok

@@ -1,10 +1,9 @@
 """Determinism of the kernel layer across full engine runs.
 
 The vectorized kernels must not change results at all.  A run on the
-kernels vs. one on the frozen scalar references of ``tests/_reference.py``,
-and serial vs. parallel engine runs, must all produce byte-identical
-report payloads (timing excluded — wall-clock is the one thing that
-legitimately differs).
+kernels and one on the frozen scalar references of ``tests/_reference.py``
+must produce byte-identical report payloads (timing excluded —
+wall-clock is the one thing that legitimately differs).
 """
 
 import json
@@ -50,9 +49,8 @@ def _rows(summary):
 
 
 def test_kernels_match_full_reference():
-    # The patches live in this process only: keep every stage in it.
     with reference_kernels():
-        reference = _engine(max_workers=1).run(_requests("bitcount"))
+        reference = _engine().run(_requests("bitcount"))
     kernels = _engine().run(_requests("bitcount"))
     assert _rows(kernels) == _rows(reference)
 
@@ -81,13 +79,6 @@ def test_reference_kernels_train_the_same_datapath_samples():
     got = train()
     assert (got[:, 0] > 0).any()
     np.testing.assert_allclose(got, reference, rtol=1e-7, atol=0)
-
-
-def test_parallel_matches_serial_with_kernels():
-    requests = _requests("bitcount", "stringsearch")
-    serial = _engine(max_workers=1).run(requests)
-    parallel = _engine(max_workers=2).run(requests)
-    assert _rows(serial) == _rows(parallel)
 
 
 def test_summary_reports_kernel_stats():

@@ -49,19 +49,11 @@ def _rows(summary):
 def test_window_pool_and_cache_match_serial_reference():
     """Acceptance: cached == uncached, byte for byte."""
     with mock.patch.object(ActivityCache, "activity", _reference.activity):
-        reference = _engine(max_workers=1).run(_requests("bitcount"))
-    cached = _engine(max_workers=1).run(_requests("bitcount"))
+        reference = _engine().run(_requests("bitcount"))
+    cached = _engine().run(_requests("bitcount"))
     assert _rows(cached) == _rows(reference)
     stats = cached.results[0].kernel_stats
     assert stats["activity_cache_misses"] > 0
-
-
-def test_parallel_engine_matches_windowed_serial_engine():
-    """Groups forked across the engine pool == the in-process engine."""
-    requests = _requests("bitcount", "stringsearch")
-    inner = _engine(max_workers=1).run(requests)
-    outer = _engine(max_workers=2).run(requests)
-    assert _rows(inner) == _rows(outer)
 
 
 def test_warm_sweep_second_period_runs_zero_logic_sims(tmp_path):
@@ -71,7 +63,7 @@ def test_warm_sweep_second_period_runs_zero_logic_sims(tmp_path):
     reusing the persisted windows artifact (one run would share a single
     grid pass between the two points, which
     ``tests/runner/test_engine.py::TestGridRouting`` covers)."""
-    engine = _engine(max_workers=1, cache_dir=tmp_path)
+    engine = _engine(cache_dir=tmp_path)
     results = [
         result
         for spec in (1.15, 1.25)
@@ -96,13 +88,13 @@ def test_warm_sweep_second_period_runs_zero_logic_sims(tmp_path):
 
 
 def test_windows_artifact_persisted_and_preloaded(tmp_path):
-    engine = _engine(max_workers=1, cache_dir=tmp_path)
+    engine = _engine(cache_dir=tmp_path)
     engine.run(_requests("bitcount"))
     kinds = {p.parent.parent.name for p in engine_cache_entries(tmp_path)}
     assert "windows" in kinds
     # A cold process (fresh engine) at the same period reuses the entry
     # through the control-model cache *and* still preloads windows.
-    summary = _engine(max_workers=1, cache_dir=tmp_path).run(
+    summary = _engine(cache_dir=tmp_path).run(
         _requests("bitcount")
     )
     assert summary.results[0].cache_hit
