@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window-ms", type=float, default=4.0,
         help=(
             "micro-batch window: a job waits up to this long (from "
-            "enqueue) for grid-compatible stragglers before its batch "
+            "enqueue, and no longer than the last batch took to run) "
+            "for grid-compatible stragglers before its batch "
             "dispatches; 0 disables coalescing"
         ),
     )

@@ -16,8 +16,11 @@ and the per-point control model.  So the model runs in two parts:
 executions and their datapath arrival Gaussians, one tree prediction per
 op class over every block), and the per-point tail of
 :meth:`InstructionErrorModel.all_block_probabilities` (control slack
-gather, Clark minimum, probability).  A grid pass computes the half once
-per (seed, sample count) and every operating point reuses it.
+gather, Clark minimum, probability).  A caller that keeps the half and
+passes it back (``half=``) has it reused by every operating point with
+its seed and sample count; the pipeline keeps it with the program's pass
+inputs (:class:`~repro.pipeline.stages.PassInputs`), so later passes
+reuse it too.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ class DatapathArrivals:
     Attributes:
         datapath: The datapath timing model the arrivals came from.
         samples: The ``bid -> executions`` dict that was resampled.
+        n_samples: The resampled execution count per block.
+        seed: The resampling seed.
         preds: ``bid -> (S,)`` incoming edge of each resampled execution.
         rows: ``bid -> slice`` of the block's instruction rows.
         mean: ``(2, R, S)`` arrival means over the ``R`` instruction rows
@@ -71,6 +76,8 @@ class DatapathArrivals:
     ) -> None:
         self.datapath = datapath
         self.samples = samples
+        self.n_samples = n_samples
+        self.seed = seed
         self.preds: dict[int, np.ndarray] = {}
         self.rows: dict[int, slice] = {}
         by_class: dict = {}  # op class -> ([row], [features (2S, F)])
@@ -112,6 +119,17 @@ class DatapathArrivals:
             self.sd[:, rows] = sd.reshape(shape).transpose(1, 0, 2)
         self.var = self.sd**2
 
+    def built_from(self, datapath, samples, n_samples: int, seed) -> bool:
+        """Whether these are the arrivals of ``datapath`` over
+        ``samples`` at ``(n_samples, seed)``.  The model and the samples
+        are compared by identity: the half holds both alive."""
+        return (
+            self.datapath is datapath
+            and self.samples is samples
+            and self.n_samples == n_samples
+            and self.seed == seed
+        )
+
 
 class InstructionErrorModel:
     """Turns collected execution samples into conditional probabilities.
@@ -122,6 +140,9 @@ class InstructionErrorModel:
         cfg: Its CFG.
         control_model: Characterized control timing
             (:class:`~repro.dta.characterize.ControlTimingModel`).
+        datapath_half: The :class:`DatapathArrivals` the last
+            :meth:`all_block_probabilities` call used (``None`` before
+            one).
     """
 
     def __init__(self, processor, program, cfg, control_model) -> None:
@@ -129,6 +150,7 @@ class InstructionErrorModel:
         self.program = program
         self.cfg = cfg
         self.control_model = control_model
+        self.datapath_half: DatapathArrivals | None = None
         self.datapath = processor.datapath_model
         self.clock_period = processor.clock_period
         self.setup_time = processor.library.setup_time
@@ -182,25 +204,23 @@ class InstructionErrorModel:
         samples: dict[int, list[BlockExecutionSample]],
         n_samples: int = 128,
         seed=0,
-        datapath_memo: dict | None = None,
+        half: DatapathArrivals | None = None,
     ) -> dict[int, BlockProbabilities]:
         """Conditional probabilities for every sampled block.
 
-        ``datapath_memo`` is one grid pass's memo of
-        :class:`DatapathArrivals`: the first point with a key computes
-        the half, later points of the pass reuse it.  The key holds the
-        identity of ``samples`` and of the datapath model next to
-        ``(seed, n_samples)``; the half keeps both objects alive, so an
-        identity is never reused while its entry is in the memo.
+        ``half`` is a kept period-independent half: it is used when it
+        was built from these samples, sample count and seed and this
+        datapath model, otherwise a new one is computed.  The half used
+        is left in :attr:`datapath_half`.
         """
-        memo = {} if datapath_memo is None else datapath_memo
-        key = (id(samples), id(self.datapath), seed, n_samples)
-        half = memo.get(key)
-        if half is None:
-            half = memo[key] = DatapathArrivals(
+        if half is None or not half.built_from(
+            self.datapath, samples, n_samples, seed
+        ):
+            half = DatapathArrivals(
                 self.datapath, self.program, self.cfg, samples,
                 n_samples, seed,
             )
+        self.datapath_half = half
         ctrl_mean = np.empty_like(half.mean)
         ctrl_var = np.empty_like(half.mean)
         for bid, rows in half.rows.items():

@@ -176,10 +176,16 @@ class _StagePlan:
             order_flat[off : off + len(order)] = off + order
         return ranks, order_flat
 
-    def first_activated(self, activated: np.ndarray, mode: str) -> list:
-        """Per criticality ordering of ``mode``: ``(found, candidates)``,
-        both ``(n_cycles, n_endpoints)``: whether an endpoint has an
-        activated path in a cycle, and the global id of its first one."""
+    def first_activated(self, activated: np.ndarray, mode: str) -> np.ndarray:
+        """The first activated path of every endpoint in every cycle.
+
+        Returns a read-only ``(orderings, n_cycles, n_endpoints)`` array,
+        one plane per criticality ordering of ``mode``: the global id of
+        the endpoint's activated path of minimum rank, or
+        :attr:`n_paths` when none is activated.  Its dtype is the
+        smallest integer type that holds :attr:`n_paths`, so a kept
+        array stays small.
+        """
         # One gather + segment-reduce gives every path's full-activation
         # flag for every cycle: (n_cycles, total_paths).  Summing in
         # int16 keeps add.reduceat from widening the gathered block to
@@ -196,36 +202,45 @@ class _StagePlan:
         )
         # The first activated path of an endpoint is its activated path
         # of minimum rank: a segmented minimum over the global path axis.
-        first = []
-        for name in names:
+        picks = np.empty(
+            (len(names), act.shape[0], len(self.eps)),
+            dtype=np.min_scalar_type(self.n_paths),
+        )
+        for plane, name in zip(picks, names):
             ranks, order_flat = self.orders[name]
             masked = np.where(act, ranks[None, :], self.n_paths)
             min_rank = np.minimum.reduceat(masked, self.ep_offsets, axis=1)
             idx = self.ep_offsets[None, :] + np.minimum(
                 min_rank, self.ep_sizes[None, :] - 1
             )
-            first.append((min_rank < self.ep_sizes[None, :], order_flat[idx]))
-        return first
+            plane[:] = np.where(
+                min_rank < self.ep_sizes[None, :], order_flat[idx],
+                self.n_paths,
+            )
+        picks.flags.writeable = False
+        return picks
 
-    def assemble(self, first: list, mask: np.ndarray, trace: list) -> None:
-        """Extend each cycle's list in ``trace`` by the picks of the
-        endpoints in ``mask``, sorted and unique."""
+    def assemble(
+        self, picks: np.ndarray, mask: np.ndarray, trace: list
+    ) -> None:
+        """Extend each cycle's list in ``trace`` by the :meth:`first_activated`
+        ``picks`` of the endpoints in ``mask``, sorted and unique."""
         sentinel = self.n_paths
-        chosen = np.concatenate(
-            [
-                np.where(found & mask[None, :], candidates, sentinel).T
-                for found, candidates in first
-            ],
-            axis=0,
+        orderings, n_cycles, n_eps = picks.shape
+        # (n_cycles, orderings * n_endpoints): each cycle's picks.
+        chosen = (
+            np.where(mask, picks, sentinel)
+            .transpose(1, 0, 2)
+            .reshape(n_cycles, orderings * n_eps)
         )
         # Global path ids are (endpoint, within-endpoint) ordered, and
         # distinct endpoints never share a path, so one global sort +
         # dedup reproduces the per-endpoint sorted-unique extension.
-        chosen.sort(axis=0)
+        chosen.sort(axis=1)
         keep = chosen < sentinel
-        keep[1:] &= chosen[1:] != chosen[:-1]
-        for t in np.flatnonzero(keep.any(axis=0)):
-            trace[t].extend(self.paths_flat[g] for g in chosen[keep[:, t], t])
+        keep[:, 1:] &= chosen[:, 1:] != chosen[:, :-1]
+        for t in np.flatnonzero(keep.any(axis=1)):
+            trace[t].extend(self.paths_flat[g] for g in chosen[t, keep[t]])
 
 
 class StageDTSAnalyzer:
@@ -579,6 +594,7 @@ class StageDTSAnalyzer:
         clock_periods: list[float],
         mode: str = "statistical",
         include_safe: bool = False,
+        picks: dict | None = None,
     ) -> list[list[list[Path]]]:
         """:meth:`ap_trace` batched over a vector of clock periods.
 
@@ -590,12 +606,20 @@ class StageDTSAnalyzer:
         returning one per-cycle AP trace per period.  Periods sharing a
         risky mask share the same trace object (callers only read the
         traces), which downstream grid consumers use to group periods.
+
+        ``picks`` is the window's ``(stage, mode) -> first-activated
+        picks`` memo: the shared work depends only on ``activity`` and
+        the mode, so a call finding its entry there skips it, and a call
+        that computes it adds the entry.  A memo serves one activity
+        trace on this analyzer.
         """
         return self._ap_traces(
-            stage, activity, clock_periods, mode, include_safe
+            stage, activity, clock_periods, mode, include_safe, picks
         )
 
-    def _ap_traces(self, stage, activity, clock_periods, mode, include_safe):
+    def _ap_traces(
+        self, stage, activity, clock_periods, mode, include_safe, picks=None
+    ):
         """Body of :meth:`ap_trace` and :meth:`ap_trace_grid` (each public
         call is one AP selection, so neither calls the other)."""
         check_in("mode", mode, _MODES)
@@ -605,8 +629,9 @@ class StageDTSAnalyzer:
             plan = _StagePlan(self._stage_endpoints[stage])
             self._stage_plans[stage] = plan
         setup = self.library.setup_time
-        # Computed lazily, on the first period with any risky endpoint.
-        first = None
+        # The first-activated picks come from the window's memo, or are
+        # computed on the first period with any risky endpoint.
+        memo = {} if picks is None else picks
         shared: dict[bytes, list[list[Path]]] = {}
         traces: list[list[list[Path]]] = []
         for cp in clock_periods:
@@ -620,8 +645,11 @@ class StageDTSAnalyzer:
             if trace is None:
                 trace = [[] for _ in range(n_cycles)]
                 if mask.any():
+                    first = memo.get((stage, mode))
                     if first is None:
-                        first = plan.first_activated(activity.activated, mode)
+                        first = memo[(stage, mode)] = plan.first_activated(
+                            activity.activated, mode
+                        )
                     plan.assemble(first, mask, trace)
                 shared[key] = trace
             traces.append(trace)

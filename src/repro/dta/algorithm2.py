@@ -146,6 +146,7 @@ class InstructionDTSAnalyzer:
         clock_periods: list[float],
         mode: str = "statistical",
         include_safe: bool = False,
+        picks: dict | None = None,
     ) -> list[list[Gaussian | None]]:
         """:meth:`window_dts` batched over a vector of clock periods.
 
@@ -156,12 +157,14 @@ class InstructionDTSAnalyzer:
         risky-endpoint masks agree share identical AP traces, so their
         per-instruction AP unions are built once and their statistical
         minima run as one period-axis-batched Clark chain
-        (:meth:`StageDTSAnalyzer.combine_grid`).
+        (:meth:`StageDTSAnalyzer.combine_grid`).  ``picks`` is the
+        window's first-activated picks memo, handed to every stage's
+        :meth:`StageDTSAnalyzer.ap_trace_grid`.
         """
         analyzer = self.stage_analyzer
         traces = [
             analyzer.ap_trace_grid(
-                s, activity, clock_periods, mode, include_safe
+                s, activity, clock_periods, mode, include_safe, picks=picks
             )
             for s in range(self.num_stages)
         ]

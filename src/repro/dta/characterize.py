@@ -262,14 +262,17 @@ class ControlCharacterizer:
 
         Scheduling, stimulus encoding, and the (cached) logic simulation
         do not depend on the clock period: returns the window's
-        activity trace and the analyzer entry specs of ``slot_indices``.
+        activity trace, the analyzer entry specs of ``slot_indices``, and
+        an empty first-activated picks memo that the window's AP
+        selections fill (see :meth:`StageDTSAnalyzer.ap_trace_grid
+        <repro.dta.algorithm1.StageDTSAnalyzer.ap_trace_grid>`).
         """
         schedule = self.scheduler.schedule(window)
         source_values = self.encoder.encode_schedule(schedule)
         activity = self.activity_cache.activity(
             source_values, self.simulator.activity
         )
-        return activity, self.scheduler.entries(window, slot_indices)
+        return activity, self.scheduler.entries(window, slot_indices), {}
 
     def edge_inputs(
         self, tail: list[StepRecord], block_records: list[StepRecord]
@@ -316,21 +319,24 @@ class ControlCharacterizer:
         :meth:`edge_inputs` are built once; only the DTS evaluation fans
         out over the period axis.  ``windows`` maps ``(bid, pred)`` to
         edge inputs built earlier from the same records: a pair found
-        there skips window construction, and a new pair is added.
+        there skips window construction and the AP selections its picks
+        memos already hold, and a new pair is added.
         """
         inputs = None if windows is None else windows.get((bid, pred))
         if inputs is None:
             inputs = self.edge_inputs(tail, block_records)
             if windows is not None:
                 windows[(bid, pred)] = inputs
-        (normal_activity, normal_entries), (
-            corrected_activity, corrected_entries
+        (normal_activity, normal_entries, normal_picks), (
+            corrected_activity, corrected_entries, corrected_picks
         ) = inputs
         dts_c = self.analyzer.window_dts_grid(
-            normal_activity, normal_entries, clock_periods
+            normal_activity, normal_entries, clock_periods,
+            picks=normal_picks,
         )
         dts_e = self.analyzer.window_dts_grid(
-            corrected_activity, corrected_entries, clock_periods
+            corrected_activity, corrected_entries, clock_periods,
+            picks=corrected_picks,
         )
         return [
             [

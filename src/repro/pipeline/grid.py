@@ -19,15 +19,20 @@ fans out only the genuinely period-dependent tail:
 * per point: on-demand characterization, the tail of the
   data-variation error model, and the statistical estimate.  The error
   model's datapath half (resampled executions and their predicted
-  arrivals) is period-independent: it is computed once per pass for
-  each (seed, sample count) and shared by every point with that key.
+  arrivals) is period-independent: it is computed once per (seed,
+  sample count) and shared by every point with that key, in this pass
+  and later ones.
 
 The family pipeline keeps each program's period-independent pass
 inputs (:class:`~repro.pipeline.stages.PassInputs`: the two functional
-runs and every characterization window's activity and entry specs)
-across passes, keyed by the request minus its operating point
+runs, every characterization window's activity, entry specs and
+first-activated AP picks, and the last datapath half) across passes,
+keyed by the request minus its operating point
 (:meth:`~repro.pipeline.pipeline.EstimationPipeline.pass_inputs`), so a
-later pass over the same program runs only the period-dependent tail.
+later pass over the same program at new points runs only the
+period-dependent tail: the risky-endpoint masks, the picks assembly and
+the Clark minima, and the error model's control gather and
+probabilities.
 
 A single request is the one-point grid: ``EstimationPipeline.execute``
 and ``EstimationPipeline.run`` both delegate here, so the store-aware
@@ -390,16 +395,14 @@ def execute_grid(
 
     # --- per-point period-dependent tail ------------------------------ #
     # The error model's datapath half depends on the seed and sample
-    # count, not the period: the first point with a key computes it.
-    datapath_memo: dict = {}
+    # count, not the period: it is kept in the inputs' slot, which the
+    # first point with another seed (or sample count) replaces.
     results: list[PipelineResult] = []
     for i, (request, pipe) in enumerate(zip(requests, pipes)):
         seed = request.resolved_seed()
         t1 = time.perf_counter()
         report = pipe.estimate_collected(
-            program, trained[i], profile, samples, seed=seed,
-            datapath_memo=datapath_memo,
-            windows=inputs.evaluation_windows,
+            program, trained[i], profile, samples, seed=seed, inputs=inputs,
         )
         stats.grid_points += 1
         estimate_seconds = time.perf_counter() - t1

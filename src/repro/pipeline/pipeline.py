@@ -345,14 +345,16 @@ class EstimationPipeline:
         seed: int,
         start: float,
         kernels_before,
-        datapath_memo: dict | None = None,
-        windows: dict | None = None,
+        inputs: stages.PassInputs | None = None,
     ):
         """Estimation downstream of the evaluation run (per point)."""
         from repro.core.results import ErrorRateReport
 
         cfg = artifacts.cfg
-        stages.characterize_missing(artifacts, samples, windows)
+        stages.characterize_missing(
+            artifacts, samples,
+            None if inputs is None else inputs.evaluation_windows,
+        )
         conditionals = stages.block_conditionals(
             self.processor,
             program,
@@ -362,7 +364,7 @@ class EstimationPipeline:
             profile,
             n_data_samples=self.n_data_samples,
             seed=seed,
-            datapath_memo=datapath_memo,
+            inputs=inputs,
         )
         lam, mixture, stein, chen = stages.error_distribution(
             cfg, profile, conditionals
@@ -397,8 +399,7 @@ class EstimationPipeline:
         profile,
         samples,
         seed: int = 0,
-        datapath_memo: dict | None = None,
-        windows: dict | None = None,
+        inputs: stages.PassInputs | None = None,
     ):
         """Estimate from an already-collected evaluation run.
 
@@ -406,19 +407,18 @@ class EstimationPipeline:
         :meth:`collect_evaluation` output feeds every operating point,
         and each point runs only the period-dependent tail (on-demand
         characterization, error model, statistical estimate).
-        ``datapath_memo`` is the pass's memo of the error model's
-        period-independent half, shared by every point with the same
-        seed; ``windows`` is the edge-input map of on-demand
-        characterization over these ``samples``
-        (:attr:`~repro.pipeline.stages.PassInputs.evaluation_windows`).
+        ``inputs`` are the program's pass inputs holding these
+        ``samples``: on-demand characterization keeps its windows in
+        their ``evaluation_windows``, and the error model its datapath
+        half, shared by every point with the same seed, in their
+        ``datapath_half`` slot.
         """
         return self._finish_estimate(
             program, artifacts, profile, samples,
             seed=seed,
             start=time.perf_counter(),
             kernels_before=kernel_stats().snapshot(),
-            datapath_memo=datapath_memo,
-            windows=windows,
+            inputs=inputs,
         )
 
     # ------------------------------------------------------------------ #

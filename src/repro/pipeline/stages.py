@@ -101,27 +101,36 @@ def describe() -> list[dict]:
 class PassInputs:
     """A program's period-independent grid-pass inputs.
 
-    Filled lazily by the stages that compute them: a field, once set, is
-    never replaced, and the window maps only gain entries, each final
-    when added.  A pass that finds a field set skips the work behind it.
+    Filled lazily by the stages that compute them.  The runs and the
+    window maps are fill-once: a run, once set, is never replaced, and
+    the window maps only gain entries, each final when added (a window's
+    picks memo only gains entries too).  A pass that finds one set skips
+    the work behind it.  ``datapath_half`` is a replaceable one-entry
+    slot next to them, read and written by :func:`block_conditionals`.
 
     Attributes:
         training: The training run ``(cfg, samples, instructions)`` of
             :func:`collect_training_samples`.
         evaluation: The evaluation run ``(profile, samples)`` of
             :meth:`~repro.pipeline.pipeline.EstimationPipeline.collect_evaluation`.
-        training_windows: ``(bid, pred) -> edge inputs`` (activity traces
-            and entry specs of the normal and corrected windows, see
+        training_windows: ``(bid, pred) -> edge inputs`` (activity
+            traces, entry specs and first-activated picks memos of the
+            normal and corrected windows, see
             :meth:`~repro.dta.characterize.ControlCharacterizer.edge_inputs`)
             of the training samples.
         evaluation_windows: The same for the evaluation samples'
             on-demand characterization (:func:`characterize_missing`).
+        datapath_half: The last error-model datapath half
+            (:class:`~repro.core.errormodel.DatapathArrivals`) built
+            from the evaluation samples, replaced when the seed, the
+            sample count or the datapath model changes.
     """
 
     training: tuple | None = None
     evaluation: tuple | None = None
     training_windows: dict = field(default_factory=dict)
     evaluation_windows: dict = field(default_factory=dict)
+    datapath_half: object | None = None
 
 
 # --------------------------------------------------------------------- #
@@ -414,12 +423,12 @@ def windows_loaded(processor, activity_cache, key: str) -> bool:
 
 def block_conditionals(
     processor, program, cfg, control_model, samples, profile,
-    n_data_samples: int, seed: int, datapath_memo: dict | None = None,
+    n_data_samples: int, seed: int, inputs: PassInputs | None = None,
 ) -> dict:
     """Per-block conditional error probabilities from operand samples.
 
-    ``datapath_memo`` is a grid pass's memo of the error model's
-    period-independent half (see
+    ``inputs`` are the program's pass inputs: their ``datapath_half``
+    slot serves every point with its seed and sample count (see
     :meth:`~repro.core.errormodel.InstructionErrorModel.all_block_probabilities`).
     """
     import numpy as np
@@ -430,8 +439,10 @@ def block_conditionals(
     error_model = InstructionErrorModel(processor, program, cfg, control_model)
     conditionals = error_model.all_block_probabilities(
         samples, n_samples=n_data_samples, seed=seed,
-        datapath_memo=datapath_memo,
+        half=None if inputs is None else inputs.datapath_half,
     )
+    if inputs is not None:
+        inputs.datapath_half = error_model.datapath_half
     if profile is not None:
         # A block whose only execution was cut off by the instruction
         # budget has no complete sample; treat it as error-free (its

@@ -11,7 +11,8 @@
 * the micro-batching scheduler (:mod:`repro.service.scheduler`): one
   loop claims queued jobs in bulk, waits up to ``batch_window_ms``
   (measured from *enqueue* time, so a job never waits longer than the
-  window end to end) for compatible stragglers, coalesces jobs that
+  window end to end; never longer than the last batch took to run)
+  for compatible stragglers, coalesces jobs that
   are identical up to the operating point into one grid pass, and
   dispatches batches concurrently — incompatible jobs fall through as
   singleton batches on the unchanged scalar path;
@@ -99,7 +100,8 @@ class EstimationService:
         store_budget: LRU byte budget for the shared store (``None`` =
             unbounded / ``REPRO_STORE_BUDGET``).
         batch_window_ms: Micro-batch window.  A claimed job waits up to
-            this long (measured from its enqueue time) for compatible
+            this long (measured from its enqueue time), and no longer
+            than the last batch took to run, for compatible
             stragglers before its batch dispatches; ``0`` disables
             coalescing entirely, restoring strict job-at-a-time
             execution.
@@ -144,6 +146,9 @@ class EstimationService:
         self._dispatch: ThreadPoolExecutor | None = None
         self._slots: asyncio.Semaphore | None = None
         self._inflight = 0
+        #: Wall seconds of the last batch a dispatch thread ran (``None``
+        #: until one has); caps the straggler wait.
+        self._last_pass_s: float | None = None
         self._local = threading.local()
         self._server: asyncio.base_events.Server | None = None
         self._scheduler_task: asyncio.Task | None = None
@@ -187,10 +192,12 @@ class EstimationService:
     def _run_batch(self, batch: Batch) -> None:
         """Execute one batch (dispatch thread); finishes every job."""
         self.stats.record_dispatch(batch)
+        start = time.perf_counter()
         outcomes = execute_batch_jobs(
             self._pipeline(), batch.jobs, self._batch_info(batch),
             stats=self.stats,
         )
+        self._last_pass_s = time.perf_counter() - start
         doc_by_job = {job_id: doc for job_id, doc in batch.jobs}
         for outcome in outcomes:
             if outcome["ok"]:
@@ -216,7 +223,11 @@ class EstimationService:
         The batch window is measured from the *oldest claimed job's
         enqueue time* — a job that already sat queued for the window
         (or longer, on a busy server) dispatches immediately, so the
-        window bounds per-job latency overhead by construction.
+        window bounds per-job latency overhead by construction.  The
+        wait is also capped by the last batch's run time: a straggler
+        that misses the batch waits at most about one pass for the
+        next, so waiting longer for it costs the claimed jobs more than
+        sharing the pass saves.
         """
         loop = asyncio.get_running_loop()
         window_s = max(self.batch_window_ms, 0.0) / 1000.0
@@ -236,7 +247,11 @@ class EstimationService:
             wait_ms = 0.0
             if window_s > 0 and len(claimed) < self.max_batch:
                 oldest = min(triple[2] for triple in claimed)
-                remaining = oldest + window_s - time.time()
+                last_pass = self._last_pass_s
+                wait_s = window_s if last_pass is None else min(
+                    window_s, last_pass
+                )
+                remaining = oldest + wait_s - time.time()
                 if remaining > 0:
                     await asyncio.sleep(remaining)
                     wait_ms = 1000.0 * remaining

@@ -10,6 +10,9 @@ arithmetic, as the ground truth the parity tests compare against:
   re-encode);
 * ``StageDTSAnalyzer.ap_trace`` / ``ap_trace_grid`` -> :func:`ap_trace` /
   :func:`ap_trace_grid` (per-endpoint, per-cycle scan, once per period);
+* ``_StagePlan.first_activated`` / ``assemble`` -> :func:`first_activated`
+  / :func:`assemble` (the batched AP selection with ``(found,
+  candidates)`` pairs of ``int64`` ids per ordering);
 * ``StageDTSAnalyzer.combine`` / ``combine_grid`` / ``combine_many`` ->
   :func:`combine` / :func:`combine_grid` / :func:`combine_many` (every
   moment and ``path_cov`` recomputed per call, no memo, one scalar
@@ -47,7 +50,7 @@ import repro.workloads.automotive
 from repro._util import as_rng, check_in
 from repro.cfg.marginal import BlockProbabilities
 from repro.core.errormodel import _SAFE_SLACK, InstructionErrorModel
-from repro.dta.algorithm1 import _MODES, StageDTSAnalyzer
+from repro.dta.algorithm1 import _MODES, StageDTSAnalyzer, _StagePlan
 from repro.dta.datapath import feature_matrix, record_arrays
 from repro.dta.windowpool import ActivityCache
 from repro.kernels import kernel_stats
@@ -68,6 +71,7 @@ __all__ = [
     "all_block_probabilities",
     "ap_trace",
     "ap_trace_grid",
+    "assemble",
     "bitcount_params",
     "block_probabilities",
     "clark_max_coefficients",
@@ -77,6 +81,7 @@ __all__ = [
     "control_arrays",
     "encode_cycle",
     "evaluate",
+    "first_activated",
     "reference_kernels",
 ]
 
@@ -197,13 +202,58 @@ def ap_trace_grid(
     clock_periods,
     mode: str = "statistical",
     include_safe: bool = False,
+    picks=None,
 ):
-    """``StageDTSAnalyzer.ap_trace_grid``: one scalar scan per period."""
+    """``StageDTSAnalyzer.ap_trace_grid``: one scalar scan per period
+    (``picks`` is ignored)."""
     check_in("mode", mode, _MODES)
     return [
         ap_trace(self, stage, activity, cp, mode, include_safe)
         for cp in clock_periods
     ]
+
+
+def first_activated(self: _StagePlan, activated, mode: str) -> list:
+    """``_StagePlan.first_activated``: per criticality ordering of
+    ``mode``, ``(found, candidates)``, both ``(n_cycles,
+    n_endpoints)``."""
+    counts = np.add.reduceat(
+        activated[:, self.gather], self.path_segments, axis=1,
+        dtype=np.int16,
+    )
+    act = counts == self.path_lengths[None, :]
+    names = (
+        ("order_nominal",)
+        if mode == "deterministic"
+        else ("order_worst", "order_best")
+    )
+    first = []
+    for name in names:
+        ranks, order_flat = self.orders[name]
+        masked = np.where(act, ranks[None, :], self.n_paths)
+        min_rank = np.minimum.reduceat(masked, self.ep_offsets, axis=1)
+        idx = self.ep_offsets[None, :] + np.minimum(
+            min_rank, self.ep_sizes[None, :] - 1
+        )
+        first.append((min_rank < self.ep_sizes[None, :], order_flat[idx]))
+    return first
+
+
+def assemble(self: _StagePlan, first: list, mask, trace: list) -> None:
+    """``_StagePlan.assemble`` over :func:`first_activated` pairs."""
+    sentinel = self.n_paths
+    chosen = np.concatenate(
+        [
+            np.where(found & mask[None, :], candidates, sentinel).T
+            for found, candidates in first
+        ],
+        axis=0,
+    )
+    chosen.sort(axis=0)
+    keep = chosen < sentinel
+    keep[1:] &= chosen[1:] != chosen[:-1]
+    for t in np.flatnonzero(keep.any(axis=0)):
+        trace[t].extend(self.paths_flat[g] for g in chosen[keep[:, t], t])
 
 
 def combine(
@@ -362,11 +412,11 @@ def all_block_probabilities(
     samples,
     n_samples: int = 128,
     seed=0,
-    datapath_memo=None,
+    half=None,
 ):
     """``InstructionErrorModel.all_block_probabilities``: every block on
-    its own, nothing shared across operating points (``datapath_memo``
-    is ignored)."""
+    its own, nothing shared across operating points (``half`` is
+    ignored)."""
     return {
         bid: self.block_probabilities(bid, blk, n_samples, seed)
         for bid, blk in sorted(samples.items())
@@ -400,6 +450,8 @@ _PATCHES = (
     (StimulusEncoder, "encode_cycle", encode_cycle),
     (StageDTSAnalyzer, "ap_trace", ap_trace),
     (StageDTSAnalyzer, "ap_trace_grid", ap_trace_grid),
+    (_StagePlan, "first_activated", first_activated),
+    (_StagePlan, "assemble", assemble),
     (StageDTSAnalyzer, "combine", combine),
     (StageDTSAnalyzer, "combine_grid", combine_grid),
     (StageDTSAnalyzer, "combine_many", combine_many),

@@ -1,10 +1,11 @@
 """The error model's shared datapath half equals the per-point code.
 
-``InstructionErrorModel.all_block_probabilities`` computes its
-period-independent half (resampled executions, datapath arrivals, one
-tree prediction per op class) once per grid pass and key ``(seed,
-n_samples)``, and runs only the control gather, Clark minimum and
-probability per operating point.  Every probability row must equal, byte
+The error model's period-independent half (resampled executions,
+datapath arrivals, one tree prediction per op class) is kept in the
+program's pass inputs (``PassInputs.datapath_half``) and serves every
+operating point with its ``(seed, n_samples)``;
+``InstructionErrorModel.all_block_probabilities`` runs only the control
+gather, Clark minimum and probability per operating point.  Every probability row must equal, byte
 for byte, the frozen per-instruction, per-point body of
 ``tests/_reference.py``: for both core families, several sample counts,
 explicit-seed and ``seed=None`` grids, an edge that was never
@@ -23,6 +24,7 @@ from repro.core.request import EstimationRequest
 from repro.dta.characterize import ControlTimingModel
 from repro.dta.datapath import DatapathTimingModel
 from repro.netlist import PipelineConfig
+from repro.pipeline import stages
 from repro.pipeline.ir import ProcessorConfig
 from repro.pipeline.pipeline import EstimationPipeline
 from tests._reference import reference_kernels
@@ -48,13 +50,16 @@ def _requests(specs=SPECS, seed=0):
 
 
 def _spy_grid(pipeline, requests):
-    """Run one grid pass, recording every error-model call."""
+    """Run one grid pass, recording every error-model call with the
+    datapath half it used."""
     calls = []
     real = InstructionErrorModel.all_block_probabilities
 
-    def spy(self, samples, n_samples=128, seed=0, datapath_memo=None):
-        got = real(self, samples, n_samples, seed, datapath_memo)
-        calls.append((self, samples, n_samples, seed, datapath_memo, got))
+    def spy(self, samples, n_samples=128, seed=0, half=None):
+        got = real(self, samples, n_samples, seed, half)
+        calls.append(
+            (self, samples, n_samples, seed, self.datapath_half, got)
+        )
         return got
 
     with mock.patch.object(
@@ -67,6 +72,17 @@ def _spy_grid(pipeline, requests):
 def _reference(model, samples, n_samples, seed):
     with reference_kernels():
         return model.all_block_probabilities(samples, n_samples, seed)
+
+
+def _through_slot(inputs, model, samples, n_samples, seed):
+    """``model``'s probabilities through the ``datapath_half`` slot of
+    ``inputs`` (``stages.block_conditionals``), and the half the slot
+    holds afterwards."""
+    got = stages.block_conditionals(
+        model.processor, model.program, model.cfg, model.control_model,
+        samples, None, n_samples, seed, inputs=inputs,
+    )
+    return got, inputs.datapath_half
 
 
 def _assert_bytes_equal(got, want):
@@ -95,9 +111,11 @@ def grid_calls(pipeline):
 class TestGridPass:
     def test_explicit_seed_points_share_one_half(self, grid_calls):
         assert len(grid_calls) == len(SPECS)
-        memos = {id(memo) for *_, memo, _ in grid_calls}
-        assert len(memos) == 1
-        assert [key[2:] for key in grid_calls[0][4]] == [(0, 24)]
+        halves = {id(half) for *_, half, _ in grid_calls}
+        assert len(halves) == 1
+        model, samples, _, _, half, _ = grid_calls[0]
+        assert (half.seed, half.n_samples) == (0, 24)
+        assert half.built_from(model.datapath, samples, 24, 0)
         periods = {model.clock_period for model, *_ in grid_calls}
         assert len(periods) == len(SPECS)
 
@@ -110,7 +128,8 @@ class TestGridPass:
         calls = _spy_grid(pipeline, _requests(seed=None))
         seeds = [seed for _, _, _, seed, _, _ in calls]
         assert len(set(seeds)) == len(SPECS)
-        assert sorted(k[2:] for k in calls[0][4]) == sorted((s, 24) for s in seeds)
+        assert [half.seed for *_, half, _ in calls] == seeds
+        assert len({id(half) for *_, half, _ in calls}) == len(SPECS)
         for model, samples, n_samples, seed, _, got in calls:
             want = _reference(model, samples, n_samples, seed)
             _assert_bytes_equal(got, want)
@@ -118,14 +137,17 @@ class TestGridPass:
 
 @pytest.mark.parametrize("n_samples", [1, 24, 128])
 def test_shared_memo_equals_reference(grid_calls, n_samples):
-    memo: dict = {}
+    """The pass inputs' one-entry slot (the memo) serves every point."""
+    inputs = stages.PassInputs()
+    halves = set()
     for model, samples, _, seed, _, _ in grid_calls:
-        got = model.all_block_probabilities(
-            samples, n_samples, seed, datapath_memo=memo
-        )
+        got, half = _through_slot(inputs, model, samples, n_samples, seed)
+        halves.add(id(half))
         want = _reference(model, samples, n_samples, seed)
         _assert_bytes_equal(got, want)
-    assert [key[2:] for key in memo] == [(0, n_samples)]
+    assert len(halves) == 1
+    half = inputs.datapath_half
+    assert (half.seed, half.n_samples) == (0, n_samples)
 
 
 def test_fallback_edge_and_absent_control_equal_reference(grid_calls):
@@ -151,35 +173,34 @@ def test_fallback_edge_and_absent_control_equal_reference(grid_calls):
     edited = InstructionErrorModel(
         model.processor, model.program, model.cfg, control
     )
+    inputs = stages.PassInputs()
     for n_samples in (1, 24):
-        memo: dict = {}
-        got = edited.all_block_probabilities(
-            mixed, n_samples, seed=3, datapath_memo=memo
-        )
+        got, _ = _through_slot(inputs, edited, mixed, n_samples, 3)
         _assert_bytes_equal(got, _reference(edited, mixed, n_samples, 3))
-    (half,) = memo.values()
-    taken = np.concatenate(list(half.preds.values()))
+    taken = np.concatenate(list(inputs.datapath_half.preds.values()))
     assert {unseen, safe} <= set(taken.tolist())
 
 
 def test_memo_shared_across_sample_sets_keeps_them_apart(grid_calls):
-    """One memo fed two different sample dicts with the same seed and
-    sample count computes a half for each: neither gets the other's
+    """One slot fed two different sample dicts with the same seed and
+    sample count builds a half for each: neither gets the other's
     resampled executions."""
     model, samples, *_ = grid_calls[0]
     reversed_samples = {bid: blk[::-1] for bid, blk in samples.items()}
-    memo: dict = {}
+    inputs = stages.PassInputs()
+    halves = []
     for chosen in (samples, reversed_samples, samples):
-        got = model.all_block_probabilities(
-            chosen, 24, seed=5, datapath_memo=memo
-        )
+        got, half = _through_slot(inputs, model, chosen, 24, 5)
+        assert half.samples is chosen
+        halves.append(half)
         _assert_bytes_equal(got, _reference(model, chosen, 24, 5))
-    assert len(memo) == 2
+    assert len({id(half) for half in halves}) == 3
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_one_prediction_per_op_class_for_any_grid_size(pipeline, k):
-    """A k-point explicit-seed grid predicts each op class once."""
+    """A k-point explicit-seed grid at a seed the pipeline has not kept
+    a half for predicts each op class once."""
     real = DatapathTimingModel.predict_arrival
     classes = []
 
@@ -188,7 +209,7 @@ def test_one_prediction_per_op_class_for_any_grid_size(pipeline, k):
         return real(self, klass, features)
 
     with mock.patch.object(DatapathTimingModel, "predict_arrival", count):
-        calls = _spy_grid(pipeline, _requests(specs=SPECS[:k], seed=7))
+        calls = _spy_grid(pipeline, _requests(specs=SPECS[:k], seed=7 + k))
     model, samples, *_ = calls[0]
     present = {
         model.program[model.cfg.block(bid).start + i].op_class

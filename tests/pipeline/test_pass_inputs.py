@@ -2,11 +2,11 @@
 (:meth:`~repro.pipeline.pipeline.EstimationPipeline.pass_inputs`).
 
 A family pipeline keeps each program's period-independent pass inputs
-(the training and evaluation functional runs, and every
-characterization window's activity and entry specs), so a later pass
-over the same program at new operating points runs only the
-period-dependent tail.  Its reports must stay byte-identical to fresh
-pipelines'.
+(the training and evaluation functional runs, every characterization
+window's activity, entry specs and first-activated AP picks, and the
+error model's datapath half), so a later pass over the same program at
+new operating points runs only the period-dependent tail.  Its reports
+must stay byte-identical to fresh pipelines'.
 """
 
 import dataclasses
@@ -17,8 +17,11 @@ from unittest import mock
 
 import pytest
 
+from repro.core.errormodel import DatapathArrivals
 from repro.core.request import EstimationRequest
 from repro.cpu.interpreter import FunctionalSimulator
+from repro.dta.algorithm1 import _StagePlan
+from repro.dta.datapath import DatapathTimingModel
 from repro.logicsim.stimulus import StimulusEncoder
 from repro.netlist import PipelineConfig
 from repro.pipeline.grid import GridRequest
@@ -63,6 +66,13 @@ def _rows(grid):
 
 def _digest(obj) -> str:
     return hashlib.sha256(pickle.dumps(obj)).hexdigest()
+
+
+def _spy(owner, name):
+    """Count calls of ``owner.name`` while still running it."""
+    return mock.patch.object(
+        owner, name, autospec=True, side_effect=getattr(owner, name)
+    )
 
 
 @pytest.mark.slow
@@ -197,3 +207,91 @@ def test_another_program_replaces_the_kept_inputs():
     assert pipeline.pass_inputs(request(2_000)) is second
     # The first program's inputs were replaced: back to it, fresh ones.
     assert pipeline.pass_inputs(request(1_000)) is not first
+
+
+@pytest.mark.parametrize("family", ["inorder6", "ooo-tomasulo"])
+def test_warm_pass_predicts_no_arrival_and_picks_no_first_path(family):
+    """A warm pass at new explicit-seed points reuses the kept datapath
+    half and every window's first-activated picks.  The cold point is
+    the most aggressive: every stage with a risky endpoint at the new,
+    longer periods has one there too, so its picks were computed."""
+    fields = dict(seed=0, core_family=family)
+    pipeline = _pipeline()
+    pipeline.execute_grid(_requests((1.20,), **fields))
+    with _spy(DatapathTimingModel, "predict_arrival") as predict, _spy(
+        _StagePlan, "first_activated"
+    ) as first:
+        warm = pipeline.execute_grid(_requests((1.05, 1.10), **fields))
+        assert predict.call_count == 0
+        assert first.call_count == 0
+        # The spies see the work a pipeline without kept inputs does.
+        fresh = _pipeline().execute_grid(_requests((1.05, 1.10), **fields))
+        assert predict.call_count > 0
+        assert first.call_count > 0
+    assert _rows(warm) == _rows(fresh)
+
+
+def test_another_seed_or_sample_count_recomputes_the_half():
+    """The kept half serves only its seed and sample count: a pass at
+    another seed, then one at another ``n_data_samples``, each builds
+    a new half, and each pass equals a fresh pipeline's."""
+    kept = _pipeline()
+    kept.execute_grid(_requests((1.05,), seed=0))
+    inputs = kept.pass_inputs(_requests((1.05,))[0])
+    first = inputs.datapath_half
+    assert (first.seed, first.n_samples) == (0, 32)
+
+    with _spy(DatapathArrivals, "__init__") as builds:
+        got = _rows(kept.execute_grid(_requests((1.10, 1.20), seed=3)))
+    assert builds.call_count == 1
+    second = inputs.datapath_half
+    assert (second.seed, second.n_samples) == (3, 32)
+    assert got == _rows(
+        _pipeline().execute_grid(_requests((1.10, 1.20), seed=3))
+    )
+
+    # Points derived after the change take the new sample count.
+    kept.n_data_samples = 16
+    with _spy(DatapathArrivals, "__init__") as builds:
+        got = _rows(kept.execute_grid(_requests((1.25,), seed=3)))
+    assert builds.call_count == 1
+    third = inputs.datapath_half
+    assert (third.seed, third.n_samples) == (3, 16)
+    assert third.samples is second.samples is first.samples
+    fresh = EstimationPipeline(SMALL, store=ArtifactStore(), n_data_samples=16)
+    assert got == _rows(fresh.execute_grid(_requests((1.25,), seed=3)))
+
+
+def test_unseeded_pass_equals_fresh_pipelines():
+    """``seed=None`` points each resolve their own seed, so each builds
+    its own half; the kept pipeline still matches fresh ones."""
+    kept = _pipeline()
+    kept.execute_grid(_requests((1.05,), seed=None))
+    with _spy(DatapathArrivals, "__init__") as builds:
+        got = _rows(kept.execute_grid(_requests((1.10, 1.20), seed=None)))
+    assert builds.call_count == 2
+    assert got == _rows(
+        _pipeline().execute_grid(_requests((1.10, 1.20), seed=None))
+    )
+
+
+def test_kept_picks_are_small_and_read_only():
+    pipeline = _pipeline()
+    request = _requests((1.20,))[0]
+    pipeline.execute_grid([request])
+    inputs = pipeline.pass_inputs(request)
+    picks = [
+        (activity, array)
+        for windows in (inputs.training_windows, inputs.evaluation_windows)
+        for edge in windows.values()
+        for activity, _, memo in edge
+        for array in memo.values()
+    ]
+    assert picks
+    for activity, array in picks:
+        assert not array.flags.writeable
+        assert array.dtype.kind == "u" and array.dtype.itemsize <= 2
+        # The worst- and best-case orderings, one row per cycle.
+        assert array.shape[:2] == (2, activity.n_cycles)
+        with pytest.raises(ValueError):
+            array[...] = 0

@@ -341,3 +341,27 @@ class TestEndToEndBatching:
         assert stats_doc["jobs"] == {
             "queued": 0, "running": 0, "done": 0, "failed": 0,
         }
+
+    def test_straggler_wait_is_capped_by_the_last_pass(self, tmp_path):
+        """A claimed job waits for stragglers no longer than the last
+        batch took to run, however long the window: with a last pass of
+        0 s it dispatches at once, and the next job waits at most about
+        the first job's pass, not the minute-long window."""
+        service = EstimationService(
+            tmp_path / "svc", config=SMALL, port=0, workers=1,
+            n_data_samples=32, batch_window_ms=60_000,
+        )
+        service._last_pass_s = 0.0
+        with service.start_in_thread():
+            client = ServiceClient(f"http://127.0.0.1:{service.port}")
+            first = client.submit(_request())
+            client.wait(first.id, timeout=30)
+            after_first = client.metrics()["batching"]
+            assert after_first["window_waits"] == 0
+            first_pass_s = service._last_pass_s
+            assert 0.0 < first_pass_s < 30.0
+
+            second = client.submit(_request())
+            client.wait(second.id, timeout=30)
+            batching = client.metrics()["batching"]
+        assert batching["window_wait_ms_max"] <= 1000.0 * first_pass_s
