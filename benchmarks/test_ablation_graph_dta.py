@@ -23,6 +23,7 @@ from repro.dta import GraphDTSAnalyzer, StageDTSAnalyzer
 from repro.logicsim import LevelizedSimulator, StageOccupancy, StimulusEncoder
 from repro.netlist import generate_pipeline
 from repro.variation import ProcessVariationModel
+from tests._dts import stage_dts
 
 
 def _random_schedule(rng, n_cycles):
@@ -75,9 +76,9 @@ def test_accuracy_and_runtime(benchmark, processor):
             t0 = time.perf_counter()
             path_traces = {
                 s: [
-                    d.slack.mean if d.slack is not None else None
-                    for d in paths.dts_trace(
-                        s, activity, period, mode="deterministic",
+                    d.mean if d is not None else None
+                    for d in stage_dts(
+                        paths, s, activity, period, mode="deterministic",
                         include_safe=True,
                     )
                 ]

@@ -81,21 +81,22 @@ def test_two_pass_vs_single_pass(benchmark):
         src = np.array([[0, 0, 0], [1, 1, 0]], dtype=bool)
         activity = sim.activity(src)
         period = 400.0
-        two_pass = an.dts(0, 1, activity, period, include_safe=True)
-        paths = two_pass.paths
+        (aps,) = an.ap_trace_grid(0, activity, [period], include_safe=True)
+        paths = aps[1]
+        ((two_pass,),) = an.combine_grid([paths], [period])
         truth = _ground_truth(nl, lib, pv, paths, period)
 
         # Single-pass variants: first activated path by one ordering only.
         ep = an._stage_endpoints[0][0]
         act = ep.activation_matrix(activity.activated)[1]
-        results = {"two-pass": two_pass.slack}
+        results = {"two-pass": two_pass}
         for label, order in (
             ("worst-only", ep.order_worst),
             ("best-only", ep.order_best),
         ):
             first = next(int(i) for i in order if act[i])
-            results[label] = an.combine(
-                [ep.paths[first]], period
+            ((results[label],),) = an.combine_grid(
+                [[ep.paths[first]]], [period]
             )
         return results, truth
 

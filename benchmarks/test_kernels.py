@@ -8,11 +8,12 @@ repository root so regressions are measured, not asserted:
 * end-to-end: one characterize+estimate job on the reduced pipeline,
   kernels vs. :func:`~tests._reference.reference_kernels`, including
   processor construction;
-* micro: batched logic simulation vs. the per-gate loop, memoized
-  ``combine`` vs. a reduction with the memo cleared before every call,
-  blocked ``path_cov_matrix`` vs. the pairwise ``path_cov`` loop, and
-  datapath training's AP unions reduced by one ``combine_many`` vs. one
-  ``combine`` per set.
+* micro: batched logic simulation vs. the per-gate loop, one
+  ``combine_grid`` call over a repeated AP set (memo hits) vs. one call
+  per repeat with the memo cleared before each, blocked
+  ``path_cov_matrix`` vs. the pairwise ``path_cov`` loop, and datapath
+  training's AP unions reduced by one ``combine_grid`` call vs. one call
+  per set.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_kernels.py -q``.
 """
@@ -113,14 +114,14 @@ def _bench_combine(pipe):
     t0 = time.perf_counter()
     for _ in range(repeats):
         analyzer._combine_memo.clear()
-        direct = analyzer.combine(paths, period)
+        ((direct,),) = analyzer.combine_grid([paths], [period])
     direct_s = time.perf_counter() - t0
     analyzer._combine_memo.clear()
     t0 = time.perf_counter()
-    for _ in range(repeats):
-        memoized = analyzer.combine(paths, period)
+    memoized = analyzer.combine_grid([paths] * repeats, [period])
     memo_s = time.perf_counter() - t0
-    assert memoized == direct  # bitwise: memo must not change the result
+    # Bitwise: the memo must not change the result.
+    assert memoized == [[direct]] * repeats
     return {
         "ap_size": len(paths),
         "repeats": repeats,
@@ -163,14 +164,14 @@ def _bench_path_cov(pipe):
 
 def _bench_training_combine():
     """Datapath training's AP unions, replayed on fresh analyzers: one
-    ``combine_many`` (one covariance fill, one ragged Clark chain) vs.
-    one ``combine`` per set."""
+    ``combine_grid`` call (one covariance fill, one ragged Clark chain)
+    vs. one call per set."""
     processor = SMALL.build()
     stage = processor.data_analyzer.stage_analyzer
     ap_sets = []
-    combine_many = stage.combine_many
-    stage.combine_many = lambda sets, *args: (
-        ap_sets.extend(sets) or combine_many(sets, *args)
+    combine_grid = stage.combine_grid
+    stage.combine_grid = lambda sets, *args: (
+        ap_sets.extend(sets) or combine_grid(sets, *args)
     )
     processor.datapath_model
 
@@ -188,11 +189,11 @@ def _bench_training_combine():
     for _ in range(3):
         analyzer = fresh()
         t0 = time.perf_counter()
-        batched = analyzer.combine_many(ap_sets, _T_REF)
+        batched = analyzer.combine_grid(ap_sets, [_T_REF])
         batched_s = min(batched_s, time.perf_counter() - t0)
         analyzer = fresh()
         t0 = time.perf_counter()
-        scalar = [analyzer.combine(ap, _T_REF) for ap in ap_sets]
+        scalar = [analyzer.combine_grid([ap], [_T_REF])[0] for ap in ap_sets]
         scalar_s = min(scalar_s, time.perf_counter() - t0)
         assert batched == scalar  # bitwise
     return {

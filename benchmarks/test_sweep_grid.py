@@ -199,7 +199,6 @@ def test_sweep_grid_benchmark(tmp_path):
             "eval_sims_skipped": telemetry["eval_sims_skipped"],
             "control_cache_hits": telemetry["control_cache_hits"],
             "grid_points": telemetry["grid_points"],
-            "grid_clark_reductions": telemetry["grid_clark_reductions"],
             "grid_reuse_hits": telemetry["grid_reuse_hits"],
         },
         "wall_speedup": round(wall_speedup, 2),

@@ -15,7 +15,7 @@ datapath timing model of [2], fitted from gate-level measurements and
 evaluated from architecturally visible values only.
 """
 
-from repro.dta.algorithm1 import StageDTSAnalyzer, StageDTS
+from repro.dta.algorithm1 import StageDTSAnalyzer
 from repro.dta.algorithm2 import InstructionDTSAnalyzer
 from repro.dta.characterize import (
     ControlCharacterizer,
@@ -32,7 +32,6 @@ __all__ = [
     "DatapathTrainer",
     "GraphDTSAnalyzer",
     "StageDTSAnalyzer",
-    "StageDTS",
     "InstructionDTSAnalyzer",
     "ControlCharacterizer",
     "ControlTimingModel",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,40 +30,21 @@ from repro.netlist.library import TimingLibrary
 from repro.netlist.netlist import Netlist
 from repro.netlist.paths import Path, PathEnumerator
 from repro.sta.gaussian import Gaussian
-from repro.sta.ssta import statistical_min, statistical_min_grid
+from repro.sta.ssta import statistical_min_grid
 from repro.variation.process import ProcessVariationModel, gate_table
 
-__all__ = ["StageDTSAnalyzer", "StageDTS"]
+__all__ = ["StageDTSAnalyzer"]
 
 _MODES = {"statistical", "deterministic"}
 
-#: Pair cells per batch of :meth:`StageDTSAnalyzer.combine_many`: each
+#: Pair cells per batch of :meth:`StageDTSAnalyzer.combine_grid`: each
 #: batch fills its missing covariance cells in one call and reduces its
-#: AP sets in one chain, which bounds the temporaries of both.
+#: (AP set, period) cells in one chain, which bounds the temporaries of
+#: both.
 _FILL_CELLS = 1 << 18
 
 #: Cache keys built per lookup run of :meth:`StageDTSAnalyzer._cov_block`.
 _LOOKUP_CELLS = 1 << 12
-
-
-@dataclass(slots=True)
-class StageDTS:
-    """DTS result for one (stage, cycle).
-
-    Attributes:
-        slack: Gaussian DTS (zero-variance in deterministic mode), or
-            ``None`` when no analyzed path was activated — the stage cannot
-            produce a timing error in that cycle.
-        paths: The activated critical paths that entered the statistical
-            minimum (the paper's AP set).
-    """
-
-    slack: Gaussian | None
-    paths: list[Path]
-
-    @property
-    def is_safe(self) -> bool:
-        return self.slack is None
 
 
 class _EndpointPaths:
@@ -118,7 +98,7 @@ class _StagePlan:
     """Batched AP-selection layout over all of a stage's endpoints.
 
     Concatenates every (non-empty) endpoint's critical paths into one
-    global path axis so that a whole :meth:`StageDTSAnalyzer.ap_trace`
+    global path axis so that a whole :meth:`StageDTSAnalyzer.ap_trace_grid`
     call needs a single gather + segment-reduce for activation and one
     segmented rank-minimum per criticality ordering, instead of a
     Python loop over endpoints.
@@ -463,15 +443,6 @@ class StageDTSAnalyzer:
         cov[hi, lo] = values
         return slots, cov
 
-    def _cov_for(self, pids: tuple[int, ...]) -> np.ndarray:
-        """Pairwise slack covariance matrix for registered path ids (the
-        cells of :meth:`_cov_block`, each path's variance on the
-        diagonal)."""
-        (slot,), cov = self._cov_block([pids])
-        cov = cov[slot[:, None], slot]
-        np.fill_diagonal(cov, [self._path_var[p] for p in pids])
-        return cov
-
     # ------------------------------------------------------------------ #
     # Registry persistence (period-sweep reuse)
     # ------------------------------------------------------------------ #
@@ -569,24 +540,6 @@ class StageDTSAnalyzer:
     # AP selection (lines 3-21 of Algorithm 1), vectorized over cycles.
     # ------------------------------------------------------------------ #
 
-    def ap_trace(
-        self,
-        stage: int,
-        activity: ActivityTrace,
-        clock_period: float,
-        mode: str = "statistical",
-        include_safe: bool = False,
-    ) -> list[list[Path]]:
-        """The AP(N, s, t) sets for every cycle of an activity trace.
-
-        For each analyzed endpoint and each criticality ordering (nominal
-        in deterministic mode; worst-case and best-case percentile orders
-        in statistical mode) the first activated path is selected.
-        """
-        return self._ap_traces(
-            stage, activity, [clock_period], mode, include_safe
-        )[0]
-
     def ap_trace_grid(
         self,
         stage: int,
@@ -596,16 +549,21 @@ class StageDTSAnalyzer:
         include_safe: bool = False,
         picks: dict | None = None,
     ) -> list[list[list[Path]]]:
-        """:meth:`ap_trace` batched over a vector of clock periods.
+        """The AP(N, s, t) sets for every cycle of an activity trace, at
+        every clock period.
 
-        The expensive parts of AP selection — the gather + segmented
-        activation reduce and the per-ordering rank minima — are
-        period-independent; only the risky-endpoint mask and the final
-        picks assembly depend on the period.  This computes the shared
-        work once and assembles picks once per *distinct* risky mask,
-        returning one per-cycle AP trace per period.  Periods sharing a
-        risky mask share the same trace object (callers only read the
-        traces), which downstream grid consumers use to group periods.
+        For each analyzed endpoint and each criticality ordering (nominal
+        in deterministic mode; worst-case and best-case percentile orders
+        in statistical mode) the first activated path is selected;
+        endpoints safe at a period are skipped unless ``include_safe``.
+        The expensive parts — the gather + segmented activation reduce
+        and the per-ordering rank minima — are period-independent; only
+        the risky-endpoint mask and the final picks assembly depend on
+        the period.  This computes the shared work once and assembles
+        picks once per *distinct* risky mask, returning one per-cycle AP
+        trace per period.  Periods sharing a risky mask share the same
+        trace object (callers only read the traces), which downstream
+        grid consumers use to group periods.
 
         ``picks`` is the window's ``(stage, mode) -> first-activated
         picks`` memo: the shared work depends only on ``activity`` and
@@ -613,15 +571,6 @@ class StageDTSAnalyzer:
         that computes it adds the entry.  A memo serves one activity
         trace on this analyzer.
         """
-        return self._ap_traces(
-            stage, activity, clock_periods, mode, include_safe, picks
-        )
-
-    def _ap_traces(
-        self, stage, activity, clock_periods, mode, include_safe, picks=None
-    ):
-        """Body of :meth:`ap_trace` and :meth:`ap_trace_grid` (each public
-        call is one AP selection, so neither calls the other)."""
         check_in("mode", mode, _MODES)
         n_cycles = activity.n_cycles
         plan = self._stage_plans.get(stage)
@@ -659,126 +608,97 @@ class StageDTSAnalyzer:
     # Line 22: statistical minimum over the AP slacks.
     # ------------------------------------------------------------------ #
 
-    def combine(
-        self, paths: list[Path], clock_period: float, mode: str = "statistical"
-    ) -> Gaussian | None:
-        """Reduce an AP set to the stage DTS (``SL(CP(AP))``).
-
-        Path moments and pairwise covariances come from the analyzer's
-        period-independent registry, and the reduction itself is memoized
-        on (mode, clock period, AP path-id tuple): the same AP set recurs
-        across cycles and across (block, edge) characterizations, so with
-        the memo each distinct set pays for its Clark reduction exactly
-        once.
-        """
-        check_in("mode", mode, _MODES)
-        if not paths:
-            return None
-        setup = self.library.setup_time
-        if mode == "deterministic":
-            worst = max(p.delay for p in paths)
-            return Gaussian(clock_period - worst - setup, 0.0)
-        stats = kernel_stats()
-        stats.combine_calls += 1
-        pids = self._register_paths(paths)
-        memo_key = (mode, clock_period, pids)
-        hit = self._combine_memo.get(memo_key)
-        if hit is not None:
-            stats.combine_memo_hits += 1
-            return hit
-        slacks = [
-            Gaussian(clock_period - self._path_mean[pid] - setup,
-                     self._path_var[pid])
-            for pid in pids
-        ]
-        if len(slacks) == 1:
-            result = slacks[0]
-        else:
-            stats.clark_reductions += len(slacks) - 1
-            result = statistical_min(slacks, self._cov_for(pids))
-        self._combine_memo[memo_key] = result
-        return result
-
-    def combine_many(
+    def combine_grid(
         self,
         ap_sets: list[list[Path]],
-        clock_period: float,
+        clock_periods: list[float],
         mode: str = "statistical",
-    ) -> list[Gaussian | None]:
-        """:meth:`combine` of many AP sets at one clock period.
+    ) -> list[list[Gaussian | None]]:
+        """Reduce every AP set to the stage DTS (``SL(CP(AP))``) at every
+        clock period.
 
-        Returns ``[self.combine(ap, clock_period, mode) for ap in
-        ap_sets]`` bit for bit, with the same memo and counters: a set
-        met earlier in the batch is a memo hit.  The distinct sets that
-        miss the memo are reduced :data:`_FILL_CELLS` pair cells at a
-        time: one covariance fill (:meth:`_cov_block`) and one lock-step
-        Clark chain over ragged rows
-        (:func:`~repro.sta.ssta.statistical_min_grid`) per batch.
+        Returns ``out[i][p]``, the DTS Gaussian of ``ap_sets[i]`` at
+        ``clock_periods[p]`` (``None`` for an empty set).  Path moments
+        and pairwise covariances come from the analyzer's
+        period-independent registry.  Each statistical (set, period)
+        cell is memoized on (mode, clock period, AP path-id tuple): the
+        same AP set recurs across cycles, windows and passes, so each
+        distinct cell pays for its Clark reduction once.  Cells are
+        looked up set by set, and a cell met earlier in the call is a
+        memo hit.  The cells that miss are reduced :data:`_FILL_CELLS`
+        pair cells at a time: one covariance fill (:meth:`_cov_block`)
+        and one lock-step Clark chain over ragged rows
+        (:func:`~repro.sta.ssta.statistical_min_grid`) per batch.  In
+        deterministic mode a set's DTS is the nominal slack of its
+        worst path, unmemoized.
         """
         check_in("mode", mode, _MODES)
         if mode == "deterministic":
-            return [self.combine(ap, clock_period, mode) for ap in ap_sets]
+            setup = self.library.setup_time
+            out = []
+            for paths in ap_sets:
+                worst = max((p.delay for p in paths), default=None)
+                out.append([
+                    None if worst is None
+                    else Gaussian(cp - worst - setup, 0.0)
+                    for cp in clock_periods
+                ])
+            return out
         stats = kernel_stats()
-        results: list[Gaussian | None] = [None] * len(ap_sets)
-        # Memo key of every set that misses the memo -> its positions.
-        pending: dict[tuple, list[int]] = {}
+        memo = self._combine_memo
+        out = [[None] * len(clock_periods) for _ in ap_sets]
+        # Memo key of every cell that misses the memo -> its positions.
+        pending: dict[tuple, list[tuple[int, int]]] = {}
         for i, paths in enumerate(ap_sets):
             if not paths:
                 continue
-            stats.combine_calls += 1
-            key = (mode, clock_period, self._register_paths(paths))
-            hit = self._combine_memo.get(key)
-            if hit is not None:
-                stats.combine_memo_hits += 1
-                results[i] = hit
-            elif key in pending:
-                stats.combine_memo_hits += 1
-                pending[key].append(i)
-            else:
-                pending[key] = [i]
-        setup = self.library.setup_time
-        batch: list[tuple] = []
+            pids = self._register_paths(paths)
+            for p, cp in enumerate(clock_periods):
+                stats.combine_calls += 1
+                key = (mode, cp, pids)
+                hit = memo.get(key)
+                if hit is not None:
+                    stats.combine_memo_hits += 1
+                    out[i][p] = hit
+                elif key in pending:
+                    stats.combine_memo_hits += 1
+                    pending[key].append((i, p))
+                else:
+                    pending[key] = [(i, p)]
+        batches: list[list[tuple]] = []
         cells = 0
         for key in pending:
-            pids = key[2]
-            if len(pids) == 1:
-                self._combine_memo[key] = Gaussian(
-                    clock_period - self._path_mean[pids[0]] - setup,
-                    self._path_var[pids[0]],
-                )
-                continue
-            n_cells = len(pids) * (len(pids) - 1) // 2
-            if batch and cells + n_cells > _FILL_CELLS:
-                self._reduce_batch(batch, clock_period)
-                batch, cells = [], 0
-            batch.append(key)
+            n_cells = len(key[2]) * (len(key[2]) - 1) // 2
+            if not batches or cells + n_cells > _FILL_CELLS:
+                batches.append([])
+                cells = 0
+            batches[-1].append(key)
             cells += n_cells
-        if batch:
-            self._reduce_batch(batch, clock_period)
-        for key, positions in pending.items():
-            for i in positions:
-                results[i] = self._combine_memo[key]
-        return results
+        for batch in batches:
+            for key, result in zip(batch, self._reduce_batch(batch)):
+                memo[key] = result
+                for i, p in pending[key]:
+                    out[i][p] = result
+        return out
 
-    def _reduce_batch(self, keys, clock_period: float) -> None:
-        """Memoize the statistical minimum of every multi-path AP set in
-        ``keys`` (memo keys), in one covariance fill and one chain."""
-        sets = [key[2] for key in keys]
-        slots, cov = self._cov_block(sets)
+    def _reduce_batch(self, keys) -> list[Gaussian]:
+        """The statistical minimum of every cell in ``keys`` (memo keys
+        ``(mode, clock period, path ids)``), in one covariance fill and
+        one chain."""
+        slots, cov = self._cov_block([key[2] for key in keys])
         # Longest sets first: the chain's rows need no reordering.
-        order = sorted(range(len(sets)), key=lambda k: -len(sets[k]))
-        keys = [keys[k] for k in order]
-        sets = [sets[k] for k in order]
-        slots = [slots[k] for k in order]
+        order = sorted(range(len(keys)), key=lambda k: -len(keys[k][2]))
+        sets = [keys[k][2] for k in order]
         lengths = np.array([len(pids) for pids in sets])
         valid = np.arange(lengths.max())[None, :] < lengths[:, None]
         flat = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)
         grid_slots = np.zeros(valid.shape, dtype=np.int32)
-        grid_slots[valid] = np.concatenate(slots)
+        grid_slots[valid] = np.concatenate([slots[k] for k in order])
         # Same op order as the scalar slack: (T - mean) - setup.
+        periods = np.repeat([keys[k][1] for k in order], lengths)
         means = np.zeros(valid.shape)
         means[valid] = (
-            clock_period - np.array(self._path_mean)[flat]
+            periods - np.array(self._path_mean)[flat]
         ) - self.library.setup_time
         variances = np.ones(valid.shape)
         variances[valid] = np.array(self._path_var)[flat]
@@ -786,97 +706,7 @@ class StageDTSAnalyzer:
         out_mean, out_var = statistical_min_grid(
             means, variances, cov, slots=grid_slots, lengths=lengths,
         )
-        for key, mean, var in zip(keys, out_mean.tolist(), out_var.tolist()):
-            self._combine_memo[key] = Gaussian(mean, var)
-
-    def combine_grid(
-        self,
-        paths: list[Path],
-        clock_periods: list[float],
-        mode: str = "statistical",
-    ) -> list[Gaussian | None]:
-        """:meth:`combine` of one AP set over a vector of clock periods.
-
-        Returns one DTS Gaussian per period, each bitwise identical to
-        the scalar :meth:`combine` at that period.  Slack means at
-        period ``T`` are ``T - path_mean - setup`` — a common shift per
-        row — so the whole grid usually shares one greedy order and the
-        Clark chain runs once over a ``(periods, paths)`` matrix
-        (:func:`~repro.sta.ssta.statistical_min_grid`).  The scalar
-        combine memo is consulted and populated per period, so grid and
-        per-point evaluations serve each other's results.
-        """
-        check_in("mode", mode, _MODES)
-        n_periods = len(clock_periods)
-        if not paths:
-            return [None] * n_periods
-        setup = self.library.setup_time
-        if mode == "deterministic":
-            worst = max(p.delay for p in paths)
-            return [
-                Gaussian(cp - worst - setup, 0.0) for cp in clock_periods
-            ]
-        stats = kernel_stats()
-        stats.combine_calls += n_periods
-        pids = self._register_paths(paths)
-        results: list[Gaussian | None] = [None] * n_periods
-        missing: list[int] = []
-        for i, cp in enumerate(clock_periods):
-            hit = self._combine_memo.get((mode, cp, pids))
-            if hit is not None:
-                stats.combine_memo_hits += 1
-                stats.grid_reuse_hits += 1
-                results[i] = hit
-            else:
-                missing.append(i)
-        if not missing:
-            return results
-        path_means = np.array([self._path_mean[pid] for pid in pids])
-        path_vars = np.array([self._path_var[pid] for pid in pids])
-        cps = np.array([clock_periods[i] for i in missing])
-        # Same op order as the scalar slack: (T - mean) - setup.
-        means = cps[:, None] - path_means[None, :] - setup
-        if len(pids) == 1:
-            out_mean, out_var = means[:, 0], np.broadcast_to(
-                path_vars[0], (len(missing),)
-            )
-        else:
-            reductions = (len(pids) - 1) * len(missing)
-            stats.clark_reductions += reductions
-            stats.grid_clark_reductions += reductions
-            out_mean, out_var = statistical_min_grid(
-                means, path_vars, self._cov_for(pids)
-            )
-        for row, i in enumerate(missing):
-            result = Gaussian(float(out_mean[row]), float(out_var[row]))
-            results[i] = result
-            self._combine_memo[(mode, clock_periods[i], pids)] = result
+        results: list[Gaussian] = [None] * len(keys)
+        for k, mean, var in zip(order, out_mean.tolist(), out_var.tolist()):
+            results[k] = Gaussian(mean, var)
         return results
-
-    def dts_trace(
-        self,
-        stage: int,
-        activity: ActivityTrace,
-        clock_period: float,
-        mode: str = "statistical",
-        include_safe: bool = False,
-    ) -> list[StageDTS]:
-        """DTS of ``stage`` for every cycle of ``activity`` (Algorithm 1)."""
-        aps = self.ap_trace(stage, activity, clock_period, mode, include_safe)
-        return [
-            StageDTS(self.combine(ap, clock_period, mode), ap) for ap in aps
-        ]
-
-    def dts(
-        self,
-        stage: int,
-        t: int,
-        activity: ActivityTrace,
-        clock_period: float,
-        mode: str = "statistical",
-        include_safe: bool = False,
-    ) -> StageDTS:
-        """DTS of ``stage`` at a single cycle ``t``."""
-        return self.dts_trace(
-            stage, activity, clock_period, mode, include_safe
-        )[t]

@@ -21,7 +21,6 @@ an entry is taken.
 
 from __future__ import annotations
 
-from repro._util import check_in
 from repro.dta.algorithm1 import StageDTSAnalyzer
 from repro.logicsim.activity import ActivityTrace
 from repro.netlist.paths import Path
@@ -59,85 +58,29 @@ class InstructionDTSAnalyzer:
         self,
         activity: ActivityTrace,
         entry_cycle: "int | list[tuple[int, int]]",
-        clock_period: float,
-        mode: str = "statistical",
-        ap_traces: list[list[list[Path]]] | None = None,
-        include_safe: bool = False,
+        ap_traces: list[list[list[Path]]],
     ) -> list[Path]:
         """Union of AP sets over the instruction's (stage, cycle) pairs.
 
         ``entry_cycle`` is the cycle the instruction enters stage 0, or
         an explicit ``(stage, cycle)`` pair list for core families with
         data-dependent trajectories (see :func:`entry_pairs`).  Pairs
-        that fall outside the trace window are skipped.  ``ap_traces`` may
-        carry precomputed per-stage AP traces (from
-        :meth:`StageDTSAnalyzer.ap_trace`) to amortize work across the many
+        that fall outside the trace window are skipped.  ``ap_traces``
+        holds the per-stage AP traces at one clock period (from
+        :meth:`StageDTSAnalyzer.ap_trace_grid`), shared by the many
         instructions of a basic-block window.
         """
-        check_in("mode", mode, {"statistical", "deterministic"})
         union: list[Path] = []
         seen: set[tuple] = set()
         for s, t in entry_pairs(entry_cycle, self.num_stages):
             if not 0 <= t < activity.n_cycles:
                 continue
-            if ap_traces is not None:
-                ap = ap_traces[s][t]
-            else:
-                ap = self.stage_analyzer.ap_trace(
-                    s, activity, clock_period, mode, include_safe
-                )[t]
-            for p in ap:
+            for p in ap_traces[s][t]:
                 key = (p.gates, p.sink)
                 if key not in seen:
                     seen.add(key)
                     union.append(p)
         return union
-
-    def instruction_dts(
-        self,
-        activity: ActivityTrace,
-        entry_cycle: "int | list[tuple[int, int]]",
-        clock_period: float,
-        mode: str = "statistical",
-        ap_traces: list[list[list[Path]]] | None = None,
-        include_safe: bool = False,
-    ) -> Gaussian | None:
-        """DTS of the instruction entering the pipeline at ``entry_cycle``.
-
-        Returns ``None`` when no analyzed path is activated along the
-        instruction's journey — it cannot experience a timing error.
-        """
-        union = self.instruction_ap(
-            activity, entry_cycle, clock_period, mode, ap_traces, include_safe
-        )
-        return self.stage_analyzer.combine(union, clock_period, mode)
-
-    def window_dts(
-        self,
-        activity: ActivityTrace,
-        entry_cycles: list,
-        clock_period: float,
-        mode: str = "statistical",
-        include_safe: bool = False,
-    ) -> list[Gaussian | None]:
-        """Instruction DTS for many instructions sharing one trace window.
-
-        Computes each stage's AP trace once and reuses it for every
-        instruction — the dominant cost amortization during basic-block
-        characterization.
-        """
-        ap_traces = [
-            self.stage_analyzer.ap_trace(
-                s, activity, clock_period, mode, include_safe
-            )
-            for s in range(self.num_stages)
-        ]
-        return [
-            self.instruction_dts(
-                activity, t, clock_period, mode, ap_traces=ap_traces
-            )
-            for t in entry_cycles
-        ]
 
     def window_dts_grid(
         self,
@@ -148,16 +91,19 @@ class InstructionDTSAnalyzer:
         include_safe: bool = False,
         picks: dict | None = None,
     ) -> list[list[Gaussian | None]]:
-        """:meth:`window_dts` batched over a vector of clock periods.
+        """Instruction DTS for many instructions sharing one trace window,
+        at every clock period.
 
-        Returns one DTS list per period, each bitwise identical to the
-        scalar call at that period.  Stage AP traces come from
+        Returns one DTS list per period: entry ``[p][i]`` is the DTS of
+        the instruction entering at ``entry_cycles[i]``, or ``None`` when
+        no analyzed path is activated along its journey (it cannot
+        experience a timing error).  Stage AP traces come from
         :meth:`StageDTSAnalyzer.ap_trace_grid` (activation flags and
         rank minima computed once for the whole grid); periods whose
         risky-endpoint masks agree share identical AP traces, so their
-        per-instruction AP unions are built once and their statistical
-        minima run as one period-axis-batched Clark chain
-        (:meth:`StageDTSAnalyzer.combine_grid`).  ``picks`` is the
+        per-instruction AP unions are built once and every union of the
+        window is reduced at all of them in one
+        :meth:`StageDTSAnalyzer.combine_grid` call.  ``picks`` is the
         window's first-activated picks memo, handed to every stage's
         :meth:`StageDTSAnalyzer.ap_trace_grid`.
         """
@@ -180,21 +126,15 @@ class InstructionDTSAnalyzer:
             key = tuple(id(traces[s][p]) for s in range(self.num_stages))
             groups.setdefault(key, []).append(p)
         for period_idx in groups.values():
-            p0 = period_idx[0]
-            ap_traces = [traces[s][p0] for s in range(self.num_stages)]
-            group_periods = [clock_periods[p] for p in period_idx]
-            for i, t in enumerate(entry_cycles):
-                union = self.instruction_ap(
-                    activity,
-                    t,
-                    clock_periods[p0],
-                    mode,
-                    ap_traces=ap_traces,
-                    include_safe=include_safe,
-                )
-                combined = analyzer.combine_grid(
-                    union, group_periods, mode
-                )
-                for row, p in enumerate(period_idx):
-                    results[p][i] = combined[row]
+            ap_traces = [trace[period_idx[0]] for trace in traces]
+            unions = [
+                self.instruction_ap(activity, t, ap_traces)
+                for t in entry_cycles
+            ]
+            combined = analyzer.combine_grid(
+                unions, [clock_periods[p] for p in period_idx], mode
+            )
+            for i, row in enumerate(combined):
+                for p, dts in zip(period_idx, row):
+                    results[p][i] = dts
         return results

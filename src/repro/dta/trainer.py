@@ -42,8 +42,9 @@ _CLASS_OPS: dict[OpClass, list[Opcode]] = {
 }
 
 #: Stacked ``(cycle, gate)`` activation cells per AP selection in
-#: training: windows are selected a chunk at a time (one ``ap_trace`` per
-#: stage and chunk), which bounds the gathered temporaries.
+#: training: windows are selected a chunk at a time (one
+#: ``ap_trace_grid`` per stage and chunk), which bounds the gathered
+#: temporaries.
 _APSEL_CELLS = 1 << 18
 
 #: Reference clock period used only to convert slacks back to arrivals; any
@@ -177,10 +178,10 @@ class DatapathTrainer:
 
         Consecutive windows are stacked into chunks of at most
         :data:`_APSEL_CELLS` activation cells, each chunk's AP sets are
-        selected in one ``ap_trace`` call per stage, and every window's
-        cycles are sliced back out.  AP selection is per cycle, so this
-        equals one selection per window.  Yields the windows' traces in
-        order, holding one chunk's at a time.
+        selected in one ``ap_trace_grid`` call per stage, and every
+        window's cycles are sliced back out.  AP selection is per cycle,
+        so this equals one selection per window.  Yields the windows'
+        traces in order, holding one chunk's at a time.
         """
         stage_analyzer = self.analyzer.stage_analyzer
         for chunk in _chunks(activities):
@@ -189,7 +190,9 @@ class DatapathTrainer:
                 np.concatenate([a.values for a in chunk]),
             )
             traces = [
-                stage_analyzer.ap_trace(s, stacked, _T_REF, include_safe=True)
+                stage_analyzer.ap_trace_grid(
+                    s, stacked, [_T_REF], include_safe=True
+                )[0]
                 for s in range(self.analyzer.num_stages)
             ]
             start = 0
@@ -210,7 +213,7 @@ class DatapathTrainer:
         logic-simulated in one batch, each from the flushed fabric, their
         AP sets are selected a chunk of windows at a time, and the target
         instructions' AP unions are reduced in one
-        :meth:`~repro.dta.algorithm1.StageDTSAnalyzer.combine_many`.
+        :meth:`~repro.dta.algorithm1.StageDTSAnalyzer.combine_grid` call.
         """
         rng = as_rng(seed)
         windows = []
@@ -228,16 +231,14 @@ class DatapathTrainer:
             *record_arrays([w[2] for w in windows]),
         )
         unions = [
-            self.analyzer.instruction_ap(
-                activity, entries[0], _T_REF, ap_traces=traces
-            )
+            self.analyzer.instruction_ap(activity, entries[0], traces)
             for (*_, entries), activity, traces in zip(
                 windows, activities, self.ap_traces(activities)
             )
         ]
-        reduced = self.analyzer.stage_analyzer.combine_many(unions, _T_REF)
+        reduced = self.analyzer.stage_analyzer.combine_grid(unions, [_T_REF])
         samples: list[DatapathSample] = []
-        for (klass, *_), row, dts in zip(windows, features, reduced):
+        for (klass, *_), row, (dts,) in zip(windows, features, reduced):
             arrival, sd = self.measure(dts)
             samples.append(
                 DatapathSample(

@@ -35,8 +35,10 @@ class KernelStats:
             as (cycles x combinational gates) per call.
         flushed_state_reuses: ``activity()`` calls that reused the cached
             zero-stimulus settled state instead of re-simulating it.
-        combine_calls: Non-empty ``combine()`` invocations.
-        combine_memo_hits: Of those, how many were served from the memo.
+        combine_calls: Statistical (non-empty AP set, clock period)
+            cells passed to ``StageDTSAnalyzer.combine_grid``.
+        combine_memo_hits: Of those, how many were served from the memo
+            (or met earlier in the same call).
         clark_reductions: Pairwise Clark reductions actually performed.
         cov_cells_computed: Pairwise path-covariance cells computed
             (blocked precompute plus lazy cross-endpoint fills).
@@ -50,14 +52,9 @@ class KernelStats:
             (the period-sweep reuse path).
         grid_points: Operating points evaluated through the batched
             grid path (one per point per grid pass).
-        grid_clark_reductions: Pairwise Clark reductions executed inside
-            period-axis-batched chains.  Each vectorized chain step
-            reduces every period at once but is counted once per period
-            so the counter stays comparable to ``clark_reductions``.
-        grid_reuse_hits: Artifacts the grid pass served from shared
-            state instead of recomputing per point — combine-memo hits
-            inside batched combines plus per-point control artifacts
-            served from the store.
+        grid_reuse_hits: Per-point control artifacts the grid pass
+            served instead of training them: store hits and duplicate
+            operating points.
     """
 
     sim_calls: int = 0
@@ -72,7 +69,6 @@ class KernelStats:
     activity_cache_misses: int = 0
     windows_reused: int = 0
     grid_points: int = 0
-    grid_clark_reductions: int = 0
     grid_reuse_hits: int = 0
 
     def snapshot(self) -> "KernelStats":

@@ -172,9 +172,6 @@ class GridResult:
             "eval_sims_skipped": self.eval_sims_skipped,
             "control_cache_hits": self.control_cache_hits,
             "grid_points": self.kernel_delta.get("grid_points", 0),
-            "grid_clark_reductions": self.kernel_delta.get(
-                "grid_clark_reductions", 0
-            ),
             "grid_reuse_hits": self.kernel_delta.get("grid_reuse_hits", 0),
         }
 

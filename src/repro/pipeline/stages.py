@@ -19,7 +19,8 @@ keys and written into every
 :class:`~repro.pipeline.pipeline.StageEvent`, so they stay as they are
 to keep existing stores and job results stable.  ``dta`` analyzes its
 windows in-process, one after another; ``statmin`` is Algorithm 1's
-pairwise Clark reduction (:func:`repro.sta.ssta.statistical_min`).
+pairwise Clark reduction
+(:meth:`repro.dta.algorithm1.StageDTSAnalyzer.combine_grid`).
 """
 
 from __future__ import annotations

@@ -8,15 +8,14 @@ arithmetic, as the ground truth the parity tests compare against:
   topological loop);
 * ``StimulusEncoder.encode_cycle`` -> :func:`encode_cycle` (uncached
   re-encode);
-* ``StageDTSAnalyzer.ap_trace`` / ``ap_trace_grid`` -> :func:`ap_trace` /
-  :func:`ap_trace_grid` (per-endpoint, per-cycle scan, once per period);
+* ``StageDTSAnalyzer.ap_trace_grid`` -> :func:`ap_trace_grid` (the
+  per-endpoint, per-cycle scan :func:`ap_trace`, once per period);
 * ``_StagePlan.first_activated`` / ``assemble`` -> :func:`first_activated`
   / :func:`assemble` (the batched AP selection with ``(found,
   candidates)`` pairs of ``int64`` ids per ordering);
-* ``StageDTSAnalyzer.combine`` / ``combine_grid`` / ``combine_many`` ->
-  :func:`combine` / :func:`combine_grid` / :func:`combine_many` (every
-  moment and ``path_cov`` recomputed per call, no memo, one scalar
-  reduction per period and per AP set);
+* ``StageDTSAnalyzer.combine_grid`` -> :func:`combine_grid` (the scalar
+  :func:`combine` per (AP set, period) cell: every moment and
+  ``path_cov`` recomputed per cell, no memo);
 * ``ActivityCache.activity`` -> :func:`activity` (simulate every window);
 * ``clark_max_coefficients`` -> :func:`clark_max_coefficients`
   (``scipy.stats.norm`` pdf/cdf);
@@ -77,7 +76,6 @@ __all__ = [
     "clark_max_coefficients",
     "combine",
     "combine_grid",
-    "combine_many",
     "control_arrays",
     "encode_cycle",
     "evaluate",
@@ -166,7 +164,8 @@ def ap_trace(
     mode: str = "statistical",
     include_safe: bool = False,
 ):
-    """``StageDTSAnalyzer.ap_trace``: per-endpoint loop, per-cycle union."""
+    """The AP sets of every cycle at one clock period: per-endpoint
+    loop, per-cycle union."""
     check_in("mode", mode, _MODES)
     n_cycles = activity.n_cycles
     result = [[] for _ in range(n_cycles)]
@@ -262,8 +261,8 @@ def combine(
     clock_period: float,
     mode: str = "statistical",
 ):
-    """``StageDTSAnalyzer.combine``, recomputing every path moment and
-    pairwise ``path_cov`` per call, with no memo."""
+    """The stage DTS of one AP set at one clock period, recomputing every
+    path moment and pairwise ``path_cov`` per call, with no memo."""
     check_in("mode", mode, _MODES)
     if not paths:
         return None
@@ -292,24 +291,17 @@ def combine(
 
 def combine_grid(
     self: StageDTSAnalyzer,
-    paths,
+    ap_sets,
     clock_periods,
     mode: str = "statistical",
 ):
-    """``StageDTSAnalyzer.combine_grid``: the scalar combine per period."""
+    """``StageDTSAnalyzer.combine_grid``: the scalar combine per (AP set,
+    period) cell."""
     check_in("mode", mode, _MODES)
-    return [combine(self, paths, cp, mode) for cp in clock_periods]
-
-
-def combine_many(
-    self: StageDTSAnalyzer,
-    ap_sets,
-    clock_period: float,
-    mode: str = "statistical",
-):
-    """``StageDTSAnalyzer.combine_many``: the scalar combine per AP set."""
-    check_in("mode", mode, _MODES)
-    return [combine(self, paths, clock_period, mode) for paths in ap_sets]
+    return [
+        [combine(self, paths, cp, mode) for cp in clock_periods]
+        for paths in ap_sets
+    ]
 
 
 def clark_max_coefficients(x: Gaussian, y: Gaussian, cov_xy: float):
@@ -448,13 +440,10 @@ def bitcount_params(dataset) -> dict:
 _PATCHES = (
     (LevelizedSimulator, "evaluate", evaluate),
     (StimulusEncoder, "encode_cycle", encode_cycle),
-    (StageDTSAnalyzer, "ap_trace", ap_trace),
     (StageDTSAnalyzer, "ap_trace_grid", ap_trace_grid),
     (_StagePlan, "first_activated", first_activated),
     (_StagePlan, "assemble", assemble),
-    (StageDTSAnalyzer, "combine", combine),
     (StageDTSAnalyzer, "combine_grid", combine_grid),
-    (StageDTSAnalyzer, "combine_many", combine_many),
     (ActivityCache, "activity", activity),
     # Every module that binds the scalar Clark step by name.
     (repro.sta.ssta, "clark_max_coefficients", clark_max_coefficients),

@@ -13,6 +13,7 @@ from repro.netlist import (
 from repro.dta import StageDTSAnalyzer
 from repro.sta import Gaussian
 from repro.variation import ProcessVariationModel
+from tests._dts import stage_dts
 
 
 @pytest.fixture
@@ -45,6 +46,11 @@ def _activity(nl, rows):
     return sim.activity(np.array(rows, dtype=bool))
 
 
+def _aps(an, tr, period, **kw):
+    """Stage 0's AP sets at one clock period."""
+    return an.ap_trace_grid(0, tr, [period], **kw)[0]
+
+
 class TestAPSelection:
     def test_long_path_selected_when_a_toggles(self, two_path_netlist):
         nl = two_path_netlist
@@ -52,7 +58,7 @@ class TestAPSelection:
         # Sources: in_a, in_b, ff.  Cycle 1 toggles in_a only (in_b stays 0
         # so the OR output follows the long chain).
         tr = _activity(nl, [[0, 0, 0], [1, 0, 0]])
-        aps = an.ap_trace(0, tr, clock_period=1000.0, include_safe=True)
+        aps = _aps(an, tr, 1000.0, include_safe=True)
         names = {
             tuple(nl.gate(g).name for g in p.gates) for p in aps[1]
         }
@@ -64,7 +70,7 @@ class TestAPSelection:
         # in_a stays 0 (the inverter chain is quiet; with a=0 the OR output
         # follows b); cycle 1 raises in_b, toggling only the short path.
         tr = _activity(nl, [[0, 0, 0], [0, 1, 0]])
-        aps = an.ap_trace(0, tr, clock_period=1000.0, include_safe=True)
+        aps = _aps(an, tr, 1000.0, include_safe=True)
         assert len(aps[1]) >= 1
         for p in aps[1]:
             assert nl.gate(p.gates[0]).name == "in_b"
@@ -73,7 +79,7 @@ class TestAPSelection:
         nl = two_path_netlist
         an, _ = _analyzer(nl)
         tr = _activity(nl, [[1, 0, 0], [1, 0, 0]])
-        aps = an.ap_trace(0, tr, clock_period=1000.0, include_safe=True)
+        aps = _aps(an, tr, 1000.0, include_safe=True)
         assert aps[1] == []
 
     def test_safe_endpoints_skipped_without_flag(self, two_path_netlist):
@@ -81,9 +87,9 @@ class TestAPSelection:
         an, lib = _analyzer(nl)
         tr = _activity(nl, [[0, 0, 0], [1, 0, 0]])
         # Enormous clock period: everything is safe -> no risky endpoint.
-        aps = an.ap_trace(0, tr, clock_period=100000.0)
+        aps = _aps(an, tr, 100000.0)
         assert aps[1] == []
-        aps_safe = an.ap_trace(0, tr, clock_period=100000.0, include_safe=True)
+        aps_safe = _aps(an, tr, 100000.0, include_safe=True)
         assert aps_safe[1] != []
 
 
@@ -93,54 +99,56 @@ class TestDTSValues:
         an, lib = _analyzer(nl)
         tr = _activity(nl, [[0, 0, 0], [1, 0, 0]])
         period = 1000.0
-        result = an.dts(0, 1, tr, period, mode="deterministic",
-                        include_safe=True)
+        result = stage_dts(an, 0, tr, period, mode="deterministic",
+                           include_safe=True)[1]
         d = nl.nominal_delays(lib)
         long_delay = d[nl.gate_by_name("in_a").gid] + sum(
             d[nl.gate_by_name(n).gid] for n in ("n1", "n2", "or")
         )
-        assert result.slack.mean == pytest.approx(
+        assert result.mean == pytest.approx(
             period - long_delay - lib.setup_time
         )
-        assert result.slack.var == 0.0
+        assert result.var == 0.0
 
     def test_statistical_dts_le_deterministic(self, two_path_netlist):
         """The statistical minimum sits at or below the nominal slack."""
         nl = two_path_netlist
         an, _ = _analyzer(nl)
         tr = _activity(nl, [[0, 0, 0], [1, 0, 0]])
-        det = an.dts(0, 1, tr, 1000.0, mode="deterministic", include_safe=True)
-        stat = an.dts(0, 1, tr, 1000.0, mode="statistical", include_safe=True)
-        assert stat.slack.var > 0
-        assert stat.slack.mean <= det.slack.mean + 1e-9
+        det = stage_dts(an, 0, tr, 1000.0, mode="deterministic",
+                        include_safe=True)[1]
+        stat = stage_dts(an, 0, tr, 1000.0, mode="statistical",
+                         include_safe=True)[1]
+        assert stat.var > 0
+        assert stat.mean <= det.mean + 1e-9
 
     def test_idle_cycle_is_safe(self, two_path_netlist):
         nl = two_path_netlist
         an, _ = _analyzer(nl)
         tr = _activity(nl, [[0, 0, 0], [0, 0, 0]])
-        result = an.dts(0, 0, tr, 1000.0, include_safe=True)
+        result = stage_dts(an, 0, tr, 1000.0, include_safe=True)[0]
         # Cycle 0 from a flushed (all-zero) previous state with all-zero
         # inputs: nothing toggles.
-        assert result.is_safe
+        assert result is None
 
     def test_dts_shifts_with_period(self, two_path_netlist):
         nl = two_path_netlist
         an, _ = _analyzer(nl)
         tr = _activity(nl, [[0, 0, 0], [1, 0, 0]])
-        s1 = an.dts(0, 1, tr, 900.0, include_safe=True).slack
-        s2 = an.dts(0, 1, tr, 1000.0, include_safe=True).slack
+        s1 = stage_dts(an, 0, tr, 900.0, include_safe=True)[1]
+        s2 = stage_dts(an, 0, tr, 1000.0, include_safe=True)[1]
         assert s2.mean - s1.mean == pytest.approx(100.0)
 
     def test_combine_empty_returns_none(self, two_path_netlist):
         an, _ = _analyzer(two_path_netlist)
-        assert an.combine([], 1000.0) is None
+        assert an.combine_grid([[]], [1000.0, 900.0]) == [[None, None]]
 
     def test_invalid_mode_rejected(self, two_path_netlist):
         nl = two_path_netlist
         an, _ = _analyzer(nl)
         tr = _activity(nl, [[0, 0, 0]])
         with pytest.raises(ValueError, match="mode"):
-            an.ap_trace(0, tr, 1000.0, mode="bogus")
+            _aps(an, tr, 1000.0, mode="bogus")
 
 
 class TestRiskyEndpoints:
@@ -183,7 +191,7 @@ class TestStatisticalAgainstMonteCarlo:
         an = StageDTSAnalyzer(nl, lib, pv)
         tr = _activity(nl, [[0, 0, 0], [1, 1, 0]])  # both paths activated
         period = 600.0
-        stat = an.dts(0, 1, tr, period, include_safe=True).slack
+        stat = stage_dts(an, 0, tr, period, include_safe=True)[1]
         # Ground truth: sample chips, compute min slack over the two
         # activated paths per chip.
         chips = pv.sample_chips(4000, as_rng(3))
@@ -230,7 +238,7 @@ class TestSharedRegistry:
         def register(i):
             try:
                 for paths in work[i] + work[(i + 1) % 4]:
-                    an.combine(paths, clock_period=400.0)
+                    an.combine_grid([paths], [400.0])
             except Exception as exc:  # surfaced by the assert below
                 errors.append(exc)
 

@@ -7,6 +7,7 @@ from repro.dta import InstructionDTSAnalyzer, StageDTSAnalyzer
 from repro.logicsim import LevelizedSimulator
 from repro.netlist import EndpointKind, GateType, Netlist, TimingLibrary
 from repro.variation import ProcessVariationModel
+from tests._dts import stage_dts
 
 
 @pytest.fixture
@@ -38,6 +39,11 @@ def _activity(nl, rows):
     return LevelizedSimulator(nl).activity(np.array(rows, dtype=bool))
 
 
+def _instruction_dts(an, tr, entry, period, **kw):
+    """DTS of the instruction entering at ``entry``, at one period."""
+    return an.window_dts_grid(tr, [entry], [period], **kw)[0][0]
+
+
 def test_min_over_stages(two_stage_netlist):
     nl = two_stage_netlist
     an, lib = _setup(nl)
@@ -45,7 +51,7 @@ def test_min_over_stages(two_stage_netlist):
     # cycle 0 (toggling in0) and stage 1 at cycle 1 (toggling in1).
     tr = _activity(nl, [[1, 0, 0, 0], [1, 1, 0, 0]])
     period = 800.0
-    dts = an.instruction_dts(tr, 0, period, include_safe=True)
+    dts = _instruction_dts(an, tr, 0, period, include_safe=True)
     d = nl.nominal_delays(lib)
     gid = {g.name: g.gid for g in nl.gates}
     long_delay = d[gid["in1"]] + d[gid["s1_n1"]] + d[gid["s1_n2"]] + (
@@ -61,18 +67,17 @@ def test_deterministic_equals_min_of_stage_dts(two_stage_netlist):
     an, lib = _setup(nl)
     tr = _activity(nl, [[1, 0, 0, 0], [1, 1, 0, 0]])
     period = 800.0
-    inst = an.instruction_dts(
-        tr, 0, period, mode="deterministic", include_safe=True
+    inst = _instruction_dts(
+        an, tr, 0, period, mode="deterministic", include_safe=True
     )
-    s0 = an.stage_analyzer.dts(
-        0, 0, tr, period, mode="deterministic", include_safe=True
+    s0, s1 = (
+        stage_dts(
+            an.stage_analyzer, s, tr, period, mode="deterministic",
+            include_safe=True,
+        )[s]
+        for s in (0, 1)
     )
-    s1 = an.stage_analyzer.dts(
-        1, 1, tr, period, mode="deterministic", include_safe=True
-    )
-    stage_means = [
-        s.slack.mean for s in (s0, s1) if s.slack is not None
-    ]
+    stage_means = [s.mean for s in (s0, s1) if s is not None]
     assert stage_means, "at least one stage must be active"
     assert inst.mean == pytest.approx(min(stage_means))
 
@@ -82,7 +87,7 @@ def test_out_of_window_cycles_skipped(two_stage_netlist):
     an, _ = _setup(nl)
     tr = _activity(nl, [[1, 0, 0, 0]])  # single-cycle window
     # Entry at cycle 0: stage 1 would be at cycle 1 (outside the trace).
-    dts = an.instruction_dts(tr, 0, 800.0, include_safe=True)
+    dts = _instruction_dts(an, tr, 0, 800.0, include_safe=True)
     assert dts is not None  # stage 0 still contributes
 
 
@@ -90,7 +95,7 @@ def test_no_activity_returns_none(two_stage_netlist):
     nl = two_stage_netlist
     an, _ = _setup(nl)
     tr = _activity(nl, [[0, 0, 0, 0], [0, 0, 0, 0]])
-    assert an.instruction_dts(tr, 0, 800.0, include_safe=True) is None
+    assert _instruction_dts(an, tr, 0, 800.0, include_safe=True) is None
 
 
 def test_window_dts_matches_individual(two_stage_netlist):
@@ -99,9 +104,9 @@ def test_window_dts_matches_individual(two_stage_netlist):
     tr = _activity(
         nl, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]]
     )
-    batch = an.window_dts(tr, [0, 1, 2], 800.0, include_safe=True)
+    (batch,) = an.window_dts_grid(tr, [0, 1, 2], [800.0], include_safe=True)
     for entry, got in zip([0, 1, 2], batch):
-        single = an.instruction_dts(tr, entry, 800.0, include_safe=True)
+        single = _instruction_dts(an, tr, entry, 800.0, include_safe=True)
         if single is None:
             assert got is None
         else:
@@ -113,6 +118,10 @@ def test_instruction_ap_dedupes(two_stage_netlist):
     nl = two_stage_netlist
     an, _ = _setup(nl)
     tr = _activity(nl, [[1, 0, 0, 0], [1, 1, 0, 0]])
-    union = an.instruction_ap(tr, 0, 800.0, include_safe=True)
+    traces = [
+        an.stage_analyzer.ap_trace_grid(s, tr, [800.0], include_safe=True)[0]
+        for s in range(an.num_stages)
+    ]
+    union = an.instruction_ap(tr, 0, traces)
     keys = [(p.gates, p.sink) for p in union]
     assert len(keys) == len(set(keys))

@@ -1,9 +1,9 @@
-"""``combine_many`` equals one ``combine`` call per AP set.
+"""``combine_grid`` over many AP sets equals one call per AP set.
 
 The batched combine looks up the memo in input order, fills the missing
 covariance cells of all distinct unreduced sets with one
 ``path_cov_rows`` call per budget batch and reduces them in one ragged
-lock-step Clark chain.  Against sequential ``combine`` calls on a fresh
+lock-step Clark chain.  Against sequential one-set calls on a fresh
 analyzer it must give the same Gaussians bit for bit, the same kernel
 counter deltas, the same memo, and the same covariance cache (values
 and insertion order, hence the same ``registry_doc()``).
@@ -94,13 +94,15 @@ def _check(pipe, ap_sets, period, mode="statistical"):
     warm = ap_sets[:5]
 
     def batched(analyzer):
-        analyzer.combine_many(warm, period, mode)
-        return analyzer.combine_many(ap_sets, period, mode)
+        analyzer.combine_grid(warm, [period], mode)
+        return [dts for (dts,) in analyzer.combine_grid(ap_sets, [period], mode)]
 
     def sequential(analyzer):
         for ap in warm:
-            analyzer.combine(ap, period, mode)
-        return [analyzer.combine(ap, period, mode) for ap in ap_sets]
+            analyzer.combine_grid([ap], [period], mode)
+        return [
+            analyzer.combine_grid([ap], [period], mode)[0][0] for ap in ap_sets
+        ]
 
     got = _run(_analyzer(pipe), batched)
     want = _run(_analyzer(pipe), sequential)
@@ -156,7 +158,7 @@ def test_budget_batches(pipe, ap_sets, monkeypatch, budget):
             batches, cells = batches + 1, 0
         cells += n
     calls = _count_fills(monkeypatch)
-    _analyzer(pipe).combine_many(ap_sets, period)
+    _analyzer(pipe).combine_grid(ap_sets, [period])
     assert 1 <= len(calls) <= batches
     if budget == 1 << 18:
         assert batches == 1

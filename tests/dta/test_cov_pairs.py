@@ -1,7 +1,7 @@
 """Exact-float parity of the blocked cross-endpoint covariance fill.
 
-``StageDTSAnalyzer._cov_for`` fills all of an AP set's missing
-covariance cells in one ``ProcessVariationModel.path_cov_pairs`` call.
+``StageDTSAnalyzer._cov_block`` fills all of an AP set's missing
+covariance cells in one ``ProcessVariationModel.path_cov_rows`` call.
 Each value must be bitwise the scalar ``path_cov`` of the same canonical
 ``(low id, high id)`` pair, and the cache, the persisted registry and
 the ``cov_cells_computed`` / ``cov_cache_hits`` counters must evolve
@@ -9,7 +9,6 @@ exactly as under the per-pair fill.
 """
 
 import json
-import types
 
 import numpy as np
 import pytest
@@ -66,8 +65,17 @@ def test_blocked_fill_equals_path_cov(analyzer):
     assert model.path_cov_pairs([]) == []
 
 
-def _per_pair_cov_for(self, pids):
-    """The per-cell fill ``_cov_for`` replaced (the reference)."""
+def _blocked_cov(self, pids):
+    """An AP set's covariance matrix from the blocked fill, each path's
+    variance on the diagonal."""
+    (slot,), cov = self._cov_block([pids])
+    cov = cov[slot[:, None], slot]
+    np.fill_diagonal(cov, [self._path_var[p] for p in pids])
+    return cov
+
+
+def _per_pair_cov(self, pids):
+    """The per-cell fill the blocked one replaced (the reference)."""
     n = len(pids)
     stats = kernel_stats()
     cov = np.zeros((n, n))
@@ -90,9 +98,9 @@ def _per_pair_cov_for(self, pids):
     return cov
 
 
-def _run(analyzer, ap_sets):
+def _run(analyzer, cov_for, ap_sets):
     before = kernel_stats().snapshot()
-    matrices = [analyzer._cov_for(pids) for pids in ap_sets]
+    matrices = [cov_for(analyzer, pids) for pids in ap_sets]
     delta = kernel_stats().delta(before)
     return (
         matrices,
@@ -115,10 +123,8 @@ def test_ap_set_sequence_matches_per_pair_fill(pipe):
         ap_sets[4],
         (ap_sets[6][0],) * 3 + ap_sets[6][1:4],
     ]
-    blocked = _analyzer(pipe)
-    reference = _analyzer(pipe)
-    reference._cov_for = types.MethodType(_per_pair_cov_for, reference)
-    got, want = _run(blocked, ap_sets), _run(reference, ap_sets)
+    got = _run(_analyzer(pipe), _blocked_cov, ap_sets)
+    want = _run(_analyzer(pipe), _per_pair_cov, ap_sets)
     for a, b in zip(got[0], want[0]):
         assert np.array_equal(a, b)
     assert got[1] == want[1]

@@ -8,6 +8,7 @@ from repro.dta import GraphDTSAnalyzer, StageDTSAnalyzer
 from repro.logicsim import LevelizedSimulator
 from repro.netlist import EndpointKind, GateType, Netlist, TimingLibrary
 from repro.variation import ProcessVariationModel
+from tests._dts import stage_dts
 
 
 @pytest.fixture
@@ -54,10 +55,10 @@ class TestDeterministic:
         paths = StageDTSAnalyzer(diamond, library, pv)
         tr = _activity(diamond, [[0, 0], [1, 0]])
         g_dts = graph.stage_dts_trace(0, tr, 800.0)[1]
-        p_dts = paths.dts(
-            0, 1, tr, 800.0, mode="deterministic", include_safe=True
-        )
-        assert g_dts == pytest.approx(p_dts.slack.mean)
+        p_dts = stage_dts(
+            paths, 0, tr, 800.0, mode="deterministic", include_safe=True
+        )[1]
+        assert g_dts == pytest.approx(p_dts.mean)
 
     def test_agrees_with_path_based_on_pipeline(
         self, small_pipeline, library
@@ -94,18 +95,19 @@ class TestDeterministic:
         matches = comparisons = 0
         for s in range(6):
             g_trace = graph.stage_dts_trace(s, tr, period, arrivals)
+            p_trace = stage_dts(
+                pathan, s, tr, period, mode="deterministic",
+                include_safe=True,
+            )
             for t in range(1, tr.n_cycles):
-                p = pathan.dts(
-                    s, t, tr, period, mode="deterministic",
-                    include_safe=True,
-                )
-                if g_trace[t] is None or p.slack is None:
+                p = p_trace[t]
+                if g_trace[t] is None or p is None:
                     continue
                 comparisons += 1
                 # Graph DTA is exact; path-based may be optimistic when
                 # the activated-critical path is below its top-K.
-                assert p.slack.mean >= g_trace[t] - 1e-6
-                if p.slack.mean == pytest.approx(g_trace[t], abs=1e-6):
+                assert p.mean >= g_trace[t] - 1e-6
+                if p.mean == pytest.approx(g_trace[t], abs=1e-6):
                     matches += 1
         assert comparisons > 0
         assert matches / comparisons > 0.7
@@ -163,6 +165,6 @@ class TestStatisticalMode:
         paths = StageDTSAnalyzer(diamond, library, pv)
         tr = _activity(diamond, [[0, 0], [1, 0]])
         g = graph.statistical_stage_dts(0, tr, 1, 800.0)
-        p = paths.dts(0, 1, tr, 800.0, include_safe=True).slack
+        p = stage_dts(paths, 0, tr, 800.0, include_safe=True)[1]
         assert g.mean == pytest.approx(p.mean, abs=5.0)
         assert g.var < 0.6 * p.var

@@ -57,28 +57,31 @@ def _ap_ids(aps):
 @pytest.mark.parametrize("mode", ["statistical", "deterministic"])
 @pytest.mark.parametrize("include_safe", [False, True])
 def test_batched_ap_matches_reference(analyzer, trace, mode, include_safe):
-    for period in _periods(analyzer):
-        for stage in range(analyzer.netlist.num_stages):
-            batched = analyzer.ap_trace(
-                stage, trace, period, mode, include_safe
-            )
+    periods = _periods(analyzer)
+    for stage in range(analyzer.netlist.num_stages):
+        batched = analyzer.ap_trace_grid(
+            stage, trace, periods, mode, include_safe
+        )
+        for period, got in zip(periods, batched):
             reference = _reference.ap_trace(
                 analyzer, stage, trace, period, mode, include_safe
             )
-            assert _ap_ids(batched) == _ap_ids(reference)
+            assert _ap_ids(got) == _ap_ids(reference)
 
 
 def _ap_sets(analyzer, trace, period, mode):
     aps = []
     for stage in range(analyzer.netlist.num_stages):
-        aps.extend(
-            ap
-            for ap in analyzer.ap_trace(
-                stage, trace, period, mode, include_safe=True
-            )
-            if ap
+        (trace_aps,) = analyzer.ap_trace_grid(
+            stage, trace, [period], mode, include_safe=True
         )
+        aps.extend(ap for ap in trace_aps if ap)
     return aps
+
+
+def _combine(analyzer, ap, period, mode="statistical"):
+    """One AP set at one period."""
+    return analyzer.combine_grid([ap], [period], mode)[0][0]
 
 
 def test_memoized_combine_bitwise_equal_to_direct(analyzer, trace):
@@ -88,10 +91,10 @@ def test_memoized_combine_bitwise_equal_to_direct(analyzer, trace):
     direct = []
     for ap in aps:
         analyzer._combine_memo.clear()
-        direct.append(analyzer.combine(ap, period))
+        direct.append(_combine(analyzer, ap, period))
     analyzer._combine_memo.clear()
-    memo_once = [analyzer.combine(ap, period) for ap in aps]
-    memo_again = [analyzer.combine(ap, period) for ap in aps]
+    memo_once = [dts for (dts,) in analyzer.combine_grid(aps, [period])]
+    memo_again = [_combine(analyzer, ap, period) for ap in aps]
     assert memo_once == direct
     assert memo_again == direct
 
@@ -99,9 +102,9 @@ def test_memoized_combine_bitwise_equal_to_direct(analyzer, trace):
 def test_combine_memo_hit_counters(analyzer, trace):
     period = _periods(analyzer)[0] * 1.001  # distinct memo keyspace
     aps = _ap_sets(analyzer, trace, period, "statistical")
-    analyzer.combine(aps[0], period)  # warm the memo for this key
+    _combine(analyzer, aps[0], period)  # warm the memo for this key
     before = kernel_stats().snapshot()
-    analyzer.combine(aps[0], period)
+    _combine(analyzer, aps[0], period)
     delta = kernel_stats().delta(before)
     assert delta.combine_calls == 1
     assert delta.combine_memo_hits == 1
@@ -113,7 +116,7 @@ def test_precomputed_cov_matches_reference(analyzer, trace):
     aps = _ap_sets(analyzer, trace, period, "statistical")
     for ap in aps[:20]:
         analyzer._combine_memo.clear()
-        fast = analyzer.combine(ap, period)
+        fast = _combine(analyzer, ap, period)
         reference = _reference.combine(analyzer, ap, period)
         assert fast.mean == pytest.approx(reference.mean, rel=1e-9)
         assert fast.var == pytest.approx(reference.var, rel=1e-9, abs=1e-12)
@@ -122,13 +125,15 @@ def test_precomputed_cov_matches_reference(analyzer, trace):
 def test_deterministic_mode_bypasses_memo(analyzer, trace):
     period = _periods(analyzer)[1]
     aps = _ap_sets(analyzer, trace, period, "deterministic")
-    result = analyzer.combine(aps[0], period, mode="deterministic")
+    memo = dict(analyzer._combine_memo)
+    result = _combine(analyzer, aps[0], period, mode="deterministic")
     reference = _reference.combine(
         analyzer, aps[0], period, mode="deterministic"
     )
     assert result == reference
     assert result.var == 0.0
+    assert analyzer._combine_memo == memo
 
 
 def test_empty_ap_combines_to_none(analyzer):
-    assert analyzer.combine([], 100.0) is None
+    assert analyzer.combine_grid([[]], [100.0]) == [[None]]

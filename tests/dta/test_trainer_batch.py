@@ -57,10 +57,10 @@ def _reference_train(trainer, samples_per_class, seed):
             activity = trainer.simulator.activity(
                 trainer.encoder.encode_schedule(scheduler.schedule(window))
             )
-            dts = trainer.analyzer.window_dts(
-                activity, scheduler.entries(window, [1]), _T_REF,
+            dts = trainer.analyzer.window_dts_grid(
+                activity, scheduler.entries(window, [1]), [_T_REF],
                 include_safe=True,
-            )[0]
+            )[0][0]
             if dts is None:
                 arrival, sd = 0.0, 0.5
             else:

@@ -2,9 +2,10 @@
 
 ``DatapathTrainer.ap_traces`` stacks the activation rows of consecutive
 training windows, selects each chunk's AP sets with one
-``StageDTSAnalyzer.ap_trace`` call per stage, and slices every window's
-cycles back out.  Each window's traces must be the ones a per-window
-``ap_trace`` selects, for chunk budgets from one window to all of them.
+``StageDTSAnalyzer.ap_trace_grid`` call per stage, and slices every
+window's cycles back out.  Each window's traces must be the ones a
+per-window ``ap_trace_grid`` selects, for chunk budgets from one window
+to all of them.
 """
 
 import numpy as np
@@ -55,10 +56,10 @@ def test_chunked_traces_equal_per_window_traces(
         trainer_mod, "_APSEL_CELLS", windows_per_chunk * cells
     )
     calls = []
-    ap_trace = stage_analyzer.ap_trace
+    ap_trace_grid = stage_analyzer.ap_trace_grid
     monkeypatch.setattr(
-        stage_analyzer, "ap_trace",
-        lambda *args, **kw: calls.append(1) or ap_trace(*args, **kw),
+        stage_analyzer, "ap_trace_grid",
+        lambda *args, **kw: calls.append(1) or ap_trace_grid(*args, **kw),
     )
     got = list(trainer.ap_traces(activities))
     chunks = sum(1 for _ in trainer_mod._chunks(activities))
@@ -73,7 +74,7 @@ def test_chunked_traces_equal_per_window_traces(
     for activity, traces in zip(activities, got):
         assert len(traces) == n_stages
         for s, trace in enumerate(traces):
-            want = stage_analyzer.ap_trace(
-                s, activity, _T_REF, include_safe=True
+            (want,) = stage_analyzer.ap_trace_grid(
+                s, activity, [_T_REF], include_safe=True
             )
             assert _paths(trace) == _paths(want)

@@ -75,11 +75,12 @@ class TestGridParity:
         assert telemetry["grid_points"] == len(SPECS)
 
     def test_reference_kernels_fall_back_per_point(self, tmp_path):
-        """The frozen references batch nothing (``ap_trace_grid`` and
-        ``combine_grid`` loop over periods): execute_grid on them must
-        still return the kernels' per-point results.  The two higher
-        points: at 1.05 no control DTS reaches an error probability, so
-        the report would not see the references at all."""
+        """The frozen references batch nothing (``ap_trace_grid`` loops
+        over periods, ``combine_grid`` over (AP set, period) cells):
+        execute_grid on them must still return the kernels' per-point
+        results.  The two higher points: at 1.05 no control DTS reaches
+        an error probability, so the report would not see the
+        references at all."""
         scalar = _pipeline(tmp_path, "scalar")
         specs = SPECS[1:]
         expected = [

@@ -56,8 +56,8 @@ def test_kernels_match_full_reference():
 
 
 def test_reference_kernels_train_the_same_datapath_samples():
-    """Training reduces its AP sets with ``combine_many``; on the frozen
-    references that is one scalar ``combine`` per set.  The samples are
+    """Training reduces its AP sets with one ``combine_grid`` call; on
+    the frozen references that is one scalar ``combine`` per set.  The samples are
     far more sensitive to the reductions than a report whose error rate
     rounds to zero, so compare them directly.  Not bit for bit: the
     analyzer seeds within-endpoint covariance cells from the blocked
