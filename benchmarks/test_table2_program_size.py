@@ -43,7 +43,7 @@ def _measure_all():
             max_instructions=wl.budget("large"),
             listener=profiler.listener,
         )
-        result = profiler.result()
+        result = profiler.profile()
         rows[name] = (result.total_instructions, len(cfg))
     return rows
 

@@ -8,11 +8,13 @@ weight the error-count sum in Section 5.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cfg.cfg import ControlFlowGraph, ENTRY_EDGE
+from repro.cpu.interpreter import StepRecord
 
 __all__ = ["EdgeProfiler", "ProfileResult"]
 
@@ -56,47 +58,79 @@ class ProfileResult:
 
 
 class EdgeProfiler:
-    """An interpreter listener that accumulates block/edge counts.
+    """The block-segmenting interpreter listener of every functional run.
+
+    Counts block entries and edges, and keeps the last ``history + max
+    block size`` executed records, each built once.  Execution must start
+    at a block leader.  Subclasses say what they keep through two hooks:
+    :meth:`_enter` at every block entry, and :meth:`_leave` after each
+    complete block execution (not one cut off by the instruction budget,
+    nor one that a ``ret`` runs into mid-block).  While a block runs,
+    ``_pred`` is the block it was entered from (:data:`ENTRY_EDGE` for
+    the program entry).
 
     Usage::
 
         profiler = EdgeProfiler(cfg)
         simulator.run(state, listener=profiler.listener)
-        result = profiler.result()
+        result = profiler.profile()
     """
 
-    def __init__(self, cfg: ControlFlowGraph) -> None:
+    def __init__(self, cfg: ControlFlowGraph, history: int = 0) -> None:
         self.cfg = cfg
-        n_instr = len(cfg.program)
         self._block_of = cfg.block_of_instruction
-        self._is_leader = [False] * n_instr
+        self._is_leader = [False] * len(cfg.program)
         for b in cfg.blocks:
             self._is_leader[b.start] = True
-        self._block_counts = np.zeros(len(cfg), dtype=np.int64)
+        self._sizes = [b.size for b in cfg.blocks]
+        self._records: deque[StepRecord] = deque(
+            maxlen=history + max(self._sizes, default=0)
+        )
+        self._block_counts = [0] * len(cfg)
         self._edge_counts: dict[tuple[int, int], int] = {}
         self._instructions = 0
-        # The first executed block is entered through the virtual edge.
-        self._pending_edge_source = ENTRY_EDGE
-        self._started = False
+        self._pred = ENTRY_EDGE
+        self._bid = -1
+        self._entered = 0
 
     def listener(self, pc: int, a: int, b: int, r: int, next_pc: int) -> None:
         """Interpreter listener callback."""
+        records = self._records
+        records.append(StepRecord(pc, a, b, r, next_pc))
         self._instructions += 1
-        if not self._started or self._is_leader[pc]:
-            if not self._started and not self._is_leader[pc]:
-                raise AssertionError("execution must start at a block leader")
+        is_leader = self._is_leader
+        if is_leader[pc]:
             bid = self._block_of[pc]
             self._block_counts[bid] += 1
-            key = (self._pending_edge_source, bid)
+            key = (self._pred, bid)
             self._edge_counts[key] = self._edge_counts.get(key, 0) + 1
-            self._started = True
-        if 0 <= next_pc < len(self._is_leader) and self._is_leader[next_pc]:
-            self._pending_edge_source = self._block_of[pc]
+            self._bid = bid
+            self._entered = self._instructions - 1
+            self._enter(bid, self._pred)
+        elif self._bid < 0:
+            raise AssertionError("execution must start at a block leader")
+        if (0 <= next_pc < len(is_leader) and is_leader[next_pc]) or (
+            next_pc == pc
+        ):
+            bid = self._bid
+            if self._instructions - self._entered == self._sizes[bid]:
+                self._leave(bid, records)
+            self._pred = bid
 
-    def result(self) -> ProfileResult:
+    def _enter(self, bid: int, pred: int) -> None:
+        """Hook: block ``bid`` is entered from ``pred``."""
+
+    def _leave(self, bid: int, records: deque[StepRecord]) -> None:
+        """Hook: block ``bid`` completed.
+
+        Its records are the last ``size`` of ``records``, after up to
+        ``history`` earlier ones.
+        """
+
+    def profile(self) -> ProfileResult:
         """Snapshot of the accumulated profile."""
         return ProfileResult(
-            block_counts=self._block_counts.copy(),
+            block_counts=np.array(self._block_counts, dtype=np.int64),
             edge_counts=dict(self._edge_counts),
             total_instructions=self._instructions,
         )

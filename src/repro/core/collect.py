@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro._util import as_rng
-from repro.cfg.cfg import ControlFlowGraph, ENTRY_EDGE
-from repro.cfg.profile import ProfileResult
-from repro.cpu.interpreter import StepRecord
+from repro.cfg.cfg import ControlFlowGraph
+from repro.cfg.profile import EdgeProfiler, ProfileResult
+from repro.cpu.interpreter import FunctionalSimulator, StepRecord
+from repro.cpu.state import MachineState
 
 __all__ = ["BlockExecutionSample", "SimulationCollector"]
 
@@ -41,8 +40,13 @@ class BlockExecutionSample:
     records: list[StepRecord]
 
 
-class SimulationCollector:
+class SimulationCollector(EdgeProfiler):
     """Interpreter listener: profile + per-block joint reservoirs.
+
+    A block entry reserves a reservoir slot: the next free one, or, once
+    the block's reservoir is full, slot ``rng.integers(count)`` when it
+    falls inside the reservoir.  The execution fills its slot when it
+    completes; one cut off by the instruction budget leaves it empty.
 
     Args:
         cfg: The program CFG.
@@ -55,101 +59,67 @@ class SimulationCollector:
     ) -> None:
         if reservoir_size < 1:
             raise ValueError("reservoir_size must be >= 1")
-        self.cfg = cfg
+        super().__init__(cfg, history=1)
         self.reservoir_size = reservoir_size
         self._rng = as_rng(seed)
-        n_instr = len(cfg.program)
-        self._is_leader = [False] * n_instr
-        for b in cfg.blocks:
-            self._is_leader[b.start] = True
-        self._block_of = cfg.block_of_instruction
-        self._block_counts = np.zeros(len(cfg), dtype=np.int64)
-        self._edge_counts: dict[tuple[int, int], int] = {}
-        self._instructions = 0
-        self.reservoirs: dict[int, list[BlockExecutionSample]] = {}
-        self._pending_pred = ENTRY_EDGE
-        self._prev_record: StepRecord | None = None
-        self._current: BlockExecutionSample | None = None
-        self._current_bid = -1
-        self._started = False
+        self.reservoirs: dict[int, list[BlockExecutionSample | None]] = {}
+        self._slot = -1
 
-    # ------------------------------------------------------------------ #
-
-    def listener(self, pc: int, a: int, b: int, r: int, next_pc: int) -> None:
-        record = StepRecord(pc, a, b, r, next_pc)
-        self._instructions += 1
-        if not self._started or self._is_leader[pc]:
-            self._enter_block(self._block_of[pc])
-            self._started = True
-        if self._current is not None:
-            self._current.records.append(record)
-        is_exit = (
-            0 <= next_pc < len(self._is_leader) and self._is_leader[next_pc]
-        ) or next_pc == pc
-        if is_exit:
-            self._leave_block()
-            self._pending_pred = self._block_of[pc]
-        self._prev_record = record
-
-    def _enter_block(self, bid: int) -> None:
-        self._block_counts[bid] += 1
-        key = (self._pending_pred, bid)
-        self._edge_counts[key] = self._edge_counts.get(key, 0) + 1
-        self._current_bid = bid
-        count = int(self._block_counts[bid])
+    def _enter(self, bid: int, pred: int) -> None:
         reservoir = self.reservoirs.setdefault(bid, [])
         if len(reservoir) < self.reservoir_size:
-            slot = len(reservoir)
-            reservoir.append(None)  # type: ignore[arg-type]
+            self._slot = len(reservoir)
+            reservoir.append(None)
+            return
+        j = int(self._rng.integers(self._block_counts[bid]))
+        if j < self.reservoir_size:
+            reservoir[j] = None
+            self._slot = j
         else:
-            j = int(self._rng.integers(count))
-            if j >= self.reservoir_size:
-                self._current = None
-                return
-            slot = j
-        sample = BlockExecutionSample(
-            pred=self._pending_pred,
-            entry_prev=self._prev_record,
-            records=[],
-        )
-        reservoir[slot] = sample
-        self._current = sample
+            self._slot = -1
 
-    def _leave_block(self) -> None:
-        if self._current is not None:
-            expected = self.cfg.block(self._current_bid).size
-            if len(self._current.records) != expected:
-                # Partial block execution (shouldn't happen with maximal
-                # blocks) — drop the sample defensively.
-                res = self.reservoirs[self._current_bid]
-                res.remove(self._current)
-        self._current = None
-
-    # ------------------------------------------------------------------ #
-
-    def profile(self) -> ProfileResult:
-        """The profiling half of the collection."""
-        return ProfileResult(
-            block_counts=self._block_counts.copy(),
-            edge_counts=dict(self._edge_counts),
-            total_instructions=self._instructions,
+    def _leave(self, bid: int, records) -> None:
+        if self._slot < 0:
+            return
+        n = self._sizes[bid]
+        kept = list(records)
+        self.reservoirs[bid][self._slot] = BlockExecutionSample(
+            pred=self._pred,
+            entry_prev=kept[-n - 1] if len(kept) > n else None,
+            records=kept[-n:],
         )
 
     def samples(self) -> dict[int, list[BlockExecutionSample]]:
-        """Per-block joint execution samples (completed ones only).
-
-        A sample is complete when it covers the whole block; an execution
-        cut short by the instruction budget leaves a partial sample in the
-        reservoir, which is filtered here.
-        """
+        """Per-block joint execution samples (completed ones only), in
+        slot order."""
         out: dict[int, list[BlockExecutionSample]] = {}
         for bid, res in self.reservoirs.items():
-            expected = self.cfg.block(bid).size
-            complete = [
-                s
-                for s in res
-                if s is not None and len(s.records) == expected
-            ]
+            complete = [s for s in res if s is not None]
             if complete:
                 out[bid] = complete
         return out
+
+
+def collect_evaluation(
+    program,
+    cfg: ControlFlowGraph,
+    *,
+    setup=None,
+    max_instructions: int,
+    reservoir_size: int = 160,
+) -> tuple[ProfileResult, dict[int, list[BlockExecutionSample]]]:
+    """The evaluation-dataset functional run: profile + samples.
+
+    Period-independent (the interpreter knows nothing about timing) and
+    deterministic (fixed-seed reservoir), so one collection can feed the
+    estimation of every operating point of a grid.
+    """
+    state = MachineState()
+    if setup is not None:
+        setup(state)
+    collector = SimulationCollector(cfg, reservoir_size=reservoir_size)
+    FunctionalSimulator(program).run(
+        state, max_instructions=max_instructions,
+        listener=collector.listener,
+    )
+    return collector.profile(), collector.samples()

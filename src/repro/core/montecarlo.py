@@ -23,12 +23,10 @@ import numpy as np
 
 from repro._util import as_rng
 from repro.cfg.cfg import build_cfg
-from repro.core.collect import SimulationCollector
+from repro.core.collect import collect_evaluation
 from repro.core.processor import ProcessorModel
-from repro.cpu.interpreter import FunctionalSimulator
 from repro.cpu.pipeline import InstructionWindow
 from repro.dta.algorithm2 import entry_pairs
-from repro.cpu.state import MachineState
 from repro.dta.graphdta import GraphDTSAnalyzer
 from repro.dta.windowpool import ActivityCache
 from repro.logicsim.simulator import LevelizedSimulator
@@ -127,16 +125,10 @@ class MonteCarloValidator:
         """Measure the per-chip error-rate distribution for a program."""
         rng = as_rng(seed)
         cfg = build_cfg(program)
-        collector = SimulationCollector(cfg, reservoir_size=64)
-        state = MachineState()
-        if setup is not None:
-            setup(state)
-        FunctionalSimulator(program).run(
-            state, max_instructions=max_instructions,
-            listener=collector.listener,
+        profile, samples = collect_evaluation(
+            program, cfg, setup=setup, max_instructions=max_instructions,
+            reservoir_size=64,
         )
-        profile = collector.profile()
-        samples = collector.samples()
 
         runtime = _MCRuntime(
             cfg=cfg,

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro._util import check_in, check_positive
+from repro._util import check_in, check_nonnegative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.base import Workload
@@ -74,6 +75,16 @@ class EstimationRequest:
         check_positive("reservoir_size", self.reservoir_size)
         if self.speculation is not None:
             check_positive("speculation", self.speculation)
+            if not math.isfinite(self.speculation):
+                raise ValueError(
+                    f"speculation must be finite, got {self.speculation!r}"
+                )
+        for name in ("max_instructions", "train_instructions"):
+            if getattr(self, name) is not None:
+                check_positive(name, getattr(self, name))
+        for name in ("seed", "train_seed", "eval_seed"):
+            if getattr(self, name) is not None:
+                check_nonnegative(name, getattr(self, name))
         get_core_family(self.core_family)
 
     # ------------------------------------------------------------------ #

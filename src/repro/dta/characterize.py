@@ -17,10 +17,10 @@ state the error-correction mechanism leaves behind (giving p^e).
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
-from repro.cfg.cfg import ControlFlowGraph, ENTRY_EDGE
+from repro.cfg.cfg import ControlFlowGraph
+from repro.cfg.profile import EdgeProfiler
 from repro.cpu.correction import CorrectionScheme
 from repro.cpu.interpreter import StepRecord
 from repro.cpu.pipeline import InstructionWindow, PipelineScheduler
@@ -144,66 +144,29 @@ class ControlTimingModel:
         return model
 
 
-class ControlSampleCollector:
+class ControlSampleCollector(EdgeProfiler):
     """Interpreter listener capturing one execution window per CFG edge.
 
-    For every (block, predecessor) pair, stores the block's executed
-    records together with the trailing records of the path leading into it
-    (the pipeline-sharing context).
+    For every (block, predecessor) pair, stores the block's first complete
+    execution together with the trailing records of the path leading into
+    it (the pipeline-sharing context).
     """
 
     def __init__(self, cfg: ControlFlowGraph, tail_length: int = 5) -> None:
-        self.cfg = cfg
+        super().__init__(cfg, history=tail_length)
         self.tail_length = tail_length
-        self._is_leader = [False] * len(cfg.program)
-        for b in cfg.blocks:
-            self._is_leader[b.start] = True
-        self._block_of = cfg.block_of_instruction
-        max_block = max(b.size for b in cfg.blocks)
-        self._history: deque[StepRecord] = deque(
-            maxlen=tail_length + max_block
-        )
-        self._pending_pred = ENTRY_EDGE
-        self._open: dict[tuple[int, int], int] = {}
         #: (bid, pred) -> (tail records, block records)
         self.samples: dict[
             tuple[int, int], tuple[list[StepRecord], list[StepRecord]]
         ] = {}
-        self._started = False
 
-    def listener(self, pc: int, a: int, b: int, r: int, next_pc: int) -> None:
-        if not self._started or self._is_leader[pc]:
-            bid = self._block_of[pc]
-            key = (bid, self._pending_pred)
-            if key not in self.samples and key not in self._open:
-                self._open[key] = len(self._history)
-            self._started = True
-        record = StepRecord(pc, a, b, r, next_pc)
-        self._history.append(record)
-        leaving = (
-            0 <= next_pc < len(self._is_leader) and self._is_leader[next_pc]
-        ) or next_pc == pc
-        if leaving:
-            self._flush_completed(pc)
-            self._pending_pred = self._block_of[pc]
-
-    def _flush_completed(self, last_pc: int) -> None:
-        bid = self._block_of[last_pc]
-        block = self.cfg.block(bid)
-        done = [key for key in self._open if key[0] == bid]
-        for key in done:
-            hist = list(self._history)
-            n = block.size
-            block_records = hist[-n:]
-            if [rec.index for rec in block_records] != list(
-                block.instruction_indices()
-            ):
-                # Partial capture (history overflow or interrupted block).
-                del self._open[key]
-                continue
-            tail = hist[max(0, len(hist) - n - self.tail_length) : len(hist) - n]
-            self.samples[key] = (tail, block_records)
-            del self._open[key]
+    def _leave(self, bid: int, records) -> None:
+        key = (bid, self._pred)
+        if key in self.samples:
+            return
+        hist = list(records)
+        n = self._sizes[bid]
+        self.samples[key] = (hist[-n - self.tail_length : -n], hist[-n:])
 
 
 class ControlCharacterizer:

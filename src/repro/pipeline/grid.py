@@ -14,7 +14,7 @@ fans out only the genuinely period-dependent tail:
   DTS evaluation batched along the period axis down to the Clark
   reductions (:func:`repro.sta.ssta.statistical_min_grid`);
 * one evaluation functional run
-  (:meth:`~repro.pipeline.pipeline.EstimationPipeline.collect_evaluation`)
+  (:func:`repro.core.collect.collect_evaluation`)
   feeding every point's error model;
 * per point: on-demand characterization, the tail of the
   data-variation error model, and the statistical estimate.  The error
@@ -49,6 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.core.collect import collect_evaluation
 from repro.kernels import kernel_stats
 from repro.pipeline import stages
 from repro.pipeline.ir import ControlInputIR, TrainingSpec
@@ -204,11 +205,7 @@ def execute_grid(
         A :class:`GridResult` with one
         :class:`~repro.pipeline.pipeline.PipelineResult` per request.
     """
-    from repro.pipeline.pipeline import (
-        EstimationPipeline,
-        PipelineResult,
-        StageEvent,
-    )
+    from repro.pipeline.pipeline import PipelineResult, StageEvent
 
     requests = list(requests)
     grid_request = GridRequest.build(requests)
@@ -381,7 +378,7 @@ def execute_grid(
         _, eval_setup, eval_budget = workload.run_spec(
             first.eval_scale, seed=first.eval_seed
         )
-        inputs.evaluation = EstimationPipeline.collect_evaluation(
+        inputs.evaluation = collect_evaluation(
             program,
             trained[0].cfg,
             setup=eval_setup,

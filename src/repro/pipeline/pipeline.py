@@ -30,9 +30,7 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 
-from repro.core.collect import SimulationCollector
-from repro.cpu.interpreter import FunctionalSimulator
-from repro.cpu.state import MachineState
+from repro.core.collect import collect_evaluation
 from repro.dta.windowpool import ActivityCache
 from repro.kernels import kernel_stats
 from repro.pipeline import stages
@@ -297,7 +295,7 @@ class EstimationPipeline:
         """Estimate the program's error-rate distribution on a dataset."""
         start = time.perf_counter()
         kernels_before = kernel_stats().snapshot()
-        profile, samples = self.collect_evaluation(
+        profile, samples = collect_evaluation(
             program,
             artifacts.cfg,
             setup=setup,
@@ -308,32 +306,6 @@ class EstimationPipeline:
             program, artifacts, profile, samples,
             seed=seed, start=start, kernels_before=kernels_before,
         )
-
-    @staticmethod
-    def collect_evaluation(
-        program,
-        cfg,
-        *,
-        setup,
-        max_instructions: int,
-        reservoir_size: int,
-    ):
-        """The evaluation-dataset functional run: profile + samples.
-
-        Period-independent (the interpreter knows nothing about timing)
-        and deterministic (fixed-seed reservoir), so one collection can
-        feed the estimation of every operating point of a grid.
-        """
-        simulator = FunctionalSimulator(program)
-        state = MachineState()
-        if setup is not None:
-            setup(state)
-        collector = SimulationCollector(cfg, reservoir_size=reservoir_size)
-        simulator.run(
-            state, max_instructions=max_instructions,
-            listener=collector.listener,
-        )
-        return collector.profile(), collector.samples()
 
     def _finish_estimate(
         self,
@@ -404,7 +376,7 @@ class EstimationPipeline:
         """Estimate from an already-collected evaluation run.
 
         The grid evaluator's per-point entry: the shared
-        :meth:`collect_evaluation` output feeds every operating point,
+        :func:`~repro.core.collect.collect_evaluation` output feeds every operating point,
         and each point runs only the period-dependent tail (on-demand
         characterization, error model, statistical estimate).
         ``inputs`` are the program's pass inputs holding these
@@ -493,17 +465,9 @@ class EstimationPipeline:
         from repro.cfg.marginal import MarginalSolver
 
         cfg = artifacts.cfg
-        simulator = FunctionalSimulator(program)
-        state = MachineState()
-        if setup is not None:
-            setup(state)
-        collector = SimulationCollector(cfg)
-        simulator.run(
-            state, max_instructions=max_instructions,
-            listener=collector.listener,
+        profile, samples = collect_evaluation(
+            program, cfg, setup=setup, max_instructions=max_instructions
         )
-        profile = collector.profile()
-        samples = collector.samples()
         stages.characterize_missing(artifacts, samples)
         conditionals = stages.block_conditionals(
             self.processor,

@@ -113,7 +113,7 @@ class PassInputs:
         training: The training run ``(cfg, samples, instructions)`` of
             :func:`collect_training_samples`.
         evaluation: The evaluation run ``(profile, samples)`` of
-            :meth:`~repro.pipeline.pipeline.EstimationPipeline.collect_evaluation`.
+            :func:`repro.core.collect.collect_evaluation`.
         training_windows: ``(bid, pred) -> edge inputs`` (activity
             traces, entry specs and first-activated picks memos of the
             normal and corrected windows, see

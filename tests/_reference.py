@@ -26,7 +26,11 @@ arithmetic, as the ground truth the parity tests compare against:
   :func:`all_block_probabilities` / :func:`block_probabilities` /
   :func:`control_arrays` (every block, instruction and operating point
   resampled, featurized and predicted on its own; one control lookup
-  per sample).
+  per sample);
+* ``EdgeProfiler`` and its subclasses ``SimulationCollector`` and
+  ``ControlSampleCollector`` -> the stand-alone classes of the same
+  names, each a listener with its own block segmentation (run side by
+  side with the shared ones, not patched).
 
 The method references take ``self`` first, so :func:`reference_kernels`
 can patch them over the public entry points and a whole estimation runs
@@ -36,6 +40,7 @@ is where the engine runs every job.
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
@@ -47,8 +52,12 @@ import repro.sta.clark
 import repro.sta.ssta
 import repro.workloads.automotive
 from repro._util import as_rng, check_in
+from repro.cfg.cfg import ENTRY_EDGE, ControlFlowGraph
 from repro.cfg.marginal import BlockProbabilities
+from repro.cfg.profile import ProfileResult
+from repro.core.collect import BlockExecutionSample
 from repro.core.errormodel import _SAFE_SLACK, InstructionErrorModel
+from repro.cpu.interpreter import StepRecord
 from repro.dta.algorithm1 import _MODES, StageDTSAnalyzer, _StagePlan
 from repro.dta.datapath import feature_matrix, record_arrays
 from repro.dta.windowpool import ActivityCache
@@ -66,6 +75,9 @@ from repro.sta.gaussian import Gaussian
 from repro.sta.ssta import statistical_min
 
 __all__ = [
+    "ControlSampleCollector",
+    "EdgeProfiler",
+    "SimulationCollector",
     "activity",
     "all_block_probabilities",
     "ap_trace",
@@ -430,6 +442,234 @@ def bitcount_params(dataset) -> dict:
         [int(rng.integers(1 << w)) for w in widths], dtype=np.int64
     )
     return {"n": n, "values": values}
+
+
+# --------------------------------------------------------------------- #
+# Functional-run listeners
+# --------------------------------------------------------------------- #
+
+
+class EdgeProfiler:
+    """An interpreter listener that accumulates block/edge counts.
+
+    Usage::
+
+        profiler = EdgeProfiler(cfg)
+        simulator.run(state, listener=profiler.listener)
+        result = profiler.result()
+    """
+
+    def __init__(self, cfg: ControlFlowGraph) -> None:
+        self.cfg = cfg
+        n_instr = len(cfg.program)
+        self._block_of = cfg.block_of_instruction
+        self._is_leader = [False] * n_instr
+        for b in cfg.blocks:
+            self._is_leader[b.start] = True
+        self._block_counts = np.zeros(len(cfg), dtype=np.int64)
+        self._edge_counts: dict[tuple[int, int], int] = {}
+        self._instructions = 0
+        # The first executed block is entered through the virtual edge.
+        self._pending_edge_source = ENTRY_EDGE
+        self._started = False
+
+    def listener(self, pc: int, a: int, b: int, r: int, next_pc: int) -> None:
+        """Interpreter listener callback."""
+        self._instructions += 1
+        if not self._started or self._is_leader[pc]:
+            if not self._started and not self._is_leader[pc]:
+                raise AssertionError("execution must start at a block leader")
+            bid = self._block_of[pc]
+            self._block_counts[bid] += 1
+            key = (self._pending_edge_source, bid)
+            self._edge_counts[key] = self._edge_counts.get(key, 0) + 1
+            self._started = True
+        if 0 <= next_pc < len(self._is_leader) and self._is_leader[next_pc]:
+            self._pending_edge_source = self._block_of[pc]
+
+    def result(self) -> ProfileResult:
+        """Snapshot of the accumulated profile."""
+        return ProfileResult(
+            block_counts=self._block_counts.copy(),
+            edge_counts=dict(self._edge_counts),
+            total_instructions=self._instructions,
+        )
+
+
+class SimulationCollector:
+    """Interpreter listener: profile + per-block joint reservoirs.
+
+    Args:
+        cfg: The program CFG.
+        reservoir_size: Max sampled executions kept per block.
+        seed: Reservoir-sampling seed (deterministic collection).
+    """
+
+    def __init__(
+        self, cfg: ControlFlowGraph, reservoir_size: int = 160, seed=17
+    ) -> None:
+        if reservoir_size < 1:
+            raise ValueError("reservoir_size must be >= 1")
+        self.cfg = cfg
+        self.reservoir_size = reservoir_size
+        self._rng = as_rng(seed)
+        n_instr = len(cfg.program)
+        self._is_leader = [False] * n_instr
+        for b in cfg.blocks:
+            self._is_leader[b.start] = True
+        self._block_of = cfg.block_of_instruction
+        self._block_counts = np.zeros(len(cfg), dtype=np.int64)
+        self._edge_counts: dict[tuple[int, int], int] = {}
+        self._instructions = 0
+        self.reservoirs: dict[int, list[BlockExecutionSample]] = {}
+        self._pending_pred = ENTRY_EDGE
+        self._prev_record: StepRecord | None = None
+        self._current: BlockExecutionSample | None = None
+        self._current_bid = -1
+        self._started = False
+
+    # ------------------------------------------------------------------ #
+
+    def listener(self, pc: int, a: int, b: int, r: int, next_pc: int) -> None:
+        record = StepRecord(pc, a, b, r, next_pc)
+        self._instructions += 1
+        if not self._started or self._is_leader[pc]:
+            self._enter_block(self._block_of[pc])
+            self._started = True
+        if self._current is not None:
+            self._current.records.append(record)
+        is_exit = (
+            0 <= next_pc < len(self._is_leader) and self._is_leader[next_pc]
+        ) or next_pc == pc
+        if is_exit:
+            self._leave_block()
+            self._pending_pred = self._block_of[pc]
+        self._prev_record = record
+
+    def _enter_block(self, bid: int) -> None:
+        self._block_counts[bid] += 1
+        key = (self._pending_pred, bid)
+        self._edge_counts[key] = self._edge_counts.get(key, 0) + 1
+        self._current_bid = bid
+        count = int(self._block_counts[bid])
+        reservoir = self.reservoirs.setdefault(bid, [])
+        if len(reservoir) < self.reservoir_size:
+            slot = len(reservoir)
+            reservoir.append(None)  # type: ignore[arg-type]
+        else:
+            j = int(self._rng.integers(count))
+            if j >= self.reservoir_size:
+                self._current = None
+                return
+            slot = j
+        sample = BlockExecutionSample(
+            pred=self._pending_pred,
+            entry_prev=self._prev_record,
+            records=[],
+        )
+        reservoir[slot] = sample
+        self._current = sample
+
+    def _leave_block(self) -> None:
+        if self._current is not None:
+            expected = self.cfg.block(self._current_bid).size
+            if len(self._current.records) != expected:
+                # Partial block execution (shouldn't happen with maximal
+                # blocks) — drop the sample defensively.
+                res = self.reservoirs[self._current_bid]
+                res.remove(self._current)
+        self._current = None
+
+    # ------------------------------------------------------------------ #
+
+    def profile(self) -> ProfileResult:
+        """The profiling half of the collection."""
+        return ProfileResult(
+            block_counts=self._block_counts.copy(),
+            edge_counts=dict(self._edge_counts),
+            total_instructions=self._instructions,
+        )
+
+    def samples(self) -> dict[int, list[BlockExecutionSample]]:
+        """Per-block joint execution samples (completed ones only).
+
+        A sample is complete when it covers the whole block; an execution
+        cut short by the instruction budget leaves a partial sample in the
+        reservoir, which is filtered here.
+        """
+        out: dict[int, list[BlockExecutionSample]] = {}
+        for bid, res in self.reservoirs.items():
+            expected = self.cfg.block(bid).size
+            complete = [
+                s
+                for s in res
+                if s is not None and len(s.records) == expected
+            ]
+            if complete:
+                out[bid] = complete
+        return out
+
+
+class ControlSampleCollector:
+    """Interpreter listener capturing one execution window per CFG edge.
+
+    For every (block, predecessor) pair, stores the block's executed
+    records together with the trailing records of the path leading into it
+    (the pipeline-sharing context).
+    """
+
+    def __init__(self, cfg: ControlFlowGraph, tail_length: int = 5) -> None:
+        self.cfg = cfg
+        self.tail_length = tail_length
+        self._is_leader = [False] * len(cfg.program)
+        for b in cfg.blocks:
+            self._is_leader[b.start] = True
+        self._block_of = cfg.block_of_instruction
+        max_block = max(b.size for b in cfg.blocks)
+        self._history: deque[StepRecord] = deque(
+            maxlen=tail_length + max_block
+        )
+        self._pending_pred = ENTRY_EDGE
+        self._open: dict[tuple[int, int], int] = {}
+        #: (bid, pred) -> (tail records, block records)
+        self.samples: dict[
+            tuple[int, int], tuple[list[StepRecord], list[StepRecord]]
+        ] = {}
+        self._started = False
+
+    def listener(self, pc: int, a: int, b: int, r: int, next_pc: int) -> None:
+        if not self._started or self._is_leader[pc]:
+            bid = self._block_of[pc]
+            key = (bid, self._pending_pred)
+            if key not in self.samples and key not in self._open:
+                self._open[key] = len(self._history)
+            self._started = True
+        record = StepRecord(pc, a, b, r, next_pc)
+        self._history.append(record)
+        leaving = (
+            0 <= next_pc < len(self._is_leader) and self._is_leader[next_pc]
+        ) or next_pc == pc
+        if leaving:
+            self._flush_completed(pc)
+            self._pending_pred = self._block_of[pc]
+
+    def _flush_completed(self, last_pc: int) -> None:
+        bid = self._block_of[last_pc]
+        block = self.cfg.block(bid)
+        done = [key for key in self._open if key[0] == bid]
+        for key in done:
+            hist = list(self._history)
+            n = block.size
+            block_records = hist[-n:]
+            if [rec.index for rec in block_records] != list(
+                block.instruction_indices()
+            ):
+                # Partial capture (history overflow or interrupted block).
+                del self._open[key]
+                continue
+            tail = hist[max(0, len(hist) - n - self.tail_length) : len(hist) - n]
+            self.samples[key] = (tail, block_records)
+            del self._open[key]
 
 
 # --------------------------------------------------------------------- #

@@ -43,7 +43,7 @@ def _profile_and_probs(seed: int, pc_scale: float, pe_scale: float):
         MachineState(), max_instructions=100_000,
         listener=profiler.listener,
     )
-    profile = profiler.result()
+    profile = profiler.profile()
     rng = as_rng(seed + 1)
     probs = {}
     for bid in profile.executed_blocks():

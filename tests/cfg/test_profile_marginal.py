@@ -32,7 +32,7 @@ def _profile(program):
     FunctionalSimulator(program).run(
         MachineState(), listener=profiler.listener
     )
-    return cfg, profiler.result()
+    return cfg, profiler.profile()
 
 
 class TestProfiler:

@@ -34,7 +34,7 @@ def _collect(program, reservoir_size=8):
 
 class TestProfileHalf:
     def test_counts_match_edge_profiler(self, loop_program):
-        from repro.cfg import EdgeProfiler
+        from tests._reference import EdgeProfiler
 
         cfg = build_cfg(loop_program)
         ep = EdgeProfiler(cfg)

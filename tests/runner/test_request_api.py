@@ -23,6 +23,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             EstimationRequest(workload="bitcount", speculation=0.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_non_finite_speculation(self, value):
+        with pytest.raises(ValueError, match="speculation"):
+            EstimationRequest(workload="bitcount", speculation=value)
+
+    @pytest.mark.parametrize("field", ["max_instructions", "train_instructions"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_rejects_non_positive_budget(self, field, value):
+        # 0 once fell through ``or`` to the workload's full budget.
+        with pytest.raises(ValueError, match=field):
+            EstimationRequest(workload="bitcount", **{field: value})
+
+    @pytest.mark.parametrize("field", ["seed", "train_seed", "eval_seed"])
+    def test_rejects_negative_seed(self, field):
+        with pytest.raises(ValueError, match=field):
+            EstimationRequest(workload="bitcount", **{field: -1})
+        assert getattr(
+            EstimationRequest(workload="bitcount", **{field: 0}), field
+        ) == 0
+
     def test_rejects_bad_reservoir(self):
         with pytest.raises(ValueError):
             EstimationRequest(workload="bitcount", reservoir_size=0)

@@ -27,7 +27,7 @@ def loop_setup():
     FunctionalSimulator(program).run(
         MachineState(), listener=profiler.listener
     )
-    return cfg, profiler.result()
+    return cfg, profiler.profile()
 
 
 def _uniform(cfg, prof, pc_val, pe_val, s=4):

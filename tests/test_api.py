@@ -95,6 +95,27 @@ class TestRequestCodec:
                 {"schema": 2, "workload": "bitcount", "train_scale": "huge"}
             )
 
+    def test_out_of_range_values_rejected_at_parse(self):
+        import json
+
+        for field, value in [
+            ("max_instructions", -5),
+            ("max_instructions", 0),
+            ("train_instructions", 0),
+            ("seed", -1),
+            ("train_seed", -1),
+            ("eval_seed", -1),
+        ]:
+            doc = {"schema": 2, "workload": "bitcount", field: value}
+            with pytest.raises(api.ApiError, match=field):
+                api.requests_from_json(doc)
+        # A plain ``json.loads`` reads ``Infinity``.
+        doc = json.loads(
+            '{"schema": 2, "workload": "bitcount", "speculation": Infinity}'
+        )
+        with pytest.raises(api.ApiError, match="finite"):
+            api.requests_from_json(doc)
+
     def test_null_in_non_nullable_field_rejected(self):
         with pytest.raises(api.ApiError, match="must not be null"):
             api.request_from_json(
