@@ -68,7 +68,8 @@ class InstructionDTSAnalyzer:
         that fall outside the trace window are skipped.  ``ap_traces``
         holds the per-stage AP traces at one clock period (from
         :meth:`StageDTSAnalyzer.ap_trace_grid`), shared by the many
-        instructions of a basic-block window.
+        instructions of a basic-block window; a stage's trace may also
+        be a ``cycle -> AP set`` map of just the instruction's cycles.
         """
         union: list[Path] = []
         seen: set[tuple] = set()

@@ -219,23 +219,33 @@ class ControlCharacterizer:
         self.encoder = encoder
 
     def _window_inputs(
-        self, window: InstructionWindow, slot_indices: list[int]
-    ) -> tuple:
-        """A window's period-independent analysis inputs.
+        self, windows: list[tuple[InstructionWindow, list[int]]]
+    ) -> list[tuple]:
+        """Windows' period-independent analysis inputs.
 
-        Scheduling, stimulus encoding, and the (cached) logic simulation
-        do not depend on the clock period: returns the window's
-        activity trace, the analyzer entry specs of ``slot_indices``, and
-        an empty first-activated picks memo that the window's AP
-        selections fill (see :meth:`StageDTSAnalyzer.ap_trace_grid
+        Scheduling, stimulus encoding (one
+        :meth:`~repro.logicsim.stimulus.StimulusEncoder.encode_schedules`
+        call for all ``(window, slot_indices)`` pairs), and the (cached)
+        logic simulation do not depend on the clock period: returns per
+        window its activity trace, the analyzer entry specs of its
+        ``slot_indices``, and an empty first-activated picks memo that
+        the window's AP selections fill (see
+        :meth:`StageDTSAnalyzer.ap_trace_grid
         <repro.dta.algorithm1.StageDTSAnalyzer.ap_trace_grid>`).
         """
-        schedule = self.scheduler.schedule(window)
-        source_values = self.encoder.encode_schedule(schedule)
-        activity = self.activity_cache.activity(
-            source_values, self.simulator.activity
-        )
-        return activity, self.scheduler.entries(window, slot_indices), {}
+        schedules = [self.scheduler.schedule(window) for window, _ in windows]
+        return [
+            (
+                self.activity_cache.activity(
+                    source_values, self.simulator.activity
+                ),
+                self.scheduler.entries(window, slot_indices),
+                {},
+            )
+            for (window, slot_indices), source_values in zip(
+                windows, self.encoder.encode_schedules(schedules)
+            )
+        ]
 
     def edge_inputs(
         self, tail: list[StepRecord], block_records: list[StepRecord]
@@ -243,10 +253,10 @@ class ControlCharacterizer:
         """The period-independent inputs of one (block, edge) pair.
 
         Returns the normal and the corrected window's
-        :meth:`_window_inputs`.  The normal window is the predecessor
-        tail + block, the corrected one applies the scheme's emulation
-        before every instruction (the paper inserts a nop before each
-        one).
+        :meth:`_window_inputs`, encoded in one call.  The normal window
+        is the predecessor tail + block, the corrected one applies the
+        scheme's emulation before every instruction (the paper inserts
+        a nop before each one).
         """
         tail_slots: list[StepRecord | None] = list(tail)
         n = len(block_records)
@@ -261,10 +271,9 @@ class ControlCharacterizer:
             )
             corrected = emulated
             positions.append(len(corrected.slots) - 1)
-        return (
-            self._window_inputs(normal_window, normal_entries),
-            self._window_inputs(corrected, positions),
-        )
+        return tuple(self._window_inputs(
+            [(normal_window, normal_entries), (corrected, positions)]
+        ))
 
     def characterize_edge_values_grid(
         self,

@@ -16,8 +16,8 @@ from repro.cpu.interpreter import FunctionalSimulator
 from repro.cpu.isa import Instruction, Opcode, OpClass, WORD_MASK
 from repro.cpu.pipeline import InstructionWindow, PipelineScheduler
 from repro.cpu.program import Program
-from repro.cpu.state import MachineState
-from repro.dta.algorithm2 import InstructionDTSAnalyzer
+from repro.cpu.state import Flags, MachineState
+from repro.dta.algorithm2 import InstructionDTSAnalyzer, entry_pairs
 from repro.dta.datapath import (
     DatapathSample,
     DatapathTimingModel,
@@ -27,6 +27,7 @@ from repro.dta.datapath import (
 from repro.logicsim.activity import ActivityTrace
 from repro.logicsim.simulator import LevelizedSimulator
 from repro.logicsim.stimulus import StimulusEncoder
+from repro.netlist.paths import Path
 
 __all__ = ["DatapathTrainer"]
 
@@ -42,10 +43,13 @@ _CLASS_OPS: dict[OpClass, list[Opcode]] = {
 }
 
 #: Stacked ``(cycle, gate)`` activation cells per AP selection in
-#: training: windows are selected a chunk at a time (one
+#: training: a stage's target rows are selected a chunk at a time (one
 #: ``ap_trace_grid`` per stage and chunk), which bounds the gathered
 #: temporaries.
 _APSEL_CELLS = 1 << 18
+
+#: Memory words a training window initializes with operand values.
+_OPERAND_WORDS = 128
 
 #: Reference clock period used only to convert slacks back to arrivals; any
 #: value larger than every path delay works (arrival = T - setup - slack).
@@ -68,20 +72,6 @@ def _sample_operands(rng, n: int) -> list[int]:
     words = rng.integers(0, 1 << 32, size=2 * n, dtype=np.uint32)
     widths = (words[0::2] >> 28) + 1
     return ((words[1::2] >> (32 - widths)) & WORD_MASK).tolist()
-
-
-def _chunks(activities):
-    """Consecutive runs of windows with at most :data:`_APSEL_CELLS`
-    activation cells (or a single larger window)."""
-    chunk, cells = [], 0
-    for activity in activities:
-        if chunk and cells + activity.activated.size > _APSEL_CELLS:
-            yield chunk
-            chunk, cells = [], 0
-        chunk.append(activity)
-        cells += activity.activated.size
-    if chunk:
-        yield chunk
 
 
 class DatapathTrainer:
@@ -136,8 +126,14 @@ class DatapathTrainer:
         # Bias shift amounts into range for shift ops via rs2 value later.
         return Instruction(op, rd=4, rs1=5, rs2=6, set_cc=bool(rng.integers(2)))
 
-    def sample_window(self, klass: OpClass, rng):
-        """One training window: random predecessor + target instruction."""
+    def sample_window(self, klass: OpClass, rng, state=None):
+        """One training window: random predecessor + target instruction.
+
+        ``state`` is a :class:`MachineState` whose memory is all zero, to
+        run the window on instead of a fresh one (the registers, flags
+        and pc are reset here); the window puts back every memory word
+        it wrote, so one state serves any number of windows.
+        """
         prev_klass = list(_CLASS_OPS)[int(rng.integers(len(_CLASS_OPS)))]
         prev_ins = self._sample_instruction(prev_klass, rng)
         target_ins = self._sample_instruction(klass, rng)
@@ -148,22 +144,23 @@ class DatapathTrainer:
             name="dp-train",
         )
         sim = FunctionalSimulator(program)
-        state = MachineState()
-        values = _sample_operands(rng, 4 + 128)
+        if state is None:
+            state = MachineState()
+        state.regs[:] = [0] * len(state.regs)
+        state.flags = Flags()
+        state.pc = 0
+        state.halted = False
+        values = _sample_operands(rng, 4 + _OPERAND_WORDS)
         for reg, value in zip((2, 3, 5, 6), values):
             state.regs[reg] = value
-        state.memory[:128] = values[4:]
+        state.memory[:_OPERAND_WORDS] = values[4:]
         rec_prev = sim.step(state)
         rec_target = sim.step(state)
+        state.memory[:_OPERAND_WORDS] = [0] * _OPERAND_WORDS
+        for ins, rec in ((prev_ins, rec_prev), (target_ins, rec_target)):
+            if ins.op == Opcode.ST:
+                state.memory[(rec.a + rec.b) & 0xFFFF] = 0
         return program, target_ins, rec_prev, rec_target
-
-    def stimulus(self, program, rec_prev, rec_target):
-        """Encoded source rows of one training window, plus the cycles
-        the target instruction enters each stage (for :meth:`measure`)."""
-        scheduler = self.scheduler_factory(program, self.pipeline)
-        window = InstructionWindow([rec_prev, rec_target])
-        rows = self.encoder.encode_schedule(scheduler.schedule(window))
-        return rows, scheduler.entries(window, [1])
 
     def measure(self, dts):
         """Gate-level arrival (and its SD) of a window's target
@@ -173,33 +170,51 @@ class DatapathTrainer:
         arrival = _T_REF - self.setup_time - dts.mean
         return float(arrival), float(max(dts.std, 0.5))
 
-    def ap_traces(self, activities):
-        """Per window, the per-stage AP traces at the reference period.
+    def target_aps(self, activities, entries) -> list[list[Path]]:
+        """Per window, the AP union of its target instruction.
 
-        Consecutive windows are stacked into chunks of at most
-        :data:`_APSEL_CELLS` activation cells, each chunk's AP sets are
-        selected in one ``ap_trace_grid`` call per stage, and every
-        window's cycles are sliced back out.  AP selection is per cycle,
-        so this equals one selection per window.  Yields the windows'
-        traces in order, holding one chunk's at a time.
+        ``entries[i]`` is window ``i``'s entry spec of the target (see
+        :func:`~repro.dta.algorithm2.entry_pairs`).  AP selection is per
+        cycle, so only the rows the targets occupy are selected: per
+        stage, the target rows of every window are stacked and selected
+        :data:`_APSEL_CELLS` activation cells at a time (one
+        ``ap_trace_grid`` call per stage and chunk), and each window's
+        union is built by
+        :meth:`~repro.dta.algorithm2.InstructionDTSAnalyzer.instruction_ap`
+        from the rows it occupies.  This equals a full selection per
+        window.
         """
+        if not activities:
+            return []
         stage_analyzer = self.analyzer.stage_analyzer
-        for chunk in _chunks(activities):
-            stacked = ActivityTrace(
-                np.concatenate([a.activated for a in chunk]),
-                np.concatenate([a.values for a in chunk]),
-            )
-            traces = [
-                stage_analyzer.ap_trace_grid(
+        n_stages = self.analyzer.num_stages
+        # Per stage, the ``(window, cycle)`` rows the targets occupy.
+        targets: list[list[tuple[int, int]]] = [[] for _ in range(n_stages)]
+        for i, (activity, entry) in enumerate(zip(activities, entries)):
+            for s, t in entry_pairs(entry, n_stages):
+                if 0 <= t < activity.n_cycles:
+                    targets[s].append((i, t))
+        # Per window and stage, ``cycle -> AP set`` of the target's rows.
+        traces = [[{} for _ in range(n_stages)] for _ in activities]
+        per_call = max(1, _APSEL_CELLS // activities[0].n_gates)
+        for s, pairs in enumerate(targets):
+            for start in range(0, len(pairs), per_call):
+                chunk = pairs[start : start + per_call]
+                stacked = ActivityTrace(
+                    np.stack([activities[i].activated[t] for i, t in chunk]),
+                    np.stack([activities[i].values[t] for i, t in chunk]),
+                )
+                (trace,) = stage_analyzer.ap_trace_grid(
                     s, stacked, [_T_REF], include_safe=True
-                )[0]
-                for s in range(self.analyzer.num_stages)
-            ]
-            start = 0
-            for activity in chunk:
-                stop = start + activity.n_cycles
-                yield [trace[start:stop] for trace in traces]
-                start = stop
+                )
+                for (i, t), aps in zip(chunk, trace):
+                    traces[i][s][t] = aps
+        return [
+            self.analyzer.instruction_ap(activity, entry, window_traces)
+            for activity, entry, window_traces in zip(
+                activities, entries, traces
+            )
+        ]
 
     # ------------------------------------------------------------------ #
 
@@ -209,33 +224,38 @@ class DatapathTrainer:
         """Generate training data and fit the datapath timing model.
 
         Every window is drawn first (measuring consumes no randomness,
-        so the stream is the per-window loop's), then all windows are
-        logic-simulated in one batch, each from the flushed fabric, their
-        AP sets are selected a chunk of windows at a time, and the target
-        instructions' AP unions are reduced in one
+        so the stream is the per-window loop's), on one reused
+        :class:`MachineState`, and each op class's windows are scheduled
+        and encoded in one :meth:`StimulusEncoder.encode_schedules` call.
+        Then all windows are logic-simulated in one batch, each from the
+        flushed fabric, AP sets are selected on the target instructions'
+        rows only (:meth:`target_aps`), and the unions are reduced in one
         :meth:`~repro.dta.algorithm1.StageDTSAnalyzer.combine_grid` call.
         """
         rng = as_rng(seed)
-        windows = []
+        state = MachineState()
+        windows, entries, rows = [], [], []
         for klass in _CLASS_OPS:
+            schedules = []
             for _ in range(samples_per_class):
                 program, target_ins, rec_prev, rec_target = self.sample_window(
-                    klass, rng
+                    klass, rng, state
                 )
-                rows, entries = self.stimulus(program, rec_prev, rec_target)
-                windows.append((klass, target_ins, rec_prev, rec_target, rows, entries))
-        activities = self.simulator.activities([w[4] for w in windows])
+                scheduler = self.scheduler_factory(program, self.pipeline)
+                window = InstructionWindow([rec_prev, rec_target])
+                schedules.append(scheduler.schedule(window))
+                entries.append(scheduler.entries(window, [1])[0])
+                windows.append((klass, target_ins, rec_prev, rec_target))
+            rows.extend(self.encoder.encode_schedules(schedules))
+        # The stimulus and activity arrays die here, before the
+        # reduction's temporaries are allocated.
+        unions = self.target_aps(self.simulator.activities(rows), entries)
+        del rows
         features = feature_matrix(
             [w[1] for w in windows],
             *record_arrays([w[3] for w in windows]),
             *record_arrays([w[2] for w in windows]),
         )
-        unions = [
-            self.analyzer.instruction_ap(activity, entries[0], traces)
-            for (*_, entries), activity, traces in zip(
-                windows, activities, self.ap_traces(activities)
-            )
-        ]
         reduced = self.analyzer.stage_analyzer.combine_grid(unions, [_T_REF])
         samples: list[DatapathSample] = []
         for (klass, *_), row, (dts,) in zip(windows, features, reduced):

@@ -59,6 +59,47 @@ def token_bits(token: int, width: int) -> list[bool]:
     return bits
 
 
+_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+
+#: Token level (class, opcode, instruction) of control bit ``i``, by
+#: ``i % 4``: half the bits follow the class, a quarter each the rest.
+_LEVEL_OF = np.array([0, 0, 1, 2])
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of every element of a ``uint64`` array (array
+    arithmetic wraps modulo 2**64)."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _word_bits(words: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` little-endian bits of ``(..., n_words)``
+    ``uint64`` words, as a ``(..., width)`` bool array."""
+    bits = (words[..., None] >> _BIT_SHIFTS) & np.uint64(1)
+    shape = words.shape[:-1]
+    return bits.reshape(*shape, words.shape[-1] * 64)[..., :width].astype(bool)
+
+
+def token_bits_array(tokens: np.ndarray, width: int) -> np.ndarray:
+    """:func:`token_bits` of every element of a ``uint64`` token array,
+    as a ``tokens.shape + (width,)`` bool array."""
+    chunks = np.arange(1, -(-width // 64) + 1, dtype=np.uint64)
+    words = _mix64_array(tokens[..., None] ^ _mix64_array(chunks))
+    return _word_bits(words, width)
+
+
+def _value_bits(values: list[int], width: int) -> np.ndarray:
+    """:func:`int_to_bits` of every value, as a ``(len(values), width)``
+    bool array."""
+    words = np.empty((len(values), -(-width // 64)), dtype=np.uint64)
+    for j, shift in enumerate(range(0, width, 64)):
+        words[:, j] = [(v >> shift) & _MASK64 for v in values]
+    return _word_bits(words, width)
+
+
 @dataclass(slots=True)
 class StageOccupancy:
     """What occupies one pipeline stage in one cycle.
@@ -109,8 +150,8 @@ class StimulusEncoder:
         self.netlist = pipeline.netlist
         self.source_ids = [g.gid for g in self.netlist.gates if g.is_endpoint]
         self._source_pos = {gid: i for i, gid in enumerate(self.source_ids)}
-        # Precomputed source-position scatter indices and memo tables
-        # (see encode_cycle).
+        # Precomputed source-position scatter indices (see
+        # encode_schedules).
         self._ctrl_pos = [
             np.array([self._source_pos[g] for g in ctrl], dtype=int)
             for ctrl in pipeline.ctrl_src
@@ -122,71 +163,77 @@ class StimulusEncoder:
             }
             for s in range(pipeline.num_stages)
         ]
-        self._ctrl_cache: dict[tuple, np.ndarray] = {}
-        self._bits_cache: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def n_sources(self) -> int:
         return len(self.source_ids)
 
-    def _ctrl_pattern(self, s: int, occ: StageOccupancy) -> np.ndarray:
-        """The stage's control-bit pattern, memoized on the token triple."""
-        key = (s, occ.class_token, occ.op_token, occ.token)
-        pattern = self._ctrl_cache.get(key)
-        if pattern is None:
-            n = len(self.pipeline.ctrl_src[s])
-            stage_salt = mix64(s + 101)
-            levels = (
-                token_bits(mix64(occ.class_token ^ stage_salt), n),
-                token_bits(mix64(occ.op_token ^ stage_salt), n),
-                token_bits(mix64(occ.token ^ stage_salt), n),
-            )
-            pattern = np.array(
-                [
-                    levels[0 if i % 4 < 2 else (1 if i % 4 == 2 else 2)][i]
-                    for i in range(n)
-                ],
-                dtype=bool,
-            )
-            self._ctrl_cache[key] = pattern
-        return pattern
+    def _ctrl_patterns(self, s: int, triples: list[tuple]) -> np.ndarray:
+        """Stage ``s``'s control-bit pattern of every ``(class, op,
+        token)`` triple, as ``(len(triples), n_ctrl)``.
 
-    def _value_bits(self, value: int, width: int) -> np.ndarray:
-        """Memoized little-endian bit decomposition as a bool array."""
-        key = (value, width)
-        bits = self._bits_cache.get(key)
-        if bits is None:
-            if len(self._bits_cache) > (1 << 16):
-                self._bits_cache.clear()
-            bits = np.array(int_to_bits(value, width), dtype=bool)
-            self._bits_cache[key] = bits
-        return bits
+        Mixing the stage index in makes the same instruction drive
+        distinct (but fixed) patterns in different stages.  Half the
+        control bits copy the class level, a quarter the opcode level,
+        and a quarter the full static instruction (see
+        :class:`StageOccupancy`).
+        """
+        tokens = np.array(
+            [[t & _MASK64 for t in triple] for triple in triples],
+            dtype=np.uint64,
+        ).reshape(len(triples), 3)
+        seeds = _mix64_array(tokens ^ np.uint64(mix64(s + 101)))
+        bit = np.arange(len(self._ctrl_pos[s]))
+        bits = token_bits_array(seeds, len(bit))
+        return bits[:, _LEVEL_OF[bit % 4], bit]
 
-    def encode_cycle(self, cycle: PipelineCycle) -> np.ndarray:
-        """Encode one pipeline cycle into a source-value row.
+    def encode_schedules(
+        self, schedules: list[list[PipelineCycle]]
+    ) -> list[np.ndarray]:
+        """Encode many schedules, one ``(n_cycles, n_sources)`` array each.
 
-        Control patterns and operand bit decompositions are memoized and
-        scattered through precomputed source-position index arrays.
+        All cycles are encoded together, stage by stage: the distinct
+        control patterns are built as one array program and gathered,
+        then the semantic overrides and the data buses are scattered
+        through precomputed source-position index arrays.  Each row is
+        written in the order control, overrides, data per stage, stage
+        after stage.  The arrays are row blocks of one array.
         """
         num_stages = self.pipeline.num_stages
-        if len(cycle) != num_stages:
-            raise ValueError(
-                f"cycle must have {num_stages} stage entries, got {len(cycle)}"
-            )
-        row = np.zeros(self.n_sources, dtype=bool)
-        for s, occ in enumerate(cycle):
+        for schedule in schedules:
+            if not schedule:
+                raise ValueError("schedule must contain at least one cycle")
+            for cycle in schedule:
+                if len(cycle) != num_stages:
+                    raise ValueError(
+                        f"cycle must have {num_stages} stage entries, "
+                        f"got {len(cycle)}"
+                    )
+        cycles = [cycle for schedule in schedules for cycle in schedule]
+        rows = np.zeros((len(cycles), self.n_sources), dtype=bool)
+        for s in range(num_stages):
+            occs = [cycle[s] for cycle in cycles]
             pos = self._ctrl_pos[s]
-            row[pos] = self._ctrl_pattern(s, occ)
-            for i, bit in occ.ctrl_overrides.items():
-                row[pos[i]] = bit
-            for bus_name, bus_pos in self._data_pos[s].items():
-                row[bus_pos] = self._value_bits(
-                    occ.data.get(bus_name, 0), len(bus_pos)
-                )
-        return row
+            index: dict[tuple, int] = {}
+            ids = [
+                index.setdefault((o.class_token, o.op_token, o.token), len(index))
+                for o in occs
+            ]
+            rows[:, pos] = self._ctrl_patterns(s, list(index))[ids]
+            overrides = [
+                (t, i, bit)
+                for t, o in enumerate(occs)
+                for i, bit in o.ctrl_overrides.items()
+            ]
+            if overrides:
+                t_idx, bit_idx, bits = zip(*overrides)
+                rows[list(t_idx), pos[list(bit_idx)]] = bits
+            for bus, bus_pos in self._data_pos[s].items():
+                values = [o.data.get(bus, 0) for o in occs]
+                rows[:, bus_pos] = _value_bits(values, len(bus_pos))
+        bounds = np.cumsum([0] + [len(schedule) for schedule in schedules])
+        return [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     def encode_schedule(self, schedule: list[PipelineCycle]) -> np.ndarray:
         """Encode a multi-cycle schedule into ``(n_cycles, n_sources)``."""
-        if not schedule:
-            raise ValueError("schedule must contain at least one cycle")
-        return np.stack([self.encode_cycle(c) for c in schedule])
+        return self.encode_schedules([schedule])[0]

@@ -6,8 +6,8 @@ arithmetic, as the ground truth the parity tests compare against:
 
 * ``LevelizedSimulator.evaluate`` -> :func:`evaluate` (per-gate
   topological loop);
-* ``StimulusEncoder.encode_cycle`` -> :func:`encode_cycle` (uncached
-  re-encode);
+* ``StimulusEncoder.encode_schedules`` -> :func:`encode_schedules`
+  (one uncached :func:`encode_cycle` per cycle: Python bit loops);
 * ``StageDTSAnalyzer.ap_trace_grid`` -> :func:`ap_trace_grid` (the
   per-endpoint, per-cycle scan :func:`ap_trace`, once per period);
 * ``_StagePlan.first_activated`` / ``assemble`` -> :func:`first_activated`
@@ -90,6 +90,7 @@ __all__ = [
     "combine_grid",
     "control_arrays",
     "encode_cycle",
+    "encode_schedules",
     "evaluate",
     "first_activated",
     "reference_kernels",
@@ -124,7 +125,8 @@ def evaluate(self: LevelizedSimulator, source_values) -> np.ndarray:
 
 
 def encode_cycle(self: StimulusEncoder, cycle) -> np.ndarray:
-    """``StimulusEncoder.encode_cycle``, re-encoding from scratch."""
+    """One cycle's source row, re-encoded from scratch (the former
+    ``StimulusEncoder.encode_cycle``)."""
     num_stages = self.pipeline.num_stages
     if len(cycle) != num_stages:
         raise ValueError(
@@ -156,6 +158,18 @@ def encode_cycle(self: StimulusEncoder, cycle) -> np.ndarray:
             for gid, bit in zip(gids, int_to_bits(value, len(gids))):
                 row[self._source_pos[gid]] = bit
     return row
+
+
+def encode_schedules(self: StimulusEncoder, schedules) -> list[np.ndarray]:
+    """``StimulusEncoder.encode_schedules``, one :func:`encode_cycle` per
+    cycle."""
+    for schedule in schedules:
+        if not schedule:
+            raise ValueError("schedule must contain at least one cycle")
+    return [
+        np.stack([encode_cycle(self, cycle) for cycle in schedule])
+        for schedule in schedules
+    ]
 
 
 def activity(self: ActivityCache, source_values, compute):
@@ -679,7 +693,7 @@ class ControlSampleCollector:
 #: (owner, attribute, frozen body) patched by :func:`reference_kernels`.
 _PATCHES = (
     (LevelizedSimulator, "evaluate", evaluate),
-    (StimulusEncoder, "encode_cycle", encode_cycle),
+    (StimulusEncoder, "encode_schedules", encode_schedules),
     (StageDTSAnalyzer, "ap_trace_grid", ap_trace_grid),
     (_StagePlan, "first_activated", first_activated),
     (_StagePlan, "assemble", assemble),

@@ -6,12 +6,14 @@ reference below is the per-operand loop it replaced, frozen here: a
 bit width from ``integers(1, 17)``, then a value from
 ``integers(1 << width)``.  Both must give the same programs and step
 records and leave the generator in the same state, whatever the
-32-bit word alignment the window starts at.
+32-bit word alignment the window starts at.  Windows run on one reused
+``MachineState`` must give the records of a fresh state per window.
 """
 
 import numpy as np
 import pytest
 
+import repro.dta.trainer as trainer_mod
 from repro.cpu.interpreter import FunctionalSimulator
 from repro.cpu.isa import Instruction, Opcode, OpClass, WORD_MASK
 from repro.cpu.program import Program
@@ -99,3 +101,40 @@ def test_class_draws_that_shift_the_alignment(trainer):
         want = _reference_window(trainer, klass, want_rng)
         assert _window_key(got) == _window_key(want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_reused_state_equals_fresh_state(trainer, monkeypatch):
+    """One ``MachineState`` serves every window of ``train``.  Windows
+    that store to a high address, followed by windows that load it,
+    must still see the records of a fresh state per window: each window
+    puts back the memory words it wrote."""
+    draw = trainer_mod._sample_operands
+
+    def high_base(rng, n):
+        # r5, the base register of every load and store, points at the
+        # top 64 words, where stores and loads of different windows meet.
+        values = draw(rng, n)
+        values[2] = 0xFFC0
+        return values
+
+    monkeypatch.setattr(trainer_mod, "_sample_operands", high_base)
+    got_rng = np.random.default_rng(5)
+    want_rng = np.random.default_rng(5)
+    state = MachineState()
+    stored: dict[int, int] = {}
+    reloads = 0
+    for klass in [OpClass.STORE, OpClass.LOAD] * 60:
+        got = trainer.sample_window(klass, got_rng, state)
+        want = trainer.sample_window(klass, want_rng)
+        assert _window_key(got) == _window_key(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        program, _, *records = got
+        for rec in records:
+            address = (rec.a + rec.b) & 0xFFFF
+            op = program[rec.index].op
+            if op == Opcode.LD and stored.get(address):
+                reloads += 1
+            if op == Opcode.ST and address >= 128:
+                stored[address] = rec.result
+    assert reloads > 0
+    assert state.memory == MachineState().memory

@@ -1,17 +1,23 @@
-"""Chunked AP selection in training equals one selection per window.
+"""Training's AP selection on the target rows equals a full selection.
 
-``DatapathTrainer.ap_traces`` stacks the activation rows of consecutive
-training windows, selects each chunk's AP sets with one
-``StageDTSAnalyzer.ap_trace_grid`` call per stage, and slices every
-window's cycles back out.  Each window's traces must be the ones a
-per-window ``ap_trace_grid`` selects, for chunk budgets from one window
-to all of them.
+``DatapathTrainer.target_aps`` selects AP sets only on the rows each
+window's target instruction occupies: per stage, those rows of every
+window are stacked and selected a chunk of at most ``_APSEL_CELLS``
+activation cells at a time, and each window's union is built from its
+rows.  Each union must hold the same ``Path`` objects, in the same
+order, as a full ``ap_trace_grid`` per stage over the whole window
+followed by ``instruction_ap``, for row budgets from one row to all of
+them.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro.dta.trainer as trainer_mod
+from repro.cpu.pipeline import InstructionWindow
+from repro.dta.algorithm2 import entry_pairs
 from repro.dta.trainer import _CLASS_OPS, _T_REF, DatapathTrainer
 from repro.netlist import PipelineConfig
 from repro.pipeline.ir import ProcessorConfig
@@ -34,47 +40,65 @@ def setup(request):
         scheduler_factory=proc.core_family.make_scheduler,
     )
     rng = np.random.default_rng(4)
-    rows = []
+    schedules, entries = [], []
     for klass in list(_CLASS_OPS) * 2:
         program, _, rec_prev, rec_target = trainer.sample_window(klass, rng)
-        rows.append(trainer.stimulus(program, rec_prev, rec_target)[0])
-    return trainer, trainer.simulator.activities(rows)
+        scheduler = trainer.scheduler_factory(program, trainer.pipeline)
+        window = InstructionWindow([rec_prev, rec_target])
+        schedules.append(scheduler.schedule(window))
+        entries.append(scheduler.entries(window, [1])[0])
+    rows = trainer.encoder.encode_schedules(schedules)
+    return trainer, trainer.simulator.activities(rows), entries
 
 
-def _paths(trace):
-    return [[(p.gates, p.sink) for p in ap] for ap in trace]
+def _full_union(trainer, activity, entry):
+    """Every cycle of every stage selected, then the target's union."""
+    traces = [
+        trainer.analyzer.stage_analyzer.ap_trace_grid(
+            s, activity, [_T_REF], include_safe=True
+        )[0]
+        for s in range(trainer.analyzer.num_stages)
+    ]
+    return trainer.analyzer.instruction_ap(activity, entry, traces)
 
 
-@pytest.mark.parametrize("windows_per_chunk", [1, 3, 7, 1000])
+@pytest.mark.parametrize("rows_per_call", [1, 3, 7, 1000])
 def test_chunked_traces_equal_per_window_traces(
-    setup, monkeypatch, windows_per_chunk
+    setup, monkeypatch, rows_per_call
 ):
-    trainer, activities = setup
+    trainer, activities, entries = setup
     stage_analyzer = trainer.analyzer.stage_analyzer
-    cells = max(a.activated.size for a in activities)
-    monkeypatch.setattr(
-        trainer_mod, "_APSEL_CELLS", windows_per_chunk * cells
-    )
+    n_gates = activities[0].n_gates
+    budget = rows_per_call * n_gates
+    monkeypatch.setattr(trainer_mod, "_APSEL_CELLS", budget)
     calls = []
     ap_trace_grid = stage_analyzer.ap_trace_grid
     monkeypatch.setattr(
         stage_analyzer, "ap_trace_grid",
-        lambda *args, **kw: calls.append(1) or ap_trace_grid(*args, **kw),
+        lambda s, activity, *args, **kw: (
+            calls.append((s, activity.activated.size))
+            or ap_trace_grid(s, activity, *args, **kw)
+        ),
     )
-    got = list(trainer.ap_traces(activities))
-    chunks = sum(1 for _ in trainer_mod._chunks(activities))
+    got = trainer.target_aps(activities, entries)
     monkeypatch.undo()
-    n_stages = trainer.analyzer.num_stages
-    assert len(calls) == chunks * n_stages
-    if windows_per_chunk == 1:
-        assert chunks == len(activities)
-    if windows_per_chunk == 1000:
-        assert chunks == 1
+    assert all(cells <= budget for _, cells in calls)
+    # The targets' in-window rows, per stage.
+    rows = Counter(
+        s
+        for activity, entry in zip(activities, entries)
+        for s, t in entry_pairs(entry, trainer.analyzer.num_stages)
+        if 0 <= t < activity.n_cycles
+    )
+    assert sum(cells for _, cells in calls) == rows.total() * n_gates
+    assert len(calls) == sum(-(-n // rows_per_call) for n in rows.values())
+    if rows_per_call == 1:
+        assert len(calls) == rows.total()
+    if rows_per_call == 1000:
+        assert len(calls) == len(rows)
     assert len(got) == len(activities)
-    for activity, traces in zip(activities, got):
-        assert len(traces) == n_stages
-        for s, trace in enumerate(traces):
-            (want,) = stage_analyzer.ap_trace_grid(
-                s, activity, [_T_REF], include_safe=True
-            )
-            assert _paths(trace) == _paths(want)
+    assert any(got)
+    for activity, entry, union in zip(activities, entries, got):
+        want = _full_union(trainer, activity, entry)
+        assert len(union) == len(want)
+        assert all(p is q for p, q in zip(union, want))

@@ -1,6 +1,6 @@
 """Property tests for the batched logic-simulation kernels.
 
-The level-grouped evaluation, the cached flushed state, and the memoized
+The level-grouped evaluation, the cached flushed state, and the batched
 stimulus encoder must be *exactly* equivalent to the per-gate / per-call
 references frozen in ``tests/_reference.py`` — all three only reorganize
 boolean work.
@@ -95,5 +95,5 @@ def test_stimulus_cache_matches_reference(config):
         [_reference.encode_cycle(encoder, cycle) for cycle in schedule]
     )
     assert np.array_equal(cached, reference)
-    # Repeat encodes hit the memo and stay identical.
+    # Repeat encodes stay identical.
     assert np.array_equal(encoder.encode_schedule(schedule), reference)

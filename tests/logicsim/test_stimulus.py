@@ -12,6 +12,11 @@ from repro.logicsim import (
 from repro.logicsim.stimulus import token_bits
 
 
+def _encode_cycle(encoder, cycle):
+    """One cycle's source row, through ``encode_schedule``."""
+    return encoder.encode_schedule([cycle])[0]
+
+
 class TestBitHelpers:
     def test_int_to_bits_little_endian(self):
         assert int_to_bits(0b1011, 4) == [True, True, False, True]
@@ -45,13 +50,13 @@ class TestBitHelpers:
 class TestEncoder:
     def test_row_shape(self, pipeline):
         enc = StimulusEncoder(pipeline)
-        row = enc.encode_cycle([StageOccupancy() for _ in range(6)])
+        row = _encode_cycle(enc, [StageOccupancy() for _ in range(6)])
         assert row.shape == (enc.n_sources,)
 
     def test_wrong_stage_count_rejected(self, pipeline):
         enc = StimulusEncoder(pipeline)
         with pytest.raises(ValueError, match="stage entries"):
-            enc.encode_cycle([StageOccupancy()])
+            _encode_cycle(enc, [StageOccupancy()])
 
     def test_empty_schedule_rejected(self, pipeline):
         enc = StimulusEncoder(pipeline)
@@ -61,20 +66,21 @@ class TestEncoder:
     def test_same_token_same_pattern(self, pipeline):
         enc = StimulusEncoder(pipeline)
         cyc = [StageOccupancy(token=7) for _ in range(6)]
-        r1 = enc.encode_cycle(cyc)
-        r2 = enc.encode_cycle(cyc)
+        r1 = _encode_cycle(enc, cyc)
+        r2 = _encode_cycle(enc, cyc)
         np.testing.assert_array_equal(r1, r2)
 
     def test_different_tokens_different_patterns(self, pipeline):
         enc = StimulusEncoder(pipeline)
-        r1 = enc.encode_cycle([StageOccupancy(token=7) for _ in range(6)])
-        r2 = enc.encode_cycle([StageOccupancy(token=8) for _ in range(6)])
+        r1 = _encode_cycle(enc, [StageOccupancy(token=7) for _ in range(6)])
+        r2 = _encode_cycle(enc, [StageOccupancy(token=8) for _ in range(6)])
         assert (r1 != r2).any()
 
     def test_same_token_distinct_per_stage(self, pipeline):
         """An instruction drives different control patterns in each stage."""
         enc = StimulusEncoder(pipeline)
-        row = enc.encode_cycle(
+        row = _encode_cycle(
+            enc,
             [StageOccupancy(token=42) for _ in range(6)]
         )
         pos = enc._source_pos
@@ -88,7 +94,7 @@ class TestEncoder:
         enc = StimulusEncoder(pipeline)
         cyc = [StageOccupancy() for _ in range(6)]
         cyc[3] = StageOccupancy(token=1, data={"op_a": 0b101})
-        row = enc.encode_cycle(cyc)
+        row = _encode_cycle(enc, cyc)
         pos = enc._source_pos
         bus = pipeline.data_src[3]["op_a"]
         got = [bool(row[pos[g]]) for g in bus[:4]]
@@ -98,7 +104,7 @@ class TestEncoder:
         enc = StimulusEncoder(pipeline)
         cyc = [StageOccupancy() for _ in range(6)]
         cyc[3] = StageOccupancy(token=1, data={"nonexistent": 7})
-        enc.encode_cycle(cyc)  # silently ignored: buses are per-stage
+        _encode_cycle(enc, cyc)  # silently ignored: buses are per-stage
 
     def test_schedule_stacking(self, pipeline):
         enc = StimulusEncoder(pipeline)

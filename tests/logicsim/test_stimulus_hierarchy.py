@@ -6,6 +6,11 @@ import pytest
 from repro.logicsim import StageOccupancy, StimulusEncoder
 
 
+def _encode_cycle(encoder, cycle):
+    """One cycle's source row, through ``encode_schedule``."""
+    return encoder.encode_schedule([cycle])[0]
+
+
 @pytest.fixture
 def encoder(pipeline):
     return StimulusEncoder(pipeline)
@@ -30,8 +35,8 @@ class TestHierarchy:
             StageOccupancy(token=12, op_token=22, class_token=31)
             for _ in range(6)
         ]
-        ra = encoder.encode_cycle(a)
-        rb = encoder.encode_cycle(b)
+        ra = _encode_cycle(encoder, a)
+        rb = _encode_cycle(encoder, b)
         for s in range(6):
             bits_a = _ctrl_bits(encoder, pipeline, ra, s)
             bits_b = _ctrl_bits(encoder, pipeline, rb, s)
@@ -51,8 +56,8 @@ class TestHierarchy:
             StageOccupancy(token=99, op_token=21, class_token=31)
             for _ in range(6)
         ]
-        ra = encoder.encode_cycle(a)
-        rb = encoder.encode_cycle(b)
+        ra = _encode_cycle(encoder, a)
+        rb = _encode_cycle(encoder, b)
         for s in range(6):
             bits_a = _ctrl_bits(encoder, pipeline, ra, s)
             bits_b = _ctrl_bits(encoder, pipeline, rb, s)
@@ -64,14 +69,18 @@ class TestHierarchy:
     def test_similar_instructions_flip_few_bits(self, encoder, pipeline):
         """The hierarchy's purpose: same-class instructions keep most
         control state stable between cycles."""
-        same_class = encoder.encode_cycle(
+        same_class = _encode_cycle(
+            encoder,
             [StageOccupancy(token=1, op_token=2, class_token=3)] * 6
-        ) != encoder.encode_cycle(
+        ) != _encode_cycle(
+            encoder,
             [StageOccupancy(token=4, op_token=2, class_token=3)] * 6
         )
-        different = encoder.encode_cycle(
+        different = _encode_cycle(
+            encoder,
             [StageOccupancy(token=1, op_token=2, class_token=3)] * 6
-        ) != encoder.encode_cycle(
+        ) != _encode_cycle(
+            encoder,
             [StageOccupancy(token=4, op_token=5, class_token=6)] * 6
         )
         assert same_class.sum() < 0.6 * different.sum()
@@ -82,17 +91,18 @@ class TestOverrides:
         for value in (False, True):
             cyc = [StageOccupancy(token=7) for _ in range(6)]
             cyc[3] = StageOccupancy(token=7, ctrl_overrides={6: value})
-            row = encoder.encode_cycle(cyc)
+            row = _encode_cycle(encoder, cyc)
             bits = _ctrl_bits(encoder, pipeline, row, 3)
             assert bits[6] == value
 
     def test_overrides_do_not_leak_to_other_bits(self, encoder, pipeline):
-        base = encoder.encode_cycle(
+        base = _encode_cycle(
+            encoder,
             [StageOccupancy(token=7) for _ in range(6)]
         )
         cyc = [StageOccupancy(token=7) for _ in range(6)]
         cyc[3] = StageOccupancy(token=7, ctrl_overrides={6: True, 7: True})
-        row = encoder.encode_cycle(cyc)
+        row = _encode_cycle(encoder, cyc)
         diff = np.flatnonzero(base != row)
         pos = encoder._source_pos
         allowed = {

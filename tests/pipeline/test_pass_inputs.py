@@ -126,8 +126,8 @@ def test_warm_pass_runs_no_functional_sim_and_encodes_no_window():
         side_effect=FunctionalSimulator.run,
     )
     encodes = mock.patch.object(
-        StimulusEncoder, "encode_schedule", autospec=True,
-        side_effect=StimulusEncoder.encode_schedule,
+        StimulusEncoder, "encode_schedules", autospec=True,
+        side_effect=StimulusEncoder.encode_schedules,
     )
     with runs as run_spy, encodes as encode_spy:
         warm = pipeline.execute_grid(_requests((1.10, 1.20)))
