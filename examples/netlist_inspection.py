@@ -1,24 +1,20 @@
 """Inspecting and exporting the synthetic pipeline netlist.
 
-Shows the substrate-side tooling: generate the pipeline, print the
-synthesis-style structure report, export structural Verilog and a VCD
-waveform of a short instruction burst, and confirm both round-trip.
+Shows the substrate-side tooling: generate the pipeline, print its
+structure summary, export structural Verilog and a VCD waveform of a
+short instruction burst, and confirm both round-trip.
 
 Run:  python examples/netlist_inspection.py [outdir]
 """
 
-import io
 import pathlib
 import sys
-
-import numpy as np
 
 from repro.cpu import FunctionalSimulator, MachineState, assemble
 from repro.cpu.pipeline import InstructionWindow, PipelineScheduler
 from repro.logicsim import LevelizedSimulator, StimulusEncoder
 from repro.logicsim.vcd import read_vcd, write_vcd
 from repro.netlist import TimingLibrary, generate_pipeline
-from repro.netlist.report import analyze_netlist
 from repro.netlist.verilog import read_verilog, write_verilog
 
 
@@ -28,8 +24,8 @@ def main() -> None:
 
     pipeline = generate_pipeline()
     library = TimingLibrary()
-    report = analyze_netlist(pipeline.netlist, library)
-    print(report.format())
+    for key, value in pipeline.netlist.summary().items():
+        print(f"{key:18s} {value}")
 
     # --- structural Verilog round trip -------------------------------- #
     verilog_path = outdir / "ts_pipeline.v"

@@ -316,7 +316,7 @@ def _report_failures(summary, out) -> None:
 def _cmd_info(args, out) -> int:
     processor = ProcessorModel()
     for key, value in processor.describe().items():
-        val = f"{value:.1f}" if isinstance(value, float) else value
+        val = f"{round(value, 2):g}" if isinstance(value, float) else value
         out.write(f"{key:26s} {val}\n")
     return 0
 

@@ -37,26 +37,10 @@ __all__ = [
     "get_core_family",
     "available_core_families",
     "resolve_core_family",
-    "occupancy_pairs",
 ]
 
 #: The family every pre-schema-4 document and request implies.
 DEFAULT_FAMILY = "inorder6"
-
-
-def occupancy_pairs(entry, num_stages: int):
-    """Normalize an analyzer entry into explicit ``(stage, cycle)`` pairs.
-
-    Schedulers describe an instruction's journey either as an *entry
-    cycle* (the in-order contract: stage ``s`` is occupied at cycle
-    ``entry + s``) or as an explicit pair list (out-of-order cores,
-    where issue and completion reorder freely).  Consumers that need the
-    pairs (the Monte Carlo validator's per-stage loop) expand through
-    this helper so both forms behave identically.
-    """
-    from repro.dta.algorithm2 import entry_pairs
-
-    return entry_pairs(entry, num_stages)
 
 
 @dataclass(frozen=True)

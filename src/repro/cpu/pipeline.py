@@ -99,57 +99,17 @@ class PipelineScheduler:
     Args:
         program: The program the window's records refer to.
         num_stages: Pipeline depth (6 for the modelled LEON3 integer unit).
-        model_stalls: Insert a load-use bubble when an instruction reads
-            the destination of the immediately preceding load (LEON3's
-            one-cycle load-delay interlock).  Off by default: the ideal
-            flow is the calibration reference; enable for hazard studies.
     """
 
     def __init__(
         self,
         program: Program,
         num_stages: int = 6,
-        model_stalls: bool = False,
     ) -> None:
         if num_stages < 1:
             raise ValueError("num_stages must be >= 1")
         self.program = program
         self.num_stages = num_stages
-        self.model_stalls = model_stalls
-
-    def _load_use_hazard(
-        self, prev: StepRecord | None, current: StepRecord
-    ) -> bool:
-        """True when ``current`` consumes the previous load's result."""
-        if prev is None:
-            return False
-        prev_ins = self.program[prev.index]
-        if prev_ins.op != Opcode.LD or prev_ins.rd == 0:
-            return False
-        ins = self.program[current.index]
-        sources = {ins.rs1}
-        if ins.rs2 is not None:
-            sources.add(ins.rs2)
-        if ins.op == Opcode.ST:
-            sources.add(ins.rd)  # store data register
-        return prev_ins.rd in sources
-
-    def expand_stalls(self, window: InstructionWindow) -> InstructionWindow:
-        """Insert load-use bubbles into a window (used when
-        ``model_stalls`` is enabled)."""
-        slots: list[StepRecord | None] = []
-        prev: StepRecord | None = None
-        for slot in window.slots:
-            if (
-                slot is not None
-                and prev is not None
-                and self._load_use_hazard(prev, slot)
-            ):
-                slots.append(None)
-            slots.append(slot)
-            if slot is not None:
-                prev = slot
-        return InstructionWindow(slots)
 
     def _occupancy(
         self,
@@ -220,11 +180,8 @@ class PipelineScheduler:
 
         Slot ``i`` enters stage 0 at cycle ``i`` and stage ``s`` at cycle
         ``i + s``; the schedule spans ``len(window) + num_stages - 1``
-        cycles so the last slot drains fully.  With ``model_stalls`` the
-        window is first expanded with load-use bubbles.
+        cycles so the last slot drains fully.
         """
-        if self.model_stalls:
-            window = self.expand_stalls(window)
         slots = window.slots
         n_cycles = len(slots) + self.num_stages - 1
         cycles: list[PipelineCycle] = []

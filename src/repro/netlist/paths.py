@@ -136,19 +136,6 @@ class PathEnumerator:
         self._memo[endpoint] = (k, results)
         return results[:]
 
-    def all_paths(self, endpoint: int, limit: int = 100000) -> list[Path]:
-        """Exhaustively enumerate paths to ``endpoint`` (testing helper).
-
-        Raises ``ValueError`` if more than ``limit`` paths exist, protecting
-        against exponential blowup on large fabrics.
-        """
-        paths = self.critical_paths(endpoint, k=limit)
-        if len(paths) == limit:
-            more = self.critical_paths(endpoint, k=limit + 1)
-            if len(more) > limit:
-                raise ValueError(f"endpoint has more than {limit} paths")
-        return paths
-
     def worst_path(self, endpoint: int) -> Path:
         """The single most critical path ending at ``endpoint``."""
         return self.critical_paths(endpoint, k=1)[0]

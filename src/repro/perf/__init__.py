@@ -1,15 +1,9 @@
 """Timing-speculative performance modelling (Sections 6.1 and 6.3)."""
 
 from repro.perf.model import TSPerformanceModel
-from repro.perf.operating_point import OperatingPoint, OperatingPointOptimizer
 from repro.perf.voltage import VoltageScalingModel
-from repro.perf.overhead import DetectionOverhead, estimate_detection_overhead
 
 __all__ = [
     "TSPerformanceModel",
-    "OperatingPoint",
-    "OperatingPointOptimizer",
     "VoltageScalingModel",
-    "DetectionOverhead",
-    "estimate_detection_overhead",
 ]

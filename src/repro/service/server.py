@@ -470,16 +470,6 @@ class EstimationService:
         self.queue.close()
         self.store.close()
 
-    async def run_forever(self) -> None:
-        """Start and serve until cancelled (the ``repro serve`` body)."""
-        await self.start()
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await self.stop()
-
     # ------------------------------------------------------------------ #
     # Embedding helper (tests, benchmarks, notebooks)
     # ------------------------------------------------------------------ #

@@ -10,27 +10,17 @@ indicators.  This package provides:
   error bounds (Theorem 5.2, Eqs. 11–13),
 * the Poisson–Gaussian mixture CDF of Eq. 14 with lower/upper bound curves
   (Section 6.4), and
-* probability metrics (Kolmogorov, total variation) plus a dependent-
-  indicator Monte Carlo simulator used to validate the approximations.
+* a dependent-indicator Monte Carlo simulator used to validate the
+  approximations.
 """
 
-from repro.stats.metrics import (
-    kolmogorov_distance,
-    kolmogorov_distance_functions,
-    total_variation_distance,
-)
 from repro.stats.poisson_binomial import poisson_binomial_pmf, poisson_binomial_cdf
 from repro.stats.chen_stein import ChenSteinBound, chen_stein_bound
 from repro.stats.stein import SteinNormalBound, stein_normal_bound
 from repro.stats.mixture import PoissonGaussianMixture
 from repro.stats.validation import IndicatorChainSimulator
-from repro.stats.discrete import DiscreteRV
 
 __all__ = [
-    "DiscreteRV",
-    "kolmogorov_distance",
-    "kolmogorov_distance_functions",
-    "total_variation_distance",
     "poisson_binomial_pmf",
     "poisson_binomial_cdf",
     "ChenSteinBound",

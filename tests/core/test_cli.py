@@ -71,6 +71,8 @@ class TestLightCommands:
         assert code == 0
         assert "working_frequency_mhz" in text
         assert "penalty_cycles" in text
+        rows = dict(line.split(None, 1) for line in text.splitlines())
+        assert rows["speculation"] == "1.15"
 
 
 class TestPipelineInspect:

@@ -1,9 +1,8 @@
-"""Tests for the netlist report and timing-library JSON round trip."""
+"""Tests for the timing-library JSON round trip."""
 
 import pytest
 
 from repro.netlist import CellTiming, GateType, TimingLibrary
-from repro.netlist.report import analyze_netlist
 
 
 class TestLibraryJson:
@@ -37,43 +36,3 @@ class TestLibraryJson:
     def test_defaults_for_missing_top_level(self):
         lib = TimingLibrary.from_json('{"cells": {}}')
         assert lib.derate == 1.0
-
-
-class TestNetlistReport:
-    def test_structure_counts(self, pipeline, library):
-        report = analyze_netlist(pipeline.netlist, library)
-        total = sum(report.cell_counts.values())
-        assert total == len(pipeline.netlist)
-        assert report.cell_counts["dff"] > 100
-        assert report.max_depth > 10
-        assert report.mean_fanout >= 1.0
-
-    def test_stage_composition_partitions(self, pipeline):
-        report = analyze_netlist(pipeline.netlist)
-        comb = sum(
-            c["combinational"] for c in report.stage_composition.values()
-        )
-        assert comb == sum(
-            1 for g in pipeline.netlist.gates if g.is_combinational
-        )
-
-    def test_arrivals_present_with_library(self, pipeline, library):
-        report = analyze_netlist(pipeline.netlist, library)
-        assert report.endpoint_arrivals
-        (name, worst) = report.critical_endpoints(1)[0]
-        assert worst > 1000.0  # calibrated pipeline: >1 ns critical path
-
-    def test_arrivals_absent_without_library(self, pipeline):
-        report = analyze_netlist(pipeline.netlist)
-        assert report.endpoint_arrivals == {}
-
-    def test_depth_histogram_covers_all_gates(self, pipeline):
-        report = analyze_netlist(pipeline.netlist)
-        hist = report.depth_histogram()
-        assert sum(c for _, c in hist) == len(report.logic_depth)
-
-    def test_format_readable(self, pipeline, library):
-        text = analyze_netlist(pipeline.netlist, library).format()
-        assert "cell composition" in text
-        assert "stage 3" in text
-        assert "most critical endpoints" in text

@@ -1,4 +1,4 @@
-"""Tests for voltage scaling and the operating-point optimizer."""
+"""Tests for voltage scaling."""
 
 import numpy as np
 import pytest
@@ -56,61 +56,3 @@ class TestVoltageModel:
             m.delay_factor(0.2)
         with pytest.raises(ValueError):
             m.guardband_voltage(1.5)
-
-
-class TestOperatingPointOptimizer:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        from repro.core import ProcessorModel
-        from repro.cpu import assemble
-        from repro.netlist import PipelineConfig, generate_pipeline
-        from repro.perf import OperatingPointOptimizer
-
-        pipeline = generate_pipeline(
-            PipelineConfig(
-                data_width=8, mult_width=4, shift_bits=3, ctrl_regs=10,
-                cloud_gates=60, seed=7,
-            )
-        )
-        base = ProcessorModel(pipeline=pipeline)
-        program = assemble(
-            """
-            li r1, 40
-        loop:
-            mul r2, r2, r1
-            add r3, r3, r2
-            subcc r1, r1, 1
-            bne loop
-            halt
-        """,
-            name="opt-toy",
-        )
-        optimizer = OperatingPointOptimizer(
-            base, points=(1.0, 1.1, 1.2, 1.3)
-        )
-        return optimizer, program
-
-    def test_sweep_evaluates_grid(self, setup):
-        optimizer, program = setup
-        points = optimizer.sweep(program, max_instructions=20_000)
-        assert [p.speculation for p in points] == [1.0, 1.1, 1.2, 1.3]
-        # Error rate is non-decreasing in speculation.
-        ers = [p.error_rate_percent for p in points]
-        assert all(b >= a - 1e-9 for a, b in zip(ers, ers[1:]))
-
-    def test_optimize_returns_best(self, setup):
-        optimizer, program = setup
-        best, evaluated = optimizer.optimize(
-            program, max_instructions=20_000
-        )
-        assert best.improvement_percent == max(
-            p.improvement_percent for p in evaluated
-        )
-        assert 1.0 <= best.speculation <= 1.3
-
-    def test_needs_multiple_points(self, setup):
-        from repro.perf import OperatingPointOptimizer
-
-        optimizer, _ = setup
-        with pytest.raises(ValueError):
-            OperatingPointOptimizer(optimizer.base, points=(1.1,))

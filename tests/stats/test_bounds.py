@@ -96,6 +96,23 @@ class TestSteinNormal:
         assert bound.mean == pytest.approx(lam.mean())
         assert bound.variance == pytest.approx(lam.var())
 
+    def test_moments_of_weighted_summands(self):
+        """b1/b2 use each summand e_i*p's centered third/fourth moments."""
+        rng = as_rng(2)
+        p = rng.beta(0.5, 40.0, size=(3, 400))
+        e = 7
+        bound = stein_normal_bound({0: p}, {0: e})
+        sigma = (e * p.sum(axis=0)).std()
+        abs3 = e**3 * sum(np.abs(row - row.mean()) ** 3 @ np.ones(400) / 400
+                          for row in p)
+        m4 = e**4 * sum(sstats.moment(row, 4) for row in p)
+        assert bound.b1 == pytest.approx(4.0 / sigma**3 * abs3, rel=1e-9)
+        assert bound.b2 == pytest.approx(
+            np.sqrt(28.0) * 2.0**1.5 / (np.sqrt(np.pi) * sigma**2)
+            * np.sqrt(m4),
+            rel=1e-9,
+        )
+
     def test_conservative_relation(self):
         m, _, _, ex = _blocks(seed=4)
         b = stein_normal_bound(m, ex)

@@ -1,4 +1,4 @@
-"""Tests for probability metrics and the exact Poisson binomial."""
+"""Tests for the exact Poisson binomial."""
 
 import numpy as np
 import pytest
@@ -7,58 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from repro._util import as_rng
-from repro.stats import (
-    kolmogorov_distance,
-    kolmogorov_distance_functions,
-    poisson_binomial_cdf,
-    poisson_binomial_pmf,
-    total_variation_distance,
-)
-
-
-class TestMetrics:
-    def test_identical_distributions_zero(self):
-        p = np.array([0.2, 0.3, 0.5])
-        assert total_variation_distance(p, p) == 0.0
-        c = np.cumsum(p)
-        assert kolmogorov_distance(c, c) == 0.0
-
-    def test_disjoint_distributions_one(self):
-        p = np.array([1.0, 0.0])
-        q = np.array([0.0, 1.0])
-        assert total_variation_distance(p, q) == pytest.approx(1.0)
-
-    def test_tv_symmetric(self):
-        rng = as_rng(0)
-        p = rng.dirichlet(np.ones(8))
-        q = rng.dirichlet(np.ones(8))
-        assert total_variation_distance(p, q) == pytest.approx(
-            total_variation_distance(q, p)
-        )
-
-    def test_kolmogorov_le_tv_for_pmfs(self):
-        rng = as_rng(1)
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(10))
-            q = rng.dirichlet(np.ones(10))
-            dk = kolmogorov_distance(np.cumsum(p), np.cumsum(q))
-            dtv = total_variation_distance(p, q)
-            assert dk <= dtv + 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            total_variation_distance(np.ones(2), np.ones(3))
-        with pytest.raises(ValueError):
-            kolmogorov_distance(np.ones(2), np.ones(3))
-
-    def test_function_form(self):
-        grid = np.linspace(-3, 3, 50)
-        d = kolmogorov_distance_functions(
-            sstats.norm.cdf, lambda x: sstats.norm.cdf(x, loc=0.5), grid
-        )
-        # Max gap between N(0,1) and N(0.5,1) is at the midpoint.
-        expected = sstats.norm.cdf(0.25) - sstats.norm.cdf(-0.25)
-        assert d == pytest.approx(expected, abs=1e-3)
+from repro.stats import poisson_binomial_cdf, poisson_binomial_pmf
 
 
 class TestPoissonBinomial:

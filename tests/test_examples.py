@@ -1,9 +1,10 @@
 """Smoke tests for the example scripts.
 
 Each example must import cleanly (no missing symbols) and expose a
-``main``.  Full executions take minutes, so only the documentation-level
-contract is checked here; the benchmark harness exercises the same code
-paths end to end.
+``main``.  Most full executions take minutes, so only the documentation-
+level contract is checked for them; the benchmark harness exercises the
+same code paths end to end.  ``netlist_inspection.py`` takes about a
+second and is run to the end.
 """
 
 import importlib.util
@@ -39,3 +40,15 @@ def test_example_imports_and_has_main(name):
 def test_example_has_usage_docstring(name):
     module = _load(name)
     assert module.__doc__ and "Run:" in module.__doc__, name
+
+
+def test_netlist_inspection_runs(tmp_path, monkeypatch, capsys):
+    """The Verilog, VCD, library-JSON and yield round trips run to the end."""
+    monkeypatch.setattr("sys.argv", ["netlist_inspection.py", str(tmp_path)])
+    _load("netlist_inspection.py").main()
+    out = capsys.readouterr().out
+    assert "re-import OK" in out
+    assert out.count("round trip OK") == 2
+    assert "endpoint criticality" in out
+    for name in ("ts_pipeline.v", "burst.vcd", "library.json"):
+        assert (tmp_path / name).stat().st_size > 0
