@@ -25,7 +25,7 @@ import numpy as np
 from repro._util import check_in, check_positive
 from repro.kernels import kernel_stats
 from repro.logicsim.activity import ActivityTrace
-from repro.netlist.gates import EndpointKind, GateType
+from repro.netlist.gates import EndpointKind
 from repro.netlist.library import TimingLibrary
 from repro.netlist.netlist import Netlist
 from repro.netlist.paths import Path, PathEnumerator
@@ -79,9 +79,10 @@ class _EndpointPaths:
         # Flattened gate-index gather for fast all-gates-activated checks:
         # one fancy-index + reduceat per trace instead of one per path.
         self.lengths = np.array([len(p.gates) for p in paths], dtype=int)
-        self.gather = np.concatenate(
-            [np.asarray(p.gates, dtype=int) for p in paths]
-        ) if paths else np.empty(0, dtype=int)
+        self.gather = np.fromiter(
+            itertools.chain.from_iterable(p.gates for p in paths),
+            dtype=int, count=int(self.lengths.sum()),
+        )
         self.segments = np.concatenate(
             [[0], np.cumsum(self.lengths)[:-1]]
         ) if paths else np.empty(0, dtype=int)
@@ -285,11 +286,7 @@ class StageDTSAnalyzer:
         self._combine_memo: dict[tuple, Gaussian] = {}
         self._stage_plans: dict[int, _StagePlan] = {}
         stage_endpoints = {
-            s: [
-                g.gid
-                for g in netlist.endpoints(stage=s, kind=endpoint_kind)
-                if g.gtype == GateType.DFF
-            ]
+            s: netlist.endpoint_ids(stage=s, kind=endpoint_kind, captures=True)
             for s in range(netlist.num_stages)
         }
         paths = {
@@ -298,28 +295,34 @@ class StageDTSAnalyzer:
             for e in eps
         }
         # One batched moments call registers every endpoint's paths.
-        self._register_paths([p for ps in paths.values() for p in ps])
+        pids = iter(self._register_paths([p for ps in paths.values() for p in ps]))
         self._stage_endpoints: dict[int, list[_EndpointPaths]] = {
-            s: [self._prepare_endpoint(e, paths[e]) for e in eps]
+            s: [
+                self._prepare_endpoint(
+                    e, paths[e], list(itertools.islice(pids, len(paths[e])))
+                )
+                for e in eps
+            ]
             for s, eps in stage_endpoints.items()
         }
 
-    def _prepare_endpoint(self, endpoint: int, paths) -> _EndpointPaths:
-        pids = self._register_paths(paths)
+    def _prepare_endpoint(self, endpoint: int, paths, pids) -> _EndpointPaths:
         means = np.array([self._path_mean[pid] for pid in pids])
         variances = np.array([self._path_var[pid] for pid in pids])
         # Seed the covariance cache with the endpoint's full pairwise
         # matrix in one blocked computation (period-independent).
-        if len(paths) > 1:
-            cov = self.variation.path_cov_matrix([p.gates for p in paths])
-            kernel_stats().cov_cells_computed += (
-                len(paths) * (len(paths) - 1) // 2
+        n = len(paths)
+        if n > 1:
+            rows = self.variation.path_cov_matrix([p.gates for p in paths]).tolist()
+            kernel_stats().cov_cells_computed += n * (n - 1) // 2
+            # An endpoint's paths register in order, so its ids ascend
+            # and (pids[i], pids[j]) is the (low, high) key; a path's
+            # sink is its endpoint, so no other endpoint has the cell.
+            self._cov_cache.update(
+                ((pids[i], pids[j]), rows[i][j])
+                for i in range(n)
+                for j in range(i + 1, n)
             )
-            for i in range(len(paths)):
-                for j in range(i + 1, len(paths)):
-                    a, b = pids[i], pids[j]
-                    key = (a, b) if a < b else (b, a)
-                    self._cov_cache.setdefault(key, float(cov[i, j]))
         return _EndpointPaths(endpoint, paths, means, variances, self.margin)
 
     def _register_paths(self, paths) -> tuple[int, ...]:

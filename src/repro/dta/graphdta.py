@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_in
 from repro.dta.algorithm2 import entry_pairs
 from repro.logicsim.activity import ActivityTrace
-from repro.netlist.gates import EndpointKind, GateType
+from repro.netlist.gates import EndpointKind
 from repro.netlist.library import TimingLibrary
 from repro.netlist.netlist import Netlist
 from repro.sta.clark import clark_max_coefficients
@@ -57,13 +56,12 @@ class GraphDTSAnalyzer:
         self.variation = variation
         self.endpoint_kind = endpoint_kind
         self.delays = netlist.nominal_delays(library)
-        self._topo = netlist.topological_order()
-        self._endpoints = {
-            s: [
-                g.gid
-                for g in netlist.endpoints(stage=s, kind=endpoint_kind)
-                if g.gtype == GateType.DFF
-            ]
+        self._arrays = netlist.arrays()
+        # D-pin drivers of each stage's analyzed capture endpoints.
+        self._drivers = {
+            s: self._arrays.drivers(
+                netlist.endpoint_ids(stage=s, kind=endpoint_kind, captures=True)
+            ).tolist()
             for s in range(netlist.num_stages)
         }
 
@@ -80,26 +78,7 @@ class GraphDTSAnalyzer:
         activated by a freshly launched transition even if earlier gates
         are quiet — then its own delay starts the path).
         """
-        act = activity.activated
-        n_cycles, n_gates = act.shape
-        arr = np.full((n_cycles, n_gates), _NEG)
-        for g in self.netlist.gates:
-            if g.is_endpoint:
-                arr[:, g.gid] = np.where(
-                    act[:, g.gid], self.delays[g.gid], _NEG
-                )
-        for gid in self._topo:
-            gate = self.netlist.gate(gid)
-            best = np.full(n_cycles, _NEG)
-            for src in gate.inputs:
-                best = np.maximum(best, arr[:, src])
-            # An activated gate with no activated input is itself the
-            # launch point of the transition.
-            best = np.where(best == _NEG, 0.0, best)
-            arr[:, gid] = np.where(
-                act[:, gid], best + self.delays[gid], _NEG
-            )
-        return arr
+        return self.activated_arrivals_multi(activity, self.delays[None, :])[0]
 
     def activated_arrivals_multi(
         self, activity: ActivityTrace, delays: np.ndarray
@@ -112,38 +91,39 @@ class GraphDTSAnalyzer:
 
         Returns:
             ``(n_chips, n_cycles, n_gates)`` activated arrivals (-inf when
-            quiet) — the Monte Carlo chip-sampling workhorse.
+            quiet) — the Monte Carlo chip-sampling workhorse.  Each
+            topological level is one gather and maximum per input pin.
         """
         delays = np.asarray(delays, dtype=float)
         if delays.ndim != 2 or delays.shape[1] != len(self.netlist):
             raise ValueError(
                 f"delays must be (n_chips, {len(self.netlist)})"
             )
+        net = self._arrays
         act = activity.activated
         n_cycles, n_gates = act.shape
         n_chips = delays.shape[0]
         arr = np.full((n_chips, n_cycles, n_gates), _NEG)
-        for g in self.netlist.gates:
-            if g.is_endpoint:
-                arr[:, :, g.gid] = np.where(
-                    act[None, :, g.gid], delays[:, g.gid, None], _NEG
-                )
-        for gid in self._topo:
-            gate = self.netlist.gate(gid)
-            best = np.full((n_chips, n_cycles), _NEG)
-            for src in gate.inputs:
-                np.maximum(best, arr[:, :, src], out=best)
+        ep = np.flatnonzero(net.endpoint)
+        arr[:, :, ep] = np.where(
+            act[None, :, ep], delays[:, None, ep], _NEG
+        )
+        for gids, _, _ in net.levels:
+            pins = net.pins[gids]
+            best = arr[:, :, pins[:, 0]]
+            for pin in pins.T[1:]:
+                np.maximum(best, arr[:, :, pin], out=best)
+            # An activated gate with no activated input is itself the
+            # launch point of the transition.
             best = np.where(best == _NEG, 0.0, best)
-            arr[:, :, gid] = np.where(
-                act[None, :, gid], best + delays[:, gid, None], _NEG
+            arr[:, :, gids] = np.where(
+                act[None, :, gids], best + delays[:, None, gids], _NEG
             )
         return arr
 
     def stage_drivers(self, stage: int) -> list[int]:
         """D-pin driver gates of the stage's analyzed capture endpoints."""
-        return [
-            self.netlist.gate(e).inputs[0] for e in self._endpoints[stage]
-        ]
+        return list(self._drivers[stage])
 
     def stage_dts_trace(
         self,
@@ -160,8 +140,7 @@ class GraphDTSAnalyzer:
         )
         setup = self.library.setup_time
         out: list[float | None] = []
-        eps = self._endpoints[stage]
-        drivers = [self.netlist.gate(e).inputs[0] for e in eps]
+        drivers = self._drivers[stage]
         for t in range(activity.n_cycles):
             worst = _NEG
             for drv in drivers:
@@ -220,16 +199,13 @@ class GraphDTSAnalyzer:
         sigma2 = self.variation.sigma**2
         mean = np.full(len(self.netlist), _NEG)
         var = np.zeros(len(self.netlist))
-        for g in self.netlist.gates:
-            if g.is_endpoint and act[g.gid]:
-                mean[g.gid] = mu[g.gid]
-                var[g.gid] = sigma2[g.gid]
-        for gid in self._topo:
-            if not act[gid]:
-                continue
-            gate = self.netlist.gate(gid)
+        net = self._arrays
+        launched = net.endpoint & act
+        mean[launched] = mu[launched]
+        var[launched] = sigma2[launched]
+        for gid in net.topo[act[net.topo]].tolist():
             current: Gaussian | None = None
-            for src in gate.inputs:
+            for src in net.fanin[net.fanin_ptr[gid] : net.fanin_ptr[gid + 1]]:
                 if mean[src] == _NEG:
                     continue
                 candidate = Gaussian(mean[src], var[src])
@@ -244,8 +220,7 @@ class GraphDTSAnalyzer:
             mean[gid] = current.mean + mu[gid]
             var[gid] = current.var + sigma2[gid]
         worst: Gaussian | None = None
-        for e in self._endpoints[stage]:
-            drv = self.netlist.gate(e).inputs[0]
+        for drv in self._drivers[stage]:
             if mean[drv] == _NEG:
                 continue
             candidate = Gaussian(mean[drv], var[drv])

@@ -8,8 +8,10 @@ The default evaluation kernel goes one step further than per-gate
 vectorization: gates are grouped by (topological level, gate type) at
 construction time, with the fanin ids of each group gathered into index
 arrays, so a whole level's worth of same-type gates is settled by a single
-vectorized op over the ``(cycles, gates-in-group)`` plane.  The per-gate
-loop it replaced is frozen in the test suite as the parity oracle.
+vectorized op over the ``(gates-in-group, cycles)`` plane.  Values are
+kept one row per gate while settling, so each group's fan-in gather
+copies whole rows.  The per-gate loop it replaced is frozen in the test
+suite as the parity oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from repro.kernels import kernel_stats
 from repro.logicsim.activity import ActivityTrace
-from repro.netlist.gates import GATE_ARITY, GateType
+from repro.netlist.gates import GATE_ARITY, GATE_TYPES, GateType
 from repro.netlist.netlist import Netlist
 
 __all__ = ["LevelizedSimulator"]
@@ -37,6 +39,9 @@ _OPCODE = {
     GateType.MAJ3: 9,
 }
 
+#: Rank of each gate-type code when the types are sorted by name.
+_NAME_RANK = np.argsort(np.argsort([gtype.value for gtype in GATE_TYPES]))
+
 
 class LevelizedSimulator:
     """Evaluates a netlist's combinational fabric over many cycles at once.
@@ -47,8 +52,8 @@ class LevelizedSimulator:
 
     def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
-        self.source_ids = [g.gid for g in netlist.gates if g.is_endpoint]
-        self._source_pos = {gid: i for i, gid in enumerate(self.source_ids)}
+        self.source_ids = netlist.endpoint_ids()
+        self._sources = np.asarray(self.source_ids, dtype=np.intp)
         self._topo = netlist.topological_order()
         self._plan = self._build_plan()
         self._flushed_state: np.ndarray | None = None
@@ -57,31 +62,26 @@ class LevelizedSimulator:
         """Group combinational gates into (level, type) batches.
 
         Returns a list of ``(opcode, gate_ids, fanin)`` tuples in level
-        order, where ``fanin`` has shape ``(len(gate_ids), arity)`` and
+        order, where ``fanin`` has shape ``(arity, len(gate_ids))`` and
         holds the driver id of each input pin.  Within a level no gate
         depends on another (level = longest driver distance from a
         source), so each batch is settled by one gather over the
-        ``(cycles, arity, gates-in-group)`` block plus one boolean op.
+        ``(arity, gates-in-group, cycles)`` block plus one boolean op.
+        Within a level, batches follow the gate types' names and gates
+        keep their topological order.
         """
-        level = np.zeros(len(self.netlist), dtype=int)
-        for gid in self._topo:
-            gate = self.netlist.gate(gid)
-            level[gid] = 1 + max(
-                (level[i] for i in gate.inputs), default=0
-            )
-        groups: dict[tuple[int, object], list[int]] = {}
-        for gid in self._topo:
-            gtype = self.netlist.gate(gid).gtype
-            groups.setdefault((int(level[gid]), gtype), []).append(gid)
+        arr = self.netlist.arrays()
         plan = []
-        for (lvl, gtype), gids in sorted(
-            groups.items(), key=lambda item: (item[0][0], item[0][1].value)
-        ):
-            ids = np.asarray(gids, dtype=int)
-            fanin = np.array(
-                [self.netlist.gate(g).inputs for g in gids], dtype=int
-            ).reshape(len(gids), GATE_ARITY[gtype]).T
-            plan.append((_OPCODE[gtype], ids, fanin))
+        for gids, _, _ in arr.levels:
+            codes = arr.gtype[gids]
+            order = np.argsort(_NAME_RANK[codes], kind="stable")
+            gids, codes = gids[order], codes[order]
+            starts = np.flatnonzero(np.diff(codes, prepend=-1)).tolist()
+            for lo, hi in zip(starts, [*starts[1:], len(gids)]):
+                gtype = GATE_TYPES[codes[lo]]
+                ids = gids[lo:hi]
+                fanin = arr.pins[ids, : GATE_ARITY[gtype]].T
+                plan.append((_OPCODE[gtype], ids, fanin))
         return plan
 
     @property
@@ -106,40 +106,40 @@ class LevelizedSimulator:
                 f"{source_values.shape}"
             )
         n_cycles = source_values.shape[0]
-        values = np.zeros((n_cycles, len(self.netlist)), dtype=bool)
-        for gid, col in self._source_pos.items():
-            values[:, gid] = source_values[:, col]
+        # One row per gate: a batch's fan-in gather copies whole rows.
+        values = np.zeros((len(self.netlist), n_cycles), dtype=bool)
+        values[self._sources] = source_values.T
         stats = kernel_stats()
         stats.sim_calls += 1
         stats.sim_cycle_gates += n_cycles * len(self._topo)
         for code, gids, fanin in self._plan:
-            # One gather per group: (n_cycles, arity, n_group); the pin
+            # One gather per group: (arity, n_group, n_cycles); the pin
             # slices below are views into it.
-            ops = values[:, fanin]
-            a = ops[:, 0]
+            ops = values[fanin]
+            a = ops[0]
             if code == 2:
-                out = a & ops[:, 1]
+                out = a & ops[1]
             elif code == 4:
-                out = ~(a & ops[:, 1])
+                out = ~(a & ops[1])
             elif code == 3:
-                out = a | ops[:, 1]
+                out = a | ops[1]
             elif code == 5:
-                out = ~(a | ops[:, 1])
+                out = ~(a | ops[1])
             elif code == 6:
-                out = a ^ ops[:, 1]
+                out = a ^ ops[1]
             elif code == 7:
-                out = ~(a ^ ops[:, 1])
+                out = ~(a ^ ops[1])
             elif code == 1:
                 out = ~a
             elif code == 0:
                 out = a
             elif code == 8:
-                out = np.where(a, ops[:, 2], ops[:, 1])
+                out = np.where(a, ops[2], ops[1])
             else:
-                b, c = ops[:, 1], ops[:, 2]
+                b, c = ops[1], ops[2]
                 out = (a & b) | (a & c) | (b & c)
-            values[:, gids] = out
-        return values
+            values[gids] = out
+        return np.ascontiguousarray(values.T)
 
     def flushed_state(self) -> np.ndarray:
         """Settled per-gate values of the all-zero source assignment.

@@ -148,7 +148,7 @@ class StimulusEncoder:
     def __init__(self, pipeline: PipelineNetlist) -> None:
         self.pipeline = pipeline
         self.netlist = pipeline.netlist
-        self.source_ids = [g.gid for g in self.netlist.gates if g.is_endpoint]
+        self.source_ids = self.netlist.endpoint_ids()
         self._source_pos = {gid: i for i, gid in enumerate(self.source_ids)}
         # Precomputed source-position scatter indices (see
         # encode_schedules).

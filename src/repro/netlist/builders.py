@@ -58,9 +58,7 @@ def constant_zero(
 
 
 def _place(netlist: Netlist, gid: int, x: float, y: float) -> int:
-    gate = netlist.gate(gid)
-    gate.x = x
-    gate.y = y
+    netlist.place(gid, x, y)
     return gid
 
 

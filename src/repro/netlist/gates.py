@@ -10,11 +10,20 @@ Section 4, because the two sets are characterized differently.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GateType", "EndpointKind", "Gate", "evaluate_gate", "GATE_ARITY"]
+__all__ = [
+    "GateType",
+    "EndpointKind",
+    "Gate",
+    "check_gate",
+    "evaluate_gate",
+    "GATE_ARITY",
+    "GATE_TYPES",
+    "ENDPOINT_KINDS",
+]
 
 
 class GateType(enum.Enum):
@@ -70,9 +79,42 @@ class EndpointKind(enum.Enum):
     DATA = "data"
 
 
-@dataclass(slots=True)
+#: Gate types by array code: a netlist's ``gtype`` array holds indices
+#: into this tuple (``INPUT`` is 0 and ``DFF`` 1, so endpoints are the
+#: codes below 2).
+GATE_TYPES: tuple[GateType, ...] = tuple(GateType)
+
+#: Endpoint kinds by array code (-1 marks a combinational gate).
+ENDPOINT_KINDS: tuple[EndpointKind, ...] = tuple(EndpointKind)
+
+
+def check_gate(
+    name: str,
+    gtype: GateType,
+    n_inputs: int,
+    endpoint_kind: EndpointKind | None,
+) -> None:
+    """Raise ``ValueError`` unless the pin count and endpoint kind fit
+    ``gtype``."""
+    arity = GATE_ARITY[gtype]
+    if n_inputs != arity:
+        raise ValueError(
+            f"gate {name!r} of type {gtype.value} needs "
+            f"{arity} inputs, got {n_inputs}"
+        )
+    if gtype.is_endpoint and endpoint_kind is None:
+        raise ValueError(f"endpoint gate {name!r} needs an endpoint_kind")
+    if gtype.is_combinational and endpoint_kind is not None:
+        raise ValueError(f"combinational gate {name!r} cannot be an endpoint")
+
+
+@dataclass(frozen=True, slots=True)
 class Gate:
-    """A single gate instance in the netlist.
+    """A read-only view of one gate instance in the netlist.
+
+    A :class:`~repro.netlist.netlist.Netlist` keeps its gates as arrays
+    and hands these out at its API edge; change a netlist through its
+    own methods (``connect_dff``, ``place``).
 
     Attributes:
         gid: Dense integer id, assigned by the owning :class:`Netlist`.
@@ -106,16 +148,7 @@ class Gate:
         return self.gtype.is_combinational
 
     def __post_init__(self) -> None:
-        arity = GATE_ARITY[self.gtype]
-        if len(self.inputs) != arity:
-            raise ValueError(
-                f"gate {self.name!r} of type {self.gtype.value} needs "
-                f"{arity} inputs, got {len(self.inputs)}"
-            )
-        if self.is_endpoint and self.endpoint_kind is None:
-            raise ValueError(f"endpoint gate {self.name!r} needs an endpoint_kind")
-        if self.is_combinational and self.endpoint_kind is not None:
-            raise ValueError(f"combinational gate {self.name!r} cannot be an endpoint")
+        check_gate(self.name, self.gtype, len(self.inputs), self.endpoint_kind)
 
 
 def evaluate_gate(gtype: GateType, operands: list[np.ndarray]) -> np.ndarray:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro._util import as_rng, check_positive
 from repro.netlist.builders import (
     build_array_multiplier,
@@ -608,10 +610,11 @@ def generate_pipeline(config: PipelineConfig | None = None) -> PipelineNetlist:
     # Tie off loose combinational outputs (unused carry-outs etc.) into
     # per-stage observation registers so no logic dangles.
     # ------------------------------------------------------------------ #
+    arr = nl.arrays()
+    unloaded = np.flatnonzero(~arr.endpoint & (np.diff(arr.fanout_ptr) == 0))
     loose_by_stage: dict[int, list[int]] = {}
-    for g in list(nl.gates):
-        if g.is_combinational and nl.fanout_count(g.gid) == 0:
-            loose_by_stage.setdefault(g.stage, []).append(g.gid)
+    for gid, s in zip(unloaded.tolist(), arr.stage[unloaded].tolist()):
+        loose_by_stage.setdefault(s, []).append(gid)
     for s, loose in sorted(loose_by_stage.items()):
         head = _xor_tree(nl, loose, f"{STAGE_NAMES[s].lower()}/tieoff", s)
         nl.add_dff(
@@ -626,10 +629,11 @@ def generate_pipeline(config: PipelineConfig | None = None) -> PipelineNetlist:
     # Final placement sweep: glue logic created without explicit
     # coordinates (muxes, trees, merges) is scattered within its stage's
     # placement region so the spatial variation model sees every gate.
-    for g in nl.gates:
-        if g.is_combinational and g.x == 0.0 and g.y == 0.0:
-            g.x = sx(g.stage, 0.15 + 0.7 * float(rng.random()))
-            g.y = 4.0 + 90.0 * float(rng.random())
+    arr = nl.arrays()
+    unplaced = np.flatnonzero(~arr.endpoint & (arr.xy == 0.0).all(axis=1))
+    for gid, s in zip(unplaced.tolist(), arr.stage[unplaced].tolist()):
+        x = sx(s, 0.15 + 0.7 * float(rng.random()))
+        nl.place(gid, x, 4.0 + 90.0 * float(rng.random()))
 
     nl.validate()
     return PipelineNetlist(

@@ -26,6 +26,8 @@ control-select bit positions match, so the scheduler's semantic
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro._util import as_rng
 from repro.netlist.builders import (
     build_array_multiplier,
@@ -549,10 +551,11 @@ def generate_ooo_pipeline(config: PipelineConfig | None = None) -> PipelineNetli
     # Tie off loose combinational outputs into per-stage observation
     # registers so no logic dangles (unused carry-outs, cloud spillover).
     # ------------------------------------------------------------------ #
+    arr = nl.arrays()
+    unloaded = np.flatnonzero(~arr.endpoint & (np.diff(arr.fanout_ptr) == 0))
     loose_by_stage: dict[int, list[int]] = {}
-    for g in list(nl.gates):
-        if g.is_combinational and nl.fanout_count(g.gid) == 0:
-            loose_by_stage.setdefault(g.stage, []).append(g.gid)
+    for gid, s in zip(unloaded.tolist(), arr.stage[unloaded].tolist()):
+        loose_by_stage.setdefault(s, []).append(gid)
     for s, loose in sorted(loose_by_stage.items()):
         head = _xor_tree(nl, loose, f"{OOO_STAGE_NAMES[s].lower()}/tieoff", s)
         nl.add_dff(
@@ -565,10 +568,11 @@ def generate_ooo_pipeline(config: PipelineConfig | None = None) -> PipelineNetli
         )
 
     # Placement sweep for glue logic created without coordinates.
-    for g in nl.gates:
-        if g.is_combinational and g.x == 0.0 and g.y == 0.0:
-            g.x = sx(g.stage, 0.15 + 0.7 * float(rng.random()))
-            g.y = 4.0 + 90.0 * float(rng.random())
+    arr = nl.arrays()
+    unplaced = np.flatnonzero(~arr.endpoint & (arr.xy == 0.0).all(axis=1))
+    for gid, s in zip(unplaced.tolist(), arr.stage[unplaced].tolist()):
+        x = sx(s, 0.15 + 0.7 * float(rng.random()))
+        nl.place(gid, x, 4.0 + 90.0 * float(rng.random()))
 
     nl.validate()
     return PipelineNetlist(

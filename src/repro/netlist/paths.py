@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.netlist.gates import GateType
+from repro.netlist.gates import GATE_TYPES, GateType
 from repro.netlist.netlist import Netlist
 
 __all__ = ["Path", "PathEnumerator"]
+
+_DFF = GATE_TYPES.index(GateType.DFF)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,27 +71,41 @@ class PathEnumerator:
             )
         self.netlist = netlist
         self.delays = np.asarray(delays, dtype=float)
+        self._arrays = netlist.arrays()
         self._arrival = self._compute_arrivals()
+        # The heap search reads plain lists: fan-in CSR, endpoint flags,
+        # delays and arrivals.
+        arr = self._arrays
+        self._fanin_ptr = arr.fanin_ptr.tolist()
+        self._fanin = arr.fanin.tolist()
+        self._is_endpoint = arr.endpoint.tolist()
+        self._delay_list = self.delays.tolist()
+        self._arrival_list = self._arrival.tolist()
         # endpoint -> (k, the longest path list computed so far).
         self._memo: dict[int, tuple[int, list[Path]]] = {}
 
     def _compute_arrivals(self) -> np.ndarray:
-        """Longest source-to-output delay for every gate (incl. own delay)."""
-        n = len(self.netlist)
-        arrival = np.full(n, -np.inf)
-        for g in self.netlist.gates:
-            if g.is_endpoint:
-                arrival[g.gid] = self.delays[g.gid]
-        for gid in self.netlist.topological_order():
-            g = self.netlist.gate(gid)
-            best = max(arrival[i] for i in g.inputs)
-            arrival[gid] = best + self.delays[gid]
+        """Longest source-to-output delay for every gate (incl. own delay),
+        one ``maximum.reduceat`` over each topological level's fan-in."""
+        arr = self._arrays
+        arrival = np.where(arr.endpoint, self.delays, -np.inf)
+        for gids, drivers, offsets in arr.levels:
+            arrival[gids] = (
+                np.maximum.reduceat(arrival[drivers], offsets)
+                + self.delays[gids]
+            )
         return arrival
 
     @property
     def arrivals(self) -> np.ndarray:
         """Per-gate worst arrival times (ps) at gate outputs."""
         return self._arrival
+
+    def _capture_driver(self, endpoint: int) -> int:
+        if self._arrays.gtype[endpoint] != _DFF:
+            name = self.netlist.gate(endpoint).name
+            raise ValueError(f"gate {name!r} is not a capture flip-flop")
+        return self._fanin[self._fanin_ptr[endpoint]]
 
     def critical_paths(self, endpoint: int, k: int = 16) -> list[Path]:
         """Return up to ``k`` longest paths ending at ``endpoint``.
@@ -103,33 +119,32 @@ class PathEnumerator:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        endpoint = int(endpoint)
         known = self._memo.get(endpoint)
         if known is not None and k <= known[0]:
             return known[1][:k]
-        sink = self.netlist.gate(endpoint)
-        if sink.gtype != GateType.DFF:
-            raise ValueError(f"gate {sink.name!r} is not a capture flip-flop")
-        driver = sink.inputs[0]
+        driver = self._capture_driver(endpoint)
+        ptr, fanin = self._fanin_ptr, self._fanin
+        is_endpoint = self._is_endpoint
+        delays, arrival = self._delay_list, self._arrival_list
         results: list[Path] = []
         # Heap entries: (-upper_bound_delay, counter, head, partial_tuple,
         # cost_of_partial).  ``partial_tuple`` holds gate ids from ``head``
         # to the sink driver in signal-flow order.
         counter = 0
-        start_bound = self._arrival[driver]
-        heap = [(-start_bound, counter, driver, (driver,), self.delays[driver])]
+        heap = [(-arrival[driver], counter, driver, (driver,), delays[driver])]
         while heap and len(results) < k:
             neg_bound, _, head, partial, cost = heapq.heappop(heap)
-            head_gate = self.netlist.gate(head)
-            if head_gate.is_endpoint:
+            if is_endpoint[head]:
                 results.append(Path(gates=partial, sink=endpoint, delay=-neg_bound))
                 continue
             # A gate may use the same driver on two pins (e.g. AND(x, x));
             # the gate *sequence* is identical either way, so expand each
             # distinct driver once (a path is a set of gates, Def. 3.1).
-            for inp in dict.fromkeys(head_gate.inputs):
+            for inp in dict.fromkeys(fanin[ptr[head] : ptr[head + 1]]):
                 counter += 1
-                new_cost = cost + self.delays[inp]
-                bound = new_cost + (self._arrival[inp] - self.delays[inp])
+                new_cost = cost + delays[inp]
+                bound = new_cost + (arrival[inp] - delays[inp])
                 heapq.heappush(
                     heap, (-bound, counter, inp, (inp,) + partial, new_cost)
                 )
@@ -142,7 +157,4 @@ class PathEnumerator:
 
     def max_arrival(self, endpoint: int) -> float:
         """Worst arrival time at ``endpoint``'s D pin (ps)."""
-        sink = self.netlist.gate(endpoint)
-        if sink.gtype != GateType.DFF:
-            raise ValueError(f"gate {sink.name!r} is not a capture flip-flop")
-        return float(self._arrival[sink.inputs[0]])
+        return float(self._arrival[self._capture_driver(endpoint)])

@@ -202,13 +202,14 @@ class ArtifactStore:
     def put_entry(self, namespace: str, key: str, doc: dict):
         """Store by explicit key; durable, concurrent writers are safe."""
         self._counters(namespace)["puts"] += 1
-        blob = json.dumps(doc)
         if self.root is None:
             self._memory.pop((namespace, key), None)
             self._memory[(namespace, key)] = doc
-            self._memory_sizes[(namespace, key)] = len(blob)
+            # Sized on first need (a budget, total_bytes) and cached.
+            self._memory_sizes.pop((namespace, key), None)
             self._evict(protect=(namespace, key))
             return None
+        blob = json.dumps(doc)
         path = self.path_for(namespace, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -311,12 +312,22 @@ class ArtifactStore:
     def total_bytes(self) -> int:
         """Stored JSON bytes (index-tracked on disk, exact in memory)."""
         if self.root is None:
-            return sum(self._memory_sizes.values())
+            return sum(map(self._memory_size, list(self._memory)))
         with self._lock:
             row = self._index().execute(
                 "SELECT COALESCE(SUM(bytes), 0) FROM entries"
             ).fetchone()
         return int(row[0])
+
+    def _memory_size(self, ns_key: tuple[str, str]) -> int:
+        """JSON size of an in-memory entry, encoded once on first need."""
+        size = self._memory_sizes.get(ns_key)
+        if size is None:
+            doc = self._memory.get(ns_key)
+            if doc is None:
+                return 0
+            size = self._memory_sizes[ns_key] = len(json.dumps(doc))
+        return size
 
     def _evict(self, protect: tuple[str, str]) -> None:
         """Drop least-recently-used entries until under ``max_bytes``.
@@ -327,7 +338,7 @@ class ArtifactStore:
         if self.max_bytes is None:
             return
         if self.root is None:
-            total = sum(self._memory_sizes.values())
+            total = self.total_bytes()
             for ns_key in list(self._memory):
                 if total <= self.max_bytes:
                     break

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import check_in
-from repro.netlist.gates import GateType
 from repro.netlist.library import TimingLibrary
 from repro.netlist.netlist import Netlist
 from repro.netlist.paths import Path, PathEnumerator
@@ -376,12 +375,8 @@ class StatisticalTimingAnalysis:
         endpoint (arrival + setup), with cross-path covariances.
         """
         paths: list[Path] = []
-        for g in self.netlist.gates:
-            if g.gtype != GateType.DFF:
-                continue
-            paths.extend(
-                self.enumerator.critical_paths(g.gid, k=paths_per_endpoint)
-            )
+        for e in self.netlist.endpoint_ids(captures=True):
+            paths.extend(self.enumerator.critical_paths(e, k=paths_per_endpoint))
         # Keep the globally longest subset to bound the O(n^2) covariance.
         paths.sort(key=lambda p: p.delay, reverse=True)
         paths = paths[:64]

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.netlist.gates import GateType
 from repro.netlist.library import TimingLibrary
 from repro.netlist.netlist import Netlist
 from repro.netlist.paths import Path, PathEnumerator
@@ -64,11 +63,7 @@ class StaticTimingAnalysis:
 
     def capture_endpoints(self, stage: int | None = None) -> list[int]:
         """Ids of flip-flops that capture data (have a D pin)."""
-        return [
-            g.gid
-            for g in self.netlist.endpoints(stage=stage)
-            if g.gtype == GateType.DFF
-        ]
+        return self.netlist.endpoint_ids(stage=stage, captures=True)
 
     def endpoint_arrival(self, endpoint: int) -> float:
         """Worst arrival time (ps) at ``endpoint``'s D pin."""

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import as_rng, check_positive
-from repro.netlist.gates import GateType
 from repro.sta.ssta import StatisticalTimingAnalysis
 
 __all__ = ["YieldAnalysis", "YieldCurve"]
@@ -94,14 +93,12 @@ class YieldAnalysis:
 
     def _endpoint_paths(self):
         endpoints, paths = [], []
-        for g in self.ssta.netlist.gates:
-            if g.gtype != GateType.DFF:
-                continue
+        for e in self.ssta.netlist.endpoint_ids(captures=True):
             ps = self.ssta.enumerator.critical_paths(
-                g.gid, k=self.paths_per_endpoint
+                e, k=self.paths_per_endpoint
             )
             if ps:
-                endpoints.append(g.gid)
+                endpoints.append(e)
                 paths.append(ps)
         return endpoints, paths
 

@@ -4,6 +4,16 @@ Each kernel in ``src/repro`` has exactly one, vectorized implementation.
 The straight-line code each one replaced lives here, unchanged in
 arithmetic, as the ground truth the parity tests compare against:
 
+* ``Netlist.validate`` / ``topological_order`` / ``nominal_delays``,
+  ``PathEnumerator._compute_arrivals`` / ``critical_paths``,
+  ``LevelizedSimulator._build_plan`` and
+  ``GraphDTSAnalyzer.activated_arrivals_multi`` -> :func:`validate` /
+  :func:`topological_order` / :func:`nominal_delays`,
+  :func:`compute_arrivals` / :func:`critical_paths`, :func:`build_plan`
+  and :func:`activated_arrivals_multi` (walks over ``Gate`` objects,
+  one gate or pin at a time; :func:`capture_endpoints` and
+  :func:`fanout_lists` are the endpoint filter and fan-out cache they
+  replaced);
 * ``LevelizedSimulator.evaluate`` -> :func:`evaluate` (per-gate
   topological loop);
 * ``StimulusEncoder.encode_schedules`` -> :func:`encode_schedules`
@@ -40,6 +50,7 @@ is where the engine runs every job.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from contextlib import ExitStack, contextmanager
 from unittest import mock
@@ -60,16 +71,19 @@ from repro.core.errormodel import _SAFE_SLACK, InstructionErrorModel
 from repro.cpu.interpreter import StepRecord
 from repro.dta.algorithm1 import _MODES, StageDTSAnalyzer, _StagePlan
 from repro.dta.datapath import feature_matrix, record_arrays
+from repro.dta.graphdta import GraphDTSAnalyzer
 from repro.dta.windowpool import ActivityCache
 from repro.kernels import kernel_stats
-from repro.logicsim.simulator import LevelizedSimulator
+from repro.logicsim.simulator import _OPCODE, LevelizedSimulator
 from repro.logicsim.stimulus import (
     StimulusEncoder,
     int_to_bits,
     mix64,
     token_bits,
 )
-from repro.netlist.gates import evaluate_gate
+from repro.netlist.gates import GATE_ARITY, GateType, evaluate_gate
+from repro.netlist.netlist import Netlist
+from repro.netlist.paths import Path, PathEnumerator
 from repro.sta.clark import _EPS, _theta, clark_min_arrays
 from repro.sta.gaussian import Gaussian
 from repro.sta.ssta import statistical_min
@@ -77,7 +91,9 @@ from repro.sta.ssta import statistical_min
 __all__ = [
     "ControlSampleCollector",
     "EdgeProfiler",
+    "STRUCTURE_PATCHES",
     "SimulationCollector",
+    "activated_arrivals_multi",
     "activity",
     "all_block_probabilities",
     "ap_trace",
@@ -85,16 +101,204 @@ __all__ = [
     "assemble",
     "bitcount_params",
     "block_probabilities",
+    "build_plan",
+    "capture_endpoints",
     "clark_max_coefficients",
     "combine",
     "combine_grid",
+    "compute_arrivals",
     "control_arrays",
+    "critical_paths",
     "encode_cycle",
     "encode_schedules",
     "evaluate",
+    "fanout_lists",
     "first_activated",
+    "nominal_delays",
     "reference_kernels",
+    "topological_order",
+    "validate",
 ]
+
+
+# --------------------------------------------------------------------- #
+# Netlist structure and path analysis (per-gate object walks)
+# --------------------------------------------------------------------- #
+
+
+def fanout_lists(netlist: Netlist) -> list[list[int]]:
+    """The former ``Netlist.fanout`` cache: loads per driver, once per
+    pin, skipping an unconnected flip-flop's placeholder self-loop."""
+    fan: list[list[int]] = [[] for _ in range(len(netlist))]
+    for g in netlist.gates:
+        for i in g.inputs:
+            if g.gtype == GateType.DFF and i == g.gid:
+                continue
+            fan[i].append(g.gid)
+    return fan
+
+
+def topological_order(self: Netlist) -> list[int]:
+    """``Netlist.topological_order``: Kahn's algorithm over ``Gate``s."""
+    gates = self.gates
+    fanout = fanout_lists(self)
+    indeg = {}
+    for g in gates:
+        if g.is_combinational:
+            indeg[g.gid] = sum(1 for i in g.inputs if gates[i].is_combinational)
+    ready = deque(gid for gid, d in indeg.items() if d == 0)
+    order: list[int] = []
+    while ready:
+        gid = ready.popleft()
+        order.append(gid)
+        for out in fanout[gid]:
+            if out in indeg:
+                indeg[out] -= 1
+                if indeg[out] == 0:
+                    ready.append(out)
+    if len(order) != len(indeg):
+        raise ValueError("combinational fabric contains a cycle")
+    return order
+
+
+def validate(self: Netlist) -> None:
+    """``Netlist.validate``: forward and backward reachability sets."""
+    gates = self.gates
+    for g in gates:
+        if g.gtype == GateType.DFF and g.inputs == (g.gid,):
+            raise ValueError(f"DFF {g.name!r} has an unconnected D pin")
+    order = topological_order(self)
+    fwd = {g.gid for g in gates if g.is_endpoint}
+    for gid in order:
+        if any(i in fwd for i in gates[gid].inputs):
+            fwd.add(gid)
+    bwd: set[int] = set()
+    stack = [i for g in gates if g.gtype == GateType.DFF for i in g.inputs]
+    while stack:
+        gid = stack.pop()
+        if gid in bwd or not gates[gid].is_combinational:
+            continue
+        bwd.add(gid)
+        stack.extend(gates[gid].inputs)
+    for g in gates:
+        if g.is_combinational and (g.gid not in fwd or g.gid not in bwd):
+            raise ValueError(
+                f"combinational gate {g.name!r} is dangling "
+                "(not on any endpoint-to-endpoint path)"
+            )
+
+
+def nominal_delays(self: Netlist, library) -> np.ndarray:
+    """``Netlist.nominal_delays``: one library lookup per gate."""
+    fanout = fanout_lists(self)
+    delays = np.zeros(len(self))
+    for g in self.gates:
+        delays[g.gid] = library.delay(g.gtype, len(fanout[g.gid]))
+    return delays
+
+
+def compute_arrivals(self: PathEnumerator) -> np.ndarray:
+    """``PathEnumerator._compute_arrivals``: one gate at a time."""
+    n = len(self.netlist)
+    arrival = np.full(n, -np.inf)
+    for g in self.netlist.gates:
+        if g.is_endpoint:
+            arrival[g.gid] = self.delays[g.gid]
+    for gid in topological_order(self.netlist):
+        g = self.netlist.gate(gid)
+        best = max(arrival[i] for i in g.inputs)
+        arrival[gid] = best + self.delays[gid]
+    return arrival
+
+
+def critical_paths(self: PathEnumerator, endpoint: int, k: int = 16) -> list:
+    """``PathEnumerator.critical_paths`` without the memo, reading
+    ``Gate`` objects and numpy scalars."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    sink = self.netlist.gate(endpoint)
+    if sink.gtype != GateType.DFF:
+        raise ValueError(f"gate {sink.name!r} is not a capture flip-flop")
+    arrival = self._arrival
+    driver = sink.inputs[0]
+    results: list[Path] = []
+    counter = 0
+    heap = [(-arrival[driver], counter, driver, (driver,), self.delays[driver])]
+    while heap and len(results) < k:
+        neg_bound, _, head, partial, cost = heapq.heappop(heap)
+        head_gate = self.netlist.gate(head)
+        if head_gate.is_endpoint:
+            results.append(Path(gates=partial, sink=endpoint, delay=-neg_bound))
+            continue
+        for inp in dict.fromkeys(head_gate.inputs):
+            counter += 1
+            new_cost = cost + self.delays[inp]
+            bound = new_cost + (arrival[inp] - self.delays[inp])
+            heapq.heappush(
+                heap, (-bound, counter, inp, (inp,) + partial, new_cost)
+            )
+    return results
+
+
+def capture_endpoints(netlist: Netlist, stage=None, kind=None) -> list[int]:
+    """The former endpoint lists: a filter over every ``Gate``."""
+    return [
+        g.gid
+        for g in netlist.gates
+        if g.gtype == GateType.DFF
+        and (stage is None or g.stage == stage)
+        and (kind is None or g.endpoint_kind == kind)
+    ]
+
+
+def build_plan(self: LevelizedSimulator) -> list[tuple]:
+    """``LevelizedSimulator._build_plan``: levels and groups per gate."""
+    topo = topological_order(self.netlist)
+    level = np.zeros(len(self.netlist), dtype=int)
+    for gid in topo:
+        gate = self.netlist.gate(gid)
+        level[gid] = 1 + max((level[i] for i in gate.inputs), default=0)
+    groups: dict[tuple[int, object], list[int]] = {}
+    for gid in topo:
+        gtype = self.netlist.gate(gid).gtype
+        groups.setdefault((int(level[gid]), gtype), []).append(gid)
+    plan = []
+    for (_lvl, gtype), gids in sorted(
+        groups.items(), key=lambda item: (item[0][0], item[0][1].value)
+    ):
+        ids = np.asarray(gids, dtype=int)
+        fanin = np.array(
+            [self.netlist.gate(g).inputs for g in gids], dtype=int
+        ).reshape(len(gids), GATE_ARITY[gtype]).T
+        plan.append((_OPCODE[gtype], ids, fanin))
+    return plan
+
+
+def activated_arrivals_multi(
+    self: GraphDTSAnalyzer, activity, delays
+) -> np.ndarray:
+    """``GraphDTSAnalyzer.activated_arrivals_multi``: one gate and one
+    input pin at a time."""
+    delays = np.asarray(delays, dtype=float)
+    act = activity.activated
+    n_cycles, n_gates = act.shape
+    neg = repro.dta.graphdta._NEG
+    arr = np.full((delays.shape[0], n_cycles, n_gates), neg)
+    for g in self.netlist.gates:
+        if g.is_endpoint:
+            arr[:, :, g.gid] = np.where(
+                act[None, :, g.gid], delays[:, g.gid, None], neg
+            )
+    for gid in topological_order(self.netlist):
+        gate = self.netlist.gate(gid)
+        best = np.full((delays.shape[0], n_cycles), neg)
+        for src in gate.inputs:
+            np.maximum(best, arr[:, :, src], out=best)
+        best = np.where(best == neg, 0.0, best)
+        arr[:, :, gid] = np.where(
+            act[None, :, gid], best + delays[:, gid, None], neg
+        )
+    return arr
 
 
 # --------------------------------------------------------------------- #
@@ -112,7 +316,7 @@ def evaluate(self: LevelizedSimulator, source_values) -> np.ndarray:
         )
     n_cycles = source_values.shape[0]
     values = np.zeros((n_cycles, len(self.netlist)), dtype=bool)
-    for gid, col in self._source_pos.items():
+    for col, gid in enumerate(self.source_ids):
         values[:, gid] = source_values[:, col]
     stats_ = kernel_stats()
     stats_.sim_calls += 1
@@ -690,8 +894,21 @@ class ControlSampleCollector:
 # Whole-run switch
 # --------------------------------------------------------------------- #
 
+#: The netlist-structure share of :data:`_PATCHES`: the per-gate walks
+#: over ``Gate`` objects that ``Netlist.arrays`` replaced.
+STRUCTURE_PATCHES = (
+    (Netlist, "topological_order", topological_order),
+    (Netlist, "validate", validate),
+    (Netlist, "nominal_delays", nominal_delays),
+    (PathEnumerator, "_compute_arrivals", compute_arrivals),
+    (PathEnumerator, "critical_paths", critical_paths),
+    (LevelizedSimulator, "_build_plan", build_plan),
+    (GraphDTSAnalyzer, "activated_arrivals_multi", activated_arrivals_multi),
+)
+
 #: (owner, attribute, frozen body) patched by :func:`reference_kernels`.
 _PATCHES = (
+    *STRUCTURE_PATCHES,
     (LevelizedSimulator, "evaluate", evaluate),
     (StimulusEncoder, "encode_schedules", encode_schedules),
     (StageDTSAnalyzer, "ap_trace_grid", ap_trace_grid),

@@ -129,7 +129,6 @@ def _wide_pipeline():
     0's ``wide`` bus and stage 2's ``a`` bus overlaps stage 2's own
     control sources, so the per-stage write order shows."""
     n = 700
-    gates = [SimpleNamespace(gid=g, is_endpoint=True) for g in range(n)]
     ids = iter(range(n))
 
     def take(width):
@@ -145,7 +144,7 @@ def _wide_pipeline():
         {"huge": take(200)},
     ]
     return SimpleNamespace(
-        netlist=SimpleNamespace(gates=gates),
+        netlist=SimpleNamespace(endpoint_ids=lambda: list(range(n))),
         ctrl_src=ctrl_src,
         data_src=data_src,
         num_stages=4,

@@ -30,6 +30,15 @@ def test_stage_bounds_checked():
         nl.add_input("a", 5, EndpointKind.CONTROL)
 
 
+def test_unconnected_dff_stage_bounds_checked():
+    nl = Netlist(num_stages=2)
+    with pytest.raises(ValueError, match="stage 7 out of range"):
+        nl.add_dff("q", None, stage=7, kind=EndpointKind.DATA)
+    with pytest.raises(ValueError, match="stage -1 out of range"):
+        nl.add_dff("q", None, stage=-1, kind=EndpointKind.DATA)
+    assert len(nl) == 0
+
+
 def test_gate_by_name(chain_netlist):
     assert chain_netlist.gate_by_name("n1").gtype == GateType.NOT
 
