@@ -13,7 +13,9 @@ repository root so regressions are measured, not asserted:
   per repeat with the memo cleared before each, blocked
   ``path_cov_matrix`` vs. the pairwise ``path_cov`` loop, and datapath
   training's AP unions reduced by one ``combine_grid`` call vs. one call
-  per set.
+  per set, and the datapath model's 8 classes x 7 bagged trees on the
+  default training set grown as one level-wise forest vs. the frozen
+  node-by-node recursion, one tree at a time.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_kernels.py -q``.
 """
@@ -24,13 +26,16 @@ import json
 import pathlib
 import time
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 
 from conftest import print_table
+import repro.dta.regression
 from repro import kernel_stats
 from repro.dta.algorithm1 import StageDTSAnalyzer
-from repro.dta.trainer import _T_REF
+from repro.dta.regression import BaggedTrees, fit_bagged
+from repro.dta.trainer import _T_REF, DatapathTrainer
 from repro.logicsim.simulator import LevelizedSimulator
 from repro.netlist import PipelineConfig, TimingLibrary, generate_pipeline
 from repro.runner import ProcessorConfig
@@ -204,6 +209,55 @@ def _bench_training_combine():
     }
 
 
+def _bench_forest_fit():
+    """The datapath model's bagged trees on the default processor's
+    default training set (8 classes x 48 samples, 7 trees each): one
+    level-wise ``fit_bagged`` vs. the frozen recursion per tree."""
+    processor = ProcessorConfig().build()
+    _, samples = DatapathTrainer(
+        processor.pipeline,
+        processor.data_analyzer,
+        processor.library.setup_time,
+        processor.logic_simulator,
+        processor.stimulus_encoder,
+        scheduler_factory=processor.core_family.make_scheduler,
+    ).train()
+    by_class = {}
+    for sample in samples:
+        by_class.setdefault(sample.op_class, []).append(sample)
+    data = [
+        (np.stack([r.features for r in rows]), np.array([r.arrival for r in rows]))
+        for rows in by_class.values()
+    ]
+
+    def fit():
+        ensembles = [
+            BaggedTrees(n_trees=7, max_depth=6, min_leaf=max(2, len(y) // 24))
+            for _, y in data
+        ]
+        t0 = time.perf_counter()
+        fit_bagged(ensembles, data)
+        return time.perf_counter() - t0, [e.to_dict() for e in ensembles]
+
+    level_s = recursive_s = float("inf")
+    for _ in range(5):
+        elapsed, level = fit()
+        level_s = min(level_s, elapsed)
+        with mock.patch.object(
+            repro.dta.regression, "grow_forest", _reference.grow_forest
+        ):
+            elapsed, recursive = fit()
+        recursive_s = min(recursive_s, elapsed)
+        assert level == recursive  # the same trees, node for node
+    return {
+        "trees": sum(len(e["trees"]) for e in level),
+        "nodes": sum(len(t["nodes"]) for e in level for t in e["trees"]),
+        "recursive_s": round(recursive_s, 4),
+        "level_s": round(level_s, 4),
+        "speedup": round(recursive_s / level_s, 2),
+    }
+
+
 def test_kernel_speedups():
     # Interleaved rounds, best-of: the end-to-end numbers are wall-clock
     # and the reference run is long enough to catch scheduler noise.
@@ -224,6 +278,7 @@ def test_kernel_speedups():
         "combine_memo": _bench_combine(pipe),
         "path_cov": _bench_path_cov(pipe),
         "training_combine": _bench_training_combine(),
+        "forest_fit": _bench_forest_fit(),
     }
 
     doc = {
@@ -261,6 +316,10 @@ def test_kernel_speedups():
              micro["training_combine"]["scalar_s"],
              micro["training_combine"]["batched_s"],
              f"{micro['training_combine']['speedup']:.2f}x"],
+            ["forest fit (56 trees, level-wise vs recursive)",
+             micro["forest_fit"]["recursive_s"],
+             micro["forest_fit"]["level_s"],
+             f"{micro['forest_fit']['speedup']:.2f}x"],
         ],
         "Kernel layer speedups (BENCH_kernels.json)",
     )
@@ -277,3 +336,4 @@ def test_kernel_speedups():
     assert micro["combine_memo"]["speedup"] > 1.0
     assert micro["path_cov"]["speedup"] > 1.0
     assert micro["training_combine"]["speedup"] >= 2.0
+    assert micro["forest_fit"]["speedup"] >= 1.3

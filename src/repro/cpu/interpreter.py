@@ -4,7 +4,9 @@ The simulator plays the role of the paper's LLVM-instrumented native
 execution (Section 4, "Datapath Activity Characterization"): it executes
 the program at architecture level and exposes, per dynamic instruction, the
 operand values the datapath timing model needs.  Each static instruction is
-pre-compiled to a closure at load time, keeping the interpreter loop lean.
+compiled to a closure before it first runs, keeping the interpreter loop
+lean; the closures are pure functions of the machine state, so programs
+that share a static instruction at the same index share its closure.
 
 A *listener* — ``listener(index, a, b, result, next_pc)`` — receives every
 dynamic instruction; pass ``None`` to run at full speed.
@@ -13,6 +15,7 @@ dynamic instruction; pass ``None`` to run at full speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.cpu.isa import Instruction, Opcode, WORD_BITS, WORD_MASK
 from repro.cpu.program import Program
@@ -57,27 +60,37 @@ class FunctionalSimulator:
     """Executes a :class:`Program` on a :class:`MachineState`.
 
     Args:
-        program: The program to execute (pre-compiled at construction).
+        program: The program to execute.
     """
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self._exec = [
-            self._compile(i, ins) for i, ins in enumerate(program.instructions)
-        ]
+        # Compiled on first use: :meth:`step` compiles only the
+        # instructions it runs, :meth:`run` the whole program.
+        self._exec: list = [None] * len(program)
+
+    def _compiled(self, index: int):
+        fn = self._exec[index]
+        if fn is None:
+            fn = self._exec[index] = self._compile(
+                index, self.program[index], self.program.target_of(index)
+            )
+        return fn
 
     # ------------------------------------------------------------------ #
     # Compilation
     # ------------------------------------------------------------------ #
 
-    def _compile(self, index: int, ins: Instruction):
-        """Build ``fn(state) -> (a, b, result, next_pc)`` for one instruction."""
+    @staticmethod
+    @lru_cache(maxsize=1 << 12)
+    def _compile(index: int, ins: Instruction, target: int | None):
+        """Build ``fn(state) -> (a, b, result, next_pc)`` for instruction
+        ``ins`` at ``index`` (``target``: its resolved branch target)."""
         op = ins.op
         rd, rs1, rs2 = ins.rd, ins.rs1, ins.rs2
         imm = ins.imm & WORD_MASK
         set_cc = ins.set_cc
         nxt = index + 1
-        target = self.program.target_of(index)
 
         def read_b(state):
             return state.regs[rs2] if rs2 is not None else imm
@@ -199,7 +212,7 @@ class FunctionalSimulator:
             return fn
 
         if ins.is_branch:
-            cond = self._branch_condition(op)
+            cond = FunctionalSimulator._branch_condition(op)
 
             def fn(state, _cond=cond):
                 taken = _cond(state.flags)
@@ -265,7 +278,7 @@ class FunctionalSimulator:
     def step(self, state: MachineState) -> StepRecord:
         """Execute the instruction at ``state.pc``."""
         index = state.pc
-        a, b, r, nxt = self._exec[index](state)
+        a, b, r, nxt = self._compiled(index)(state)
         state.pc = nxt
         return StepRecord(index, a, b, r, nxt)
 
@@ -280,8 +293,8 @@ class FunctionalSimulator:
         Raises ``RuntimeError`` if the program counter leaves the program
         (falling off the end without ``halt``).
         """
-        execute = self._exec
-        n = len(execute)
+        n = len(self._exec)
+        execute = [self._compiled(i) for i in range(n)]
         count = 0
         pc = state.pc
         if listener is None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.cpu.isa import BRANCH_OPS, Instruction, Opcode
 from repro.logicsim.stimulus import mix64
 
@@ -34,6 +36,8 @@ class Program:
                     f"label {label!r} points outside the program ({idx})"
                 )
         self._targets = self._resolve_targets()
+        # Memoized: programs share static instructions (every datapath
+        # training window is a 4-instruction program).
         self._tokens = [
             self._token(i, ins) for i, ins in enumerate(self.instructions)
         ]
@@ -61,13 +65,15 @@ class Program:
         return targets
 
     @staticmethod
+    @lru_cache(maxsize=1 << 14)
     def _token(index: int, ins: Instruction) -> int:
         """Stable identity token of a static instruction.
 
         Drives the control-network stimulus encoding: the same static
         instruction always produces the same control-bit pattern.  Built
         from :func:`mix64` only — Python's ``hash`` is randomized per
-        process and must not leak into the encoding.
+        process and must not leak into the encoding (it only keys the
+        memo).
         """
         op_code = int.from_bytes(ins.op.value.encode()[:8], "little")
         h = mix64(index + 1)
@@ -77,6 +83,7 @@ class Program:
         return h or 1  # token 0 is reserved for pipeline bubbles
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def _coarse_token(label: str, extra: int) -> int:
         """Stable token for an opcode or opcode-class label."""
         word = int.from_bytes(label.encode()[:8], "little")

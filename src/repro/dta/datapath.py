@@ -229,6 +229,7 @@ class DatapathTimingModel:
         sds = np.array([s.arrival_sd for s in samples])
         self._fallback_arrival = float(arrivals.mean())
         self._fallback_sd = float(sds.mean())
+        data = {}
         for klass, rows in by_class.items():
             x = np.stack([r.features for r in rows])
             y = np.array([r.arrival for r in rows])
@@ -238,21 +239,26 @@ class DatapathTimingModel:
             d = x.shape[1]
             reg = 1e-6 * np.eye(d)
             gram = x.T @ x + reg
-            coef = np.linalg.solve(gram, x.T @ y)
-            sd_coef = np.linalg.solve(gram, x.T @ sd)
-            self._mean_coef[klass] = coef
-            self._sd_coef[klass] = sd_coef
-            if self.model_kind == "tree":
-                from repro.dta.regression import BaggedTrees
+            self._mean_coef[klass] = np.linalg.solve(gram, x.T @ y)
+            self._sd_coef[klass] = np.linalg.solve(gram, x.T @ sd)
+            data[klass] = (x, y)
+        if self.model_kind == "tree":
+            from repro.dta.regression import BaggedTrees, fit_bagged
 
-                ensemble = BaggedTrees(
-                    n_trees=7, max_depth=6,
-                    min_leaf=max(2, len(y) // 24),
-                ).fit(x, y)
-                self._trees[klass] = ensemble
-                resid = y - ensemble.predict(x)
+            ensembles = [
+                BaggedTrees(
+                    n_trees=7, max_depth=6, min_leaf=max(2, len(y) // 24)
+                )
+                for _, y in data.values()
+            ]
+            # Every class's trees grow in one forest.
+            fit_bagged(ensembles, list(data.values()))
+            self._trees.update(zip(data, ensembles))
+        for klass, (x, y) in data.items():
+            if self.model_kind == "tree":
+                resid = y - self._trees[klass].predict(x)
             else:
-                resid = y - x @ coef
+                resid = y - x @ self._mean_coef[klass]
             self._residual_sd[klass] = float(resid.std())
             # Predictions are clamped to the observed arrival range: no
             # activated path can be longer than the longest path seen for

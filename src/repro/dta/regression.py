@@ -7,6 +7,15 @@ linear model fits poorly — its large residual, treated as variance, leaks
 probability into the error tail.  Related work [18] uses random-forest
 models for the same reason.  This module provides a compact regression
 tree with variance-reduction splits, plus a tiny bagged ensemble.
+
+Every fit goes through :func:`grow_forest`, which grows any number of
+trees together, one depth level at a time: the open nodes of every tree
+at that depth are padded to one row count and their split search runs
+as one array program.  :meth:`RegressionTree.fit` grows one tree,
+:meth:`BaggedTrees.fit` one ensemble and :func:`fit_bagged` many
+ensembles (the datapath model's op classes) in one call.  The trees are
+the ones a node-by-node recursion grows, bit for bit and in the same
+preorder numbering.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import numpy as np
 
 from repro._util import as_rng, check_positive
 
-__all__ = ["RegressionTree", "BaggedTrees"]
+__all__ = ["RegressionTree", "BaggedTrees", "fit_bagged", "grow_forest"]
 
 
 @dataclass(slots=True)
@@ -35,6 +44,13 @@ class _Node:
 
 class RegressionTree:
     """CART regression with variance-reduction splits.
+
+    A node becomes a leaf at ``max_depth``, below ``2 * min_leaf`` rows,
+    at a target variance of at most 1e-12, or when no split lowers the
+    summed squared error by more than ``min_gain``.  Otherwise it splits
+    at the lowest-SSE cut, scanning features in order and cuts in sorted
+    order and keeping the first minimum; the threshold is the midpoint
+    of the two values either side of the cut.
 
     Args:
         max_depth: Maximum tree depth.
@@ -57,79 +73,8 @@ class RegressionTree:
     # ------------------------------------------------------------------ #
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RegressionTree":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 2 or len(x) != len(y):
-            raise ValueError("x must be (n, d) with matching y")
-        if len(y) == 0:
-            raise ValueError("cannot fit an empty dataset")
-        self._nodes = []
-        self._flat = None
-        self._build(x, y, depth=0)
+        grow_forest([self], [(x, y)])
         return self
-
-    def _best_split(self, x, y):
-        """Lowest-SSE ``(feature, threshold, sse)`` split, or
-        ``(None, None, ...)`` when none beats ``min_gain``.
-
-        Every candidate split of every feature is scored at once from
-        the features' sorted cumulative sums.  The result is the one a
-        feature-by-feature, threshold-by-threshold scan with a strict
-        ``<`` update keeps: the first candidate reaching the minimum.
-        """
-        n, _ = x.shape
-        base = float(((y - y.mean()) ** 2).sum())
-        bound = base - self.min_gain
-        order = np.argsort(x, axis=0, kind="stable")
-        xs = np.take_along_axis(x, order, axis=0)
-        ys = y[order]
-        csum = np.cumsum(ys, axis=0)
-        csq = np.cumsum(ys**2, axis=0)
-        # Candidate ``cut`` puts the first ``cut`` sorted rows on the left.
-        cut = np.arange(self.min_leaf, n - self.min_leaf + 1)
-        if cut.size == 0:
-            return None, None, bound
-        left_sum, left_sq = csum[cut - 1], csq[cut - 1]
-        right_sum = csum[-1] - left_sum
-        right_sq = csq[-1] - left_sq
-        n_left = cut[:, None]
-        # float_power, not ``**``: squaring a numpy scalar goes through
-        # libm pow, which numpy's array ``**`` rewrites to x*x.
-        sse = (left_sq - np.float_power(left_sum, 2.0) / n_left) + (
-            right_sq - np.float_power(right_sum, 2.0) / (n - n_left)
-        )
-        # Cannot split between equal values; NaN never wins a ``<``.
-        splittable = xs[cut - 1] != xs[np.minimum(cut, n - 1)]
-        sse = np.where(splittable & ~np.isnan(sse), sse, np.inf)
-        # Feature-major order, so argmin's first hit is the scan's.
-        flat = sse.T.ravel()
-        best = int(np.argmin(flat))
-        if not flat[best] < bound:
-            return None, None, bound
-        feature, row = divmod(best, len(cut))
-        i = int(cut[row])
-        threshold = 0.5 * (xs[i - 1, feature] + xs[i, feature])
-        return feature, threshold, flat[best]
-
-    def _build(self, x, y, depth) -> int:
-        index = len(self._nodes)
-        self._nodes.append(_Node(value=float(y.mean())))
-        if depth >= self.max_depth or len(y) < 2 * self.min_leaf:
-            return index
-        if float(y.var()) <= 1e-12:
-            return index
-        feature, threshold, _ = self._best_split(x, y)
-        if feature is None:
-            return index
-        mask = x[:, feature] <= threshold
-        node = self._nodes[index]
-        node.feature = feature
-        node.threshold = float(threshold)
-        node.left = self._build(x[mask], y[mask], depth + 1)
-        node.right = self._build(x[~mask], y[~mask], depth + 1)
-        return index
-
-    # ------------------------------------------------------------------ #
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if not self._nodes:
@@ -205,6 +150,209 @@ class RegressionTree:
         return tree
 
 
+def _check_data(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
+        raise ValueError(
+            f"x must be (n, d) with a matching 1-D y; got x {x.shape}, "
+            f"y {y.shape}"
+        )
+    if len(y) == 0:
+        raise ValueError("cannot fit an empty dataset")
+    if not np.isfinite(y).all():
+        raise ValueError("y has a NaN or infinite target")
+    if not np.isfinite(x).all():
+        raise ValueError("x has a NaN or infinite feature")
+    return x, y
+
+
+def grow_forest(trees, data) -> None:
+    """Fit ``trees[i]`` on ``data[i] = (x, y)``, all trees together.
+
+    Raises ``ValueError`` for an ``x`` that is not ``(n, d)``, a ``y``
+    that is not 1-D of length ``n``, an empty dataset, a non-finite
+    value, or datasets of different widths ``d``.
+
+    The rows of all trees are stacked, plus one padding row of ``+inf``
+    features that sorts after every real row.  Each level's open nodes
+    are ``(tree, depth, rows)``, the rows a contiguous run of ``order``
+    in their original order, as the recursion's boolean masks keep them.
+    """
+    data = [_check_data(x, y) for x, y in data]
+    if len({x.shape[1] for x, _ in data}) > 1:
+        raise ValueError("every x must have the same number of features")
+    sizes = np.array([len(y) for _, y in data])
+    pad = int(sizes.sum())
+    width = data[0][0].shape[1]
+    x_all = np.concatenate([x for x, _ in data] + [np.full((1, width), np.inf)])
+    y_all = np.concatenate([y for _, y in data] + [np.zeros(1)])
+    max_depth = np.array([t.max_depth for t in trees])
+    min_leaf = np.array([t.min_leaf for t in trees])
+    min_gain = np.array([float(t.min_gain) for t in trees])
+
+    # Per level, its nodes' (value, feature, threshold, left, right);
+    # ``left``/``right`` are level-order ids.
+    levels = []
+    tree = np.arange(len(trees))
+    order = np.arange(pad)
+    count = sizes
+    depth = 0
+    first_id = 0
+    while tree.size:
+        k = tree.size
+        start = np.concatenate([[0], np.cumsum(count)[:-1]])
+        value, var, base = _moments(y_all, order, start, count)
+        feature = np.full(k, -1)
+        threshold = np.zeros(k)
+        cand = np.flatnonzero(
+            (depth < max_depth[tree])
+            & (count >= 2 * min_leaf[tree])
+            & (var > 1e-12)
+        )
+        # Nodes of a similar size share one padded search.
+        width_class = np.frexp(count[cand] - 1)[1]
+        for w in np.unique(width_class):
+            nodes = cand[width_class == w]
+            f, thr, sse = _split_search(
+                x_all, y_all, order, start[nodes], count[nodes], pad,
+                min_leaf[tree[nodes]],
+            )
+            ok = sse < base[nodes] - min_gain[tree[nodes]]
+            feature[nodes[ok]] = f[ok]
+            threshold[nodes[ok]] = thr[ok]
+        split = np.flatnonzero(feature >= 0)
+        left = np.full(k, -1)
+        right = np.full(k, -1)
+        child_ids = first_id + k + np.arange(2 * split.size)
+        left[split] = child_ids[0::2]
+        right[split] = child_ids[1::2]
+        levels.append((value, feature, threshold, left, right))
+        first_id += k
+        # Children: each split node's rows, left child first, in order.
+        node_of = np.repeat(np.arange(k), count)
+        rank = np.full(k, -1)
+        rank[split] = np.arange(split.size)
+        keep = rank[node_of] >= 0
+        rows, owner = order[keep], node_of[keep]
+        goes_right = ~(x_all[rows, feature[owner]] <= threshold[owner])
+        key = 2 * rank[owner] + goes_right
+        order = rows[np.argsort(key, kind="stable")]
+        count = np.bincount(key, minlength=2 * split.size)
+        tree = np.repeat(tree[split], 2)
+        depth += 1
+
+    nodes = _preorder(len(trees), *map(np.concatenate, zip(*levels)))
+    for tree, tree_nodes in zip(trees, nodes, strict=True):
+        tree._nodes = tree_nodes
+        tree._flat = None
+
+
+def _moments(y_all, order, start, count):
+    """Per node: target mean, variance and SSE about the mean.
+
+    Computed over groups of equal-size nodes, one ``(k, m)`` array each:
+    numpy's row-wise mean/var/sum of contiguous rows equals the 1-D
+    reductions bit for bit (zero padding or ``reduceat`` would not).
+    """
+    k = count.size
+    value, var, base = np.empty(k), np.empty(k), np.empty(k)
+    for m in np.unique(count):
+        nodes = np.flatnonzero(count == m)
+        y = y_all[order[start[nodes, None] + np.arange(m)]]
+        mean = y.mean(axis=1)
+        value[nodes] = mean
+        var[nodes] = y.var(axis=1)
+        base[nodes] = ((y - mean[:, None]) ** 2).sum(axis=1)
+    return value, var, base
+
+
+def _split_search(x_all, y_all, order, start, count, pad, min_leaf):
+    """``(feature, threshold, sse)`` of the lowest-SSE split per node.
+
+    Every node's rows are padded to the largest node's count with the
+    ``+inf`` row (``pad``), sorted per feature with a stable argsort and
+    prefix-summed, so cut ``c`` (the first ``c`` sorted rows go left)
+    reads the same sums the node's own scan would; the totals come from
+    each node's last real row.  Cuts outside ``[min_leaf, n - min_leaf]``,
+    between equal values, or with a NaN score are masked out, and the
+    feature-major argmin keeps the first minimum, as a feature-by-feature
+    scan with a strict ``<`` does.  A node without a valid cut scores
+    ``inf``.
+    """
+    s = count.size
+    width = int(count.max())
+    col = np.arange(width)
+    index = np.where(
+        col < count[:, None],
+        order[np.minimum(start[:, None] + col, order.size - 1)],
+        pad,
+    )
+    x = x_all[index]  # (s, width, d)
+    srt = np.argsort(x, axis=1, kind="stable")
+    xs = np.take_along_axis(x, srt, axis=1)
+    ys = y_all[index][np.arange(s)[:, None, None], srt]
+    del x, srt
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys**2, axis=1)
+    del ys
+    last = (count - 1)[:, None, None]
+    total_sum = np.take_along_axis(csum, last, axis=1)
+    total_sq = np.take_along_axis(csq, last, axis=1)
+    cut = col[1:, None]
+    left_sum, left_sq = csum[:, :-1], csq[:, :-1]
+    n_right = count[:, None, None] - cut
+    # float_power, not ``**``: a scalar scan squares numpy scalars
+    # through libm pow, which numpy's array ``**`` rewrites to x*x.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = (left_sq - np.float_power(left_sum, 2.0) / cut) + (
+            (total_sq - left_sq)
+            - np.float_power(total_sum - left_sum, 2.0) / n_right
+        )
+    valid = (
+        (cut >= min_leaf[:, None, None])
+        & (n_right >= min_leaf[:, None, None])
+        & (xs[:, :-1] != xs[:, 1:])
+        & ~np.isnan(sse)
+    )
+    flat = np.where(valid, sse, np.inf).transpose(0, 2, 1).reshape(s, -1)
+    best = np.argmin(flat, axis=1)
+    node = np.arange(s)
+    feature, row = np.divmod(best, width - 1)
+    threshold = 0.5 * (xs[node, row, feature] + xs[node, row + 1, feature])
+    return feature, threshold, flat[node, best]
+
+
+def _preorder(n_trees, value, feature, threshold, left, right):
+    """Each tree's nodes renumbered to the recursion's preorder (tree
+    ``i``'s root is level-order node ``i``)."""
+    value, threshold = value.tolist(), threshold.tolist()
+    feature, left, right = feature.tolist(), left.tolist(), right.tolist()
+    out = []
+    for root in range(n_trees):
+        visit, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            visit.append(node)
+            if feature[node] >= 0:
+                stack.append(right[node])
+                stack.append(left[node])
+        number = {node: i for i, node in enumerate(visit)}
+        out.append(
+            [
+                _Node(
+                    feature=feature[node],
+                    threshold=threshold[node],
+                    left=number[left[node]] if feature[node] >= 0 else -1,
+                    right=number[right[node]] if feature[node] >= 0 else -1,
+                    value=value[node],
+                )
+                for node in visit
+            ]
+        )
+    return out
+
+
 class BaggedTrees:
     """A small bagged ensemble of regression trees.
 
@@ -228,18 +376,7 @@ class BaggedTrees:
         self._trees: list[RegressionTree] = []
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "BaggedTrees":
-        rng = as_rng(self.seed)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self._trees = []
-        n = len(y)
-        for _ in range(self.n_trees):
-            idx = rng.integers(n, size=n)
-            tree = RegressionTree(
-                max_depth=self.max_depth, min_leaf=self.min_leaf
-            )
-            tree.fit(x[idx], y[idx])
-            self._trees.append(tree)
+        fit_bagged([self], [(x, y)])
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -277,3 +414,29 @@ class BaggedTrees:
             RegressionTree.from_dict(t) for t in doc["trees"]
         ]
         return ensemble
+
+
+def fit_bagged(ensembles, data) -> None:
+    """Fit ``ensembles[i]`` on ``data[i] = (x, y)`` in one forest growth.
+
+    Each ensemble draws its bootstrap rows from its own seed, one
+    ``integers(n, size=n)`` per tree, then every member of every
+    ensemble is grown by one :func:`grow_forest` call.
+    """
+    trees, samples = [], []
+    for ensemble, (x, y) in zip(ensembles, data, strict=True):
+        rng = as_rng(ensemble.seed)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = len(y)
+        ensemble._trees = []
+        for _ in range(ensemble.n_trees):
+            idx = rng.integers(n, size=n)
+            ensemble._trees.append(
+                RegressionTree(
+                    max_depth=ensemble.max_depth, min_leaf=ensemble.min_leaf
+                )
+            )
+            samples.append((x[idx], y[idx]))
+        trees.extend(ensemble._trees)
+    grow_forest(trees, samples)

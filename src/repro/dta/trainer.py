@@ -51,6 +51,10 @@ _APSEL_CELLS = 1 << 18
 #: Memory words a training window initializes with operand values.
 _OPERAND_WORDS = 128
 
+#: The instructions after a window's (predecessor, target) pair: the
+#: control target ``L`` and the end of the program.
+_TAIL = (Instruction(Opcode.NOP), Instruction(Opcode.HALT))
+
 #: Reference clock period used only to convert slacks back to arrivals; any
 #: value larger than every path delay works (arrival = T - setup - slack).
 _T_REF = 20000.0
@@ -132,16 +136,16 @@ class DatapathTrainer:
         ``state`` is a :class:`MachineState` whose memory is all zero, to
         run the window on instead of a fresh one (the registers, flags
         and pc are reset here); the window puts back every memory word
-        it wrote, so one state serves any number of windows.
+        it wrote, so one state serves any number of windows.  The
+        window's program is cheap to build: its static tokens and the
+        closures of the two instructions that run are memoized by
+        instruction (see :class:`Program`, :class:`FunctionalSimulator`).
         """
         prev_klass = list(_CLASS_OPS)[int(rng.integers(len(_CLASS_OPS)))]
         prev_ins = self._sample_instruction(prev_klass, rng)
         target_ins = self._sample_instruction(klass, rng)
         program = Program(
-            [prev_ins, target_ins, Instruction(Opcode.NOP),
-             Instruction(Opcode.HALT)],
-            labels={"L": 2},
-            name="dp-train",
+            [prev_ins, target_ins, *_TAIL], labels={"L": 2}, name="dp-train"
         )
         sim = FunctionalSimulator(program)
         if state is None:

@@ -37,6 +37,15 @@ arithmetic, as the ground truth the parity tests compare against:
   :func:`control_arrays` (every block, instruction and operating point
   resampled, featurized and predicted on its own; one control lookup
   per sample);
+* ``repro.dta.regression.grow_forest`` -> :func:`grow_forest` (each
+  tree grown on its own by the node-by-node recursion :func:`build` /
+  :func:`best_split`, once ``RegressionTree._build`` /
+  ``_best_split``);
+* ``DatapathTrainer.sample_window`` -> :func:`sample_window` (a fresh
+  program per window with every instruction compiled up front), with
+  ``Program._token`` / ``_coarse_token`` and
+  ``FunctionalSimulator._compile`` -> :func:`static_token` /
+  :func:`coarse_token` and :func:`compile_instruction` (no memo);
 * ``EdgeProfiler`` and its subclasses ``SimulationCollector`` and
   ``ControlSampleCollector`` -> the stand-alone classes of the same
   names, each a listener with its own block segmentation (run side by
@@ -59,6 +68,7 @@ import numpy as np
 from scipy import stats
 
 import repro.dta.graphdta
+import repro.dta.regression
 import repro.sta.clark
 import repro.sta.ssta
 import repro.workloads.automotive
@@ -68,10 +78,20 @@ from repro.cfg.marginal import BlockProbabilities
 from repro.cfg.profile import ProfileResult
 from repro.core.collect import BlockExecutionSample
 from repro.core.errormodel import _SAFE_SLACK, InstructionErrorModel
-from repro.cpu.interpreter import StepRecord
+from repro.cpu.interpreter import FunctionalSimulator, StepRecord
+from repro.cpu.isa import Instruction, Opcode
+from repro.cpu.program import Program
+from repro.cpu.state import Flags, MachineState
 from repro.dta.algorithm1 import _MODES, StageDTSAnalyzer, _StagePlan
 from repro.dta.datapath import feature_matrix, record_arrays
 from repro.dta.graphdta import GraphDTSAnalyzer
+from repro.dta.regression import RegressionTree, _Node
+from repro.dta.trainer import (
+    _CLASS_OPS,
+    _OPERAND_WORDS,
+    DatapathTrainer,
+    _sample_operands,
+)
 from repro.dta.windowpool import ActivityCache
 from repro.kernels import kernel_stats
 from repro.logicsim.simulator import _OPCODE, LevelizedSimulator
@@ -92,6 +112,7 @@ __all__ = [
     "ControlSampleCollector",
     "EdgeProfiler",
     "STRUCTURE_PATCHES",
+    "TRAINING_PATCHES",
     "SimulationCollector",
     "activated_arrivals_multi",
     "activity",
@@ -99,13 +120,17 @@ __all__ = [
     "ap_trace",
     "ap_trace_grid",
     "assemble",
+    "best_split",
     "bitcount_params",
     "block_probabilities",
+    "build",
     "build_plan",
     "capture_endpoints",
     "clark_max_coefficients",
+    "coarse_token",
     "combine",
     "combine_grid",
+    "compile_instruction",
     "compute_arrivals",
     "control_arrays",
     "critical_paths",
@@ -114,8 +139,11 @@ __all__ = [
     "evaluate",
     "fanout_lists",
     "first_activated",
+    "grow_forest",
     "nominal_delays",
     "reference_kernels",
+    "sample_window",
+    "static_token",
     "topological_order",
     "validate",
 ]
@@ -891,6 +919,145 @@ class ControlSampleCollector:
 
 
 # --------------------------------------------------------------------- #
+# Datapath training: per-window programs, the recursive tree fit
+# --------------------------------------------------------------------- #
+
+
+def static_token(index: int, ins: Instruction) -> int:
+    """``Program._token`` recomputed on every call (no memo)."""
+    op_code = int.from_bytes(ins.op.value.encode()[:8], "little")
+    h = mix64(index + 1)
+    h = mix64(h ^ mix64(op_code))
+    h = mix64(h ^ (ins.rd << 1) ^ (ins.rs1 << 5))
+    h = mix64(h ^ ((ins.rs2 or 0) << 9) ^ (ins.imm & 0xFFFF) << 13)
+    return h or 1  # token 0 is reserved for pipeline bubbles
+
+
+def coarse_token(label: str, extra: int) -> int:
+    """``Program._coarse_token`` recomputed on every call."""
+    word = int.from_bytes(label.encode()[:8], "little")
+    return mix64(mix64(word) ^ (extra + 1)) or 1
+
+
+#: ``FunctionalSimulator._compile`` without its closure memo.
+compile_instruction = FunctionalSimulator._compile.__wrapped__
+
+
+def sample_window(self: DatapathTrainer, klass, rng, state=None):
+    """``DatapathTrainer.sample_window`` as one fresh program per window:
+    new ``nop``/``halt`` instructions, and all four instructions
+    compiled before the two steps run."""
+    prev_klass = list(_CLASS_OPS)[int(rng.integers(len(_CLASS_OPS)))]
+    prev_ins = self._sample_instruction(prev_klass, rng)
+    target_ins = self._sample_instruction(klass, rng)
+    program = Program(
+        [prev_ins, target_ins, Instruction(Opcode.NOP),
+         Instruction(Opcode.HALT)],
+        labels={"L": 2},
+        name="dp-train",
+    )
+    execute = [
+        compile_instruction(i, ins, program.target_of(i))
+        for i, ins in enumerate(program.instructions)
+    ]
+    if state is None:
+        state = MachineState()
+    state.regs[:] = [0] * len(state.regs)
+    state.flags = Flags()
+    state.pc = 0
+    state.halted = False
+    values = _sample_operands(rng, 4 + _OPERAND_WORDS)
+    for reg, value in zip((2, 3, 5, 6), values):
+        state.regs[reg] = value
+    state.memory[:_OPERAND_WORDS] = values[4:]
+
+    def step() -> StepRecord:
+        index = state.pc
+        a, b, r, nxt = execute[index](state)
+        state.pc = nxt
+        return StepRecord(index, a, b, r, nxt)
+
+    rec_prev = step()
+    rec_target = step()
+    state.memory[:_OPERAND_WORDS] = [0] * _OPERAND_WORDS
+    for ins, rec in ((prev_ins, rec_prev), (target_ins, rec_target)):
+        if ins.op == Opcode.ST:
+            state.memory[(rec.a + rec.b) & 0xFFFF] = 0
+    return program, target_ins, rec_prev, rec_target
+
+
+def best_split(self: RegressionTree, x, y):
+    """``RegressionTree._best_split``: lowest-SSE ``(feature, threshold,
+    sse)`` of one node, or ``(None, None, bound)`` when none beats
+    ``min_gain`` (every cut of every feature scored from sorted
+    cumulative sums; the first minimum in feature-major order wins)."""
+    n, _ = x.shape
+    base = float(((y - y.mean()) ** 2).sum())
+    bound = base - self.min_gain
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys**2, axis=0)
+    cut = np.arange(self.min_leaf, n - self.min_leaf + 1)
+    if cut.size == 0:
+        return None, None, bound
+    left_sum, left_sq = csum[cut - 1], csq[cut - 1]
+    right_sum = csum[-1] - left_sum
+    right_sq = csq[-1] - left_sq
+    n_left = cut[:, None]
+    sse = (left_sq - np.float_power(left_sum, 2.0) / n_left) + (
+        right_sq - np.float_power(right_sum, 2.0) / (n - n_left)
+    )
+    splittable = xs[cut - 1] != xs[np.minimum(cut, n - 1)]
+    sse = np.where(splittable & ~np.isnan(sse), sse, np.inf)
+    flat = sse.T.ravel()
+    best = int(np.argmin(flat))
+    if not flat[best] < bound:
+        return None, None, bound
+    feature, row = divmod(best, len(cut))
+    i = int(cut[row])
+    threshold = 0.5 * (xs[i - 1, feature] + xs[i, feature])
+    return feature, threshold, flat[best]
+
+
+def build(self: RegressionTree, x, y, depth) -> int:
+    """``RegressionTree._build``: grow the subtree of one node, node by
+    node in preorder; returns its index."""
+    index = len(self._nodes)
+    self._nodes.append(_Node(value=float(y.mean())))
+    if depth >= self.max_depth or len(y) < 2 * self.min_leaf:
+        return index
+    if float(y.var()) <= 1e-12:
+        return index
+    feature, threshold, _ = best_split(self, x, y)
+    if feature is None:
+        return index
+    mask = x[:, feature] <= threshold
+    node = self._nodes[index]
+    node.feature = feature
+    node.threshold = float(threshold)
+    node.left = build(self, x[mask], y[mask], depth + 1)
+    node.right = build(self, x[~mask], y[~mask], depth + 1)
+    return index
+
+
+def grow_forest(trees, data) -> None:
+    """``repro.dta.regression.grow_forest`` as one recursive fit per
+    tree (:func:`build`)."""
+    for tree, (x, y) in zip(trees, data, strict=True):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 2 or len(x) != len(y):
+            raise ValueError("x must be (n, d) with matching y")
+        if len(y) == 0:
+            raise ValueError("cannot fit an empty dataset")
+        tree._nodes = []
+        tree._flat = None
+        build(tree, x, y, depth=0)
+
+
+# --------------------------------------------------------------------- #
 # Whole-run switch
 # --------------------------------------------------------------------- #
 
@@ -906,9 +1073,20 @@ STRUCTURE_PATCHES = (
     (GraphDTSAnalyzer, "activated_arrivals_multi", activated_arrivals_multi),
 )
 
+#: The datapath-training share of :data:`_PATCHES`: per-window programs,
+#: uncached tokens and closures, and the recursive tree fit.
+TRAINING_PATCHES = (
+    (repro.dta.regression, "grow_forest", grow_forest),
+    (DatapathTrainer, "sample_window", sample_window),
+    (Program, "_token", staticmethod(static_token)),
+    (Program, "_coarse_token", staticmethod(coarse_token)),
+    (FunctionalSimulator, "_compile", staticmethod(compile_instruction)),
+)
+
 #: (owner, attribute, frozen body) patched by :func:`reference_kernels`.
 _PATCHES = (
     *STRUCTURE_PATCHES,
+    *TRAINING_PATCHES,
     (LevelizedSimulator, "evaluate", evaluate),
     (StimulusEncoder, "encode_schedules", encode_schedules),
     (StageDTSAnalyzer, "ap_trace_grid", ap_trace_grid),

@@ -5,8 +5,14 @@ all of them in one ``LevelizedSimulator.evaluate`` call, and then runs
 ``measure`` once per window on that window's slice of the activity.
 The reference below draws, simulates and measures one window at a time
 (the loop ``train`` used to be); both must give the same samples bit
-for bit and the same fitted model, for each core family.
+for bit and the same fitted model, for each core family.  So must the
+frozen path of ``tests/_reference.py`` (a freshly compiled program per
+window, uncached tokens and the recursive tree fit), and the memoized
+static tokens must equal the uncached ones on every bundled program.
 """
+
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +28,8 @@ from repro.dta.trainer import _CLASS_OPS, _T_REF, DatapathTrainer
 from repro.kernels import kernel_stats
 from repro.netlist import PipelineConfig
 from repro.pipeline.ir import ProcessorConfig
+from repro.workloads import list_workloads, load_workload
+from tests import _reference
 
 SMALL = PipelineConfig(
     data_width=8, mult_width=4, shift_bits=3, ctrl_regs=10,
@@ -79,6 +87,16 @@ def _reference_train(trainer, samples_per_class, seed):
     return model, samples
 
 
+def _assert_same_training(got_model, got, want_model, want):
+    """Samples equal bit for bit, and the fitted models serialize alike."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.op_class == w.op_class
+        assert np.array_equal(g.features, w.features)
+        assert g.arrival == w.arrival and g.arrival_sd == w.arrival_sd
+    assert got_model.to_json() == want_model.to_json()
+
+
 @pytest.mark.parametrize("family", ["inorder6", "ooo-tomasulo"])
 def test_batched_training_equals_per_window_loop(family):
     want_model, want = _reference_train(_trainer(family), PER_CLASS, SEED)
@@ -92,12 +110,7 @@ def test_batched_training_equals_per_window_loop(family):
     assert len(calls) == len(got) == PER_CLASS * len(_CLASS_OPS)
     # One batched evaluate, plus the flushed state on first use.
     assert sims <= 2
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.op_class == w.op_class
-        assert np.array_equal(g.features, w.features)
-        assert g.arrival == w.arrival and g.arrival_sd == w.arrival_sd
-    assert got_model.to_json() == want_model.to_json()
+    _assert_same_training(got_model, got, want_model, want)
     assert any(s.arrival > 0.0 for s in got)
 
 
@@ -111,3 +124,30 @@ def test_activities_equal_per_window_activity():
         single = trainer.simulator.activity(block)
         assert np.array_equal(trace.activated, single.activated)
         assert np.array_equal(trace.values, single.values)
+
+
+@pytest.mark.parametrize("family", ["inorder6", "ooo-tomasulo"])
+def test_training_equals_frozen_path(family):
+    with ExitStack() as stack:
+        for owner, name, body in _reference.TRAINING_PATCHES:
+            stack.enter_context(mock.patch.object(owner, name, body))
+        want_model, want = _trainer(family).train(
+            samples_per_class=PER_CLASS, seed=SEED
+        )
+    got_model, got = _trainer(family).train(
+        samples_per_class=PER_CLASS, seed=SEED
+    )
+    _assert_same_training(got_model, got, want_model, want)
+
+
+@pytest.mark.parametrize("name", list_workloads())
+def test_memoized_tokens_equal_uncached(name):
+    program = load_workload(name).program
+    for i, ins in enumerate(program.instructions):
+        assert program.token_of(i) == _reference.static_token(i, ins)
+        assert program.op_token_of(i) == _reference.coarse_token(
+            ins.op.value, int(ins.set_cc)
+        )
+        assert program.class_token_of(i) == _reference.coarse_token(
+            ins.op_class.value, 0
+        )
